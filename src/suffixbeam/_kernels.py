@@ -1,9 +1,7 @@
 """Hot numeric kernels: token-replay stepping and edit-distance DP.
 
-Everything here operates on plain int32 arrays so the functions can be
-compiled with numba when it is available. Set SUFFIXBEAM_DISABLE_NUMBA=1 to
-run the identical code as pure Python/numpy (useful for debugging and for
-benchmarking the speedup; see benchmarks/bench_kernels.py).
+Everything here operates on plain int32 arrays. The replay kernels run only
+when a net's replay memo misses (see :class:`suffixbeam.petri.CompiledNet`).
 
 Replay conventions baked into these kernels (the rest of the package and
 the test oracles mirror them):
@@ -20,44 +18,20 @@ the test oracles mirror them):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 SILENT_BFS_DEPTH = 10
-_BFS_NODE_CAP = 4096
 
-_env = os.environ.get("SUFFIXBEAM_DISABLE_NUMBA", "")
-_want_numba = _env in ("", "0", "false", "False")
-
-try:
-    if not _want_numba:
-        raise ImportError("numba disabled via SUFFIXBEAM_DISABLE_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-USING_NUMBA = HAS_NUMBA
+# There is no compiled backend; the benchmark records this flag with its
+# environment, so it stays as a constant.
+USING_NUMBA = False
 
 
-def _maybe_jit(func):
-    if USING_NUMBA:
-        return njit(cache=True)(func)
-    return func
-
-
-@_maybe_jit
 def covered(marking, req):
     """True when the marking has at least req tokens in every place."""
-    for i in range(req.shape[0]):
-        if marking[i] < req[i]:
-            return False
-    return True
+    return bool((marking >= req).all())
 
 
-@_maybe_jit
 def missing_tokens(marking, req):
     total = 0
     for i in range(req.shape[0]):
@@ -67,7 +41,6 @@ def missing_tokens(marking, req):
     return total
 
 
-@_maybe_jit
 def fire_forced(marking, in_row, out_row):
     """Fire a transition, inserting missing input tokens as needed.
 
@@ -95,77 +68,51 @@ def fire_forced(marking, in_row, out_row):
     return miss, cons, prod
 
 
-@_maybe_jit
 def silent_path_to(marking, req, in_w, out_w, silent_ids, max_depth, node_cap):
     """Shortest sequence of enabled silent firings after which req is covered.
 
     BFS over reachable markings; children are generated in silent-id order,
-    so the first goal hit is the shortest, earliest sequence. Returns
-    (found, path, path_length); the input marking is not modified.
+    so the first goal hit is the shortest, earliest sequence. The search
+    gives up once it holds node_cap distinct markings and an enabled silent
+    firing would add another (the cap is checked before the duplicate test).
+    Returns (found, path, path_length); the input marking is not modified.
     """
-    n_places = marking.shape[0]
     empty = np.empty(0, dtype=np.int32)
     if covered(marking, req):
         return True, empty, 0
-    n_silent = silent_ids.shape[0]
-    if n_silent == 0:
+    if silent_ids.shape[0] == 0:
         return False, empty, 0
-    store = np.zeros((node_cap, n_places), dtype=np.int32)
-    parent = np.full(node_cap, -1, dtype=np.int32)
-    via = np.full(node_cap, -1, dtype=np.int32)
-    depth = np.zeros(node_cap, dtype=np.int32)
-    for i in range(n_places):
-        store[0, i] = marking[i]
-    count = 1
+    silent_in = in_w[silent_ids]
+    silent_delta = out_w[silent_ids] - silent_in
+    nodes, parent, via, depth = [marking], [-1], [-1], [0]
+    seen = {marking.tobytes()}
     head = 0
-    while head < count:
-        if depth[head] >= max_depth:
-            head += 1
-            continue
-        for j in range(n_silent):
-            t = silent_ids[j]
-            enabled = True
-            for i in range(n_places):
-                if store[head, i] < in_w[t, i]:
-                    enabled = False
-                    break
-            if not enabled:
-                continue
-            if count >= node_cap:
-                return False, empty, 0  # search space truncated; give up
-            for i in range(n_places):
-                store[count, i] = store[head, i] - in_w[t, i] + out_w[t, i]
-            seen = False
-            for q in range(count):
-                same = True
-                for i in range(n_places):
-                    if store[q, i] != store[count, i]:
-                        same = False
-                        break
-                if same:
-                    seen = True
-                    break
-            if seen:
-                continue
-            parent[count] = head
-            via[count] = t
-            depth[count] = depth[head] + 1
-            if covered(store[count], req):
-                plen = depth[count]
-                path = np.empty(plen, dtype=np.int32)
-                idx = count
-                pos = plen - 1
-                while idx > 0:
-                    path[pos] = via[idx]
-                    idx = parent[idx]
-                    pos -= 1
-                return True, path, plen
-            count += 1
+    while head < len(nodes):
+        node = nodes[head]
+        if depth[head] < max_depth:
+            for j in np.flatnonzero((node >= silent_in).all(axis=1)):
+                if len(nodes) >= node_cap:
+                    return False, empty, 0  # search space truncated; give up
+                child = node + silent_delta[j]
+                key = child.tobytes()
+                if key in seen:
+                    continue
+                seen.add(key)
+                nodes.append(child)
+                parent.append(head)
+                via.append(int(silent_ids[j]))
+                depth.append(depth[head] + 1)
+                if covered(child, req):
+                    path = []
+                    idx = len(nodes) - 1
+                    while idx > 0:
+                        path.append(via[idx])
+                        idx = parent[idx]
+                    return True, np.array(path[::-1], dtype=np.int32), len(path)
         head += 1
     return False, empty, 0
 
 
-@_maybe_jit
 def replay_one_label(marking, tids, in_w, out_w, silent_ids, max_depth, node_cap):
     """Replay one visible label: pick a transition, enable it, fire it.
 
@@ -214,7 +161,6 @@ def replay_one_label(marking, tids, in_w, out_w, silent_ids, max_depth, node_cap
     return m_add + miss, c_add + cons, p_add + prod
 
 
-@_maybe_jit
 def finish_complete(marking, final, in_w, out_w, silent_ids, max_depth, node_cap):
     """Consume the final marking, trying silent moves to cover it first.
 
@@ -251,7 +197,6 @@ def finish_complete(marking, final, in_w, out_w, silent_ids, max_depth, node_cap
     return miss, c_add, p_add, remaining, reached
 
 
-@_maybe_jit
 def residual_over_final(marking, final):
     """Tokens in the marking not explainable as (part of) the final marking."""
     total = 0
@@ -262,7 +207,6 @@ def residual_over_final(marking, final):
     return total
 
 
-@_maybe_jit
 def osa_distance(a, b):
     """Optimal-string-alignment Damerau-Levenshtein distance on code arrays.
 

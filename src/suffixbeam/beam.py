@@ -35,7 +35,7 @@ legitimate veto).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,13 +221,7 @@ def _finish(cand: _Candidate, forced: bool, iterations: int, peak: int) -> BeamR
 def baseline_beam(prefix, predictor, config: BeamConfig) -> BeamResult:
     """Suffix prediction with pure probability scores (w fixed to 0)."""
     if config.w != 0.0:
-        config = BeamConfig(
-            b_size=config.b_size,
-            max_iter=config.max_iter,
-            w=0.0,
-            max_size=config.max_size,
-            partial_mode=config.partial_mode,
-        )
+        config = replace(config, w=0.0)
     return _run_beam(prefix, predictor, config, net=None)
 
 

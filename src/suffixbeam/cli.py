@@ -13,8 +13,7 @@ Conventions:
 * ``--out`` defaults to $SUFFIXBEAM_OUT, then the working directory;
 * ``--config FILE`` reads a flat JSON object whose keys mirror long flag
   names (hyphens as underscores); explicit flags beat the file, the file
-  beats built-in defaults. Numba can be switched off via
-  $SUFFIXBEAM_DISABLE_NUMBA=1 (see suffixbeam._kernels).
+  beats built-in defaults.
 """
 
 from __future__ import annotations
@@ -161,7 +160,6 @@ def build_parser() -> _Parser:
     p.add_argument("--b-size", type=int, default=3)
     p.add_argument("--w-grid", default=",".join(f"{w:.2f}" for w in DEFAULT_W_GRID))
     p.add_argument("--ks", default=",".join(str(k) for k in DEFAULT_PREFIX_LENGTHS))
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=17, help="synthetic-mode generator seed")
     p.add_argument("--csv-columns")
 
@@ -173,7 +171,6 @@ def build_parser() -> _Parser:
     p.add_argument("--w", type=float, default=0.0)
     p.add_argument("--b-size", type=int, default=3)
     p.add_argument("--max-iter", type=int, default=20)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--csv-columns")
     return parser
 
@@ -269,7 +266,6 @@ def _cmd_sweep(args) -> int:
             ngram_order=args.order,
             ngram_alpha=args.alpha,
             epochs=args.epochs,
-            threads=args.threads,
         )
     else:
         if not args.log or not args.net:
@@ -285,7 +281,6 @@ def _cmd_sweep(args) -> int:
             ngram_order=args.order,
             ngram_alpha=args.alpha,
             epochs=args.epochs,
-            threads=args.threads,
         )
     sweep_path, table_path = out / "sweep.csv", out / "comparison.csv"
     write_sweep_csv(sweep_path, sweep)
@@ -306,7 +301,7 @@ def _cmd_evaluate(args) -> int:
     net = parse_pnml(args.net) if args.net else None
     config = BeamConfig(b_size=args.b_size, max_iter=args.max_iter, w=args.w, partial_mode="strict")
     sweep = evaluate_dataset(
-        "evaluate", log, model, net, config, w_grid=(args.w,), prefix_lengths=(args.k,), threads=args.threads
+        "evaluate", log, model, net, config, w_grid=(args.w,), prefix_lengths=(args.k,)
     )
     cell = sweep.cell(args.k, args.w)
     print(f"k={args.k} w={args.w:.2f}: mean similarity {cell.mean_similarity:.5f} "

@@ -31,7 +31,7 @@ END = "__END__"
 Variant = tuple  # a variant is a tuple of activity labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     activity: str
     case_id: str
@@ -45,7 +45,7 @@ class Event:
             raise ValueError("event with empty case id")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     case_id: str
     events: tuple

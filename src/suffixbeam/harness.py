@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .beam import BeamConfig, baseline_beam, modulated_beam
 from .eventlog import EventLog, build_prefix_log, prefix, suffix, variant_of
@@ -108,13 +107,24 @@ def split_by_prefix(log: EventLog, k: int):
     return log, EventLog.from_traces(tuple(held_out))
 
 
-def _predict_case(args):
-    pref, truth, predictor, net, cfg = args
+def _predict_case(pref, truth, predictor, net, cfg):
     if cfg.w == 0.0 or net is None:
         result = baseline_beam(pref, predictor, cfg)
     else:
         result = modulated_beam(pref, net, predictor, cfg)
     return dl_similarity(result.suffix, truth), result.forced_termination
+
+
+def _micro_cell(dataset: str, w: float, k_cells) -> SweepCell:
+    """The micro row of one w from its per-k cells, averaged in their order."""
+    return SweepCell(
+        dataset,
+        MICRO,
+        w,
+        micro_average((c.mean_similarity, c.n_cases) for c in k_cells),
+        sum(c.n_cases for c in k_cells),
+        sum(c.forced_terminations for c in k_cells),
+    )
 
 
 def evaluate_dataset(
@@ -125,9 +135,13 @@ def evaluate_dataset(
     beam_config: BeamConfig,
     w_grid=DEFAULT_W_GRID,
     prefix_lengths=DEFAULT_PREFIX_LENGTHS,
-    threads: int = 1,
 ) -> SweepResult:
-    """Sweep the modulation weight over per-prefix-length test cases."""
+    """Sweep the modulation weight over per-prefix-length test cases.
+
+    Each distinct (prefix, true suffix) case is predicted once per w; the
+    outcomes are then read back per test trace, in log order, so means
+    accumulate exactly as a per-trace loop would.
+    """
     cases_by_k = {}
     for k in prefix_lengths:
         cases = []
@@ -142,33 +156,20 @@ def evaluate_dataset(
             warnings.warn(f"{dataset}: no test trace is longer than k={k}; skipping")
     if not cases_by_k:
         raise ValueError(f"{dataset}: no prefix length has any test case")
+    distinct = list(dict.fromkeys(case for cases in cases_by_k.values() for case in cases))
 
     cells = []
     for w in w_grid:
-        cfg = BeamConfig(
-            b_size=beam_config.b_size,
-            max_iter=beam_config.max_iter,
-            w=w,
-            max_size=beam_config.max_size,
-            partial_mode=beam_config.partial_mode,
-        )
-        groups = []
+        cfg = replace(beam_config, w=w)
+        outcome_of = {case: _predict_case(*case, predictor, net, cfg) for case in distinct}
+        k_cells = []
         for k, cases in cases_by_k.items():
-            jobs = [(pref, truth, predictor, net, cfg) for pref, truth in cases]
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    outcomes = list(pool.map(_predict_case, jobs))
-            else:
-                outcomes = [_predict_case(job) for job in jobs]
+            outcomes = [outcome_of[case] for case in cases]
             sims = [sim for sim, _ in outcomes]
             forced = sum(flag for _, flag in outcomes)
-            mean = sum(sims) / len(sims)
-            cells.append(SweepCell(dataset, k, w, mean, len(sims), forced))
-            groups.append((mean, len(sims)))
-        micro = micro_average(groups)
-        total_n = sum(n for _, n in groups)
-        total_forced = sum(c.forced_terminations for c in cells if c.w == w and c.k != MICRO)
-        cells.append(SweepCell(dataset, MICRO, w, micro, total_n, total_forced))
+            k_cells.append(SweepCell(dataset, k, w, sum(sims) / len(sims), len(sims), forced))
+        cells.extend(k_cells)
+        cells.append(_micro_cell(dataset, w, k_cells))
     return SweepResult(
         dataset=dataset,
         cells=tuple(cells),
@@ -229,7 +230,6 @@ def run_synthetic_experiment(
     ngram_order: int = 3,
     ngram_alpha: float = 0.01,
     epochs: int = 10,
-    threads: int = 1,
 ) -> SweepResult:
     """Generate the synthetic log, train, and sweep on the exceptional traces."""
     generated = generate(config)
@@ -244,7 +244,6 @@ def run_synthetic_experiment(
         beam_config,
         w_grid=w_grid,
         prefix_lengths=prefix_lengths,
-        threads=threads,
     )
 
 
@@ -259,7 +258,6 @@ def run_reallife_experiment(
     ngram_order: int = 3,
     ngram_alpha: float = 0.01,
     epochs: int = 10,
-    threads: int = 1,
 ) -> SweepResult:
     """Per-k second-variant holdout on a real log, then the same sweep.
 
@@ -286,7 +284,6 @@ def run_reallife_experiment(
             beam_config,
             w_grid=w_grid,
             prefix_lengths=(k,),
-            threads=threads,
         )
         cells.extend(c for c in partial.cells if c.k == k)
         populated.append(k)
@@ -294,9 +291,5 @@ def run_reallife_experiment(
         raise ValueError(f"{dataset}: every prefix length produced an empty holdout")
 
     for w in w_grid:
-        groups = [(c.mean_similarity, c.n_cases) for c in cells if c.w == w and c.k != MICRO]
-        micro = micro_average(groups)
-        n = sum(g[1] for g in groups)
-        forced = sum(c.forced_terminations for c in cells if c.w == w and c.k != MICRO)
-        cells.append(SweepCell(dataset, MICRO, w, micro, n, forced))
+        cells.append(_micro_cell(dataset, w, [c for c in cells if c.w == w and c.k != MICRO]))
     return SweepResult(dataset=dataset, cells=tuple(cells), prefix_lengths=tuple(populated), w_grid=tuple(w_grid))

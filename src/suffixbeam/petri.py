@@ -35,6 +35,12 @@ logger = logging.getLogger(__name__)
 
 SILENT_BFS_DEPTH = _kernels.SILENT_BFS_DEPTH
 _NODE_CAP = 4096
+# Entries per net. An entry takes a few hundred bytes on a 16-place net
+# (240 B on average), so a full memo stays under 2 MB; the benchmark's nets
+# reach a few hundred entries.
+REPLAY_MEMO_CAP = 4096
+_RESIDUAL = object()  # memo-key tags beside the labels of replay steps
+_COMPLETE = object()
 
 
 @dataclass(frozen=True)
@@ -93,10 +99,20 @@ class PetriNet:
 
 
 class CompiledNet:
-    """Array form of a net for the replay kernels."""
+    """Array form of a net for the replay kernels, plus its replay memo.
 
-    def __init__(self, net, place_index, in_w, out_w, silent_ids, label_tids, initial, final):
-        self.net = net
+    Replay outcomes depend only on the marking (and the label replayed), so
+    each is computed once per net and kept in ``memo``: in effect the net's
+    reachability graph, built lazily as replay visits it. Keys are
+    ``(marking bytes, label)`` for steps and ``(marking bytes, tag)`` for
+    the strict residual and the complete-replay finish. Markings handed out
+    are read-only arrays, shared by every state that reaches them. The memo
+    is emptied when it would exceed :data:`REPLAY_MEMO_CAP` entries. There
+    is no reference back to the net, so dropping a net frees its memo at
+    once rather than at the next full garbage collection.
+    """
+
+    def __init__(self, place_index, in_w, out_w, silent_ids, label_tids, initial, final):
         self.place_index = place_index
         self.in_w = in_w
         self.out_w = out_w
@@ -104,6 +120,7 @@ class CompiledNet:
         self.label_tids = label_tids  # label -> ascending int32 array of transition rows
         self.initial = initial
         self.final = final
+        self.memo = {}
 
     @staticmethod
     def build(net: PetriNet) -> "CompiledNet":
@@ -131,10 +148,52 @@ class CompiledNet:
         final = np.zeros(n_p, dtype=np.int32)
         for pid, n in net.final_marking.items():
             final[place_index[pid]] = n
-        return CompiledNet(net, place_index, in_w, out_w, silent_ids, label_tids, initial, final)
+        initial.flags.writeable = False
+        return CompiledNet(place_index, in_w, out_w, silent_ids, label_tids, initial, final)
 
     def marking_to_dict(self, vec) -> dict:
         return {pid: int(vec[i]) for pid, i in self.place_index.items() if vec[i] > 0}
+
+    def _memoized(self, key, compute):
+        hit = self.memo.get(key)
+        if hit is None:
+            if len(self.memo) >= REPLAY_MEMO_CAP:
+                self.memo.clear()
+            hit = self.memo[key] = compute()
+        return hit
+
+    def replay_label(self, marking, label):
+        """(next marking, Δmissing, Δconsumed, Δproduced) of one label known to the net."""
+
+        def compute():
+            nxt = marking.copy()
+            m, c, p = _kernels.replay_one_label(
+                nxt, self.label_tids[label], self.in_w, self.out_w, self.silent_ids,
+                SILENT_BFS_DEPTH, _NODE_CAP,
+            )
+            nxt.flags.writeable = False
+            return nxt, int(m), int(c), int(p)
+
+        return self._memoized((marking.tobytes(), label), compute)
+
+    def residual(self, marking) -> int:
+        """Tokens of the marking not explainable as part of the final marking."""
+        return self._memoized(
+            (marking.tobytes(), _RESIDUAL),
+            lambda: int(_kernels.residual_over_final(marking, self.final)),
+        )
+
+    def finish(self, marking):
+        """(Δmissing, Δconsumed, Δproduced, remaining, reached) of consuming the final marking."""
+
+        def compute():
+            m, c, p, r, reached = _kernels.finish_complete(
+                marking.copy(), self.final, self.in_w, self.out_w, self.silent_ids,
+                SILENT_BFS_DEPTH, _NODE_CAP,
+            )
+            return int(m), int(c), int(p), int(r), bool(reached)
+
+        return self._memoized((marking.tobytes(), _COMPLETE), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +249,9 @@ class ReplayState:
     """Incremental replay: marking plus running counters.
 
     Beam candidates carry one of these so that extending a candidate by one
-    label costs a single replay step instead of a full re-replay.
+    label costs a single replay step instead of a full re-replay. The
+    marking is a read-only array owned by the net's replay memo; a step
+    swaps it for the next one, so clones share it safely.
     """
 
     __slots__ = ("compiled", "marking", "produced", "consumed", "missing")
@@ -198,7 +259,7 @@ class ReplayState:
     def __init__(self, compiled: CompiledNet, marking=None, produced=None, consumed=0, missing=0):
         self.compiled = compiled
         if marking is None:
-            marking = compiled.initial.copy()
+            marking = compiled.initial
             produced = int(compiled.initial.sum())
         self.marking = marking
         self.produced = produced
@@ -206,31 +267,20 @@ class ReplayState:
         self.missing = missing
 
     def clone(self) -> "ReplayState":
-        return ReplayState(
-            self.compiled, self.marking.copy(), self.produced, self.consumed, self.missing
-        )
+        return ReplayState(self.compiled, self.marking, self.produced, self.consumed, self.missing)
 
     def step(self, label: str) -> None:
         """Replay one visible label (mutates the state)."""
-        tids = self.compiled.label_tids.get(label)
-        if tids is None:
+        if label not in self.compiled.label_tids:
             # label unknown to the net: fire a virtual transition that leaves
             # the marking alone but penalizes the trace
             self.missing += 1
             self.consumed += 1
             return
-        m, c, p = _kernels.replay_one_label(
-            self.marking,
-            tids,
-            self.compiled.in_w,
-            self.compiled.out_w,
-            self.compiled.silent_ids,
-            SILENT_BFS_DEPTH,
-            _NODE_CAP,
-        )
-        self.missing += int(m)
-        self.consumed += int(c)
-        self.produced += int(p)
+        self.marking, m, c, p = self.compiled.replay_label(self.marking, label)
+        self.missing += m
+        self.consumed += c
+        self.produced += p
 
     def result_partial(self, strict: bool = False) -> ReplayResult:
         """Counters as they stand, final marking not consumed.
@@ -238,35 +288,23 @@ class ReplayState:
         strict=True additionally charges tokens not explainable as part of
         the final marking as remaining.
         """
-        r = 0
-        if strict:
-            r = int(_kernels.residual_over_final(self.marking, self.compiled.final))
         return ReplayResult(
             produced=self.produced,
             consumed=self.consumed,
             missing=self.missing,
-            remaining=r,
+            remaining=self.compiled.residual(self.marking) if strict else 0,
             final_reached=None,
         )
 
     def result_complete(self) -> ReplayResult:
         """Counters after consuming the final marking (state left untouched)."""
-        marking = self.marking.copy()
-        m, c, p, r, reached = _kernels.finish_complete(
-            marking,
-            self.compiled.final,
-            self.compiled.in_w,
-            self.compiled.out_w,
-            self.compiled.silent_ids,
-            SILENT_BFS_DEPTH,
-            _NODE_CAP,
-        )
+        m, c, p, r, reached = self.compiled.finish(self.marking)
         return ReplayResult(
-            produced=self.produced + int(p),
-            consumed=self.consumed + int(c),
-            missing=self.missing + int(m),
-            remaining=int(r),
-            final_reached=bool(reached),
+            produced=self.produced + p,
+            consumed=self.consumed + c,
+            missing=self.missing + m,
+            remaining=r,
+            final_reached=reached,
         )
 
 

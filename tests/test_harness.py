@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from suffixbeam.beam import BeamConfig
+from suffixbeam.beam import BeamConfig, baseline_beam, modulated_beam
 from suffixbeam.eventlog import EventLog, log_from_variants, variant_of
 from suffixbeam.harness import (
     DEFAULT_PREFIX_LENGTHS,
@@ -16,7 +16,8 @@ from suffixbeam.harness import (
     write_comparison_csv,
     write_sweep_csv,
 )
-from suffixbeam.metrics import micro_average
+from suffixbeam.metrics import dl_similarity, micro_average
+from suffixbeam.synthgen import exceptional_process_net
 
 
 def test_default_grid_shape():
@@ -130,16 +131,45 @@ def test_modulation_helps_on_the_synthetic_holdout(small_sweep):
     assert result.best_micro == result.cell(MICRO, 0.85).mean_similarity
 
 
-def test_threads_do_not_change_results(synth, synth_ngram):
-    test_log = EventLog.from_traces(synth.test_log.traces[:30])
-    kwargs = dict(w_grid=(0.85,), prefix_lengths=(3,))
-    seq = evaluate_dataset(
-        "t", test_log, synth_ngram, synth.net, BeamConfig(b_size=3, max_iter=8), **kwargs
-    )
-    par = evaluate_dataset(
-        "t", test_log, synth_ngram, synth.net, BeamConfig(b_size=3, max_iter=8), threads=4, **kwargs
-    )
-    assert seq.cells == par.cells
+def reference_sweep(dataset, test_log, predictor, net, config, w_grid, prefix_lengths):
+    """evaluate_dataset written as one beam per (test trace, k, w)."""
+    cells = []
+    for w in w_grid:
+        cfg = BeamConfig(b_size=config.b_size, max_iter=config.max_iter, w=w)
+        k_cells = []
+        for k in prefix_lengths:
+            sims, forced = [], 0
+            for trace in test_log.traces:
+                v = variant_of(trace)
+                if len(v) <= k:
+                    continue
+                if w == 0.0:
+                    res = baseline_beam(v[:k], predictor, cfg)
+                else:
+                    res = modulated_beam(v[:k], net, predictor, cfg)
+                sims.append(dl_similarity(res.suffix, v[k:]))
+                forced += res.forced_termination
+            k_cells.append(SweepCell(dataset, k, w, sum(sims) / len(sims), len(sims), forced))
+        micro = micro_average([(c.mean_similarity, c.n_cases) for c in k_cells])
+        n = sum(c.n_cases for c in k_cells)
+        forced = sum(c.forced_terminations for c in k_cells)
+        cells += k_cells + [SweepCell(dataset, MICRO, w, micro, n, forced)]
+    return SweepResult(dataset, tuple(cells), tuple(prefix_lengths), tuple(w_grid))
+
+
+def test_sweep_predicts_each_distinct_case_once_with_identical_results(synth, synth_ngram, tmp_path):
+    test_log = EventLog.from_traces(synth.test_log.traces[:40])
+    args = ("repeats", test_log, synth_ngram)
+    kwargs = dict(w_grid=(0.0, 0.5, 0.85), prefix_lengths=(3, 4, 5))
+    config = BeamConfig(b_size=3, max_iter=8)
+    assert len({variant_of(t) for t in test_log.traces}) < len(test_log.traces)  # repeats
+    got = evaluate_dataset(*args, synth.net, config, **kwargs)
+    want = reference_sweep(*args, exceptional_process_net(), config, **kwargs)
+    assert got == want  # floats compared exactly
+    for writer in (write_sweep_csv, write_comparison_csv):
+        writer(tmp_path / "got.csv", got)
+        writer(tmp_path / "want.csv", want)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_evaluate_dataset_with_no_cases_at_all(synth, synth_ngram):

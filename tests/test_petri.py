@@ -1,14 +1,9 @@
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suffixbeam import _kernels
+from suffixbeam import petri
 from suffixbeam.eventlog import END
 from suffixbeam.petri import (
     Arc,
@@ -174,6 +169,27 @@ def test_replay_state_clone_is_independent():
     assert fork.result_complete().final_reached is True
 
 
+def test_clones_stepped_apart_do_not_alias():
+    net = exceptional_process_net()
+    state = ReplayState(net.compiled)
+    state.step("Start")
+    before = net.compiled.marking_to_dict(state.marking)
+    left, right = state.clone(), state.clone()
+    assert left.marking is state.marking  # clones share the read-only marking
+    left.step("B1a")
+    right.step("B2a")
+    right.step("B2b")
+    assert net.compiled.marking_to_dict(state.marking) == before
+    assert left.marking is not right.marking
+    for fork, variant in ((left, ("Start", "B1a")), (right, ("Start", "B2a", "B2b"))):
+        got = fork.result_complete()
+        assert (got.produced, got.consumed, got.missing, got.remaining, got.final_reached) == (
+            reference_replay(net, variant)
+        )
+    with pytest.raises(ValueError, match="read-only"):
+        left.marking[0] = 7
+
+
 def test_duplicate_labels_prefer_enabled_then_lowest_id():
     # two transitions labelled A chained behind each other
     net = PetriNet(
@@ -278,7 +294,6 @@ def test_silent_search_depth_limit():
     assert_matches_reference(too_deep, ("V",))
 
 
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="search-space sweep too slow un-jitted")
 def test_silent_search_node_cap():
     def toggles(n, needed):
         places = tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n)) + ("z",)
@@ -393,6 +408,61 @@ def test_reference_agreement_hypothesis(variant):
     assert_matches_reference(SYNTH_NET, tuple(variant))
 
 
+def rebuilt(net):
+    """The same net with its own, cold replay memo."""
+    return PetriNet(
+        net.name, net.places, net.transitions, net.arcs, net.initial_marking, net.final_marking
+    )
+
+
+def counters(state):
+    lenient, strict = state.result_partial(), state.result_partial(strict=True)
+    done = state.result_complete()
+    return (
+        (lenient.produced, lenient.consumed, lenient.missing, lenient.remaining),
+        (strict.produced, strict.consumed, strict.missing, strict.remaining),
+        (done.produced, done.consumed, done.missing, done.remaining, done.final_reached),
+    )
+
+
+def assert_memo_matches_fresh_and_reference(net, variants):
+    """Replay every variant twice on one net, so later steps hit its memo."""
+    for variant in list(variants) * 2:
+        state = ReplayState(net.compiled)
+        for i, label in enumerate(variant):
+            state.step(label)
+            seen = variant[: i + 1]
+            fresh = ReplayState(rebuilt(net).compiled)
+            for lab in seen:
+                fresh.step(lab)
+            reference = (
+                reference_replay(net, seen, partial=True),
+                reference_replay(net, seen, partial=True, strict=True),
+                reference_replay(net, seen),
+            )
+            assert counters(state) == counters(fresh) == reference
+            assert len(net.compiled.memo) <= petri.REPLAY_MEMO_CAP
+
+
+# random nets: silent transitions, duplicate labels, arc weights of 1-2; "D" is
+# unknown to every net
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.lists(st.sampled_from("ABCD"), max_size=6).map(tuple), min_size=1, max_size=4),
+)
+def test_memoized_replay_matches_fresh_and_reference(seed, variants):
+    assert_memo_matches_fresh_and_reference(random_net(np.random.default_rng(seed)), variants)
+
+
+def test_replay_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(petri, "REPLAY_MEMO_CAP", 5)
+    net = rebuilt(SYNTH_NET)
+    assert net.compiled.memo == {}  # each net starts cold
+    assert_memo_matches_fresh_and_reference(net, SYNTH_VARIANTS)
+    assert 0 < len(net.compiled.memo) <= 5
+
+
 # ---------------------------------------------------------------------------
 # PNML
 
@@ -471,52 +541,3 @@ def test_parse_pnml_errors():
             b"""<pnml><net id="n"><place id="p"/><transition id="t"/>
               <arc id="a1" source="p" target="ghost"/></net></pnml>"""
         )
-
-
-# ---------------------------------------------------------------------------
-# backend equivalence (jitted kernels vs pure python fallback)
-
-_CHILD = r"""
-import json, sys
-import numpy as np
-from suffixbeam.petri import parse_pnml, token_replay
-from suffixbeam import _kernels
-
-net = parse_pnml(sys.argv[1])
-probes = json.loads(sys.argv[2])
-rows = []
-for variant in probes:
-    res = token_replay(net, tuple(variant))
-    rows.append([res.produced, res.consumed, res.missing, res.remaining, res.final_reached])
-rng = np.random.default_rng(0)
-dists = []
-for _ in range(50):
-    a = rng.integers(0, 4, size=rng.integers(0, 9)).astype(np.int32)
-    b = rng.integers(0, 4, size=rng.integers(0, 9)).astype(np.int32)
-    dists.append(int(_kernels.osa_distance(a, b)))
-print(json.dumps({"numba": _kernels.USING_NUMBA, "rows": rows, "dists": dists}))
-"""
-
-
-def _run_backend(tmp_path, disable):
-    pnml = tmp_path / "synth.pnml"
-    write_pnml(SYNTH_NET, pnml)
-    env = dict(os.environ, SUFFIXBEAM_DISABLE_NUMBA="1" if disable else "")
-    out = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(pnml), json.dumps([list(v) for v in SYNTH_VARIANTS])],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return json.loads(out.stdout)
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="only one backend available")
-def test_backends_agree(tmp_path):
-    jit = _run_backend(tmp_path, disable=False)
-    pure = _run_backend(tmp_path, disable=True)
-    assert jit["numba"] is True
-    assert pure["numba"] is False
-    assert jit["rows"] == pure["rows"]
-    assert jit["dists"] == pure["dists"]
