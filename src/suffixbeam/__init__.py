@@ -18,7 +18,7 @@ from .beam import (
     score_extend_baseline,
     score_extend_modulated,
 )
-from .encoding import EncodedPrefix, Vocabulary, build_vocabulary, decode_prefix, encode_prefix, one_hot
+from .encoding import Vocabulary, build_vocabulary, one_hot
 from .eventlog import (
     END,
     Event,
@@ -73,7 +73,6 @@ __all__ = [
     "BeamConfig",
     "BeamResult",
     "END",
-    "EncodedPrefix",
     "Event",
     "EventLog",
     "MetricsReport",
@@ -95,11 +94,9 @@ __all__ = [
     "chain_net",
     "checked_beam",
     "compliance",
-    "decode_prefix",
     "dl_distance",
     "dl_similarity",
     "enabled_transitions",
-    "encode_prefix",
     "evaluate",
     "evaluate_dataset",
     "finite_difference_check",

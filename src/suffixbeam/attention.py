@@ -15,9 +15,12 @@ Padding is handled by masking, never by the padded values themselves:
 padded key columns are set to -inf before the attention softmax (their
 weights become exact zeros) and padded positions are -inf'd out of the
 max-pool, so whatever garbage sits in padded input rows cannot reach the
-output. predict_proba exploits that by truncating overlong prefixes to the
-most recent l_max - 1 activities, which is what beam search needs when its
-hypotheses outgrow the training window.
+output. predict_proba_batch exploits that by truncating overlong prefixes to
+the most recent l_max - 1 activities, which is what beam search needs when
+its hypotheses outgrow the training window. That window is the model's whole
+context, so it keys the model's memo of probability rows (see
+:mod:`suffixbeam.predictor`); a call runs one forward over its distinct
+misses.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .encoding import Vocabulary
+from .predictor import memoized_rows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -78,10 +82,12 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm_forward(x, gain, bias, eps):
-    mu = np.mean(x, axis=-1, keepdims=True)
-    var = np.var(x, axis=-1, keepdims=True)
+    # np.mean and np.var reduce the same way, bit for bit, at twice the cost
+    n = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
+    xhat = centred * inv_std
     return gain * xhat + bias, (xhat, inv_std, gain)
 
 
@@ -106,6 +112,17 @@ class AttentionModel:
         self.config = config
         self.pe = sinusoidal_encoding(config.l_max - 1, config.d_model)
         self.params = params if params is not None else self._init_params()
+
+    @property
+    def params(self) -> dict:
+        return self._params
+
+    @params.setter
+    def params(self, value: dict) -> None:
+        # new weights invalidate every memoized row; the memo assumes the
+        # arrays are not changed in place while predictions are being made
+        self._params = value
+        self.memo = {}
 
     def _init_params(self) -> dict:
         cfg = self.config
@@ -269,11 +286,22 @@ class AttentionModel:
         return x, mask
 
     def predict_proba(self, prefix) -> np.ndarray:
-        if not prefix:
+        return self.predict_proba_batch([prefix])[0]
+
+    def predict_proba_batch(self, prefixes) -> np.ndarray:
+        if not all(prefixes):
             raise ValueError("prefix must be non-empty")
-        x, mask = self._encode([prefix])
-        probs, _ = self.forward(x, mask)
-        return probs[0]
+        t = self.config.l_max - 1
+        windows = [tuple(pref)[-t:] for pref in prefixes]
+        return memoized_rows(self.memo, windows, self._forward_rows)
+
+    def _forward_rows(self, windows) -> list:
+        x, mask = self._encode(windows)
+        _, cache = self.forward(x, mask)
+        pooled, w_out, b_out = cache["pooled"], self.params["w_out"], self.params["b_out"]
+        # The head runs row by row: a (B, d) @ (d, |V|) product rounds
+        # differently from the one-row product, and beam scores would move.
+        return [_softmax_rows(pooled[i : i + 1] @ w_out + b_out)[0] for i in range(len(windows))]
 
     def predict_batch(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
         probs, _ = self.forward(x, mask)

@@ -15,16 +15,17 @@ Three entry points share one engine:
   wins, None when the search exhausts.
 
 Mechanics shared by baseline/modulated: every queued candidate expands by
-its b_size most probable next labels; the pooled expansions are ranked by
-score (ties: lexicographically smaller label-index tuple first) and the top
-b_size survive. A terminated candidate (last label END) is returned when it
-ranks first; terminated candidates ranked lower stay in the pool with
-frozen scores — still competing, never extended — so a completion can only
-be beaten by something provably better, not merely displaced. If the
-iteration budget runs out, the best terminated candidate ever observed is
-returned (forced_termination flag set); only when none was ever generated
-does the best open candidate get END appended, folding in its complete
-compliance but no probability factor.
+its b_size most probable next labels (one ``predict_proba_batch`` call per
+step gives the rows of all open candidates); the pooled expansions are
+ranked by score (ties: lexicographically smaller label-index tuple first)
+and the top b_size survive. A terminated candidate (last label END) is
+returned when it ranks first; terminated candidates ranked lower stay in
+the pool with frozen scores — still competing, never extended — so a
+completion can only be beaten by something provably better, not merely
+displaced. If the iteration budget runs out, the best terminated candidate
+ever observed is returned (forced_termination flag set); only when none was
+ever generated does the best open candidate get END appended, folding in
+its complete compliance but no probability factor.
 
 Scores accumulate in log space and are exponentiated for reporting.
 Probabilities are floored at 1e-12 before the log so a zero can never
@@ -144,14 +145,16 @@ def _run_beam(prefix, predictor, config: BeamConfig, net: PetriNet | None) -> Be
     h = 0
     while h <= config.max_iter:
         closure = pool[0]
+        open_cands = [cand for cand in pool if not cand.terminated]
+        if not open_cands:
+            break  # every pool entry is terminated and none ranked first: cannot happen after a full round, but guard anyway
+        rows = iter(predictor.predict_proba_batch([prefix + cand.labels for cand in open_cands]))
         expansions = []
-        any_active = False
         for cand in pool:
             if cand.terminated:
                 expansions.append(cand)
                 continue
-            any_active = True
-            probs = predictor.predict_proba(prefix + cand.labels)
+            probs = next(rows)
             for idx in _top_label_indices(probs, config.b_size):
                 idx = int(idx)
                 child_log = cand.log_score + (1.0 - w) * _log_floor(float(probs[idx]))
@@ -180,8 +183,6 @@ def _run_beam(prefix, predictor, config: BeamConfig, net: PetriNet | None) -> Be
                         state=state,
                     )
                 expansions.append(child)
-        if not any_active:
-            break  # every pool entry is terminated and none ranked first: cannot happen after a full round, but guard anyway
         iterations = h + 1
         expansions.sort(key=_Candidate.sort_key)
         frontier_peak = max(frontier_peak, len(expansions))
@@ -252,8 +253,8 @@ def checked_beam(prefix, checker, predictor, config: BeamConfig) -> BeamResult |
     h = 0
     while h <= config.max_iter and pool:
         expansions = []
-        for cand in pool:
-            probs = predictor.predict_proba(prefix + cand.labels)
+        batch = predictor.predict_proba_batch([prefix + cand.labels for cand in pool])
+        for cand, probs in zip(pool, batch):
             for idx in _top_label_indices(probs, config.b_size):
                 idx = int(idx)
                 child_log = cand.log_score + _log_floor(float(probs[idx]))

@@ -1,4 +1,4 @@
-"""One-hot prefix encoding and the deterministic label vocabulary.
+"""The deterministic label vocabulary and one-hot label vectors.
 
 The vocabulary fixes an integer index for every activity label, lexicographic
 with the completion label END forced to the last slot; the whole pipeline
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +30,9 @@ class Vocabulary:
     def __len__(self):
         return len(self.labels)
 
-    @property
+    @cached_property
     def index(self) -> dict:
-        # tiny and immutable; rebuilt on demand to keep the dataclass frozen
+        # built on first use and kept beside the fields, outside eq and hash
         return {lab: i for i, lab in enumerate(self.labels)}
 
     def index_of(self, label: str) -> int:
@@ -67,29 +68,3 @@ def one_hot(label: str, vocab: Vocabulary) -> np.ndarray:
     vec = np.zeros(len(vocab), dtype=np.float64)
     vec[vocab.index_of(label)] = 1.0
     return vec
-
-
-@dataclass(frozen=True)
-class EncodedPrefix:
-    matrix: np.ndarray  # (l_max - 1, |vocab|), rows beyond true_length all zero
-    true_length: int
-
-
-def encode_prefix(prefix, vocab: Vocabulary, l_max: int) -> EncodedPrefix:
-    """Stack one-hot rows for the prefix, zero-padded up to l_max - 1 rows."""
-    if len(prefix) > l_max - 1:
-        raise ValueError(f"prefix of length {len(prefix)} exceeds l_max - 1 = {l_max - 1}")
-    matrix = np.zeros((l_max - 1, len(vocab)), dtype=np.float64)
-    for i, label in enumerate(prefix):
-        matrix[i, vocab.index_of(label)] = 1.0
-    return EncodedPrefix(matrix=matrix, true_length=len(prefix))
-
-
-def decode_prefix(encoded: EncodedPrefix, vocab: Vocabulary):
-    """Inverse of encode_prefix (padding rows are all-zero, real rows one-hot)."""
-    out = []
-    for row in encoded.matrix:
-        if not row.any():
-            break
-        out.append(vocab.labels[int(np.argmax(row))])
-    return tuple(out)

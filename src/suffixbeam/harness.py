@@ -107,12 +107,10 @@ def split_by_prefix(log: EventLog, k: int):
     return log, EventLog.from_traces(tuple(held_out))
 
 
-def _predict_case(pref, truth, predictor, net, cfg):
+def _beam(pref, predictor, net, cfg):
     if cfg.w == 0.0 or net is None:
-        result = baseline_beam(pref, predictor, cfg)
-    else:
-        result = modulated_beam(pref, net, predictor, cfg)
-    return dl_similarity(result.suffix, truth), result.forced_termination
+        return baseline_beam(pref, predictor, cfg)
+    return modulated_beam(pref, net, predictor, cfg)
 
 
 def _micro_cell(dataset: str, w: float, k_cells) -> SweepCell:
@@ -138,9 +136,10 @@ def evaluate_dataset(
 ) -> SweepResult:
     """Sweep the modulation weight over per-prefix-length test cases.
 
-    Each distinct (prefix, true suffix) case is predicted once per w; the
-    outcomes are then read back per test trace, in log order, so means
-    accumulate exactly as a per-trace loop would.
+    Each distinct prefix is predicted once per w, and each distinct (prefix,
+    true suffix) case scored once; the outcomes are then read back per test
+    trace, in log order, so means accumulate exactly as a per-trace loop
+    would.
     """
     cases_by_k = {}
     for k in prefix_lengths:
@@ -157,11 +156,16 @@ def evaluate_dataset(
     if not cases_by_k:
         raise ValueError(f"{dataset}: no prefix length has any test case")
     distinct = list(dict.fromkeys(case for cases in cases_by_k.values() for case in cases))
+    prefixes = list(dict.fromkeys(pref for pref, _ in distinct))
 
     cells = []
     for w in w_grid:
         cfg = replace(beam_config, w=w)
-        outcome_of = {case: _predict_case(*case, predictor, net, cfg) for case in distinct}
+        result_of = {pref: _beam(pref, predictor, net, cfg) for pref in prefixes}
+        outcome_of = {
+            (pref, truth): (dl_similarity(result_of[pref].suffix, truth), result_of[pref].forced_termination)
+            for pref, truth in distinct
+        }
         k_cells = []
         for k, cases in cases_by_k.items():
             outcomes = [outcome_of[case] for case in cases]

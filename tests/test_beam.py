@@ -33,6 +33,9 @@ class TablePredictor:
     def predict_proba(self, prefix):
         return self._probs.copy()
 
+    def predict_proba_batch(self, prefixes):
+        return np.tile(self._probs, (len(prefixes), 1))
+
 
 def ab_ngram(seed=3, n=40):
     rng = np.random.default_rng(seed)

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from suffixbeam.encoding import (
-    EncodedPrefix,
-    Vocabulary,
-    build_vocabulary,
-    decode_prefix,
-    encode_prefix,
-    one_hot,
-)
+from suffixbeam.encoding import Vocabulary, build_vocabulary, one_hot
 from suffixbeam.eventlog import END, log_from_variants
 
 
@@ -66,33 +57,3 @@ def test_one_hot(vocab):
     vec = one_hot("B", vocab)
     assert vec.dtype == np.float64
     assert vec.tolist() == [0.0, 1.0, 0.0, 0.0]
-
-
-def test_encode_prefix_shape_and_padding(vocab):
-    enc = encode_prefix(("A", "C"), vocab, l_max=5)
-    assert enc.matrix.shape == (4, 4)
-    assert enc.true_length == 2
-    assert enc.matrix[0].tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert enc.matrix[1].tolist() == [0.0, 0.0, 1.0, 0.0]
-    assert not enc.matrix[2:].any()
-
-
-def test_encode_prefix_too_long(vocab):
-    with pytest.raises(ValueError, match="exceeds l_max - 1"):
-        encode_prefix(("A",) * 5, vocab, l_max=5)
-
-
-def test_decode_prefix_stops_at_padding(vocab):
-    enc = encode_prefix(("B", "A", "B"), vocab, l_max=6)
-    assert decode_prefix(enc, vocab) == ("B", "A", "B")
-    empty = EncodedPrefix(matrix=np.zeros((3, 4)), true_length=0)
-    assert decode_prefix(empty, vocab) == ()
-
-
-@settings(max_examples=100)
-@given(st.lists(st.sampled_from(["A", "B", "C"]), max_size=7))
-def test_encode_decode_round_trip(labels):
-    vocab = Vocabulary(labels=("A", "B", "C", END))
-    enc = encode_prefix(tuple(labels), vocab, l_max=8)
-    assert decode_prefix(enc, vocab) == tuple(labels)
-    assert enc.matrix.sum() == len(labels)  # exactly one hot bit per real row

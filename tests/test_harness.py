@@ -1,7 +1,9 @@
 import csv
+from collections import Counter
 
 import pytest
 
+from suffixbeam import harness
 from suffixbeam.beam import BeamConfig, baseline_beam, modulated_beam
 from suffixbeam.eventlog import EventLog, log_from_variants, variant_of
 from suffixbeam.harness import (
@@ -157,13 +159,34 @@ def reference_sweep(dataset, test_log, predictor, net, config, w_grid, prefix_le
     return SweepResult(dataset, tuple(cells), tuple(prefix_lengths), tuple(w_grid))
 
 
-def test_sweep_predicts_each_distinct_case_once_with_identical_results(synth, synth_ngram, tmp_path):
+def test_sweep_predicts_each_distinct_case_once_with_identical_results(
+    synth, synth_ngram, tmp_path, monkeypatch
+):
     test_log = EventLog.from_traces(synth.test_log.traces[:40])
     args = ("repeats", test_log, synth_ngram)
-    kwargs = dict(w_grid=(0.0, 0.5, 0.85), prefix_lengths=(3, 4, 5))
+    w_grid = (0.0, 0.5, 0.85)
+    kwargs = dict(w_grid=w_grid, prefix_lengths=(3, 4, 5))
     config = BeamConfig(b_size=3, max_iter=8)
     assert len({variant_of(t) for t in test_log.traces}) < len(test_log.traces)  # repeats
+    cases = {(v[:k], v[k:]) for v in map(variant_of, test_log.traces) for k in (3, 4, 5) if len(v) > k}
+    assert len({pref for pref, _ in cases}) < len(cases)  # one prefix, several truths
+
+    beams, scored = Counter(), Counter()
+
+    def counting(fn, counter, key):
+        def wrapped(*a, **kw):
+            counter[key(*a)] += 1
+            return fn(*a, **kw)
+
+        return wrapped
+
+    monkeypatch.setattr(harness, "baseline_beam", counting(baseline_beam, beams, lambda p, _, c: (p, c.w)))
+    monkeypatch.setattr(harness, "modulated_beam", counting(modulated_beam, beams, lambda p, _, __, c: (p, c.w)))
+    monkeypatch.setattr(harness, "dl_similarity", counting(dl_similarity, scored, lambda s, t: t))
     got = evaluate_dataset(*args, synth.net, config, **kwargs)
+    monkeypatch.undo()
+    assert beams == Counter({(pref, w): 1 for pref, _ in cases for w in w_grid})
+    assert scored == Counter(truth for _, truth in cases for w in w_grid)
     want = reference_sweep(*args, exceptional_process_net(), config, **kwargs)
     assert got == want  # floats compared exactly
     for writer in (write_sweep_csv, write_comparison_csv):
