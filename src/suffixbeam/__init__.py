@@ -15,10 +15,8 @@ from .beam import (
     checked_beam,
     modulated_beam,
     perfect_fitness_checker,
-    score_extend_baseline,
-    score_extend_modulated,
 )
-from .encoding import Vocabulary, build_vocabulary, one_hot
+from .encoding import Vocabulary, build_vocabulary
 from .eventlog import (
     END,
     Event,
@@ -44,7 +42,7 @@ from .harness import (
     write_comparison_csv,
     write_sweep_csv,
 )
-from .metrics import MetricsReport, dl_distance, dl_similarity, evaluate, micro_average
+from .metrics import dl_distance, dl_similarity, micro_average
 from .petri import (
     Arc,
     PetriNet,
@@ -53,15 +51,13 @@ from .petri import (
     Transition,
     chain_net,
     compliance,
-    enabled_transitions,
-    fire,
     fitness,
     flower_net,
     parse_pnml,
     token_replay,
     write_pnml,
 )
-from .predictor import NGramModel, next_activity, predict, train_ngram
+from .predictor import NGramModel, train_ngram
 from .synthgen import SynthConfig, SynthResult, exceptional_process_net, generate
 
 __version__ = "0.1.0"
@@ -75,7 +71,6 @@ __all__ = [
     "END",
     "Event",
     "EventLog",
-    "MetricsReport",
     "NGramModel",
     "PetriNet",
     "PrefixLog",
@@ -96,29 +91,21 @@ __all__ = [
     "compliance",
     "dl_distance",
     "dl_similarity",
-    "enabled_transitions",
-    "evaluate",
     "evaluate_dataset",
     "finite_difference_check",
-    "fire",
     "fitness",
     "flower_net",
     "generate",
     "log_from_variants",
     "micro_average",
     "modulated_beam",
-    "next_activity",
-    "one_hot",
     "parse_csv",
     "parse_pnml",
     "parse_xes",
     "perfect_fitness_checker",
-    "predict",
     "prefix",
     "run_reallife_experiment",
     "run_synthetic_experiment",
-    "score_extend_baseline",
-    "score_extend_modulated",
     "split_by_prefix",
     "suffix",
     "token_replay",

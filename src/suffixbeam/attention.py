@@ -303,10 +303,6 @@ class AttentionModel:
         # differently from the one-row product, and beam scores would move.
         return [_softmax_rows(pooled[i : i + 1] @ w_out + b_out)[0] for i in range(len(windows))]
 
-    def predict_batch(self, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        probs, _ = self.forward(x, mask)
-        return probs
-
     # --------------------------------------------------------- persistence
 
     def save(self, path) -> None:

@@ -1,8 +1,9 @@
 """Beam-search suffix prediction, with optional replay-fitness modulation.
 
-Three entry points share one engine:
+Three entry points share one expansion step (:func:`_expand`):
 
-* :func:`baseline_beam` — scores are cumulative predictor probabilities.
+* :func:`baseline_beam` — scores are cumulative predictor probabilities;
+  a configured w is ignored.
 * :func:`modulated_beam` — each step multiplies in the replay compliance of
   the extended trace, weighted by ``w``:
 
@@ -14,18 +15,19 @@ Three entry points share one engine:
   check on complete candidates only; first passing candidate in rank order
   wins, None when the search exhausts.
 
-Mechanics shared by baseline/modulated: every queued candidate expands by
-its b_size most probable next labels (one ``predict_proba_batch`` call per
-step gives the rows of all open candidates); the pooled expansions are
-ranked by score (ties: lexicographically smaller label-index tuple first)
-and the top b_size survive. A terminated candidate (last label END) is
-returned when it ranks first; terminated candidates ranked lower stay in
-the pool with frozen scores — still competing, never extended — so a
-completion can only be beaten by something provably better, not merely
-displaced. If the iteration budget runs out, the best terminated candidate
-ever observed is returned (forced_termination flag set); only when none was
-ever generated does the best open candidate get END appended, folding in
-its complete compliance but no probability factor.
+In every step each queued open candidate expands by its b_size most
+probable next labels (one ``predict_proba_batch`` call per step gives the
+rows of all of them) and the pooled expansions are ranked by score (ties:
+lexicographically smaller label-index tuple first). The checked beam keeps
+the top max_size; baseline and modulated keep the top b_size, and return a
+terminated candidate (last label END) when it ranks first; terminated
+candidates ranked lower stay in the pool with frozen scores — still
+competing, never extended — so a completion can only be beaten by something
+provably better, not merely displaced. If the iteration budget runs out,
+the best terminated candidate ever observed is returned (forced_termination
+flag set); only when none was ever generated does the best open candidate
+get END appended, folding in its complete compliance but no probability
+factor.
 
 Scores accumulate in log space and are exponentiated for reporting.
 Probabilities are floored at 1e-12 before the log so a zero can never
@@ -36,7 +38,7 @@ legitimate veto).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,18 +89,6 @@ class BeamResult:
     frontier_peak: int  # largest ranked pool seen; <= b_size certifies no pruning
 
 
-def score_extend_baseline(parent_score: float, prob: float) -> float:
-    """One step of the unmodulated score recursion (plain product)."""
-    return parent_score * prob
-
-
-def score_extend_modulated(parent_score: float, prob: float, compliance_value: float, w: float) -> float:
-    """One modulated step: parent * prob^(1-w) * compliance^w, 0^0 := 1."""
-    p_term = 1.0 if w == 1.0 and prob == 0.0 else prob ** (1.0 - w)
-    c_term = 1.0 if w == 0.0 else compliance_value ** w
-    return parent_score * p_term * c_term
-
-
 def _log_floor(p: float) -> float:
     return math.log(p if p > PROB_FLOOR else PROB_FLOOR)
 
@@ -119,92 +109,80 @@ def _top_label_indices(probs: np.ndarray, k: int) -> np.ndarray:
     return order[: min(k, len(order))]
 
 
+def _expand(pool, prefix, predictor, b_size: int, w: float = 0.0, strict: bool = True) -> list:
+    """One beam step: every child of the pool, ranked.
+
+    Each open candidate spawns its b_size most probable next labels, one
+    ``predict_proba_batch`` call giving the rows of all of them. A child
+    scores its parent's log score plus (1-w)·log p and, when w > 0, w·log of
+    its replay compliance (complete for END, partial otherwise). Terminated
+    candidates are carried over unchanged.
+    """
+    vocab = predictor.vocab
+    end_idx = vocab.index_of(END)
+    open_cands = [cand for cand in pool if not cand.terminated]
+    rows = iter(predictor.predict_proba_batch([prefix + cand.labels for cand in open_cands]))
+    expansions = []
+    for cand in pool:
+        if cand.terminated:
+            expansions.append(cand)
+            continue
+        probs = next(rows)
+        for idx in _top_label_indices(probs, b_size):
+            idx = int(idx)
+            child_log = cand.log_score + (1.0 - w) * _log_floor(float(probs[idx]))
+            labels, state = cand.labels, None
+            if idx == end_idx:
+                if w > 0.0:
+                    child_log += w * _log_compliance(fitness(cand.state.result_complete()))
+            else:
+                labels += (vocab.labels[idx],)
+                if w > 0.0:
+                    state = cand.state.clone()
+                    state.step(labels[-1])
+                    child_log += w * _log_compliance(fitness(state.result_partial(strict=strict)))
+            expansions.append(_Candidate(labels, cand.ids + (idx,), child_log, idx == end_idx, state))
+    expansions.sort(key=_Candidate.sort_key)
+    return expansions
+
+
 def _run_beam(prefix, predictor, config: BeamConfig, net: PetriNet | None) -> BeamResult:
     prefix = tuple(prefix)
     if not prefix:
         raise ValueError("beam search needs a non-empty prefix")
-    vocab = predictor.vocab
-    end_idx = vocab.index_of(END)
-    w = config.w
-    modulate = net is not None and w > 0.0
+    w = config.w if net is not None else 0.0
     strict = config.partial_mode == "strict"
 
     root_state = None
-    if modulate:
+    if w > 0.0:
         root_state = ReplayState(net.compiled)
         for label in prefix:
             root_state.step(label)
-    root = _Candidate(labels=(), ids=(), log_score=0.0, terminated=False, state=root_state)
+    pool = [_Candidate(labels=(), ids=(), log_score=0.0, terminated=False, state=root_state)]
 
     best_terminated: _Candidate | None = None
     frontier_peak = 1
-    pool = [root]
-    iterations = 0
-    closure = root  # deepest rank-0 open seen; stays within the length budget
-
-    h = 0
-    while h <= config.max_iter:
-        closure = pool[0]
-        open_cands = [cand for cand in pool if not cand.terminated]
-        if not open_cands:
-            break  # every pool entry is terminated and none ranked first: cannot happen after a full round, but guard anyway
-        rows = iter(predictor.predict_proba_batch([prefix + cand.labels for cand in open_cands]))
-        expansions = []
-        for cand in pool:
-            if cand.terminated:
-                expansions.append(cand)
-                continue
-            probs = next(rows)
-            for idx in _top_label_indices(probs, config.b_size):
-                idx = int(idx)
-                child_log = cand.log_score + (1.0 - w) * _log_floor(float(probs[idx]))
-                if idx == end_idx:
-                    if modulate:
-                        child_log += w * _log_compliance(fitness(cand.state.result_complete()))
-                    child = _Candidate(
-                        labels=cand.labels,
-                        ids=cand.ids + (idx,),
-                        log_score=child_log,
-                        terminated=True,
-                    )
-                    best_terminated = _better(best_terminated, child)
-                else:
-                    label = vocab.labels[idx]
-                    state = None
-                    if modulate:
-                        state = cand.state.clone()
-                        state.step(label)
-                        child_log += w * _log_compliance(fitness(state.result_partial(strict=strict)))
-                    child = _Candidate(
-                        labels=cand.labels + (label,),
-                        ids=cand.ids + (idx,),
-                        log_score=child_log,
-                        terminated=False,
-                        state=state,
-                    )
-                expansions.append(child)
-        iterations = h + 1
-        expansions.sort(key=_Candidate.sort_key)
+    for h in range(config.max_iter + 1):
+        closure = pool[0]  # deepest rank-0 open seen; stays within the length budget
+        expansions = _expand(pool, prefix, predictor, config.b_size, w, strict)
         frontier_peak = max(frontier_peak, len(expansions))
         if expansions[0].terminated:
-            return _finish(expansions[0], forced=False, iterations=iterations, peak=frontier_peak)
+            return _finish(expansions[0], forced=False, iterations=h + 1, peak=frontier_peak)
+        # the step's best completion; carried-over ones were already seen
+        completed = next((cand for cand in expansions if cand.terminated), None)
+        if completed is not None:
+            best_terminated = _better(best_terminated, completed)
         pool = expansions[: config.b_size]
-        h += 1
 
+    iterations = config.max_iter + 1
     if best_terminated is not None:
         return _finish(best_terminated, forced=True, iterations=iterations, peak=frontier_peak)
     # No completion was ever generated (possible when b_size < |vocab| and END
     # never makes the cut): close the best-ranked open hypothesis by fiat.
-    cand = closure
-    log_score = cand.log_score
-    if modulate:
-        log_score += w * _log_compliance(fitness(cand.state.result_complete()))
-    closed = _Candidate(
-        labels=cand.labels,
-        ids=cand.ids + (end_idx,),
-        log_score=log_score,
-        terminated=True,
-    )
+    log_score = closure.log_score
+    if w > 0.0:
+        log_score += w * _log_compliance(fitness(closure.state.result_complete()))
+    closed = _Candidate(closure.labels, closure.ids + (predictor.vocab.index_of(END),), log_score, True)
     return _finish(closed, forced=True, iterations=iterations, peak=frontier_peak)
 
 
@@ -220,67 +198,43 @@ def _finish(cand: _Candidate, forced: bool, iterations: int, peak: int) -> BeamR
 
 
 def baseline_beam(prefix, predictor, config: BeamConfig) -> BeamResult:
-    """Suffix prediction with pure probability scores (w fixed to 0)."""
-    if config.w != 0.0:
-        config = replace(config, w=0.0)
+    """Suffix prediction with pure probability scores (w treated as 0)."""
     return _run_beam(prefix, predictor, config, net=None)
 
 
-def modulated_beam(prefix, net: PetriNet, predictor, config: BeamConfig) -> BeamResult:
-    """Suffix prediction with replay-fitness-modulated scores."""
+def modulated_beam(prefix, net: PetriNet | None, predictor, config: BeamConfig) -> BeamResult:
+    """Suffix prediction with replay-fitness-modulated scores; the baseline when w = 0 or net is None."""
     return _run_beam(prefix, predictor, config, net=net)
 
 
 def checked_beam(prefix, checker, predictor, config: BeamConfig) -> BeamResult | None:
     """Probability-ranked beam with a boolean compliance gate on completions.
 
-    Expansions are pooled, the top max_size survive, and the survivors are
-    visited in rank order: open candidates are re-queued, terminated ones
-    are returned if the checker accepts their content (END stripped) and
-    dropped otherwise. Exhausting the queue or the iteration budget yields
-    None — this variant has no forced-termination fallback.
+    Each step is the shared expansion at w = 0; the top max_size children
+    survive and are visited in rank order: open candidates are re-queued,
+    terminated ones are returned if the checker accepts their content (END
+    stripped) and dropped otherwise. Exhausting the queue or the iteration
+    budget yields None — this variant has no forced-termination fallback.
     """
     prefix = tuple(prefix)
     if not prefix:
         raise ValueError("beam search needs a non-empty prefix")
-    vocab = predictor.vocab
-    end_idx = vocab.index_of(END)
     max_size = config.max_size if config.max_size is not None else config.b_size
 
     pool = [_Candidate(labels=(), ids=(), log_score=0.0, terminated=False)]
     peak = 1
-    iterations = 0
-    h = 0
-    while h <= config.max_iter and pool:
-        expansions = []
-        batch = predictor.predict_proba_batch([prefix + cand.labels for cand in pool])
-        for cand, probs in zip(pool, batch):
-            for idx in _top_label_indices(probs, config.b_size):
-                idx = int(idx)
-                child_log = cand.log_score + _log_floor(float(probs[idx]))
-                if idx == end_idx:
-                    child = _Candidate(
-                        labels=cand.labels, ids=cand.ids + (idx,), log_score=child_log, terminated=True
-                    )
-                else:
-                    child = _Candidate(
-                        labels=cand.labels + (vocab.labels[idx],),
-                        ids=cand.ids + (idx,),
-                        log_score=child_log,
-                        terminated=False,
-                    )
-                expansions.append(child)
-        iterations = h + 1
-        expansions.sort(key=_Candidate.sort_key)
+    for h in range(config.max_iter + 1):
+        expansions = _expand(pool, prefix, predictor, config.b_size)
         peak = max(peak, len(expansions))
         pool = []
         for cand in expansions[:max_size]:
             if not cand.terminated:
                 pool.append(cand)
             elif checker(prefix + cand.labels):
-                return _finish(cand, forced=False, iterations=iterations, peak=peak)
+                return _finish(cand, forced=False, iterations=h + 1, peak=peak)
             # terminated but non-compliant: discarded
-        h += 1
+        if not pool:
+            break
     return None
 
 

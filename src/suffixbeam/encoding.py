@@ -1,4 +1,4 @@
-"""The deterministic label vocabulary and one-hot label vectors.
+"""The deterministic label vocabulary.
 
 The vocabulary fixes an integer index for every activity label, lexicographic
 with the completion label END forced to the last slot; the whole pipeline
@@ -8,11 +8,8 @@ being reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .eventlog import END, EventLog
 
@@ -49,22 +46,9 @@ class Vocabulary:
         except KeyError as exc:
             raise ValueError(f"label {exc.args[0]!r} is not in the vocabulary") from None
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.labels))
-
-    @staticmethod
-    def from_json(text: str) -> "Vocabulary":
-        return Vocabulary(labels=tuple(json.loads(text)))
-
 
 def build_vocabulary(log: EventLog) -> Vocabulary:
     """Sorted alphabet of the log plus the END label in last position."""
     if not log.alphabet:
         raise ValueError("cannot build a vocabulary from an empty alphabet")
     return Vocabulary(labels=tuple(sorted(log.alphabet)) + (END,))
-
-
-def one_hot(label: str, vocab: Vocabulary) -> np.ndarray:
-    vec = np.zeros(len(vocab), dtype=np.float64)
-    vec[vocab.index_of(label)] = 1.0
-    return vec

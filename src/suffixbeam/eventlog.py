@@ -113,26 +113,17 @@ def suffix(variant: Variant, k: int) -> Variant:
     return tuple(variant[k:])
 
 
-def build_prefix_log(log: EventLog, with_completion: bool = True) -> PrefixLog:
+def build_prefix_log(log: EventLog) -> PrefixLog:
     """All (prefix, next-label) pairs of every trace, multiplicities preserved.
 
-    With ``with_completion`` the completion label END is appended to each
-    trace first, so a trace of length n contributes n entries (the last one
-    targets END); without it, n-1 entries. Traces of length 1 are only
-    usable with completion enabled.
+    The completion label END is appended to each trace first, so a trace of
+    length n contributes n entries, the last one targeting END.
     """
     if not log.traces:
         raise ValueError("cannot build a prefix log from an empty event log")
     entries = []
     for trace in log.traces:
-        labels = variant_of(trace)
-        if with_completion:
-            labels = labels + (END,)
-        if len(labels) < 2:
-            raise ValueError(
-                f"trace {trace.case_id!r} has length {len(labels)}; "
-                "need length >= 2 (enable completion for single-event traces)"
-            )
+        labels = variant_of(trace) + (END,)
         for k in range(1, len(labels)):
             entries.append((tuple(labels[:k]), labels[k]))
     return PrefixLog(entries=tuple(entries))
@@ -287,8 +278,9 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str) -> EventL
     """
     if isinstance(source, (bytes, bytearray)):
         source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, (str,)) or hasattr(source, "__fspath__"):
-        source = open(source, "r", encoding="utf-8", newline="")
+    elif isinstance(source, str) or hasattr(source, "__fspath__"):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return parse_csv(fh, case_col, activity_col, time_col)
     reader = csv.DictReader(source)
     if reader.fieldnames is None:
         raise ValueError("CSV input has no header row")

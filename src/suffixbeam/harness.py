@@ -23,7 +23,7 @@ import csv
 import warnings
 from dataclasses import dataclass, replace
 
-from .beam import BeamConfig, baseline_beam, modulated_beam
+from .beam import BeamConfig, modulated_beam
 from .eventlog import EventLog, build_prefix_log, prefix, suffix, variant_of
 from .metrics import dl_similarity, micro_average
 from .petri import PetriNet
@@ -107,12 +107,6 @@ def split_by_prefix(log: EventLog, k: int):
     return log, EventLog.from_traces(tuple(held_out))
 
 
-def _beam(pref, predictor, net, cfg):
-    if cfg.w == 0.0 or net is None:
-        return baseline_beam(pref, predictor, cfg)
-    return modulated_beam(pref, net, predictor, cfg)
-
-
 def _micro_cell(dataset: str, w: float, k_cells) -> SweepCell:
     """The micro row of one w from its per-k cells, averaged in their order."""
     return SweepCell(
@@ -161,7 +155,7 @@ def evaluate_dataset(
     cells = []
     for w in w_grid:
         cfg = replace(beam_config, w=w)
-        result_of = {pref: _beam(pref, predictor, net, cfg) for pref in prefixes}
+        result_of = {pref: modulated_beam(pref, net, predictor, cfg) for pref in prefixes}
         outcome_of = {
             (pref, truth): (dl_similarity(result_of[pref].suffix, truth), result_of[pref].forced_termination)
             for pref, truth in distinct

@@ -10,12 +10,9 @@ combined into a micro average weighted by test-set size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
-from .eventlog import END
 
 
 def dl_distance(a, b) -> int:
@@ -57,32 +54,3 @@ def micro_average(groups) -> float:
         acc += mean * weight
         total_w += weight
     return acc / total_w
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    per_prefix_length: dict  # k -> (mean similarity, test set size)
-    micro: float
-
-
-def _strip_end(seq):
-    return tuple(lab for lab in seq if lab != END)
-
-
-def evaluate(predicted: dict, ground_truth: dict, k_by_case: dict) -> MetricsReport:
-    """Per-prefix-length mean similarities plus their micro average.
-
-    All three dicts are keyed by case id; END labels are stripped from both
-    sides before comparison.
-    """
-    if set(predicted) != set(ground_truth):
-        missing = set(predicted) ^ set(ground_truth)
-        raise ValueError(f"predicted/ground-truth case sets differ, e.g. {sorted(missing)[:3]}")
-    sims_by_k = {}
-    for case, pred in predicted.items():
-        k = k_by_case[case]
-        sim = dl_similarity(_strip_end(pred), _strip_end(ground_truth[case]))
-        sims_by_k.setdefault(k, []).append(sim)
-    per_k = {k: (float(np.mean(sims)), len(sims)) for k, sims in sorted(sims_by_k.items())}
-    micro = micro_average(per_k.values())
-    return MetricsReport(per_prefix_length=per_k, micro=micro)

@@ -197,43 +197,6 @@ class CompiledNet:
 
 
 # ---------------------------------------------------------------------------
-# basic firing semantics on dict markings (reference-level API)
-
-def enabled_transitions(net: PetriNet, marking: dict) -> set:
-    """Transition ids whose every input place holds at least the arc weight."""
-    tids = {t.tid for t in net.transitions}
-    needed = {}
-    for arc in net.arcs:
-        if arc.target in tids:
-            by_place = needed.setdefault(arc.target, {})
-            by_place[arc.source] = by_place.get(arc.source, 0) + arc.weight
-    out = set()
-    for t in net.transitions:
-        req = needed.get(t.tid, {})
-        if all(marking.get(pid, 0) >= w for pid, w in req.items()):
-            out.add(t.tid)
-    return out
-
-
-def fire(net: PetriNet, marking: dict, tid: str) -> dict:
-    """Fire a transition (forced: missing tokens are not checked here).
-
-    Input places are decremented with a floor of zero, output places are
-    incremented; the shortfall accounting happens in replay, not here.
-    """
-    if tid not in {t.tid for t in net.transitions}:
-        raise ValueError(f"unknown transition {tid!r}")
-    new = dict(marking)
-    for arc in net.arcs:
-        if arc.target == tid:
-            new[arc.source] = max(0, new.get(arc.source, 0) - arc.weight)
-    for arc in net.arcs:
-        if arc.source == tid:
-            new[arc.target] = new.get(arc.target, 0) + arc.weight
-    return {pid: n for pid, n in new.items() if n > 0}
-
-
-# ---------------------------------------------------------------------------
 # token replay
 
 @dataclass(frozen=True)

@@ -144,14 +144,3 @@ def train_ngram(prefix_log: PrefixLog, vocab: Vocabulary, order: int = 3, alpha:
             counts[ctx] = row
         row[vocab.index_of(nxt)] += 1
     return NGramModel(vocab=vocab, order=order, alpha=alpha, counts=counts)
-
-
-def predict(model, prefix) -> np.ndarray:
-    """Probability vector over the model's vocabulary for the next label."""
-    return model.predict_proba(prefix)
-
-
-def next_activity(model, prefix) -> str:
-    """Argmax label; ties resolve to the lowest vocabulary index."""
-    probs = model.predict_proba(prefix)
-    return model.vocab.labels[int(np.argmax(probs))]

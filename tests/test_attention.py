@@ -44,7 +44,7 @@ def test_sinusoidal_encoding_values():
 def test_forward_rows_are_distributions():
     model = tiny_model()
     x, mask = model._encode([("A",), ("B", "C", "A"), ("C",) * 4])
-    probs = model.predict_batch(x, mask)
+    probs = model.forward(x, mask)[0]
     assert probs.shape == (3, 4)
     assert np.all(np.isfinite(probs))
     assert np.all(probs > 0)
@@ -54,10 +54,10 @@ def test_forward_rows_are_distributions():
 def test_padding_rows_cannot_influence_output():
     model = tiny_model()
     x, mask = model._encode([("A", "B")])
-    clean = model.predict_batch(x, mask)
+    clean = model.forward(x, mask)[0]
     dirty = x.copy()
     dirty[0, 2:] = 7.5  # garbage one-hots beyond the true length
-    got = model.predict_batch(dirty, mask)
+    got = model.forward(dirty, mask)[0]
     assert np.array_equal(clean, got)  # bitwise: masking is exact, not approximate
 
 
@@ -98,7 +98,7 @@ def test_dropout_changes_training_forward_only():
     dropped = AttentionModel(VOCAB4, cfg, params=model.params)
     x, mask = model._encode([("A", "B")])
     # inference path (no rng): dropout is inert
-    assert np.array_equal(dropped.predict_batch(x, mask), model.predict_batch(x, mask))
+    assert np.array_equal(dropped.forward(x, mask)[0], model.forward(x, mask)[0])
     # training path: the rng masks pooled features, changing the output
     probs_a, _ = dropped.forward(x, mask, dropout_rng=np.random.default_rng(0))
     probs_b, _ = dropped.forward(x, mask, dropout_rng=np.random.default_rng(1))
@@ -112,7 +112,7 @@ def test_deterministic_construction_and_inference():
     for k in a.params:
         assert np.array_equal(a.params[k], b.params[k])
     x, mask = a._encode([("A", "C", "B")])
-    assert np.array_equal(a.predict_batch(x, mask), b.predict_batch(x, mask))
+    assert np.array_equal(a.forward(x, mask)[0], b.forward(x, mask)[0])
 
 
 def test_save_load_round_trip(tmp_path):
@@ -157,7 +157,7 @@ def test_training_restores_best_epoch():
     order = rng.permutation(len(y))
     n_val = int(round(len(y) * 0.1))
     val_idx = order[:n_val]
-    probs = model.predict_batch(x[val_idx], mask[val_idx])
+    probs = model.forward(x[val_idx], mask[val_idx])[0]
     assert model.loss(probs, y[val_idx]) == pytest.approx(best, abs=1e-12)
 
 

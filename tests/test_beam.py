@@ -1,4 +1,6 @@
+import hashlib
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -10,13 +12,12 @@ from suffixbeam.beam import (
     checked_beam,
     modulated_beam,
     perfect_fitness_checker,
-    score_extend_baseline,
-    score_extend_modulated,
 )
 from suffixbeam.encoding import Vocabulary, build_vocabulary
 from suffixbeam.eventlog import END, build_prefix_log, log_from_variants
 from suffixbeam.petri import chain_net
 from suffixbeam.predictor import train_ngram
+from suffixbeam.synthgen import EXCEPTIONAL_VARIANTS, exceptional_process_net
 
 from beam_oracle import enumerate_best
 
@@ -62,18 +63,6 @@ def test_config_validation():
         BeamConfig(max_size=0)
     with pytest.raises(ValueError, match="partial_mode"):
         BeamConfig(partial_mode="fuzzy")
-
-
-def test_score_extension_steps():
-    assert score_extend_baseline(0.5, 0.25) == 0.125
-    # 0.64^0.5 * 0.9025^0.5 = 0.8 * 0.95
-    assert score_extend_modulated(1.0, 0.64, 0.9025, 0.5) == pytest.approx(0.76, abs=1e-15)
-    # w = 0 ignores compliance entirely, even a hard zero
-    assert score_extend_modulated(0.5, 0.4, 0.0, 0.0) == 0.2
-    # w = 1 ignores the probability, 0^0 := 1
-    assert score_extend_modulated(1.0, 0.0, 0.75, 1.0) == 0.75
-    # a zero-compliance step vetoes the extension at any positive w
-    assert score_extend_modulated(1.0, 0.9, 0.0, 0.5) == 0.0
 
 
 def test_empty_prefix_rejected():
@@ -254,3 +243,70 @@ def test_result_shape(synth, synth_ngram):
     assert res.score == pytest.approx(math.exp(res.log_score))
     assert res.iterations >= 1
     assert res.frontier_peak >= 1
+
+
+# ---------------------------------------------------------------------------
+# bit-level lock on every beam's output
+
+
+class SeededTablePredictor:
+    """A fixed pseudo-random row per prefix, some entries exactly zero.
+
+    A prefix of an exceptional variant also leans, at random strength,
+    toward that variant's next label, so some completions fit the net.
+    """
+
+    def __init__(self, vocab):
+        self.vocab = vocab
+
+    def predict_proba_batch(self, prefixes):
+        rows = []
+        for prefix in prefixes:
+            rng = np.random.default_rng(zlib.crc32("|".join(prefix).encode()))
+            row = rng.random(len(self.vocab))
+            row[row < 0.15] = 0.0  # zeros hit the probability floor
+            row[-1] += 0.05  # END always keeps some mass
+            for variant in EXCEPTIONAL_VARIANTS:
+                if variant[: len(prefix)] == prefix:
+                    nxt = variant[len(prefix)] if len(prefix) < len(variant) else END
+                    row[self.vocab.index_of(nxt)] += rng.random()
+            rows.append(row / row.sum())
+        return np.array(rows)
+
+
+# SHA-256 of the repr of every result below; any change to a beam's output moves it
+BEAM_LOCK_DIGEST = "7d7e30774bf8923a769d4ba17c0306c8bea2cc170dbe29b094ed35d72699974f"
+
+
+def test_beam_outputs_are_locked_bit_for_bit():
+    net = exceptional_process_net()
+    labels = sorted({t.label for t in net.transitions if t.label is not None})
+    pred = SeededTablePredictor(Vocabulary(labels=tuple(labels) + (END,)))
+
+    def pseudo_random_checker(variant):
+        return zlib.crc32("|".join(variant).encode()) % 3 == 0
+
+    rng = np.random.default_rng(20231)
+    results = []
+    for _ in range(300):
+        if rng.random() < 0.5:
+            variant = EXCEPTIONAL_VARIANTS[int(rng.integers(len(EXCEPTIONAL_VARIANTS)))]
+            prefix = variant[: int(rng.integers(1, len(variant)))]
+        else:
+            prefix = tuple(str(lab) for lab in rng.choice(labels, size=int(rng.integers(1, 5))))
+        config = BeamConfig(
+            b_size=int(rng.integers(1, 6)),
+            max_iter=int(rng.integers(1, 9)),
+            w=float(rng.choice([0.0, 0.3, 0.85, 1.0])),
+            max_size=int(rng.integers(1, 8)),
+            partial_mode=str(rng.choice(["strict", "lenient"])),
+        )
+        results.append(
+            (
+                baseline_beam(prefix, pred, config),
+                modulated_beam(prefix, net, pred, config),
+                checked_beam(prefix, perfect_fitness_checker(net), pred, config),
+                checked_beam(prefix, pseudo_random_checker, pred, config),
+            )
+        )
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == BEAM_LOCK_DIGEST

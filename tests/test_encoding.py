@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from suffixbeam.encoding import Vocabulary, build_vocabulary, one_hot
+from suffixbeam.encoding import Vocabulary, build_vocabulary
 from suffixbeam.eventlog import END, log_from_variants
 
 
@@ -36,10 +36,6 @@ def test_encode_labels(vocab):
         vocab.encode_labels(("A", "Q"))
 
 
-def test_vocabulary_json_round_trip(vocab):
-    assert Vocabulary.from_json(vocab.to_json()) == vocab
-
-
 def test_build_vocabulary_sorted_end_last():
     log = log_from_variants([("b", "a"), ("c",)])
     v = build_vocabulary(log)
@@ -51,9 +47,3 @@ def test_build_vocabulary_empty():
 
     with pytest.raises(ValueError, match="empty alphabet"):
         build_vocabulary(EventLog(traces=(), alphabet=frozenset()))
-
-
-def test_one_hot(vocab):
-    vec = one_hot("B", vocab)
-    assert vec.dtype == np.float64
-    assert vec.tolist() == [0.0, 1.0, 0.0, 0.0]

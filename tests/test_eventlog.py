@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from suffixbeam import eventlog
 from suffixbeam.eventlog import (
     END,
     Event,
@@ -104,13 +105,6 @@ def test_build_prefix_log_with_completion():
     assert plog.entries[2] == (("A", "B", "C"), END)
 
 
-def test_build_prefix_log_without_completion():
-    log = log_from_variants([("A", "B", "C")])
-    plog = build_prefix_log(log, with_completion=False)
-    assert len(plog) == 2
-    assert plog.entries[-1] == (("A", "B"), "C")
-
-
 def test_build_prefix_log_multiplicities():
     log = log_from_variants([("A", "B"), ("A", "B")])
     plog = build_prefix_log(log)
@@ -120,8 +114,6 @@ def test_build_prefix_log_multiplicities():
 def test_build_prefix_log_single_event_trace():
     log = log_from_variants([("A",)])
     assert build_prefix_log(log).entries == ((("A",), END),)
-    with pytest.raises(ValueError, match="length >= 2"):
-        build_prefix_log(log, with_completion=False)
 
 
 def test_build_prefix_log_empty_log():
@@ -247,6 +239,25 @@ def test_parse_csv_naive_timestamp_is_utc():
     raw = b"case,activity,time\nc1,A,2021-01-01T10:00:00\n"
     log = parse_csv(raw, "case", "activity", "time")
     assert log.traces[0].events[0].timestamp == datetime(2021, 1, 1, 10, tzinfo=UTC)
+
+
+def test_parse_csv_closes_a_path_it_opens(tmp_path, monkeypatch):
+    path = tmp_path / "log.csv"
+    path.write_text(CSV_BASIC, encoding="utf-8")
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(eventlog, "open", tracking_open, raising=False)
+    columns = ("case", "activity", "time")
+    assert parse_csv(path, *columns) == parse_csv(io.StringIO(CSV_BASIC), *columns)
+    with pytest.raises(ValueError, match="missing mapped column 'who'"):
+        parse_csv(str(path), "who", "activity", "time")
+    assert len(opened) == 2
+    assert all(fh.closed for fh in opened)
 
 
 def test_parse_csv_errors():

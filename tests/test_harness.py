@@ -180,7 +180,6 @@ def test_sweep_predicts_each_distinct_case_once_with_identical_results(
 
         return wrapped
 
-    monkeypatch.setattr(harness, "baseline_beam", counting(baseline_beam, beams, lambda p, _, c: (p, c.w)))
     monkeypatch.setattr(harness, "modulated_beam", counting(modulated_beam, beams, lambda p, _, __, c: (p, c.w)))
     monkeypatch.setattr(harness, "dl_similarity", counting(dl_similarity, scored, lambda s, t: t))
     got = evaluate_dataset(*args, synth.net, config, **kwargs)

@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suffixbeam.eventlog import END
-from suffixbeam.metrics import (
-    MetricsReport,
-    dl_distance,
-    dl_similarity,
-    evaluate,
-    micro_average,
-)
+from suffixbeam.metrics import dl_distance, dl_similarity, micro_average
 
 
 def brute_osa(a, b):
@@ -104,25 +98,3 @@ def test_micro_average():
         micro_average([])
     with pytest.raises(ValueError, match="weights must be positive"):
         micro_average([(1.0, 0)])
-
-
-def test_evaluate_strips_end_and_groups_by_k():
-    predicted = {
-        "c1": ("X", "Y", END),
-        "c2": ("X",),
-        "c3": (END,),
-    }
-    truth = {
-        "c1": ("X", "Y"),
-        "c2": ("Y",),
-        "c3": (),
-    }
-    report = evaluate(predicted, truth, k_by_case={"c1": 2, "c2": 2, "c3": 3})
-    assert isinstance(report, MetricsReport)
-    assert report.per_prefix_length == {2: (0.5, 2), 3: (1.0, 1)}
-    assert report.micro == pytest.approx((0.5 * 2 + 1.0) / 3)
-
-
-def test_evaluate_key_mismatch():
-    with pytest.raises(ValueError, match="case sets differ"):
-        evaluate({"a": ()}, {"b": ()}, {"a": 1, "b": 1})

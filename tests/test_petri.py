@@ -13,8 +13,6 @@ from suffixbeam.petri import (
     Transition,
     chain_net,
     compliance,
-    enabled_transitions,
-    fire,
     fitness,
     flower_net,
     parse_pnml,
@@ -81,33 +79,6 @@ def test_chain_net_shape():
 
 # ---------------------------------------------------------------------------
 # firing semantics
-
-
-def test_enabled_transitions():
-    net = chain_net(("A", "B"))
-    assert enabled_transitions(net, {"p0": 1}) == {"t0"}
-    assert enabled_transitions(net, {"p1": 1}) == {"t1"}
-    assert enabled_transitions(net, {}) == set()
-    # arc weight 2 requires two tokens
-    heavy = PetriNet(
-        "h",
-        ("p", "q"),
-        (Transition("t", "A"),),
-        (Arc("p", "t", weight=2), Arc("t", "q")),
-        {"p": 1},
-        {"q": 1},
-    )
-    assert enabled_transitions(heavy, {"p": 1}) == set()
-    assert enabled_transitions(heavy, {"p": 2}) == {"t"}
-
-
-def test_fire():
-    net = chain_net(("A", "B"))
-    assert fire(net, {"p0": 1}, "t0") == {"p1": 1}
-    # forced semantics: firing an unfueled transition floors at zero
-    assert fire(net, {}, "t1") == {"p2": 1}
-    with pytest.raises(ValueError, match="unknown transition"):
-        fire(net, {"p0": 1}, "zz")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from suffixbeam.encoding import Vocabulary, build_vocabulary
 from suffixbeam.eventlog import END, build_prefix_log, log_from_variants
-from suffixbeam.predictor import NGramModel, next_activity, predict, train_ngram
+from suffixbeam.predictor import NGramModel, train_ngram
 
 
 @pytest.fixture
@@ -94,13 +94,6 @@ def test_load_rejects_other_files(tmp_path):
     path.write_text('{"kind": "nonsense"}')
     with pytest.raises(ValueError, match="not an n-gram model file"):
         NGramModel.load(path)
-
-
-def test_predict_and_next_activity(tiny_model):
-    assert predict(tiny_model, ("A", "B")).argmax() == 0
-    assert next_activity(tiny_model, ("A", "B")) == "A"
-    # uniform probabilities tie; the lowest index wins
-    assert next_activity(tiny_model, ("A", "A")) == "A"
 
 
 @settings(max_examples=100)
