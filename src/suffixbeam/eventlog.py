@@ -159,6 +159,14 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
+
+def _escape(s: str) -> str:
+    """Escape text for an XML element or a double-quoted attribute."""
+    return s.translate(_ESCAPES)
+
+
 def parse_xes(source) -> EventLog:
     """Parse an XES file (path, file object, or bytes) into an EventLog.
 
@@ -246,19 +254,14 @@ _XES_HEADER = (
 def write_xes(log: EventLog, path) -> None:
     """Serialize a log to XES. Output is deterministic byte-for-byte."""
 
-    def esc(s: str) -> str:
-        return (
-            s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-        )
-
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_XES_HEADER)
         for trace in log.traces:
             fh.write("  <trace>\n")
-            fh.write(f'    <string key="concept:name" value="{esc(trace.case_id)}"/>\n')
+            fh.write(f'    <string key="concept:name" value="{_escape(trace.case_id)}"/>\n')
             for ev in trace.events:
                 fh.write("    <event>\n")
-                fh.write(f'      <string key="concept:name" value="{esc(ev.activity)}"/>\n')
+                fh.write(f'      <string key="concept:name" value="{_escape(ev.activity)}"/>\n')
                 fh.write(
                     f'      <date key="time:timestamp" value="{_format_timestamp(ev.timestamp)}"/>\n'
                 )

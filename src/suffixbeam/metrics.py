@@ -10,27 +10,24 @@ combined into a micro average weighted by test-set size.
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import _kernels
-
 
 def dl_distance(a, b) -> int:
     """Optimal-string-alignment edit distance between two label sequences.
 
     Counts insertions, deletions, substitutions, and transpositions of
-    adjacent labels (each substring edited at most once).
+    adjacent labels (each substring edited at most once). A row-by-row DP
+    that keeps the last two rows for the transposition case.
     """
-    if not a and not b:
-        return 0
-    codes = {}
-    for lab in a:
-        codes.setdefault(lab, len(codes))
-    for lab in b:
-        codes.setdefault(lab, len(codes))
-    arr_a = np.array([codes[lab] for lab in a], dtype=np.int32)
-    arr_b = np.array([codes[lab] for lab in b], dtype=np.int32)
-    return int(_kernels.osa_distance(arr_a, arr_b))
+    before, prev = None, list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i]
+        for j, y in enumerate(b, 1):
+            d = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y))
+            if i > 1 and j > 1 and x == b[j - 2] and a[i - 2] == y:
+                d = min(d, before[j - 2] + 1)
+            cur.append(d)
+        before, prev = prev, cur
+    return prev[-1]
 
 
 def dl_similarity(a, b) -> float:

@@ -29,12 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .eventlog import END
+from .eventlog import END, _escape, _local
 
 logger = logging.getLogger(__name__)
 
-SILENT_BFS_DEPTH = _kernels.SILENT_BFS_DEPTH
-_NODE_CAP = 4096
 # Entries per net. An entry takes a few hundred bytes on a 16-place net
 # (240 B on average), so a full memo stays under 2 MB; the benchmark's nets
 # reach a few hundred entries.
@@ -87,9 +85,11 @@ class PetriNet:
             if arc.weight < 1:
                 raise ValueError("arc weights must be positive")
         for marking, which in ((self.initial_marking, "initial"), (self.final_marking, "final")):
-            for pid in marking:
+            for pid, count in marking.items():
                 if pid not in place_set:
                     raise ValueError(f"{which} marking references unknown place {pid!r}")
+                if count < 0:
+                    raise ValueError(f"{which} marking has {count} tokens in place {pid!r}")
 
     @property
     def compiled(self) -> "CompiledNet":
@@ -166,13 +166,9 @@ class CompiledNet:
         """(next marking, Δmissing, Δconsumed, Δproduced) of one label known to the net."""
 
         def compute():
-            nxt = marking.copy()
-            m, c, p = _kernels.replay_one_label(
-                nxt, self.label_tids[label], self.in_w, self.out_w, self.silent_ids,
-                SILENT_BFS_DEPTH, _NODE_CAP,
-            )
+            nxt, m, c, p = _kernels.replay_one_label(self, marking, self.label_tids[label])
             nxt.flags.writeable = False
-            return nxt, int(m), int(c), int(p)
+            return nxt, m, c, p
 
         return self._memoized((marking.tobytes(), label), compute)
 
@@ -180,20 +176,15 @@ class CompiledNet:
         """Tokens of the marking not explainable as part of the final marking."""
         return self._memoized(
             (marking.tobytes(), _RESIDUAL),
-            lambda: int(_kernels.residual_over_final(marking, self.final)),
+            lambda: int(np.maximum(marking - self.final, 0).sum()),
         )
 
     def finish(self, marking):
         """(Δmissing, Δconsumed, Δproduced, remaining, reached) of consuming the final marking."""
 
-        def compute():
-            m, c, p, r, reached = _kernels.finish_complete(
-                marking.copy(), self.final, self.in_w, self.out_w, self.silent_ids,
-                SILENT_BFS_DEPTH, _NODE_CAP,
-            )
-            return int(m), int(c), int(p), int(r), bool(reached)
-
-        return self._memoized((marking.tobytes(), _COMPLETE), compute)
+        return self._memoized(
+            (marking.tobytes(), _COMPLETE), lambda: _kernels.finish_complete(self, marking)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +407,6 @@ def parse_pnml(source) -> PetriNet:
     )
 
 
-def _local(tag):
-    return tag.rsplit("}", 1)[-1]
-
-
 def _first_by_local(elem, name):
     for child in elem.iter():
         if child is not elem and _local(child.tag) == name:
@@ -441,20 +428,15 @@ def _text_of(elem):
 def write_pnml(net: PetriNet, path) -> None:
     """Serialize deterministically; parse_pnml(write_pnml(n)) == n structurally."""
 
-    def esc(s):
-        return (
-            s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-        )
-
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<pnml xmlns="http://www.pnml.org/version-2009/grammar/pnml">',
-        f'  <net id="{esc(net.name)}" type="http://www.pnml.org/version-2009/grammar/ptnet">',
-        f"    <name><text>{esc(net.name)}</text></name>",
+        f'  <net id="{_escape(net.name)}" type="http://www.pnml.org/version-2009/grammar/ptnet">',
+        f"    <name><text>{_escape(net.name)}</text></name>",
         '    <page id="page1">',
     ]
     for pid in net.places:
-        line = f'      <place id="{esc(pid)}">'
+        line = f'      <place id="{_escape(pid)}">'
         count = net.initial_marking.get(pid, 0)
         if count:
             line += f"<initialMarking><text>{count}</text></initialMarking>"
@@ -463,17 +445,17 @@ def write_pnml(net: PetriNet, path) -> None:
     for t in net.transitions:
         if t.label is None:
             lines.append(
-                f'      <transition id="{esc(t.tid)}">'
+                f'      <transition id="{_escape(t.tid)}">'
                 '<toolspecific tool="ProM" version="6.4" activity="$invisible$"/>'
                 "</transition>"
             )
         else:
             lines.append(
-                f'      <transition id="{esc(t.tid)}"><name><text>{esc(t.label)}</text></name>'
+                f'      <transition id="{_escape(t.tid)}"><name><text>{_escape(t.label)}</text></name>'
                 "</transition>"
             )
     for i, arc in enumerate(net.arcs):
-        line = f'      <arc id="a{i}" source="{esc(arc.source)}" target="{esc(arc.target)}">'
+        line = f'      <arc id="a{i}" source="{_escape(arc.source)}" target="{_escape(arc.target)}">'
         if arc.weight != 1:
             line += f"<inscription><text>{arc.weight}</text></inscription>"
         line += "</arc>"
@@ -483,7 +465,7 @@ def write_pnml(net: PetriNet, path) -> None:
     for pid in net.places:
         count = net.final_marking.get(pid, 0)
         if count:
-            lines.append(f'      <place idref="{esc(pid)}"><text>{count}</text></place>')
+            lines.append(f'      <place idref="{_escape(pid)}"><text>{count}</text></place>')
     lines.append("    </marking></finalmarkings>")
     lines.append("  </net>")
     lines.append("</pnml>")

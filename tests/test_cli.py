@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +181,20 @@ def test_predict_requires_net_for_modulation(workspace, capsys):
     )
     assert code == 1
     assert "--net is required for --algorithm modulated" in err
+
+
+def test_predict_rejects_negative_token_counts(workspace, tmp_path, capsys):
+    net = tmp_path / "negative.pnml"
+    net.write_text(
+        Path(workspace["net"]).read_text().replace(
+            "<initialMarking><text>1</text>", "<initialMarking><text>-2</text>", 1
+        )
+    )
+    code, _, err = run(
+        capsys, ["predict", "--model", workspace["model"], "--prefix", "Start", "--net", str(net)]
+    )
+    assert code == 1
+    assert "initial marking has -2 tokens in place" in err
 
 
 def test_predict_rejects_empty_prefix(workspace, capsys):

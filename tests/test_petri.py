@@ -67,6 +67,10 @@ def test_net_validation():
         PetriNet("n", ("p",), t, (), {"nope": 1}, {})
     with pytest.raises(ValueError, match="final marking references unknown place"):
         PetriNet("n", ("p",), t, (), {}, {"nope": 1})
+    with pytest.raises(ValueError, match="initial marking has -2 tokens in place 'p'"):
+        PetriNet("n", ("p",), t, (), {"p": -2}, {})
+    with pytest.raises(ValueError, match="final marking has -1 tokens in place 'p'"):
+        PetriNet("n", ("p",), t, (), {}, {"p": -1})
 
 
 def test_chain_net_shape():
@@ -426,6 +430,24 @@ def test_memoized_replay_matches_fresh_and_reference(seed, variants):
     assert_memo_matches_fresh_and_reference(random_net(np.random.default_rng(seed)), variants)
 
 
+def test_replayed_markings_stay_int32_and_read_only():
+    # the memo keys markings by their bytes: an int64 marking would miss every
+    # entry stored for the equal int32 one, so the memo would grow and never hit
+    rng = np.random.default_rng(7)
+    for net in (SYNTH_NET, *(random_net(rng) for _ in range(40))):
+        labels = sorted({t.label for t in net.transitions if t.label} | {"junk"})
+        state = ReplayState(net.compiled)
+        for label in [*rng.choice(labels, size=6), *labels]:
+            state.step(str(label))
+            assert state.marking.dtype == np.int32
+            assert not state.marking.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                state.marking[0] = 1
+            state.result_complete()
+            assert state.marking.dtype == np.int32
+            assert not state.marking.flags.writeable
+
+
 def test_replay_memo_stays_within_its_cap(monkeypatch):
     monkeypatch.setattr(petri, "REPLAY_MEMO_CAP", 5)
     net = rebuilt(SYNTH_NET)
@@ -493,6 +515,24 @@ def test_parse_pnml_invisible_toolspecific():
     </page></net></pnml>"""
     net = parse_pnml(doc)
     assert net.transitions[0].label is None
+
+
+def test_parse_pnml_rejects_negative_token_counts():
+    def doc(initial, final):
+        return f"""<pnml><net id="n"><page id="pg">
+          <place id="src"><initialMarking><text>{initial}</text></initialMarking></place>
+          <place id="snk"/>
+          <transition id="t1"><name><text>A</text></name></transition>
+          <arc id="a1" source="src" target="t1"/><arc id="a2" source="t1" target="snk"/>
+        </page><finalmarkings><marking>
+          <place idref="snk"><text>{final}</text></place>
+        </marking></finalmarkings></net></pnml>""".encode()
+
+    assert parse_pnml(doc(1, 1)).initial_marking == {"src": 1}
+    with pytest.raises(ValueError, match="initial marking has -2 tokens in place 'src'"):
+        parse_pnml(doc(-2, 1))
+    with pytest.raises(ValueError, match="final marking has -3 tokens in place 'snk'"):
+        parse_pnml(doc(1, -3))
 
 
 def test_parse_pnml_errors():
