@@ -49,10 +49,8 @@ from .petri import (
     ReplayResult,
     ReplayState,
     Transition,
-    chain_net,
     compliance,
     fitness,
-    flower_net,
     parse_pnml,
     token_replay,
     write_pnml,
@@ -86,7 +84,6 @@ __all__ = [
     "baseline_beam",
     "build_prefix_log",
     "build_vocabulary",
-    "chain_net",
     "checked_beam",
     "compliance",
     "dl_distance",
@@ -94,7 +91,6 @@ __all__ = [
     "evaluate_dataset",
     "finite_difference_check",
     "fitness",
-    "flower_net",
     "generate",
     "log_from_variants",
     "micro_average",

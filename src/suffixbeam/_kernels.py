@@ -1,7 +1,8 @@
 """Token-replay kernels: silent BFS, one-label replay, final-marking finish.
 
-Markings are int32 arrays with no negative count (the net rejects one). The
-kernels run only when a net's replay memo misses (see
+Markings are int32 arrays with no negative count (the net rejects one). A
+firing that would take a count past the int32 range raises ValueError
+instead of wrapping. The kernels run only when a net's replay memo misses (see
 :class:`suffixbeam.petri.CompiledNet`) and return new arrays, never writing
 to the marking they are given.
 
@@ -85,6 +86,9 @@ def _fire(net, marking, rows):
         consumed += int(in_row.sum())
         produced += int(out_row.sum())
         marking = np.maximum(marking - in_row, 0) + out_row
+        if (marking < 0).any():  # int32 wrapped: two non-negative counts added past 2**31 - 1
+            pid = next(pid for pid, i in net.place_index.items() if marking[i] < 0)
+            raise ValueError(f"replay overflows the int32 token count of place {pid!r}")
     return marking, missing, consumed, produced
 
 

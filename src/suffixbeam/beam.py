@@ -29,6 +29,18 @@ flag set); only when none was ever generated does the best open candidate
 get END appended, folding in its complete compliance but no probability
 factor.
 
+A candidate is a plain tuple ``(log_score, ids, labels, terminated,
+replay)``, ranked by ``(-log_score, ids)``: ``labels`` are the predicted
+content labels (END excluded), ``ids`` their vocabulary indices (END
+included once terminated), and ``replay`` is ``(marking, produced,
+consumed, missing)`` after prefix + labels, or None when the beam is not
+modulated. The root prefix is replayed with a
+:class:`~suffixbeam.petri.ReplayState`; a child then steps by reading the
+net's replay memo (``CompiledNet.replay_label``, ``residual``, ``finish``)
+and scores its counters with :func:`~suffixbeam.petri.fitness_counts`. One
+stable argsort over the step's ``(n, |V|)`` batch of rows picks the labels
+every open candidate expands by.
+
 Scores accumulate in log space and are exponentiated for reporting.
 Probabilities are floored at 1e-12 before the log so a zero can never
 permanently sink a branch; compliance is not floored (log 0 = -inf is a
@@ -43,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eventlog import END
-from .petri import PetriNet, ReplayState, compliance, fitness
+from .petri import CompiledNet, PetriNet, ReplayState, compliance, fitness_counts
 
 PROB_FLOOR = 1e-12
 
@@ -67,18 +79,6 @@ class BeamConfig:
             raise ValueError(f"unknown partial_mode {self.partial_mode!r}")
 
 
-@dataclass
-class _Candidate:
-    labels: tuple  # predicted content labels, END excluded
-    ids: tuple  # vocabulary indices incl. END when terminated (tie-break key)
-    log_score: float
-    terminated: bool
-    state: ReplayState | None = None  # replay of prefix+labels (modulated mode)
-
-    def sort_key(self):
-        return (-self.log_score, self.ids)
-
-
 @dataclass(frozen=True)
 class BeamResult:
     suffix: tuple  # predicted labels, END stripped
@@ -97,52 +97,76 @@ def _log_compliance(c: float) -> float:
     return math.log(c) if c > 0.0 else float("-inf")
 
 
-def _better(a: _Candidate | None, b: _Candidate) -> _Candidate:
-    if a is None or b.sort_key() < a.sort_key():
+def _sort_key(cand) -> tuple:
+    return (-cand[0], cand[1])
+
+
+def _better(a, b):
+    if a is None or _sort_key(b) < _sort_key(a):
         return b
     return a
 
 
-def _top_label_indices(probs: np.ndarray, k: int) -> np.ndarray:
-    # ties resolve to the lowest vocabulary index (stable sort on -probs)
-    order = np.argsort(-probs, kind="stable")
-    return order[: min(k, len(order))]
+def _complete_fitness(compiled: CompiledNet, replay) -> float:
+    marking, produced, consumed, missing = replay
+    m, c, p, r, _ = compiled.finish(marking)
+    return fitness_counts(produced + p, consumed + c, missing + m, r)
 
 
-def _expand(pool, prefix, predictor, b_size: int, w: float = 0.0, strict: bool = True) -> list:
+def _expand(
+    pool, prefix, predictor, b_size: int, w: float = 0.0,
+    compiled: CompiledNet | None = None, strict: bool = True,
+) -> list:
     """One beam step: every child of the pool, ranked.
 
     Each open candidate spawns its b_size most probable next labels, one
-    ``predict_proba_batch`` call giving the rows of all of them. A child
-    scores its parent's log score plus (1-w)·log p and, when w > 0, w·log of
-    its replay compliance (complete for END, partial otherwise). Terminated
-    candidates are carried over unchanged.
+    ``predict_proba_batch`` call giving the rows of all of them and one
+    stable argsort ranking every row. A child scores its parent's log score
+    plus (1-w)·log p and, when w > 0, w·log of its replay compliance
+    (complete for END, partial otherwise) read from ``compiled``'s replay
+    memo. Terminated candidates are carried over unchanged.
     """
     vocab = predictor.vocab
     end_idx = vocab.index_of(END)
-    open_cands = [cand for cand in pool if not cand.terminated]
-    rows = iter(predictor.predict_proba_batch([prefix + cand.labels for cand in open_cands]))
+    label_tids = compiled.label_tids if compiled is not None else None
+    open_cands = [cand for cand in pool if not cand[3]]
+    rows = predictor.predict_proba_batch([prefix + cand[2] for cand in open_cands])
+    # ties resolve to the lowest vocabulary index (stable sort on -rows)
+    tops = iter(np.argsort(-rows, axis=1, kind="stable")[:, :b_size].tolist())
+    probs = iter(rows.tolist())
     expansions = []
     for cand in pool:
-        if cand.terminated:
+        log_score, ids, labels, terminated, replay = cand
+        if terminated:
             expansions.append(cand)
             continue
-        probs = next(rows)
-        for idx in _top_label_indices(probs, b_size):
-            idx = int(idx)
-            child_log = cand.log_score + (1.0 - w) * _log_floor(float(probs[idx]))
-            labels, state = cand.labels, None
+        row = next(probs)
+        for idx in next(tops):
+            child_log = log_score + (1.0 - w) * _log_floor(row[idx])
             if idx == end_idx:
                 if w > 0.0:
-                    child_log += w * _log_compliance(fitness(cand.state.result_complete()))
-            else:
-                labels += (vocab.labels[idx],)
-                if w > 0.0:
-                    state = cand.state.clone()
-                    state.step(labels[-1])
-                    child_log += w * _log_compliance(fitness(state.result_partial(strict=strict)))
-            expansions.append(_Candidate(labels, cand.ids + (idx,), child_log, idx == end_idx, state))
-    expansions.sort(key=_Candidate.sort_key)
+                    child_log += w * _log_compliance(_complete_fitness(compiled, replay))
+                expansions.append((child_log, ids + (idx,), labels, True, None))
+                continue
+            label = vocab.labels[idx]
+            child_replay = None
+            if w > 0.0:
+                marking, produced, consumed, missing = replay
+                if label in label_tids:
+                    marking, m, c, p = compiled.replay_label(marking, label)
+                    missing += m
+                    consumed += c
+                    produced += p
+                else:
+                    # label unknown to the net: the virtual transition's
+                    # missing and consumed token, marking untouched
+                    missing += 1
+                    consumed += 1
+                remaining = compiled.residual(marking) if strict else 0
+                child_log += w * _log_compliance(fitness_counts(produced, consumed, missing, remaining))
+                child_replay = (marking, produced, consumed, missing)
+            expansions.append((child_log, ids + (idx,), labels + (label,), False, child_replay))
+    expansions.sort(key=_sort_key)
     return expansions
 
 
@@ -153,23 +177,25 @@ def _run_beam(prefix, predictor, config: BeamConfig, net: PetriNet | None) -> Be
     w = config.w if net is not None else 0.0
     strict = config.partial_mode == "strict"
 
-    root_state = None
+    compiled, root_replay = None, None
     if w > 0.0:
-        root_state = ReplayState(net.compiled)
+        compiled = net.compiled
+        state = ReplayState(compiled)
         for label in prefix:
-            root_state.step(label)
-    pool = [_Candidate(labels=(), ids=(), log_score=0.0, terminated=False, state=root_state)]
+            state.step(label)
+        root_replay = (state.marking, state.produced, state.consumed, state.missing)
+    pool = [(0.0, (), (), False, root_replay)]
 
-    best_terminated: _Candidate | None = None
+    best_terminated = None
     frontier_peak = 1
     for h in range(config.max_iter + 1):
         closure = pool[0]  # deepest rank-0 open seen; stays within the length budget
-        expansions = _expand(pool, prefix, predictor, config.b_size, w, strict)
+        expansions = _expand(pool, prefix, predictor, config.b_size, w, compiled, strict)
         frontier_peak = max(frontier_peak, len(expansions))
-        if expansions[0].terminated:
+        if expansions[0][3]:
             return _finish(expansions[0], forced=False, iterations=h + 1, peak=frontier_peak)
         # the step's best completion; carried-over ones were already seen
-        completed = next((cand for cand in expansions if cand.terminated), None)
+        completed = next((cand for cand in expansions if cand[3]), None)
         if completed is not None:
             best_terminated = _better(best_terminated, completed)
         pool = expansions[: config.b_size]
@@ -179,18 +205,19 @@ def _run_beam(prefix, predictor, config: BeamConfig, net: PetriNet | None) -> Be
         return _finish(best_terminated, forced=True, iterations=iterations, peak=frontier_peak)
     # No completion was ever generated (possible when b_size < |vocab| and END
     # never makes the cut): close the best-ranked open hypothesis by fiat.
-    log_score = closure.log_score
+    log_score, ids, labels, _, replay = closure
     if w > 0.0:
-        log_score += w * _log_compliance(fitness(closure.state.result_complete()))
-    closed = _Candidate(closure.labels, closure.ids + (predictor.vocab.index_of(END),), log_score, True)
+        log_score += w * _log_compliance(_complete_fitness(compiled, replay))
+    closed = (log_score, ids + (predictor.vocab.index_of(END),), labels, True, None)
     return _finish(closed, forced=True, iterations=iterations, peak=frontier_peak)
 
 
-def _finish(cand: _Candidate, forced: bool, iterations: int, peak: int) -> BeamResult:
+def _finish(cand, forced: bool, iterations: int, peak: int) -> BeamResult:
+    log_score = cand[0]
     return BeamResult(
-        suffix=cand.labels,
-        score=math.exp(cand.log_score) if cand.log_score != float("-inf") else 0.0,
-        log_score=cand.log_score,
+        suffix=cand[2],
+        score=math.exp(log_score) if log_score != float("-inf") else 0.0,
+        log_score=log_score,
         forced_termination=forced,
         iterations=iterations,
         frontier_peak=peak,
@@ -221,16 +248,16 @@ def checked_beam(prefix, checker, predictor, config: BeamConfig) -> BeamResult |
         raise ValueError("beam search needs a non-empty prefix")
     max_size = config.max_size if config.max_size is not None else config.b_size
 
-    pool = [_Candidate(labels=(), ids=(), log_score=0.0, terminated=False)]
+    pool = [(0.0, (), (), False, None)]
     peak = 1
     for h in range(config.max_iter + 1):
         expansions = _expand(pool, prefix, predictor, config.b_size)
         peak = max(peak, len(expansions))
         pool = []
         for cand in expansions[:max_size]:
-            if not cand.terminated:
+            if not cand[3]:
                 pool.append(cand)
-            elif checker(prefix + cand.labels):
+            elif checker(prefix + cand[2]):
                 return _finish(cand, forced=False, iterations=h + 1, peak=peak)
             # terminated but non-compliant: discarded
         if not pool:

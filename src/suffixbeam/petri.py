@@ -37,6 +37,8 @@ logger = logging.getLogger(__name__)
 # (240 B on average), so a full memo stays under 2 MB; the benchmark's nets
 # reach a few hundred entries.
 REPLAY_MEMO_CAP = 4096
+# Markings are int32 arrays, so no place may hold more tokens than this.
+TOKEN_MAX = int(np.iinfo(np.int32).max)
 _RESIDUAL = object()  # memo-key tags beside the labels of replay steps
 _COMPLETE = object()
 
@@ -88,8 +90,23 @@ class PetriNet:
             for pid, count in marking.items():
                 if pid not in place_set:
                     raise ValueError(f"{which} marking references unknown place {pid!r}")
-                if count < 0:
-                    raise ValueError(f"{which} marking has {count} tokens in place {pid!r}")
+                if not 0 <= count <= TOKEN_MAX:
+                    raise ValueError(
+                        f"{which} marking has {count} tokens in place {pid!r}"
+                        f" (counts must lie in 0..{TOKEN_MAX})"
+                    )
+        # parallel arcs add up in the compiled net; an output arc must leave
+        # room for one firing on top of the initial tokens of its place
+        weights = {}
+        for arc in self.arcs:
+            weights[arc.source, arc.target] = weights.get((arc.source, arc.target), 0) + arc.weight
+        for (src, tgt), weight in weights.items():
+            held = self.initial_marking.get(tgt, 0) if tgt in place_set else 0
+            if held + weight > TOKEN_MAX:
+                raise ValueError(
+                    f"arc {src!r} -> {tgt!r} of weight {weight} can overflow"
+                    f" the {TOKEN_MAX} tokens a place holds"
+                )
 
     @property
     def compiled(self) -> "CompiledNet":
@@ -151,40 +168,37 @@ class CompiledNet:
         initial.flags.writeable = False
         return CompiledNet(place_index, in_w, out_w, silent_ids, label_tids, initial, final)
 
-    def marking_to_dict(self, vec) -> dict:
-        return {pid: int(vec[i]) for pid, i in self.place_index.items() if vec[i] > 0}
-
-    def _memoized(self, key, compute):
-        hit = self.memo.get(key)
-        if hit is None:
-            if len(self.memo) >= REPLAY_MEMO_CAP:
-                self.memo.clear()
-            hit = self.memo[key] = compute()
-        return hit
+    def _store(self, key, value):
+        if len(self.memo) >= REPLAY_MEMO_CAP:
+            self.memo.clear()
+        self.memo[key] = value
+        return value
 
     def replay_label(self, marking, label):
         """(next marking, Δmissing, Δconsumed, Δproduced) of one label known to the net."""
-
-        def compute():
+        key = (marking.tobytes(), label)
+        hit = self.memo.get(key)
+        if hit is None:
             nxt, m, c, p = _kernels.replay_one_label(self, marking, self.label_tids[label])
             nxt.flags.writeable = False
-            return nxt, m, c, p
-
-        return self._memoized((marking.tobytes(), label), compute)
+            hit = self._store(key, (nxt, m, c, p))
+        return hit
 
     def residual(self, marking) -> int:
         """Tokens of the marking not explainable as part of the final marking."""
-        return self._memoized(
-            (marking.tobytes(), _RESIDUAL),
-            lambda: int(np.maximum(marking - self.final, 0).sum()),
-        )
+        key = (marking.tobytes(), _RESIDUAL)
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self._store(key, int(np.maximum(marking - self.final, 0).sum()))
+        return hit
 
     def finish(self, marking):
         """(Δmissing, Δconsumed, Δproduced, remaining, reached) of consuming the final marking."""
-
-        return self._memoized(
-            (marking.tobytes(), _COMPLETE), lambda: _kernels.finish_complete(self, marking)
-        )
+        key = (marking.tobytes(), _COMPLETE)
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self._store(key, _kernels.finish_complete(self, marking))
+        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +216,11 @@ class ReplayResult:
 class ReplayState:
     """Incremental replay: marking plus running counters.
 
-    Beam candidates carry one of these so that extending a candidate by one
-    label costs a single replay step instead of a full re-replay. The
-    marking is a read-only array owned by the net's replay memo; a step
-    swaps it for the next one, so clones share it safely.
+    Extending a replayed trace by one label costs a single replay step
+    instead of a full re-replay. (The beam replays its prefix with one of
+    these, then keeps the same four values in plain tuples.) The marking is
+    a read-only array owned by the net's replay memo; a step swaps it for
+    the next one, so clones share it safely.
     """
 
     __slots__ = ("compiled", "marking", "produced", "consumed", "missing")
@@ -280,12 +295,15 @@ def token_replay(net: PetriNet, variant, partial: bool = False) -> ReplayResult:
 
 def fitness(result: ReplayResult) -> float:
     """1/2 (1 - m/c) + 1/2 (1 - r/p); zero denominators degrade to 0."""
-    if result.consumed <= 0 or result.produced <= 0:
+    return fitness_counts(result.produced, result.consumed, result.missing, result.remaining)
+
+
+def fitness_counts(produced: int, consumed: int, missing: int, remaining: int) -> float:
+    """:func:`fitness` over bare counters, for callers that keep no ReplayResult."""
+    if consumed <= 0 or produced <= 0:
         warnings.warn("fitness undefined for zero produced/consumed counts; returning 0.0")
         return 0.0
-    return 0.5 * (1.0 - result.missing / result.consumed) + 0.5 * (
-        1.0 - result.remaining / result.produced
-    )
+    return 0.5 * (1.0 - missing / consumed) + 0.5 * (1.0 - remaining / produced)
 
 
 def compliance(net: PetriNet, variant, partial: bool = False, partial_mode: str = "lenient") -> float:
@@ -471,47 +489,3 @@ def write_pnml(net: PetriNet, path) -> None:
     lines.append("</pnml>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def chain_net(labels, name: str = "chain") -> PetriNet:
-    """Convenience: a strictly sequential net p0 -> labels[0] -> p1 -> ...
-
-    Used all over the tests; duplicate labels are allowed and become
-    duplicate-label transitions.
-    """
-    places = tuple(f"p{i}" for i in range(len(labels) + 1))
-    transitions = tuple(Transition(tid=f"t{i}", label=lab) for i, lab in enumerate(labels))
-    arcs = []
-    for i in range(len(labels)):
-        arcs.append(Arc(source=f"p{i}", target=f"t{i}"))
-        arcs.append(Arc(source=f"t{i}", target=f"p{i + 1}"))
-    return PetriNet(
-        name=name,
-        places=places,
-        transitions=transitions,
-        arcs=tuple(arcs),
-        initial_marking={"p0": 1},
-        final_marking={f"p{len(labels)}": 1},
-    )
-
-
-def flower_net(labels, name: str = "flower") -> PetriNet:
-    """A single place with one self-loop transition per label.
-
-    Accepts every sequence over the labels (fitness 1 for anything), which
-    makes it the neutral background-knowledge stand-in when no real model
-    is available.
-    """
-    transitions = tuple(Transition(tid=f"t{i}", label=lab) for i, lab in enumerate(sorted(set(labels))))
-    arcs = []
-    for t in transitions:
-        arcs.append(Arc(source="p0", target=t.tid))
-        arcs.append(Arc(source=t.tid, target="p0"))
-    return PetriNet(
-        name=name,
-        places=("p0",),
-        transitions=transitions,
-        arcs=tuple(arcs),
-        initial_marking={"p0": 1},
-        final_marking={"p0": 1},
-    )

@@ -33,9 +33,7 @@ from suffixbeam.petri import (
     Arc,
     PetriNet,
     Transition,
-    chain_net,
     fitness,
-    flower_net,
     parse_pnml,
     token_replay,
     write_pnml,
@@ -43,6 +41,7 @@ from suffixbeam.petri import (
 from suffixbeam.predictor import train_ngram
 
 from beam_oracle import enumerate_best
+from nets import chain_net, flower_net
 from replay_reference import reference_replay
 from test_metrics import brute_osa
 

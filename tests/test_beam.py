@@ -1,10 +1,14 @@
 import hashlib
 import math
+import warnings
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from suffixbeam import petri
 from suffixbeam.beam import (
     BeamConfig,
     BeamResult,
@@ -15,11 +19,12 @@ from suffixbeam.beam import (
 )
 from suffixbeam.encoding import Vocabulary, build_vocabulary
 from suffixbeam.eventlog import END, build_prefix_log, log_from_variants
-from suffixbeam.petri import chain_net
+from suffixbeam.petri import Arc, PetriNet, Transition
 from suffixbeam.predictor import train_ngram
 from suffixbeam.synthgen import EXCEPTIONAL_VARIANTS, exceptional_process_net
 
 from beam_oracle import enumerate_best
+from nets import chain_net, random_net, wide_net
 
 AB_VOCAB = Vocabulary(labels=("A", "B", END))
 
@@ -166,6 +171,75 @@ def test_partial_modes_really_differ():
     for mode, got in (("strict", strict), ("lenient", lenient)):
         labels, log = enumerate_best(("A",), pred, max_iter=3, w=0.8, net=net, partial_mode=mode)
         assert (got.suffix, got.log_score) == (labels, log)
+
+
+class HashedRowPredictor:
+    """A fixed pseudo-random row per prefix, about a quarter of it exactly zero."""
+
+    def __init__(self, vocab, salt):
+        self.vocab = vocab
+        self.salt = salt
+
+    def predict_proba(self, prefix):
+        rng = np.random.default_rng(zlib.crc32(f"{self.salt}|{'|'.join(prefix)}".encode()))
+        row = rng.random(len(self.vocab))
+        row[row < 0.25] = 0.0  # zeros hit the probability floor
+        row[-1] += 0.05
+        return row / row.sum()
+
+    def predict_proba_batch(self, prefixes):
+        return np.array([self.predict_proba(prefix) for prefix in prefixes])
+
+
+# "D" is unknown to every net, A-C to the wide nets and some random ones
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    branches=st.integers(0, 3),
+    prefix=st.lists(st.sampled_from(["A", "B", "C", "D", "Start", "P0", "P1", "Close"]), min_size=1, max_size=4),
+    max_iter=st.integers(1, 3),
+    w=st.sampled_from([0.3, 0.85, 1.0]),
+    partial_mode=st.sampled_from(["strict", "lenient"]),
+)
+def test_unpruned_beam_matches_enumeration_on_random_and_wide_nets(
+    seed, branches, prefix, max_iter, w, partial_mode
+):
+    # random nets have silent transitions, duplicate labels and arc weights of
+    # 1-2; a wide net reaches every label after Start only through silent
+    # split, skip or join firings
+    net = wide_net(branches) if branches else random_net(np.random.default_rng(seed))
+    labels = sorted({t.label for t in net.transitions if t.label is not None} | {"D"})
+    pred = HashedRowPredictor(Vocabulary(labels=tuple(labels) + (END,)), seed)
+    config = BeamConfig(b_size=4096, max_iter=max_iter, w=w, partial_mode=partial_mode)
+    got = modulated_beam(tuple(prefix), net, pred, config)
+    assert got.frontier_peak <= config.b_size  # nothing was pruned
+    want = enumerate_best(prefix, pred, max_iter=max_iter, w=w, net=net, partial_mode=partial_mode)
+    assert (got.suffix, got.log_score) == want
+
+
+def test_zero_count_fitness_warns_inside_the_beam():
+    # A only produces and B only consumes, from an empty marking: the prefix
+    # and every all-A extension have consumed nothing, so their compliance is
+    # the zero-count fallback, while extensions through B score normally
+    net = PetriNet(
+        "zero", ("p",), (Transition("tA", "A"), Transition("tB", "B")),
+        (Arc("tA", "p"), Arc("p", "tB")), {}, {},
+    )
+    pred = TablePredictor(AB_VOCAB, [0.5, 0.3, 0.2])
+
+    def run(search):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = search()
+        return out, {(w.category, str(w.message), w.filename) for w in caught}
+
+    got, beam_warnings = run(lambda: modulated_beam(("A",), net, pred, BeamConfig(b_size=120, max_iter=3, w=0.85)))
+    want, oracle_warnings = run(lambda: enumerate_best(("A",), pred, max_iter=3, w=0.85, net=net))
+    assert (got.suffix, got.log_score) == want
+    assert got.log_score > float("-inf")
+    assert beam_warnings == oracle_warnings == {
+        (UserWarning, "fitness undefined for zero produced/consumed counts; returning 0.0", petri.__file__)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,17 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("suffixbeam ")
+
+
+def test_package_runs_as_a_module():
+    repo = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "suffixbeam", "--version"],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("suffixbeam ")
 
 
 @pytest.mark.parametrize(
@@ -195,6 +209,20 @@ def test_predict_rejects_negative_token_counts(workspace, tmp_path, capsys):
     )
     assert code == 1
     assert "initial marking has -2 tokens in place" in err
+
+
+def test_predict_rejects_token_counts_past_int32(workspace, tmp_path, capsys):
+    net = tmp_path / "huge.pnml"
+    net.write_text(
+        Path(workspace["net"]).read_text().replace(
+            "<initialMarking><text>1</text>", "<initialMarking><text>3000000000</text>", 1
+        )
+    )
+    code, _, err = run(
+        capsys, ["predict", "--model", workspace["model"], "--prefix", "Start", "--net", str(net)]
+    )
+    assert code == 1
+    assert "initial marking has 3000000000 tokens in place" in err
 
 
 def test_predict_rejects_empty_prefix(workspace, capsys):

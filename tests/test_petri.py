@@ -11,19 +11,19 @@ from suffixbeam.petri import (
     ReplayResult,
     ReplayState,
     Transition,
-    chain_net,
     compliance,
     fitness,
-    flower_net,
     parse_pnml,
     token_replay,
     write_pnml,
 )
 from suffixbeam.synthgen import exceptional_process_net
 
+from nets import chain_net, flower_net, marking_to_dict, random_net
 from replay_reference import reference_replay
 
 SYNTH_NET = exceptional_process_net()
+INT32_MAX = 2**31 - 1
 
 
 def assert_matches_reference(net, variant):
@@ -71,6 +71,33 @@ def test_net_validation():
         PetriNet("n", ("p",), t, (), {"p": -2}, {})
     with pytest.raises(ValueError, match="final marking has -1 tokens in place 'p'"):
         PetriNet("n", ("p",), t, (), {}, {"p": -1})
+    with pytest.raises(ValueError, match="initial marking has 3000000000 tokens in place 'p'"):
+        PetriNet("n", ("p",), t, (), {"p": 3_000_000_000}, {})
+    with pytest.raises(ValueError, match="final marking has 2147483648 tokens in place 'p'"):
+        PetriNet("n", ("p",), t, (), {}, {"p": 2**31})
+    with pytest.raises(ValueError, match="arc 'p' -> 't0' of weight 2147483648 can overflow"):
+        PetriNet("n", ("p",), t, (Arc("p", "t0", weight=2**31),), {}, {})
+    # parallel arcs add up
+    with pytest.raises(ValueError, match="arc 't0' -> 'p' of weight 2147483648 can overflow"):
+        PetriNet("n", ("p",), t, (Arc("t0", "p", weight=2**30),) * 2, {}, {})
+    full = PetriNet("n", ("p",), t, (Arc("p", "t0"),), {"p": INT32_MAX}, {"p": INT32_MAX})
+    assert full.compiled.initial[0] == INT32_MAX
+
+
+def test_token_counts_cannot_wrap_int32():
+    # a full place whose transition puts back two tokens wrapped to
+    # -2147483648 after one step; such a net is now refused outright
+    loop = (Arc("p", "t0"), Arc("t0", "p", weight=2))
+    with pytest.raises(ValueError, match="arc 't0' -> 'p' of weight 2 can overflow"):
+        PetriNet("n", ("p",), (Transition("t0", "A"),), loop, {"p": INT32_MAX}, {})
+    # a net that only fills up step by step stops at the step that would wrap
+    net = PetriNet("n", ("p",), (Transition("t0", "A"),), loop, {"p": INT32_MAX - 5}, {})
+    state = ReplayState(net.compiled)
+    for _ in range(5):
+        state.step("A")
+    assert state.marking[0] == INT32_MAX
+    with pytest.raises(ValueError, match="overflows the int32 token count of place 'p'"):
+        state.step("A")
 
 
 def test_chain_net_shape():
@@ -148,13 +175,13 @@ def test_clones_stepped_apart_do_not_alias():
     net = exceptional_process_net()
     state = ReplayState(net.compiled)
     state.step("Start")
-    before = net.compiled.marking_to_dict(state.marking)
+    before = marking_to_dict(net.compiled, state.marking)
     left, right = state.clone(), state.clone()
     assert left.marking is state.marking  # clones share the read-only marking
     left.step("B1a")
     right.step("B2a")
     right.step("B2b")
-    assert net.compiled.marking_to_dict(state.marking) == before
+    assert marking_to_dict(net.compiled, state.marking) == before
     assert left.marking is not right.marking
     for fork, variant in ((left, ("Start", "B1a")), (right, ("Start", "B2a", "B2b"))):
         got = fork.result_complete()
@@ -188,7 +215,7 @@ def test_duplicate_labels_prefer_enabled_then_lowest_id():
     )
     state = ReplayState(race.compiled)
     state.step("X")
-    marking = race.compiled.marking_to_dict(state.marking)
+    marking = marking_to_dict(race.compiled, state.marking)
     assert marking == {"q": 1}
     assert (state.missing, state.consumed) == (1, 1)
 
@@ -346,26 +373,6 @@ SYNTH_VARIANTS = [
 @pytest.mark.parametrize("variant", SYNTH_VARIANTS, ids=["-".join(v) or "empty" for v in SYNTH_VARIANTS])
 def test_reference_agreement_on_synthetic_net(variant):
     assert_matches_reference(SYNTH_NET, variant)
-
-
-def random_net(rng):
-    n_p = int(rng.integers(2, 7))
-    n_t = int(rng.integers(1, 7))
-    places = tuple(f"p{i}" for i in range(n_p))
-    labels = ["A", "B", "C"]
-    transitions = []
-    for i in range(n_t):
-        label = None if rng.random() < 0.25 else labels[int(rng.integers(0, 3))]
-        transitions.append(Transition(f"t{i}", label))
-    arcs = []
-    for i in range(n_t):
-        for p in rng.choice(n_p, size=int(rng.integers(1, 3)), replace=False):
-            arcs.append(Arc(f"p{p}", f"t{i}", weight=int(rng.integers(1, 3))))
-        for p in rng.choice(n_p, size=int(rng.integers(1, 3)), replace=False):
-            arcs.append(Arc(f"t{i}", f"p{p}", weight=int(rng.integers(1, 3))))
-    initial = {f"p{p}": int(rng.integers(1, 3)) for p in rng.choice(n_p, size=int(rng.integers(1, 3)), replace=False)}
-    final = {f"p{int(rng.integers(0, n_p))}": int(rng.integers(1, 3))}
-    return PetriNet("rand", places, tuple(transitions), tuple(arcs), initial, final)
 
 
 def test_reference_agreement_on_random_nets():
@@ -533,6 +540,8 @@ def test_parse_pnml_rejects_negative_token_counts():
         parse_pnml(doc(-2, 1))
     with pytest.raises(ValueError, match="final marking has -3 tokens in place 'snk'"):
         parse_pnml(doc(1, -3))
+    with pytest.raises(ValueError, match="initial marking has 3000000000 tokens in place 'src'"):
+        parse_pnml(doc(3_000_000_000, 1))
 
 
 def test_parse_pnml_errors():
