@@ -95,10 +95,11 @@ def _layer_norm_backward(dy, cache):
     xhat, inv_std, gain = cache
     n = xhat.shape[-1]
     dxhat = dy * gain
+    # reduces like _layer_norm_forward: the same sums as np.mean, bit for bit
     dx = inv_std * (
         dxhat
-        - np.mean(dxhat, axis=-1, keepdims=True)
-        - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
     )
     axes = tuple(range(dy.ndim - 1))
     return dx, np.sum(dy * xhat, axis=axes), np.sum(dy, axis=axes)
@@ -159,10 +160,21 @@ class AttentionModel:
         b, h, t, dk = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
 
-    def forward(self, x: np.ndarray, mask: np.ndarray, dropout_rng: np.random.Generator | None = None):
-        """Run the network; returns (probs, cache). Dropout only with a rng."""
+    def forward(
+        self,
+        x: np.ndarray,
+        mask: np.ndarray,
+        dropout_rng: np.random.Generator | None = None,
+        rows: np.ndarray | None = None,
+    ):
+        """Run the network; returns (probs, cache). Dropout only with a rng.
+
+        With ``rows``, ``x``/``mask`` hold distinct prefixes and output row
+        i is prefix ``rows[i]``: the encoder runs once per prefix, while
+        dropout, the head and the softmax run per output row.
+        """
         p, cfg = self.params, self.config
-        cache = {"x": x, "mask": mask, "layers": []}
+        cache = {"x": x, "mask": mask, "layers": [], "rows": rows}
         h = x @ p["w_in"] + p["b_in"]
         if cfg.positional_encoding:
             h = h + self.pe[None, : x.shape[1], :]
@@ -200,6 +212,8 @@ class AttentionModel:
         pooled = np.take_along_axis(h, pool_idx[:, None, :], axis=1)[:, 0, :]
         cache["h_final"] = h
         cache["pool_idx"] = pool_idx
+        if rows is not None:
+            pooled = pooled[rows]
         if dropout_rng is not None and cfg.dropout > 0.0:
             keep = (dropout_rng.random(pooled.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
             pooled = pooled * keep
@@ -225,6 +239,11 @@ class AttentionModel:
         dpooled = dlogits @ p["w_out"].T
         if "drop_keep" in cache:
             dpooled = dpooled * cache["drop_keep"]
+        if cache["rows"] is not None:
+            # the encoder saw each distinct prefix once: sum its rows' grads
+            per_prefix = np.zeros((cache["h_final"].shape[0], dpooled.shape[1]))
+            np.add.at(per_prefix, cache["rows"], dpooled)
+            dpooled = per_prefix
         dh = np.zeros_like(cache["h_final"])
         np.put_along_axis(dh, cache["pool_idx"][:, None, :], dpooled[:, None, :], axis=1)
         scale = 1.0 / np.sqrt(cfg.d_model / cfg.n_heads)
@@ -341,8 +360,20 @@ def train_attention(
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
     model = AttentionModel(vocab, config)
-    x_all, mask_all = model._encode([variant for variant, _ in prefix_log.entries])
+    # the encoder runs on distinct prefixes only; entries keep a prefix id
+    prefix_ids: dict = {}
+    entry_prefix = np.array([prefix_ids.setdefault(tuple(variant), len(prefix_ids))
+                             for variant, _ in prefix_log.entries])
+    x_all, mask_all = model._encode(list(prefix_ids))
     y_all = np.array([vocab.index_of(target) for _, target in prefix_log.entries])
+
+    def run(idx, dropout_rng=None):
+        # distinct prefixes in order of first occurrence, so a batch without
+        # repeats runs exactly as the plain per-entry forward
+        seen: dict = {}
+        rows = np.array([seen.setdefault(i, len(seen)) for i in entry_prefix[idx].tolist()])
+        distinct = list(seen)
+        return model.forward(x_all[distinct], mask_all[distinct], dropout_rng=dropout_rng, rows=rows)
 
     rng = np.random.default_rng(config.seed + 1)
     n = len(y_all)
@@ -352,8 +383,16 @@ def train_attention(
     if len(train_idx) == 0:
         raise ValueError("validation split leaves no training data")
 
-    adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
+    # during training the params are views into one flat vector, so one
+    # elementwise Adam update covers them all
+    flat = np.concatenate([v.ravel() for v in model.params.values()])
+    views, offset = {}, 0
+    for k, v in model.params.items():
+        views[k] = flat[offset : offset + v.size].reshape(v.shape)
+        offset += v.size
+    model.params = views
+    adam_m = np.zeros_like(flat)
+    adam_v = np.zeros_like(flat)
     step = 0
     history: list[EpochStats] = []
     best_val = np.inf
@@ -362,7 +401,7 @@ def train_attention(
     def evaluate(idx) -> float:
         if len(idx) == 0:
             return np.nan
-        probs, _ = model.forward(x_all[idx], mask_all[idx])
+        probs, _ = run(idx)
         return model.loss(probs, y_all[idx])
 
     for epoch in range(epochs):
@@ -370,18 +409,16 @@ def train_attention(
         epoch_loss = 0.0
         for start in range(0, len(perm), batch_size):
             batch = train_idx[perm[start : start + batch_size]]
-            probs, cache = model.forward(x_all[batch], mask_all[batch], dropout_rng=rng)
+            probs, cache = run(batch, dropout_rng=rng)
             epoch_loss += model.loss(probs, y_all[batch]) * len(batch)
             grads = model.backward(cache, y_all[batch])
+            g = np.concatenate([grads[k].ravel() for k in views])
             step += 1
             bc1 = 1.0 - ADAM_BETA1 ** step
             bc2 = 1.0 - ADAM_BETA2 ** step
-            for name, g in grads.items():
-                adam_m[name] = ADAM_BETA1 * adam_m[name] + (1.0 - ADAM_BETA1) * g
-                adam_v[name] = ADAM_BETA2 * adam_v[name] + (1.0 - ADAM_BETA2) * g * g
-                model.params[name] -= learning_rate * (adam_m[name] / bc1) / (
-                    np.sqrt(adam_v[name] / bc2) + ADAM_EPS
-                )
+            adam_m = ADAM_BETA1 * adam_m + (1.0 - ADAM_BETA1) * g
+            adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * g * g
+            flat -= learning_rate * (adam_m / bc1) / (np.sqrt(adam_v / bc2) + ADAM_EPS)
         train_loss = epoch_loss / len(train_idx)
         val_loss = evaluate(val_idx)
         tracked = val_loss if n_val > 0 else train_loss

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -220,8 +221,11 @@ def _cmd_train(args) -> int:
         model, history = train_attention(plog, vocab, AttentionConfig(l_max=l_max), epochs=args.epochs)
         path = Path(args.model_out) if args.model_out else _out_dir(args.out) / "attention.npz"
         model.save(path)
-        best = min(h.val_loss for h in history)
-        print(f"trained attention model for {args.epochs} epochs (best val loss {best:.4f}) -> {path}")
+        if math.isnan(history[0].val_loss):  # under 10 prefixes: no validation split
+            split, best = "train", min(h.train_loss for h in history)
+        else:
+            split, best = "val", min(h.val_loss for h in history)
+        print(f"trained attention model for {args.epochs} epochs (best {split} loss {best:.4f}) -> {path}")
     return 0
 
 

@@ -55,15 +55,17 @@ def memoized_rows(memo: dict, keys, compute) -> np.ndarray:
     leaves the memo as it was. The memo is emptied when a new row would
     take it past :data:`PREDICT_MEMO_CAP` entries.
     """
-    found = {key: memo.get(key) for key in keys}
-    missing = [key for key, row in found.items() if row is None]
+    rows = [memo.get(key) for key in keys]
+    missing = list(dict.fromkeys(key for key, row in zip(keys, rows) if row is None))
     if missing:
-        for key, row in zip(missing, compute(missing)):
+        computed = dict(zip(missing, compute(missing)))
+        for key, row in computed.items():
             row.setflags(write=False)
             if len(memo) >= PREDICT_MEMO_CAP:
                 memo.clear()
-            found[key] = memo[key] = row
-    out = np.stack([found[key] for key in keys])
+            memo[key] = row
+        rows = [computed[key] if row is None else row for key, row in zip(keys, rows)]
+    out = np.array(rows)
     out.setflags(write=False)
     return out
 

@@ -1,9 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from suffixbeam.encoding import build_vocabulary
 from suffixbeam.eventlog import build_prefix_log
 from suffixbeam.predictor import train_ngram
 from suffixbeam.synthgen import SynthConfig, generate
+
+# One profile for every property test: no per-example deadline, since a
+# loaded machine would otherwise decide the result, and the failing
+# example's reproduction blob in the report.
+settings.register_profile("tier1", deadline=None, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

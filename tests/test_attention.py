@@ -127,6 +127,69 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.predict_proba(("A", "B")), model.predict_proba(("A", "B")))
 
 
+# The training step runs the encoder once per distinct prefix of a batch and
+# gathers its pooled rows back per entry (``forward(..., rows=...)``). These
+# compare that path to the plain per-entry batch.
+
+DROPPY = AttentionConfig(l_max=5, d_model=8, n_heads=2, n_layers=2, d_ff=8, dropout=0.3, seed=4)
+DISTINCT = [("A", "B"), ("C",), ("B", "B", "A", "C"), ("A",)]
+ROWS = np.array([0, 1, 0, 2, 3, 1, 0])
+ROW_TARGETS = np.array([2, 3, 1, 0, 3, 2, 3])
+# The key bias cannot move a softmax over keys, so its gradient is zero up to
+# rounding (about 1e-18 here); atol covers that, rtol everything else.
+GRAD_ATOL = 1e-15
+
+
+def _forward_backward(model, x, mask, targets, seed, rows=None):
+    rng = np.random.default_rng(seed)
+    probs, cache = model.forward(x, mask, dropout_rng=rng, rows=rows)
+    return probs, model.backward(cache, targets), rng
+
+
+def test_identity_rows_equal_the_plain_call_bit_for_bit():
+    model = AttentionModel(VOCAB4, DROPPY)
+    x, mask = model._encode(DISTINCT)
+    targets = ROW_TARGETS[: len(DISTINCT)]
+    want_probs, want_grads, _ = _forward_backward(model, x, mask, targets, seed=3)
+    probs, grads, _ = _forward_backward(model, x, mask, targets, seed=3, rows=np.arange(len(DISTINCT)))
+    assert np.array_equal(probs, want_probs)
+    assert sorted(grads) == sorted(want_grads)
+    for name in want_grads:
+        assert np.array_equal(grads[name], want_grads[name]), name
+
+
+def test_repeated_prefixes_match_the_expanded_batch():
+    model = AttentionModel(VOCAB4, DROPPY)
+    x, mask = model._encode(DISTINCT)
+    want_probs, want_grads, want_rng = _forward_backward(model, x[ROWS], mask[ROWS], ROW_TARGETS, seed=8)
+    probs, grads, rng = _forward_backward(model, x, mask, ROW_TARGETS, seed=8, rows=ROWS)
+    # same dropout draws: both rngs advance by one (B, d) draw
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    np.testing.assert_allclose(probs, want_probs, rtol=1e-10)
+    for name in want_grads:
+        np.testing.assert_allclose(grads[name], want_grads[name], rtol=1e-10, atol=GRAD_ATOL, err_msg=name)
+
+
+def test_gather_gradients_match_finite_differences_of_the_expanded_batch():
+    model = tiny_model()
+    x, mask = model._encode(DISTINCT)
+    assert finite_difference_check(model, x[ROWS], mask[ROWS], ROW_TARGETS) < 1e-4
+    want = model.backward(model.forward(x[ROWS], mask[ROWS])[1], ROW_TARGETS)
+    got = model.backward(model.forward(x, mask, rows=ROWS)[1], ROW_TARGETS)
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=GRAD_ATOL, err_msg=name)
+
+
+def test_trained_params_own_separate_memory_and_the_memo_is_empty():
+    log = log_from_variants([("A", "B", "C")] * 6 + [("A", "C")] * 4)
+    model, _ = train_attention(build_prefix_log(log), build_vocabulary(log), TINY, epochs=2, batch_size=4)
+    arrays = list(model.params.values())
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    assert model.memo == {}
+
+
 def test_training_learns_a_deterministic_rule():
     # B always follows A, C always follows B, traces end after C
     log = log_from_variants([("A", "B", "C")] * 30)

@@ -192,7 +192,7 @@ class HashedRowPredictor:
 
 
 # "D" is unknown to every net, A-C to the wide nets and some random ones
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     seed=st.integers(0, 2**32 - 1),
     branches=st.integers(0, 3),

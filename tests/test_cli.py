@@ -140,6 +140,26 @@ def test_train_ngram(workspace, tmp_path, capsys):
     assert len(model.vocab.labels) == 10  # nine activities plus the end marker
 
 
+def test_train_attention_without_validation_split_reports_train_loss(tmp_path, capsys):
+    # two traces give four prefixes, too few for a validation split
+    log = tmp_path / "two.csv"
+    log.write_text(
+        "case_id,activity,timestamp\n"
+        "c1,A,2024-01-01T00:00:00\n"
+        "c1,B,2024-01-01T00:01:00\n"
+        "c2,A,2024-01-02T00:00:00\n"
+        "c2,C,2024-01-02T00:01:00\n"
+    )
+    code, out, _ = run(
+        capsys,
+        ["train", "--log", str(log), "--predictor", "attention", "--epochs", "2",
+         "--model-out", str(tmp_path / "m.npz")],
+    )
+    assert code == 0
+    assert "best train loss" in out
+    assert "nan" not in out
+
+
 def test_train_default_filename(workspace, tmp_path, capsys):
     code, out, _ = run(capsys, ["train", "--log", workspace["train"], "--out", str(tmp_path)])
     assert code == 0

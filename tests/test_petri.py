@@ -384,7 +384,7 @@ def test_reference_agreement_on_random_nets():
         assert_matches_reference(net, variant)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.sampled_from(["Start", "B1a", "B1b", "B1c", "B2a", "B2b", "B2c", "Unexpected", "Repairing", "junk"]), max_size=8))
 def test_reference_agreement_hypothesis(variant):
     assert_matches_reference(SYNTH_NET, tuple(variant))
@@ -428,7 +428,7 @@ def assert_memo_matches_fresh_and_reference(net, variants):
 
 # random nets: silent transitions, duplicate labels, arc weights of 1-2; "D" is
 # unknown to every net
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.integers(0, 2**32 - 1),
     st.lists(st.lists(st.sampled_from("ABCD"), max_size=6).map(tuple), min_size=1, max_size=4),

@@ -64,7 +64,7 @@ def _fresh(model):
     return dataclasses.replace(model)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     name=st.sampled_from(MODEL_NAMES),
     batch=st.lists(PREFIXES, min_size=1, max_size=12),
