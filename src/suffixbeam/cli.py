@@ -11,9 +11,10 @@ Conventions:
 * exit 0 on success, 1 on bad arguments or bad input files, 2 on runtime
   failures;
 * ``--out`` defaults to $SUFFIXBEAM_OUT, then the working directory;
-* ``--config FILE`` reads a flat JSON object whose keys mirror long flag
-  names (hyphens as underscores); explicit flags beat the file, the file
-  beats built-in defaults.
+* ``--config FILE`` (``synthgen``, ``train``, ``sweep``) reads a flat JSON
+  object whose keys are long flag names (underscores or hyphens); its
+  values are parsed and checked as flag values are, explicit flags beat
+  the file, and the file beats built-in defaults.
 """
 
 from __future__ import annotations
@@ -73,21 +74,23 @@ def _load_model(path: str):
     return NGramModel.load(path)
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    """Overlay: CLI flag > config-file entry > built-in default."""
-    if not getattr(args, "config", None):
-        return args
+def _with_config(argv: list, args: argparse.Namespace) -> list:
+    """argv with the config file's entries spliced in as ``--key=value`` flags.
+
+    They go right after the subcommand, so flags the user typed come later
+    and win, and argparse checks each file value as it checks a flag.
+    """
     with open(args.config) as fh:
         file_conf = json.load(fh)
     if not isinstance(file_conf, dict):
         raise ValueError("config file must hold a JSON object")
+    flags = []
     for key, value in file_conf.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if key.replace("-", "_") not in vars(args):
             raise ValueError(f"config file sets unknown option {key!r}")
-        if getattr(args, attr) == parser_defaults.get(attr):
-            setattr(args, attr, value)
-    return args
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    at = argv.index(args.command) + 1
+    return argv[:at] + flags + argv[at:]
 
 
 def _parse_w_grid(spec: str):
@@ -324,16 +327,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = {
-        action.dest: action.default
-        for sub_action in parser._subparsers._group_actions
-        for sub in sub_action.choices.values()
-        for action in sub._actions
-    }
     try:
-        args = _apply_config(args, defaults)
+        if getattr(args, "config", None):
+            args = parser.parse_args(_with_config(argv, args))
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"suffixbeam: error: {exc}", file=sys.stderr)

@@ -135,11 +135,11 @@ def build_prefix_log(log: EventLog) -> PrefixLog:
 def _parse_timestamp(text: str, where: str) -> datetime:
     """Accept RFC 3339 (with 'Z' or offset) or integer epoch-milliseconds."""
     text = text.strip()
-    if text.lstrip("-").isdigit():
-        return datetime.fromtimestamp(int(text) / 1000.0, tz=timezone.utc)
     try:
+        if text.lstrip("-").isdigit():
+            return datetime.fromtimestamp(int(text) / 1000.0, tz=timezone.utc)
         ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # the last two: out of range epochs
         raise ValueError(f"unparsable timestamp {text!r} at {where}") from exc
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
@@ -167,62 +167,57 @@ def _escape(s: str) -> str:
     return s.translate(_ESCAPES)
 
 
+def _xml_elements(source, kind: str):
+    """Yield the elements of an XML document as their end tags are read.
+
+    Malformed XML and an encoding declaration Python does not know both
+    raise ValueError; errors raised by the caller's loop pass untouched.
+    ``source`` may be a path, a binary file object, or bytes.
+    """
+    if isinstance(source, (bytes, bytearray)):
+        source = io.BytesIO(source)
+    try:
+        for _, elem in ET.iterparse(source):
+            yield elem
+    except ET.ParseError as exc:
+        line, col = exc.position
+        raise ValueError(f"malformed {kind} at line {line}, column {col}: {exc}") from exc
+    except LookupError as exc:
+        raise ValueError(f"{kind}: {exc}") from exc
+
+
 def parse_xes(source) -> EventLog:
     """Parse an XES file (path, file object, or bytes) into an EventLog.
+
+    A trace is read from its direct children: each ``<event>`` child is an
+    event, and every other child carrying a ``key`` is a trace attribute.
+    An event's attributes are its own direct children carrying a ``key``.
+    Attributes nested deeper (inside a ``<list>`` or ``<container>``) are
+    ignored, so they can never stand in for a case id or an activity.
 
     Events are ordered by timestamp within each trace, stable with respect
     to document order on ties; events without a timestamp inherit the
     previous event's position. Missing ``concept:name`` on an event is an
     error naming the trace.
     """
-    if isinstance(source, (bytes, bytearray)):
-        source = io.BytesIO(source)
     traces = []
-    trace_attrs = {}
-    events = []
-    event_attrs = None
-    depth_in_event = 0
-    try:
-        for action, elem in ET.iterparse(source, events=("start", "end")):
-            tag = _local(elem.tag)
-            if action == "start":
-                if tag == "trace":
-                    trace_attrs = {}
-                    events = []
-                elif tag == "event":
-                    event_attrs = {}
-                    depth_in_event = 1
-                elif event_attrs is not None:
-                    depth_in_event += 1
-                continue
-            # end events
-            if tag == "event":
-                events.append(event_attrs)
-                event_attrs = None
-                depth_in_event = 0
-            elif event_attrs is not None:
-                depth_in_event -= 1
-                if depth_in_event == 1:
-                    key = elem.attrib.get("key")
-                    if key is not None:
-                        event_attrs[key] = elem.attrib.get("value")
-            elif tag == "trace":
-                traces.append(_finish_xes_trace(trace_attrs, events, len(traces)))
-                elem.clear()
-            elif trace_attrs is not None and tag in ("string", "date", "int", "float", "boolean", "id"):
-                key = elem.attrib.get("key")
-                if key is not None and events == [] and event_attrs is None:
-                    trace_attrs[key] = elem.attrib.get("value")
-    except ET.ParseError as exc:
-        line, col = exc.position
-        raise ValueError(f"malformed XES XML at line {line}, column {col}: {exc}") from exc
+    for elem in _xml_elements(source, "XES XML"):
+        if _local(elem.tag) == "trace":
+            traces.append(_read_xes_trace(elem, len(traces)))
+            elem.clear()
     if not traces:
         raise ValueError("XES document contains no traces")
     return EventLog.from_traces(traces)
 
 
-def _finish_xes_trace(trace_attrs: dict, raw_events: list, index: int) -> Trace:
-    case_id = trace_attrs.get("concept:name") or f"trace_{index + 1}"
+def _read_xes_trace(trace, index: int) -> Trace:
+    case_id, raw_events = None, []
+    for child in trace:
+        if _local(child.tag) == "event":
+            raw_events.append({a.get("key"): a.get("value") for a in child if "key" in a.attrib})
+        elif child.get("key") == "concept:name":
+            case_id = child.get("value")
+    case_id = case_id or f"trace_{index + 1}"
     parsed = []
     last_ts = datetime.fromtimestamp(0, tz=timezone.utc)
     for i, attrs in enumerate(raw_events):
@@ -280,30 +275,33 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str) -> EventL
     RFC 3339 or epoch-milliseconds. Unparsable rows report their row index.
     """
     if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8"))
+        source = io.StringIO(source.decode("utf-8"), newline="")  # as a path: csv splits lines
     elif isinstance(source, str) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return parse_csv(fh, case_col, activity_col, time_col)
     reader = csv.DictReader(source)
-    if reader.fieldnames is None:
-        raise ValueError("CSV input has no header row")
-    for col in (case_col, activity_col, time_col):
-        if col not in reader.fieldnames:
-            raise ValueError(f"CSV is missing mapped column {col!r} (header: {reader.fieldnames})")
     by_case = {}
     order = []
-    for row_idx, row in enumerate(reader, start=2):  # header is row 1
-        case = row[case_col]
-        activity = row[activity_col]
-        if case is None or case == "":
-            raise ValueError(f"row {row_idx}: empty case id")
-        if activity is None or activity == "":
-            raise ValueError(f"row {row_idx}: empty activity")
-        ts = _parse_timestamp(row[time_col] or "", f"row {row_idx}")
-        if case not in by_case:
-            by_case[case] = []
-            order.append(case)
-        by_case[case].append(Event(activity=activity, case_id=case, timestamp=ts))
+    try:
+        if reader.fieldnames is None:
+            raise ValueError("CSV input has no header row")
+        for col in (case_col, activity_col, time_col):
+            if col not in reader.fieldnames:
+                raise ValueError(f"CSV is missing mapped column {col!r} (header: {reader.fieldnames})")
+        for row_idx, row in enumerate(reader, start=2):  # header is row 1
+            case = row[case_col]
+            activity = row[activity_col]
+            if case is None or case == "":
+                raise ValueError(f"row {row_idx}: empty case id")
+            if activity is None or activity == "":
+                raise ValueError(f"row {row_idx}: empty activity")
+            ts = _parse_timestamp(row[time_col] or "", f"row {row_idx}")
+            if case not in by_case:
+                by_case[case] = []
+                order.append(case)
+            by_case[case].append(Event(activity=activity, case_id=case, timestamp=ts))
+    except csv.Error as exc:  # only the reader raises it, e.g. on a field over the size limit
+        raise ValueError(f"malformed CSV after line {reader.line_num}: {exc}") from exc
     traces = []
     for case in order:
         events = sorted(by_case[case], key=lambda ev: ev.timestamp)  # stable

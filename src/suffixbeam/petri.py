@@ -20,16 +20,14 @@ can be scored two ways (the partial_mode of :func:`compliance`):
 
 from __future__ import annotations
 
-import io
 import logging
 import warnings
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .eventlog import END, _escape, _local
+from .eventlog import END, _escape, _local, _xml_elements
 
 logger = logging.getLogger(__name__)
 
@@ -337,72 +335,53 @@ def parse_pnml(source) -> PetriNet:
     element, are silent. A missing final marking is inferred as one token in
     every sink place.
     """
-    if isinstance(source, (bytes, bytearray)):
-        source = io.BytesIO(source)
-    try:
-        tree = ET.parse(source)
-    except ET.ParseError as exc:
-        line, col = exc.position
-        raise ValueError(f"malformed PNML at line {line}, column {col}: {exc}") from exc
-    root = tree.getroot()
-    if _local(root.tag) == "net":
-        net_elem = root
-    else:
-        net_elem = _first_by_local(root, "net")
+    for root in _xml_elements(source, "PNML"):
+        pass  # the document element ends last
+    for elem in root.iter():
+        elem.tag = _local(elem.tag)
+    net_elem = root if root.tag == "net" else root.find(".//net")
     if net_elem is None:
         raise ValueError("PNML document contains no <net> element")
-    name_elem = None
-    for child in net_elem:
-        if _local(child.tag) == "name":
-            name_elem = child
-            break
-    net_name = _text_of(name_elem) or net_elem.get("id") or "net"
+    net_name = _text_of(net_elem.find("name")) or net_elem.get("id") or "net"
 
     places, transitions, arcs = [], [], []
     initial, final = {}, {}
     for elem in net_elem.iter():
-        tag = _local(elem.tag)
-        if tag == "place":
+        if elem.tag == "place":
             pid = elem.get("id")
             if pid is None:
                 if elem.get("idref") is not None:
                     continue  # a final-marking reference, handled below
                 raise ValueError("place without id")
             places.append(pid)
-            mark = _first_by_local(elem, "initialMarking")
-            if mark is not None:
-                count = int(_text_of(mark) or "0")
-                if count:
-                    initial[pid] = count
-        elif tag == "transition":
+            count = int(_text_of(elem.find(".//initialMarking")) or "0")
+            if count:
+                initial[pid] = count
+        elif elem.tag == "transition":
             tid = elem.get("id")
             if tid is None:
                 raise ValueError("transition without id")
-            label = _text_of(_first_by_local(elem, "name"))
-            invisible = False
-            for tool in elem.iter():
-                if _local(tool.tag) == "toolspecific" and (
-                    tool.get("activity") == "$invisible$"
-                    or tool.get("tool") == "invisible"
-                ):
-                    invisible = True
+            invisible = any(
+                tool.get("activity") == "$invisible$" or tool.get("tool") == "invisible"
+                for tool in elem.iter("toolspecific")
+            )
+            label = _text_of(elem.find(".//name"))
             if invisible or not label:
                 label = None
             transitions.append(Transition(tid=tid, label=label))
-        elif tag == "arc":
+        elif elem.tag == "arc":
             src, tgt = elem.get("source"), elem.get("target")
             if src is None or tgt is None:
                 raise ValueError("arc without source/target")
-            weight = int(_text_of(_first_by_local(elem, "inscription")) or "1")
+            weight = int(_text_of(elem.find(".//inscription")) or "1")
             arcs.append(Arc(source=src, target=tgt, weight=weight))
-        elif tag == "finalmarkings" and not final:
-            marking_elem = _first_by_local(elem, "marking")
+        elif elem.tag == "finalmarkings" and not final:
+            marking_elem = elem.find(".//marking")
             if marking_elem is not None:
-                for pl in marking_elem.iter():
-                    if _local(pl.tag) == "place":
-                        count = int(_text_of(pl) or "0")
-                        if count:
-                            final[pl.get("idref")] = count
+                for pl in marking_elem.iter("place"):
+                    count = int(_text_of(pl) or "0")
+                    if count:
+                        final[pl.get("idref")] = count
 
     known = set(places) | {t.tid for t in transitions}
     for arc in arcs:
@@ -425,22 +404,14 @@ def parse_pnml(source) -> PetriNet:
     )
 
 
-def _first_by_local(elem, name):
-    for child in elem.iter():
-        if child is not elem and _local(child.tag) == name:
-            return child
-    return None
-
-
 def _text_of(elem):
+    """Text of the element's first ``<text>`` descendant, else its own text."""
     if elem is None:
         return None
-    for child in elem.iter():
-        if _local(child.tag) == "text":
-            return (child.text or "").strip()
-    if elem.text and elem.text.strip():
-        return elem.text.strip()
-    return None
+    text = elem.findtext(".//text")
+    if text is not None:
+        return text.strip()
+    return (elem.text or "").strip() or None
 
 
 def write_pnml(net: PetriNet, path) -> None:

@@ -405,3 +405,66 @@ def test_csv_logs_with_custom_columns(tmp_path, capsys):
     )
     assert code == 0
     assert (tmp_path / "m.json").exists()
+
+
+def test_config_file_values_lose_to_any_explicit_flag(workspace, tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"order": 2}))
+    code, out, _ = run(
+        capsys,
+        ["train", "--log", workspace["train"], "--order", "3", "--config", str(conf),
+         "--model-out", str(tmp_path / "m.json")],
+    )
+    assert code == 0
+    assert "order-3" in out  # the flag wins even where it repeats the default
+
+
+def test_config_file_values_go_through_the_option_types(workspace, tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"order": "2", "model-out": str(tmp_path / "m.json")}))
+    code, out, _ = run(capsys, ["train", "--log", workspace["train"], "--config", str(conf)])
+    assert code == 0
+    assert "order-2" in out
+
+
+@pytest.mark.parametrize(
+    "entry,fragment",
+    [({"predictor": "bogus"}, "invalid choice: 'bogus'"), ({"order": "two"}, "invalid int value: 'two'")],
+)
+def test_config_file_values_are_checked_like_flags(workspace, tmp_path, capsys, entry, fragment):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(entry))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--log", workspace["train"], "--config", str(conf)])
+    assert exc.value.code == 1
+    assert fragment in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# bad input files
+
+
+def test_unreadable_inputs_are_bad_input(workspace, tmp_path, capsys):
+    enc_log = tmp_path / "enc.xes"
+    enc_log.write_bytes(
+        Path(workspace["test"]).read_bytes().replace(b'encoding="UTF-8"', b'encoding="UTX-8"')
+    )
+    code, _, err = run(capsys, ["split", "--log", str(enc_log), "--k", "3"])
+    assert code == 1
+    assert "XES XML: unknown encoding: UTX-8" in err
+
+    enc_net = tmp_path / "enc.pnml"
+    enc_net.write_bytes(
+        Path(workspace["net"]).read_bytes().replace(b'encoding="UTF-8"', b'encoding="UTX-8"')
+    )
+    code, _, err = run(
+        capsys, ["predict", "--model", workspace["model"], "--prefix", "Start", "--net", str(enc_net)]
+    )
+    assert code == 1
+    assert "PNML: unknown encoding: UTX-8" in err
+
+    big = tmp_path / "big.csv"
+    big.write_text("case_id,activity,timestamp\nc1,A,99999999999999999999\n")
+    code, _, err = run(capsys, ["train", "--log", str(big), "--model-out", str(tmp_path / "m.json")])
+    assert code == 1
+    assert "unparsable timestamp '99999999999999999999' at row 2" in err

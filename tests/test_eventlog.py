@@ -187,6 +187,41 @@ def test_parse_xes_malformed_and_empty():
         parse_xes(b"<log></log>")
 
 
+def test_parse_xes_reads_only_direct_children_of_a_trace():
+    doc = b"""<log><trace>
+      <string key="concept:name" value="c1"/>
+      <list key="meta"><string key="concept:name" value="LEAK"/></list>
+      <list key="more"><event><string key="concept:name" value="Nested"/></event></list>
+      <event><string key="concept:name" value="A"/>
+             <list key="l"><string key="concept:name" value="Inner"/></list></event>
+    </trace></log>"""
+    trace = parse_xes(doc).traces[0]
+    assert trace.case_id == "c1"
+    assert variant_of(trace) == ("A",)
+    assert trace.events[0].attrs == {"l": None}
+
+
+@pytest.mark.parametrize(
+    "millis",
+    ["99999999999999999999", "-99999999999999999", pytest.param("9" * 400, id="400-digits")],
+)
+def test_out_of_range_epoch_millis_name_their_place(millis):
+    with pytest.raises(ValueError, match=f"timestamp '{millis}' at row 2"):
+        parse_csv(f"case,activity,time\nc1,A,{millis}\n".encode(), "case", "activity", "time")
+    doc = f"""<log><trace><string key="concept:name" value="t1"/>
+      <event><string key="concept:name" value="A"/>
+             <date key="time:timestamp" value="{millis}"/></event>
+    </trace></log>""".encode()
+    with pytest.raises(ValueError, match=f"timestamp '{millis}' at trace 't1' event 1"):
+        parse_xes(doc)
+
+
+def test_parse_xes_unknown_encoding_is_bad_input():
+    doc = XES_MINIMAL.replace(b'encoding="UTF-8"', b'encoding="UTX-8"')
+    with pytest.raises(ValueError, match="XES XML: unknown encoding: UTX-8"):
+        parse_xes(doc)
+
+
 def test_xes_round_trip(tmp_path):
     log = log_from_variants([("A", "B", "C"), ("B",), ("A", "C")], case_ids=["x", "y", "z"])
     path = tmp_path / "out.xes"
@@ -278,6 +313,22 @@ def test_parse_csv_errors():
         parse_csv(b"case,activity,time\n", "case", "activity", "time")
     with pytest.raises(ValueError, match="no header row"):
         parse_csv(b"", "case", "activity", "time")
+
+
+def test_parse_csv_reader_errors_are_bad_input():
+    raw = b"case,activity,time\nc1,A,1\nc1," + b"B" * 200_000 + b",2\n"
+    with pytest.raises(ValueError, match="malformed CSV after line 2: field larger than field limit"):
+        parse_csv(raw, "case", "activity", "time")
+
+
+def test_parse_csv_reads_bytes_as_it_reads_a_path(tmp_path):
+    raw = b"case,activity,time\rc1,A,1\rc1,B,2\r"  # old Mac line ends
+    path = tmp_path / "cr.csv"
+    path.write_bytes(raw)
+    columns = ("case", "activity", "time")
+    log = parse_csv(raw, *columns)
+    assert log == parse_csv(path, *columns)
+    assert variant_of(log.traces[0]) == ("A", "B")
 
 
 # ---------------------------------------------------------------------------

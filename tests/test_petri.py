@@ -561,3 +561,11 @@ def test_parse_pnml_errors():
             b"""<pnml><net id="n"><place id="p"/><transition id="t"/>
               <arc id="a1" source="p" target="ghost"/></net></pnml>"""
         )
+
+
+def test_parse_pnml_unknown_encoding_is_bad_input(tmp_path):
+    path = tmp_path / "net.pnml"
+    write_pnml(SYNTH_NET, path)
+    doc = path.read_bytes().replace(b'encoding="UTF-8"', b'encoding="UTX-8"')
+    with pytest.raises(ValueError, match="PNML: unknown encoding: UTX-8"):
+        parse_pnml(doc)
