@@ -128,7 +128,6 @@ def _expand(
     """
     vocab = predictor.vocab
     end_idx = vocab.index_of(END)
-    label_tids = compiled.label_tids if compiled is not None else None
     open_cands = [cand for cand in pool if not cand[3]]
     rows = predictor.predict_proba_batch([prefix + cand[2] for cand in open_cands])
     # ties resolve to the lowest vocabulary index (stable sort on -rows)
@@ -152,16 +151,10 @@ def _expand(
             child_replay = None
             if w > 0.0:
                 marking, produced, consumed, missing = replay
-                if label in label_tids:
-                    marking, m, c, p = compiled.replay_label(marking, label)
-                    missing += m
-                    consumed += c
-                    produced += p
-                else:
-                    # label unknown to the net: the virtual transition's
-                    # missing and consumed token, marking untouched
-                    missing += 1
-                    consumed += 1
+                marking, m, c, p = compiled.replay_label(marking, label)
+                missing += m
+                consumed += c
+                produced += p
                 remaining = compiled.residual(marking) if strict else 0
                 child_log += w * _log_compliance(fitness_counts(produced, consumed, missing, remaining))
                 child_replay = (marking, produced, consumed, missing)

@@ -28,19 +28,20 @@ from pathlib import Path
 
 from . import __version__
 from .beam import BeamConfig, baseline_beam, checked_beam, modulated_beam, perfect_fitness_checker
-from .encoding import build_vocabulary
-from .eventlog import build_prefix_log, parse_csv, parse_xes, write_xes
+from .eventlog import parse_csv, parse_xes, write_xes
 from .harness import (
     DEFAULT_PREFIX_LENGTHS,
     DEFAULT_W_GRID,
+    evaluate_dataset,
     run_reallife_experiment,
     run_synthetic_experiment,
     split_by_prefix,
+    train_predictor,
     write_comparison_csv,
     write_sweep_csv,
 )
 from .petri import parse_pnml, write_pnml
-from .predictor import NGramModel, train_ngram
+from .predictor import NGramModel
 from .synthgen import SynthConfig, generate
 
 
@@ -74,23 +75,30 @@ def _load_model(path: str):
     return NGramModel.load(path)
 
 
-def _with_config(argv: list, args: argparse.Namespace) -> list:
-    """argv with the config file's entries spliced in as ``--key=value`` flags.
+def _parse_args(parser: _Parser, argv: list) -> argparse.Namespace:
+    """One parse of argv, with the ``--config`` file's entries as flags.
 
-    They go right after the subcommand, so flags the user typed come later
-    and win, and argparse checks each file value as it checks a flag.
+    The file's entries go in as ``--key=value`` right after the subcommand,
+    so flags the user typed come later and win, a file can supply a
+    required flag, and argparse checks each file value as it checks a flag.
     """
-    with open(args.config) as fh:
+    pre = _Parser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config", nargs="?")  # a bare --config is left to the full parse
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return parser.parse_args(argv)
+    with open(path) as fh:
         file_conf = json.load(fh)
     if not isinstance(file_conf, dict):
         raise ValueError("config file must hold a JSON object")
-    flags = []
-    for key, value in file_conf.items():
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in file_conf.items()]
+    args, extra = parser.parse_known_args(argv[:1] + flags + argv[1:])
+    for key in file_conf:
         if key.replace("-", "_") not in vars(args):
             raise ValueError(f"config file sets unknown option {key!r}")
-        flags.append(f"--{key.replace('_', '-')}={value}")
-    at = argv.index(args.command) + 1
-    return argv[:at] + flags + argv[at:]
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _parse_w_grid(spec: str):
@@ -100,6 +108,8 @@ def _parse_w_grid(spec: str):
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"w value {v} outside [0, 1]")
+    if 0.0 not in values:
+        raise ValueError("w grid must hold 0, the baseline the comparison table is measured against")
     return values
 
 
@@ -210,25 +220,19 @@ def _cmd_split(args) -> int:
 
 def _cmd_train(args) -> int:
     log = _load_log(args.log, args.csv_columns)
-    vocab = build_vocabulary(log)
-    plog = build_prefix_log(log)
-    if args.predictor == "ngram":
-        model = train_ngram(plog, vocab, order=args.order, alpha=args.alpha)
-        path = Path(args.model_out) if args.model_out else _out_dir(args.out) / "ngram.json"
-        model.save(path)
-        print(f"trained order-{args.order} n-gram on {len(plog.entries)} prefixes -> {path}")
+    model, history = train_predictor(log, args.predictor, args.order, args.alpha, args.epochs)
+    default_name = "ngram.json" if history is None else "attention.npz"
+    path = Path(args.model_out) if args.model_out else _out_dir(args.out) / default_name
+    model.save(path)
+    if history is None:
+        n_prefixes = sum(int(row.sum()) for row in model.counts.values())
+        print(f"trained order-{args.order} n-gram on {n_prefixes} prefixes -> {path}")
+        return 0
+    if math.isnan(history[0].val_loss):  # under 10 prefixes: no validation split
+        split, best = "train", min(h.train_loss for h in history)
     else:
-        from .attention import AttentionConfig, train_attention
-
-        l_max = max(len(t) for t in log.traces) + 1
-        model, history = train_attention(plog, vocab, AttentionConfig(l_max=l_max), epochs=args.epochs)
-        path = Path(args.model_out) if args.model_out else _out_dir(args.out) / "attention.npz"
-        model.save(path)
-        if math.isnan(history[0].val_loss):  # under 10 prefixes: no validation split
-            split, best = "train", min(h.train_loss for h in history)
-        else:
-            split, best = "val", min(h.val_loss for h in history)
-        print(f"trained attention model for {args.epochs} epochs (best {split} loss {best:.4f}) -> {path}")
+        split, best = "val", min(h.val_loss for h in history)
+    print(f"trained attention model for {args.epochs} epochs (best {split} loss {best:.4f}) -> {path}")
     return 0
 
 
@@ -301,8 +305,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .harness import evaluate_dataset
-
     log = _load_log(args.log, args.csv_columns)
     model = _load_model(args.model)
     net = parse_pnml(args.net) if args.net else None
@@ -329,10 +331,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            args = parser.parse_args(_with_config(argv, args))
+        args = _parse_args(parser, argv)
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"suffixbeam: error: {exc}", file=sys.stderr)

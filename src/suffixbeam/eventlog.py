@@ -133,7 +133,7 @@ def build_prefix_log(log: EventLog) -> PrefixLog:
 # timestamps
 
 def _parse_timestamp(text: str, where: str) -> datetime:
-    """Accept RFC 3339 (with 'Z' or offset) or integer epoch-milliseconds."""
+    """A UTC datetime from RFC 3339 (with 'Z' or offset) or integer epoch-milliseconds."""
     text = text.strip()
     try:
         if text.lstrip("-").isdigit():
@@ -142,8 +142,11 @@ def _parse_timestamp(text: str, where: str) -> datetime:
     except (ValueError, OverflowError, OSError) as exc:  # the last two: out of range epochs
         raise ValueError(f"unparsable timestamp {text!r} at {where}") from exc
     if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts
+        return ts.replace(tzinfo=timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError as exc:  # e.g. 0001-01-01T00:30:00+01:00
+        raise ValueError(f"timestamp {text!r} at {where} is outside the UTC date range") from exc
 
 
 def _format_timestamp(ts: datetime) -> str:

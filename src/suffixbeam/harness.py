@@ -11,9 +11,11 @@ Two experiment shapes are supported:
   log; the held-out traces are the ones whose continuations the predictor is
   biased against, which is exactly where modulation can help.
 
-Results land in two CSVs: a long-format sweep table
-(``dataset,k,w,mean_similarity,n_cases,forced_terminations`` with ``k=micro``
-rows for the weighted average) and a compact comparison table
+Both shapes differ only in how they build each prefix length's (prefix,
+true suffix) cases; one sweep then scores them. Results land in two CSVs: a
+long-format sweep table (``dataset,k,w,mean_similarity,n_cases,
+forced_terminations``; for each w the per-k rows, then a ``k=micro`` row for
+their weighted average) and a compact comparison table
 (``dataset,k,baseline,modulated,diff``) using the best sweep weight.
 """
 
@@ -107,51 +109,17 @@ def split_by_prefix(log: EventLog, k: int):
     return log, EventLog.from_traces(tuple(held_out))
 
 
-def _micro_cell(dataset: str, w: float, k_cells) -> SweepCell:
-    """The micro row of one w from its per-k cells, averaged in their order."""
-    return SweepCell(
-        dataset,
-        MICRO,
-        w,
-        micro_average((c.mean_similarity, c.n_cases) for c in k_cells),
-        sum(c.n_cases for c in k_cells),
-        sum(c.forced_terminations for c in k_cells),
-    )
+def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, beam_config: BeamConfig,
+           w_grid) -> tuple:
+    """The sweep's cells: for each w, one cell per k and then the micro row.
 
-
-def evaluate_dataset(
-    dataset: str,
-    test_log: EventLog,
-    predictor,
-    net: PetriNet | None,
-    beam_config: BeamConfig,
-    w_grid=DEFAULT_W_GRID,
-    prefix_lengths=DEFAULT_PREFIX_LENGTHS,
-) -> SweepResult:
-    """Sweep the modulation weight over per-prefix-length test cases.
-
-    Each distinct prefix is predicted once per w, and each distinct (prefix,
-    true suffix) case scored once; the outcomes are then read back per test
-    trace, in log order, so means accumulate exactly as a per-trace loop
-    would.
+    ``cases_by_k`` maps each prefix length to its (prefix, true suffix)
+    cases. Each distinct prefix is predicted once per w, and each distinct
+    case scored once; the outcomes are then read back per case, in order,
+    so means accumulate exactly as a per-case loop would.
     """
-    cases_by_k = {}
-    for k in prefix_lengths:
-        cases = []
-        for trace in test_log.traces:
-            v = variant_of(trace)
-            if len(v) <= k:
-                continue
-            cases.append((prefix(v, k), suffix(v, k)))
-        if cases:
-            cases_by_k[k] = cases
-        else:
-            warnings.warn(f"{dataset}: no test trace is longer than k={k}; skipping")
-    if not cases_by_k:
-        raise ValueError(f"{dataset}: no prefix length has any test case")
     distinct = list(dict.fromkeys(case for cases in cases_by_k.values() for case in cases))
     prefixes = list(dict.fromkeys(pref for pref, _ in distinct))
-
     cells = []
     for w in w_grid:
         cfg = replace(beam_config, w=w)
@@ -167,13 +135,43 @@ def evaluate_dataset(
             forced = sum(flag for _, flag in outcomes)
             k_cells.append(SweepCell(dataset, k, w, sum(sims) / len(sims), len(sims), forced))
         cells.extend(k_cells)
-        cells.append(_micro_cell(dataset, w, k_cells))
-    return SweepResult(
-        dataset=dataset,
-        cells=tuple(cells),
-        prefix_lengths=tuple(sorted(cases_by_k)),
-        w_grid=tuple(w_grid),
-    )
+        cells.append(SweepCell(
+            dataset,
+            MICRO,
+            w,
+            micro_average((c.mean_similarity, c.n_cases) for c in k_cells),
+            sum(c.n_cases for c in k_cells),
+            sum(c.forced_terminations for c in k_cells),
+        ))
+    return tuple(cells)
+
+
+def _cases(log: EventLog, k: int) -> list:
+    """The (prefix, true suffix) case of every trace longer than k, in log order."""
+    return [(prefix(v, k), suffix(v, k)) for v in map(variant_of, log.traces) if len(v) > k]
+
+
+def evaluate_dataset(
+    dataset: str,
+    test_log: EventLog,
+    predictor,
+    net: PetriNet | None,
+    beam_config: BeamConfig,
+    w_grid=DEFAULT_W_GRID,
+    prefix_lengths=DEFAULT_PREFIX_LENGTHS,
+) -> SweepResult:
+    """Sweep the modulation weight over the test log's cases at each prefix length."""
+    cases_by_k = {}
+    for k in prefix_lengths:
+        cases = _cases(test_log, k)
+        if cases:
+            cases_by_k[k] = cases
+        else:
+            warnings.warn(f"{dataset}: no test trace is longer than k={k}; skipping")
+    if not cases_by_k:
+        raise ValueError(f"{dataset}: no prefix length has any test case")
+    cells = _sweep(dataset, cases_by_k, predictor, net, beam_config, w_grid)
+    return SweepResult(dataset, cells, tuple(sorted(cases_by_k)), tuple(w_grid))
 
 
 def write_sweep_csv(path, results) -> None:
@@ -205,18 +203,24 @@ def write_comparison_csv(path, results) -> None:
                 writer.writerow([result.dataset, k, repr(base), repr(mod), repr(mod - base)])
 
 
-def _train_predictor(train_log: EventLog, kind: str, ngram_order: int, ngram_alpha: float, epochs: int):
+def train_predictor(train_log: EventLog, kind: str, ngram_order: int, ngram_alpha: float, epochs: int):
+    """(model, history) trained on the whole log; history is the attention
+    model's per-epoch stats and None for the n-gram."""
     vocab = build_vocabulary(train_log)
     plog = build_prefix_log(train_log)
     if kind == "ngram":
-        return train_ngram(plog, vocab, order=ngram_order, alpha=ngram_alpha)
+        return train_ngram(plog, vocab, order=ngram_order, alpha=ngram_alpha), None
     if kind == "attention":
         from .attention import AttentionConfig, train_attention
 
         l_max = max(len(t) for t in train_log.traces) + 1
-        model, _ = train_attention(plog, vocab, AttentionConfig(l_max=l_max), epochs=epochs)
-        return model
+        return train_attention(plog, vocab, AttentionConfig(l_max=l_max), epochs=epochs)
     raise ValueError(f"unknown predictor kind {kind!r}")
+
+
+def _beam_config(train_log: EventLog, b_size: int) -> BeamConfig:
+    """The sweep's beam: at most as many steps as the longest training trace, strict partial scores."""
+    return BeamConfig(b_size=b_size, max_iter=max(len(t) for t in train_log.traces), partial_mode="strict")
 
 
 def run_synthetic_experiment(
@@ -231,15 +235,13 @@ def run_synthetic_experiment(
 ) -> SweepResult:
     """Generate the synthetic log, train, and sweep on the exceptional traces."""
     generated = generate(config)
-    predictor = _train_predictor(generated.train_log, predictor_kind, ngram_order, ngram_alpha, epochs)
-    max_iter = max(len(t) for t in generated.train_log.traces)
-    beam_config = BeamConfig(b_size=b_size, max_iter=max_iter, w=0.0, partial_mode="strict")
+    predictor, _ = train_predictor(generated.train_log, predictor_kind, ngram_order, ngram_alpha, epochs)
     return evaluate_dataset(
         "synthetic",
         generated.test_log,
         predictor,
         generated.net,
-        beam_config,
+        _beam_config(generated.train_log, b_size),
         w_grid=w_grid,
         prefix_lengths=prefix_lengths,
     )
@@ -260,34 +262,18 @@ def run_reallife_experiment(
     """Per-k second-variant holdout on a real log, then the same sweep.
 
     Prefix lengths whose holdout is empty are skipped with a warning; at
-    least one must survive.
+    least one must survive, which is checked before the predictor trains.
     """
-    predictor = _train_predictor(log, predictor_kind, ngram_order, ngram_alpha, epochs)
-    max_iter = max(len(t) for t in log.traces)
-    beam_config = BeamConfig(b_size=b_size, max_iter=max_iter, w=0.0, partial_mode="strict")
-
-    cells = []
-    populated = []
+    cases_by_k = {}
     for k in prefix_lengths:
         try:
-            _, test_log = split_by_prefix(log, k)
+            _, held_out = split_by_prefix(log, k)
         except ValueError as exc:
             warnings.warn(f"{dataset}: k={k} skipped ({exc})")
             continue
-        partial = evaluate_dataset(
-            dataset,
-            test_log,
-            predictor,
-            net,
-            beam_config,
-            w_grid=w_grid,
-            prefix_lengths=(k,),
-        )
-        cells.extend(c for c in partial.cells if c.k == k)
-        populated.append(k)
-    if not populated:
+        cases_by_k[k] = _cases(held_out, k)
+    if not cases_by_k:
         raise ValueError(f"{dataset}: every prefix length produced an empty holdout")
-
-    for w in w_grid:
-        cells.append(_micro_cell(dataset, w, [c for c in cells if c.w == w and c.k != MICRO]))
-    return SweepResult(dataset=dataset, cells=tuple(cells), prefix_lengths=tuple(populated), w_grid=tuple(w_grid))
+    predictor, _ = train_predictor(log, predictor_kind, ngram_order, ngram_alpha, epochs)
+    cells = _sweep(dataset, cases_by_k, predictor, net, _beam_config(log, b_size), w_grid)
+    return SweepResult(dataset, cells, tuple(cases_by_k), tuple(w_grid))

@@ -173,13 +173,22 @@ class CompiledNet:
         return value
 
     def replay_label(self, marking, label):
-        """(next marking, Δmissing, Δconsumed, Δproduced) of one label known to the net."""
+        """(next marking, Δmissing, Δconsumed, Δproduced) of one visible label.
+
+        A label unknown to the net fires a virtual transition that leaves
+        the marking alone but penalizes the trace: one token missing, one
+        consumed.
+        """
         key = (marking.tobytes(), label)
         hit = self.memo.get(key)
         if hit is None:
-            nxt, m, c, p = _kernels.replay_one_label(self, marking, self.label_tids[label])
-            nxt.flags.writeable = False
-            hit = self._store(key, (nxt, m, c, p))
+            tids = self.label_tids.get(label)
+            if tids is None:
+                hit = (marking, 1, 1, 0)
+            else:
+                hit = _kernels.replay_one_label(self, marking, tids)
+                hit[0].flags.writeable = False
+            self._store(key, hit)
         return hit
 
     def residual(self, marking) -> int:
@@ -238,12 +247,6 @@ class ReplayState:
 
     def step(self, label: str) -> None:
         """Replay one visible label (mutates the state)."""
-        if label not in self.compiled.label_tids:
-            # label unknown to the net: fire a virtual transition that leaves
-            # the marking alone but penalizes the trace
-            self.missing += 1
-            self.consumed += 1
-            return
         self.marking, m, c, p = self.compiled.replay_label(self.marking, label)
         self.missing += m
         self.consumed += c

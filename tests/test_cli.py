@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -337,6 +338,36 @@ def test_sweep_synthetic_small_grid(tmp_path, capsys):
     assert (tmp_path / "comparison.csv").exists()
 
 
+def test_sweep_w_grid_without_the_baseline_fails_before_any_work(workspace, tmp_path, capsys):
+    code, _, err = run(
+        capsys,
+        ["sweep", "--mode", "synthetic", "--w-grid", "0.5,0.85", "--ks", "3", "--out", str(tmp_path)],
+    )
+    assert code == 1
+    assert "baseline" in err
+    assert not (tmp_path / "sweep.csv").exists()
+    # a single weight off the grid is still fine where no comparison is made
+    code, out, _ = run(
+        capsys,
+        ["evaluate", "--log", workspace["test"], "--model", workspace["model"],
+         "--net", workspace["net"], "--k", "3", "--w", "0.5"],
+    )
+    assert code == 0
+    assert "k=3 w=0.50" in out
+
+
+def test_default_synthetic_sweep_output_is_locked(tmp_path, capsys):
+    with pytest.warns(UserWarning, match="no test trace is longer than k="):
+        code, _, _ = run(capsys, ["sweep", "--mode", "synthetic", "--out", str(tmp_path)])
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("sweep.csv", "comparison.csv")}
+    assert digests == {
+        "sweep.csv": "05c0c1870032f1f929f9e976b01859f649fdcdb86f2447a70ff832a5675c7873",
+        "comparison.csv": "f0270f3e2ad95713b857338ce6ab06d07972c543b17b82708ceb1ff9761eb01c",
+    }
+
+
 @pytest.mark.parametrize(
     "flag,value,fragment",
     [
@@ -386,6 +417,15 @@ def test_config_file_must_be_an_object(workspace, tmp_path, capsys):
     code, _, err = run(capsys, ["train", "--log", workspace["train"], "--config", str(conf)])
     assert code == 1
     assert "must hold a JSON object" in err
+
+
+def test_config_file_can_supply_a_required_flag(workspace, tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"log": workspace["train"], "model_out": str(tmp_path / "m.json")}))
+    code, out, _ = run(capsys, ["train", "--config", str(conf)])
+    assert code == 0
+    assert "n-gram on 4396 prefixes" in out
+    assert (tmp_path / "m.json").exists()
 
 
 def test_csv_logs_with_custom_columns(tmp_path, capsys):
@@ -468,3 +508,18 @@ def test_unreadable_inputs_are_bad_input(workspace, tmp_path, capsys):
     code, _, err = run(capsys, ["train", "--log", str(big), "--model-out", str(tmp_path / "m.json")])
     assert code == 1
     assert "unparsable timestamp '99999999999999999999' at row 2" in err
+
+
+def test_split_of_a_log_outside_the_utc_range_is_bad_input(tmp_path, capsys):
+    # c3 parses, but its instants lie before 0001-01-01 UTC, so the held-out
+    # trace could not be written
+    early = tmp_path / "early.csv"
+    early.write_text(
+        "case_id,activity,timestamp\n"
+        "c1,A,2024-01-01T00:00:00\nc1,B,2024-01-01T00:01:00\nc1,C,2024-01-01T00:02:00\n"
+        "c2,A,2024-01-02T00:00:00\nc2,B,2024-01-02T00:01:00\nc2,C,2024-01-02T00:02:00\n"
+        "c3,A,0001-01-01T00:30:00+01:00\nc3,B,0001-01-01T00:31:00+01:00\nc3,D,0001-01-01T00:32:00+01:00\n"
+    )
+    code, _, err = run(capsys, ["split", "--log", str(early), "--k", "2", "--out", str(tmp_path)])
+    assert code == 1
+    assert "outside the UTC date range" in err

@@ -1,4 +1,5 @@
 import io
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -214,6 +215,26 @@ def test_out_of_range_epoch_millis_name_their_place(millis):
     </trace></log>""".encode()
     with pytest.raises(ValueError, match=f"timestamp '{millis}' at trace 't1' event 1"):
         parse_xes(doc)
+
+
+@pytest.mark.parametrize("text", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"])
+def test_instants_outside_the_utc_range_name_their_place(text):
+    with pytest.raises(ValueError, match=re.escape(f"timestamp '{text}' at row 2 is outside the UTC date range")):
+        parse_csv(f"case,activity,time\nc1,A,{text}\n".encode(), "case", "activity", "time")
+    doc = f"""<log><trace><string key="concept:name" value="t1"/>
+      <event><string key="concept:name" value="A"/>
+             <date key="time:timestamp" value="{text}"/></event>
+    </trace></log>""".encode()
+    with pytest.raises(ValueError, match=re.escape(f"timestamp '{text}' at trace 't1' event 1 is outside")):
+        parse_xes(doc)
+
+
+def test_parsed_timestamps_are_utc():
+    raw = b"case,activity,time\nc1,A,2021-01-01T10:00:00+02:00\nc1,B,0001-01-01T01:30:00+01:00\n"
+    log = parse_csv(raw, "case", "activity", "time")
+    stamps = [ev.timestamp for ev in log.traces[0].events]
+    assert stamps == [datetime(1, 1, 1, 0, 30, tzinfo=UTC), datetime(2021, 1, 1, 8, tzinfo=UTC)]
+    assert all(ts.tzinfo is UTC for ts in stamps)
 
 
 def test_parse_xes_unknown_encoding_is_bad_input():

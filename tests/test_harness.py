@@ -1,11 +1,17 @@
 import csv
+import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from nets import random_net
 
 from suffixbeam import harness
 from suffixbeam.beam import BeamConfig, baseline_beam, modulated_beam
-from suffixbeam.eventlog import EventLog, log_from_variants, variant_of
+from suffixbeam.encoding import build_vocabulary
+from suffixbeam.eventlog import EventLog, build_prefix_log, log_from_variants, variant_of
 from suffixbeam.harness import (
     DEFAULT_PREFIX_LENGTHS,
     DEFAULT_W_GRID,
@@ -19,6 +25,7 @@ from suffixbeam.harness import (
     write_sweep_csv,
 )
 from suffixbeam.metrics import dl_similarity, micro_average
+from suffixbeam.predictor import train_ngram
 from suffixbeam.synthgen import exceptional_process_net
 
 
@@ -256,6 +263,77 @@ def test_reallife_experiment_requires_some_holdout(synth):
             run_reallife_experiment(
                 "repair", synth.train_log, synth.net, w_grid=(0.0,), prefix_lengths=(20,)
             )
+
+
+def test_reallife_experiment_checks_the_holdouts_before_training(synth, monkeypatch):
+    trained = []
+    monkeypatch.setattr(harness, "train_ngram", lambda *a, **kw: trained.append(a))
+    with pytest.warns(UserWarning):
+        with pytest.raises(ValueError, match="every prefix length produced an empty holdout"):
+            run_reallife_experiment(
+                "repair", synth.train_log, synth.net, w_grid=(0.0,), prefix_lengths=(20, 30)
+            )
+    assert trained == []
+
+
+def per_k_reallife(dataset, log, net, w_grid, prefix_lengths):
+    """The real-life sweep composed as one evaluate_dataset per k's holdout,
+    then micro averages over the k cells: {(k, w): cell}."""
+    predictor = train_ngram(build_prefix_log(log), build_vocabulary(log), order=3, alpha=0.01)
+    config = BeamConfig(b_size=3, max_iter=max(len(t) for t in log.traces), partial_mode="strict")
+    cells, populated = {}, []
+    for k in prefix_lengths:
+        try:
+            _, held_out = split_by_prefix(log, k)
+        except ValueError:
+            continue
+        part = evaluate_dataset(dataset, held_out, predictor, net, config, w_grid=w_grid, prefix_lengths=(k,))
+        cells.update(((k, w), part.cell(k, w)) for w in w_grid)
+        populated.append(k)
+    if not populated:
+        return cells, ()
+    for w in w_grid:
+        k_cells = [cells[k, w] for k in populated]
+        cells[MICRO, w] = SweepCell(
+            dataset, MICRO, w, micro_average((c.mean_similarity, c.n_cases) for c in k_cells),
+            sum(c.n_cases for c in k_cells), sum(c.forced_terminations for c in k_cells),
+        )
+    return cells, tuple(populated)
+
+
+@st.composite
+def branching_variants(draw):
+    """Variants that leave one trunk at random points, so prefixes are shared."""
+    labels = st.sampled_from("ABCD")  # D is unknown to the net
+    trunk = draw(st.lists(labels, min_size=5, max_size=5))
+    return [
+        (*trunk[: draw(st.integers(1, 5))], *draw(st.lists(labels, min_size=1, max_size=3)))
+        for _ in range(draw(st.integers(2, 14)))
+    ]
+
+
+@settings(max_examples=100)
+@given(
+    variants=branching_variants(),
+    net_seed=st.integers(0, 2**16),
+    prefix_lengths=st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True),
+    w_grid=st.lists(st.sampled_from((0.3, 0.85, 1.0)), unique=True).map(lambda ws: (0.0, *ws)),
+)
+def test_reallife_sweep_equals_the_per_k_composition(variants, net_seed, prefix_lengths, w_grid):
+    log = log_from_variants(variants)
+    net = random_net(np.random.default_rng(net_seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        want, populated = per_k_reallife("d", log, net, w_grid, prefix_lengths)
+        if not populated:
+            with pytest.raises(ValueError, match="empty holdout"):
+                run_reallife_experiment("d", log, net, w_grid=w_grid, prefix_lengths=prefix_lengths)
+            return
+        got = run_reallife_experiment("d", log, net, w_grid=w_grid, prefix_lengths=prefix_lengths)
+    assert got.prefix_lengths == populated
+    assert {(c.k, c.w): c for c in got.cells} == want  # floats compared exactly
+    # for each w, the k rows in the given order and then the micro row
+    assert [(c.k, c.w) for c in got.cells] == [(k, w) for w in w_grid for k in populated + (MICRO,)]
 
 
 # ---------------------------------------------------------------------------
