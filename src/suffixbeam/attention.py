@@ -12,7 +12,7 @@ against central finite differences (see :func:`finite_difference_check`),
 which is the correctness anchor for the whole module.
 
 Padding is handled by masking, never by the padded values themselves:
-padded key columns are set to -inf before the attention softmax (their
+padded key columns get a -inf bias before the attention softmax (their
 weights become exact zeros) and padded positions are -inf'd out of the
 max-pool, so whatever garbage sits in padded input rows cannot reach the
 output. predict_proba_batch exploits that by truncating overlong prefixes to
@@ -169,16 +169,23 @@ class AttentionModel:
     ):
         """Run the network; returns (probs, cache). Dropout only with a rng.
 
+        Every ``mask`` row needs at least one real position (ValueError
+        otherwise): an empty prefix has nothing to attend to or pool.
+
         With ``rows``, ``x``/``mask`` hold distinct prefixes and output row
         i is prefix ``rows[i]``: the encoder runs once per prefix, while
         dropout, the head and the softmax run per output row.
         """
+        if not mask.any(axis=1).all():
+            raise ValueError("every mask row needs a real position; an empty prefix has none")
         p, cfg = self.params, self.config
         cache = {"x": x, "mask": mask, "layers": [], "rows": rows}
         h = x @ p["w_in"] + p["b_in"]
         if cfg.positional_encoding:
             h = h + self.pe[None, : x.shape[1], :]
-        key_mask = mask[:, None, None, :]  # broadcast over heads and queries
+        # -inf on padded keys, broadcast over heads and queries: their weights
+        # become exact zeros, and every row keeps a real key, so no NaN
+        key_bias = np.where(mask, 0.0, -np.inf)[:, None, None, :]
         scale = 1.0 / np.sqrt(cfg.d_model / cfg.n_heads)
         for layer in range(cfg.n_layers):
             key = f"l{layer}_"
@@ -186,15 +193,7 @@ class AttentionModel:
             q = self._split_heads(h @ p[key + "wq"] + p[key + "bq"])
             k = self._split_heads(h @ p[key + "wk"] + p[key + "bk"])
             v = self._split_heads(h @ p[key + "wv"] + p[key + "bv"])
-            scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-            scores = np.where(key_mask, scores, -np.inf)
-            # softmax that yields all-zero rows where every key is masked
-            # (padded query positions) instead of NaN
-            row_max = np.max(scores, axis=-1, keepdims=True)
-            row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-            e = np.exp(scores - row_max)
-            denom = np.sum(e, axis=-1, keepdims=True)
-            attn = e / np.where(denom == 0.0, 1.0, denom)
+            attn = _softmax_rows((q @ k.transpose(0, 1, 3, 2)) * scale + key_bias)
             heads = attn @ v
             merged = self._merge_heads(heads)
             att_out = merged @ p[key + "wo"] + p[key + "bo"]

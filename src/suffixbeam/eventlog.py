@@ -117,15 +117,20 @@ def build_prefix_log(log: EventLog) -> PrefixLog:
     """All (prefix, next-label) pairs of every trace, multiplicities preserved.
 
     The completion label END is appended to each trace first, so a trace of
-    length n contributes n entries, the last one targeting END.
+    length n contributes n entries, the last one targeting END. Each
+    distinct variant is sliced once; its repeats reuse the same entries.
     """
     if not log.traces:
         raise ValueError("cannot build a prefix log from an empty event log")
     entries = []
+    pairs_of = {}
     for trace in log.traces:
-        labels = variant_of(trace) + (END,)
-        for k in range(1, len(labels)):
-            entries.append((tuple(labels[:k]), labels[k]))
+        variant = variant_of(trace)
+        pairs = pairs_of.get(variant)
+        if pairs is None:
+            labels = variant + (END,)
+            pairs = pairs_of[variant] = [(labels[:k], labels[k]) for k in range(1, len(labels))]
+        entries.extend(pairs)
     return PrefixLog(entries=tuple(entries))
 
 
@@ -320,17 +325,19 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
     Trace i starts at ``start`` + i minutes; events are one minute apart.
     """
     start = start or datetime(2020, 1, 1, tzinfo=timezone.utc)
+    # datetimes are immutable, so events at the same instant share one; the
+    # key is the float itself, so sharing never changes a timestamp
+    stamp_of = {}
     traces = []
     for i, labels in enumerate(variants):
         case = case_ids[i] if case_ids is not None else f"case_{i + 1:04d}"
         base = start.timestamp() + 60.0 * i
-        events = tuple(
-            Event(
-                activity=lab,
-                case_id=case,
-                timestamp=datetime.fromtimestamp(base + 60.0 * j, tz=timezone.utc),
-            )
-            for j, lab in enumerate(labels)
-        )
-        traces.append(Trace(case_id=case, events=events))
+        events = []
+        for j, lab in enumerate(labels):
+            t = base + 60.0 * j
+            stamp = stamp_of.get(t)
+            if stamp is None:
+                stamp = stamp_of[t] = datetime.fromtimestamp(t, tz=timezone.utc)
+            events.append(Event(activity=lab, case_id=case, timestamp=stamp))
+        traces.append(Trace(case_id=case, events=tuple(events)))
     return EventLog.from_traces(traces)

@@ -146,9 +146,9 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, beam
     return tuple(cells)
 
 
-def _cases(log: EventLog, k: int) -> list:
-    """The (prefix, true suffix) case of every trace longer than k, in log order."""
-    return [(prefix(v, k), suffix(v, k)) for v in map(variant_of, log.traces) if len(v) > k]
+def _cases(variants, k: int) -> list:
+    """The (prefix, true suffix) case of every variant longer than k, in order."""
+    return [(prefix(v, k), suffix(v, k)) for v in variants if len(v) > k]
 
 
 def evaluate_dataset(
@@ -161,9 +161,10 @@ def evaluate_dataset(
     prefix_lengths=DEFAULT_PREFIX_LENGTHS,
 ) -> SweepResult:
     """Sweep the modulation weight over the test log's cases at each prefix length."""
+    variants = [variant_of(trace) for trace in test_log.traces]
     cases_by_k = {}
     for k in prefix_lengths:
-        cases = _cases(test_log, k)
+        cases = _cases(variants, k)
         if cases:
             cases_by_k[k] = cases
         else:
@@ -271,7 +272,7 @@ def run_reallife_experiment(
         except ValueError as exc:
             warnings.warn(f"{dataset}: k={k} skipped ({exc})")
             continue
-        cases_by_k[k] = _cases(held_out, k)
+        cases_by_k[k] = _cases(map(variant_of, held_out.traces), k)
     if not cases_by_k:
         raise ValueError(f"{dataset}: every prefix length produced an empty holdout")
     predictor, _ = train_predictor(log, predictor_kind, ngram_order, ngram_alpha, epochs)

@@ -34,6 +34,7 @@ equivalence tests rely on.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,7 +129,11 @@ class NGramModel:
 
 
 def train_ngram(prefix_log: PrefixLog, vocab: Vocabulary, order: int = 3, alpha: float = 0.01) -> NGramModel:
-    """Count (last <= order labels -> next label) over the prefix log."""
+    """Count (last <= order labels -> next label) over the prefix log.
+
+    Each distinct (prefix, next) pair is encoded once and counted with its
+    multiplicity; contexts keep the order of their first occurrence.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
     if alpha < 0:
@@ -137,12 +142,12 @@ def train_ngram(prefix_log: PrefixLog, vocab: Vocabulary, order: int = 3, alpha:
         raise ValueError("empty prefix log")
     n = len(vocab)
     counts = {}
-    for prefix, nxt in prefix_log.entries:
+    for (prefix, nxt), multiplicity in Counter(prefix_log.entries).items():
         ids = vocab.encode_labels(prefix)
         ctx = ids[-order:] if order < len(ids) else ids
         row = counts.get(ctx)
         if row is None:
             row = np.zeros(n, dtype=np.int64)
             counts[ctx] = row
-        row[vocab.index_of(nxt)] += 1
+        row[vocab.index_of(nxt)] += multiplicity
     return NGramModel(vocab=vocab, order=order, alpha=alpha, counts=counts)

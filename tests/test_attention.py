@@ -61,6 +61,14 @@ def test_padding_rows_cannot_influence_output():
     assert np.array_equal(clean, got)  # bitwise: masking is exact, not approximate
 
 
+def test_forward_rejects_an_all_padding_row():
+    model = tiny_model()
+    x, mask = model._encode([("A",), ("B", "C")])
+    mask[1] = False  # an empty prefix: no real key to attend to, nothing to pool
+    with pytest.raises(ValueError, match="real position"):
+        model.forward(x, mask)
+
+
 def test_prefix_window_keeps_most_recent_labels():
     model = tiny_model()
     long_prefix = ("C", "C", "B", "A", "B", "C", "A")

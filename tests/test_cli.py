@@ -368,6 +368,16 @@ def test_default_synthetic_sweep_output_is_locked(tmp_path, capsys):
     }
 
 
+def test_default_synthgen_output_is_locked(workspace):
+    digests = {name: hashlib.sha256((workspace["root"] / name).read_bytes()).hexdigest()
+               for name in ("train.xes", "test.xes", "exceptional.pnml")}
+    assert digests == {
+        "train.xes": "000f1f6e169e67849733384e2f677835a463ac2f11dfde139badaed2a12d3da4",
+        "test.xes": "fda78deab87592044836d50147c297475cbcc4b9be438312672159b137df253d",
+        "exceptional.pnml": "cddcece310b9ca49a3abbf9f43d8810291979c44c2a36b51566320b407c6e2a4",
+    }
+
+
 @pytest.mark.parametrize(
     "flag,value,fragment",
     [

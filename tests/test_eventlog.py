@@ -1,6 +1,6 @@
 import io
 import re
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,8 @@ from suffixbeam.eventlog import (
     variant_of,
     write_xes,
 )
+
+from logs import repetitive_variants
 
 UTC = timezone.utc
 
@@ -115,6 +117,18 @@ def test_build_prefix_log_multiplicities():
 def test_build_prefix_log_single_event_trace():
     log = log_from_variants([("A",)])
     assert build_prefix_log(log).entries == ((("A",), END),)
+
+
+@settings(max_examples=100)
+@given(repetitive_variants())
+def test_build_prefix_log_equals_per_trace_slicing(variants):
+    log = log_from_variants(variants)
+    want = tuple(
+        (labels[:k], labels[k])
+        for labels in (variant_of(trace) + (END,) for trace in log.traces)
+        for k in range(1, len(labels))
+    )
+    assert build_prefix_log(log).entries == want
 
 
 def test_build_prefix_log_empty_log():
@@ -363,3 +377,25 @@ def test_log_from_variants_layout():
     assert t0.events[0].timestamp == datetime(2020, 1, 1, 0, 0, 0, tzinfo=UTC)
     assert t0.events[1].timestamp == datetime(2020, 1, 1, 0, 1, 0, tzinfo=UTC)
     assert t1.events[0].timestamp == datetime(2020, 1, 1, 0, 1, 0, tzinfo=UTC)
+
+
+@settings(max_examples=100)
+@given(
+    repetitive_variants(),
+    st.datetimes(
+        min_value=datetime(1990, 1, 1),
+        max_value=datetime(2100, 1, 1),
+        timezones=st.sampled_from([timezone(timedelta(hours=-5)), timezone(timedelta(hours=5, minutes=30))]),
+    ),
+)
+def test_log_from_variants_equals_per_event_timestamps(variants, start):
+    case_ids = [f"id-{len(variants) - i}" for i in range(len(variants))]
+    log = log_from_variants(variants, case_ids=case_ids, start=start)
+    assert [(t.case_id, variant_of(t)) for t in log.traces] == list(zip(case_ids, variants))
+    for i, trace in enumerate(log.traces):
+        base = start.timestamp() + 60.0 * i
+        want = [datetime.fromtimestamp(base + 60.0 * j, tz=UTC) for j in range(len(trace))]
+        got = [ev.timestamp for ev in trace.events]
+        # equal instants in the same zone, to the microsecond
+        assert [ts.isoformat() for ts in got] == [ts.isoformat() for ts in want]
+        assert all(ev.case_id == trace.case_id for ev in trace.events)

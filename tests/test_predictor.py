@@ -7,6 +7,8 @@ from suffixbeam.encoding import Vocabulary, build_vocabulary
 from suffixbeam.eventlog import END, build_prefix_log, log_from_variants
 from suffixbeam.predictor import NGramModel, train_ngram
 
+from logs import repetitive_variants
+
 
 @pytest.fixture
 def tiny_model():
@@ -115,3 +117,19 @@ def test_probabilities_sum_to_one_and_stay_inside_unit_interval(variants, prefix
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     # strict bounds: with alpha > 0 nothing is ever impossible or certain
     assert np.all(probs > 0.0) and np.all(probs < 1.0)
+
+
+@settings(max_examples=100)
+@given(repetitive_variants(), st.integers(min_value=1, max_value=4))
+def test_counts_equal_per_entry_counting(variants, order):
+    log = log_from_variants(variants)
+    vocab = build_vocabulary(log)
+    plog = build_prefix_log(log)
+    want = {}
+    for prefix, nxt in plog.entries:
+        ctx = tuple(vocab.index_of(label) for label in prefix[-order:])
+        want.setdefault(ctx, np.zeros(len(vocab), dtype=np.int64))[vocab.index_of(nxt)] += 1
+    counts = train_ngram(plog, vocab, order=order).counts
+    assert list(counts) == list(want)  # the same contexts, first seen first
+    for ctx, row in want.items():
+        assert counts[ctx].dtype == row.dtype and counts[ctx].tolist() == row.tolist()
