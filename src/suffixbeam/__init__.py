@@ -7,7 +7,7 @@ that encodes background knowledge the model may not have seen often enough
 to trust.
 """
 
-from .attention import AttentionConfig, AttentionModel, finite_difference_check, train_attention
+from .attention import AttentionConfig, AttentionModel, train_attention
 from .beam import (
     BeamConfig,
     BeamResult,
@@ -19,7 +19,6 @@ from .beam import (
 from .encoding import Vocabulary, build_vocabulary
 from .eventlog import (
     END,
-    Event,
     EventLog,
     PrefixLog,
     Trace,
@@ -67,7 +66,6 @@ __all__ = [
     "BeamConfig",
     "BeamResult",
     "END",
-    "Event",
     "EventLog",
     "NGramModel",
     "PetriNet",
@@ -89,7 +87,6 @@ __all__ = [
     "dl_distance",
     "dl_similarity",
     "evaluate_dataset",
-    "finite_difference_check",
     "fitness",
     "generate",
     "log_from_variants",

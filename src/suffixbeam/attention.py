@@ -8,7 +8,7 @@ dropout, and a dense softmax head over the vocabulary (END included).
 
 Everything — forward, backward, Adam — is hand-written on numpy arrays in
 float64. That keeps the model portable and makes the gradients checkable
-against central finite differences (see :func:`finite_difference_check`),
+against central finite differences (``tests/gradient_oracle.py``),
 which is the correctness anchor for the whole module.
 
 Padding is handled by masking, never by the padded values themselves:
@@ -428,35 +428,3 @@ def train_attention(
     model.params = best_params
     return model, history
 
-
-def finite_difference_check(
-    model: AttentionModel,
-    x: np.ndarray,
-    mask: np.ndarray,
-    targets: np.ndarray,
-    step: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Dropout is off (no rng passed), so the loss is deterministic in the
-    parameters. Every scalar parameter is perturbed individually.
-    """
-    probs, cache = model.forward(x, mask)
-    grads = model.backward(cache, targets)
-    worst = 0.0
-    for name, param in model.params.items():
-        flat = param.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up, _ = model.forward(x, mask)
-            loss_up = model.loss(up, targets)
-            flat[i] = orig - step
-            down, _ = model.forward(x, mask)
-            loss_down = model.loss(down, targets)
-            flat[i] = orig
-            numeric = (loss_up - loss_down) / (2.0 * step)
-            denom = max(abs(numeric), abs(gflat[i]), 1e-6)
-            worst = max(worst, abs(numeric - gflat[i]) / denom)
-    return worst

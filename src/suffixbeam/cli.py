@@ -62,8 +62,10 @@ def _load_log(path: str, csv_columns: str | None):
     if not p.exists():
         raise FileNotFoundError(f"event log not found: {path}")
     if p.suffix.lower() == ".csv":
-        case_col, act_col, time_col = (csv_columns or "case_id,activity,timestamp").split(",")
-        return parse_csv(p, case_col=case_col.strip(), activity_col=act_col.strip(), time_col=time_col.strip())
+        columns = [name.strip() for name in (csv_columns or "case_id,activity,timestamp").split(",")]
+        if len(columns) != 3:
+            raise ValueError(f"--csv-columns takes 3 names (case,activity,timestamp), got {len(columns)}")
+        return parse_csv(p, *columns)
     return parse_xes(p)
 
 
@@ -213,7 +215,7 @@ def _cmd_split(args) -> int:
     out = _out_dir(args.out)
     path = out / "heldout.xes"
     write_xes(held_out, path)
-    variants = {tuple(e.activity for e in t.events) for t in held_out.traces}
+    variants = {t.activities for t in held_out.traces}
     print(f"held out {len(held_out.traces)} traces ({len(variants)} variants) at k={args.k} -> {path}")
     return 0
 

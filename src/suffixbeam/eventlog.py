@@ -1,9 +1,9 @@
 """Event logs: parsing, slicing, and prefix-log construction.
 
-An event is an (activity, case, timestamp) triple; a trace is the ordered
-history of one case; a log is a collection of traces. Everything downstream
-works on *variants* — the activity-label projection of a trace, represented
-as a plain tuple of strings — so the functions here are the only place that
+A trace is one case: its id and two columns of equal length, the activity
+labels in time order and their UTC timestamps. A log is a collection of
+traces. Everything downstream works on *variants* — a trace's label column,
+a plain tuple of strings — so the functions here are the only place that
 touches timestamps or raw files.
 
 Why this exists: suffix prediction trains on the *prefix log* (every prefix
@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-
-logger = logging.getLogger(__name__)
 
 #: Reserved completion label appended to traces when building prefix logs.
 #: Rejected if it occurs in input data.
@@ -32,35 +29,30 @@ Variant = tuple  # a variant is a tuple of activity labels
 
 
 @dataclass(frozen=True, slots=True)
-class Event:
-    activity: str
-    case_id: str
-    timestamp: datetime
-    attrs: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        if not self.activity:
-            raise ValueError("event with empty activity label")
-        if not self.case_id:
-            raise ValueError("event with empty case id")
-
-
-@dataclass(frozen=True, slots=True)
 class Trace:
+    """One case: its activity labels in time order and their timestamps."""
+
     case_id: str
-    events: tuple
+    activities: tuple  # of str
+    timestamps: tuple  # of UTC datetimes, one per activity
 
     def __post_init__(self):
-        if not self.events:
+        if not self.case_id:
+            raise ValueError("trace with empty case id")
+        if not (isinstance(self.activities, tuple) and isinstance(self.timestamps, tuple)):
+            raise TypeError(f"trace {self.case_id!r}: activities and timestamps must be tuples")
+        if not self.activities:
             raise ValueError(f"trace {self.case_id!r} has no events")
-        for ev in self.events:
-            if ev.case_id != self.case_id:
-                raise ValueError(
-                    f"trace {self.case_id!r} contains event of case {ev.case_id!r}"
-                )
+        if not all(self.activities):
+            raise ValueError(f"trace {self.case_id!r} has an event with empty activity label")
+        if len(self.timestamps) != len(self.activities):
+            raise ValueError(
+                f"trace {self.case_id!r} has {len(self.activities)} activities"
+                f" but {len(self.timestamps)} timestamps"
+            )
 
     def __len__(self):
-        return len(self.events)
+        return len(self.activities)
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,7 @@ class EventLog:
     @staticmethod
     def from_traces(traces) -> "EventLog":
         traces = tuple(traces)
-        alphabet = frozenset(ev.activity for t in traces for ev in t.events)
+        alphabet = frozenset().union(*(t.activities for t in traces))
         if END in alphabet:
             raise ValueError(f"input data uses the reserved completion label {END!r}")
         return EventLog(traces=traces, alphabet=alphabet)
@@ -96,7 +88,7 @@ class PrefixLog:
 
 def variant_of(trace: Trace) -> Variant:
     """Project a trace to its sequence of activity labels."""
-    return tuple(ev.activity for ev in trace.events)
+    return trace.activities
 
 
 def prefix(variant: Variant, k: int) -> Variant:
@@ -226,22 +218,24 @@ def _read_xes_trace(trace, index: int) -> Trace:
         elif child.get("key") == "concept:name":
             case_id = child.get("value")
     case_id = case_id or f"trace_{index + 1}"
-    parsed = []
-    last_ts = datetime.fromtimestamp(0, tz=timezone.utc)
-    for i, attrs in enumerate(raw_events):
+    labels, stamps = [], []
+    ts = datetime.fromtimestamp(0, tz=timezone.utc)
+    for i, attrs in enumerate(raw_events, start=1):
         name = attrs.get("concept:name")
         if not name:
-            raise ValueError(f"event {i + 1} of trace {case_id!r} has no concept:name")
+            raise ValueError(f"event {i} of trace {case_id!r} has no concept:name")
         raw_ts = attrs.get("time:timestamp")
-        if raw_ts is None:
-            ts = last_ts  # keep document order under the stable sort
-        else:
-            ts = _parse_timestamp(raw_ts, f"trace {case_id!r} event {i + 1}")
-        last_ts = ts
-        extras = {k: v for k, v in attrs.items() if k not in ("concept:name", "time:timestamp")}
-        parsed.append(Event(activity=name, case_id=case_id, timestamp=ts, attrs=extras))
-    parsed.sort(key=lambda ev: ev.timestamp)  # stable: document order wins ties
-    return Trace(case_id=case_id, events=tuple(parsed))
+        if raw_ts is not None:  # else keep the previous instant, so the stable sort keeps its place
+            ts = _parse_timestamp(raw_ts, f"trace {case_id!r} event {i}")
+        labels.append(name)
+        stamps.append(ts)
+    return _in_time_order(case_id, labels, stamps)
+
+
+def _in_time_order(case_id: str, labels: list, stamps: list) -> Trace:
+    """A trace of the events sorted by timestamp; the sort is stable, so ties keep input order."""
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)
+    return Trace(case_id, tuple(labels[i] for i in order), tuple(stamps[i] for i in order))
 
 
 _XES_HEADER = (
@@ -262,12 +256,10 @@ def write_xes(log: EventLog, path) -> None:
         for trace in log.traces:
             fh.write("  <trace>\n")
             fh.write(f'    <string key="concept:name" value="{_escape(trace.case_id)}"/>\n')
-            for ev in trace.events:
+            for label, ts in zip(trace.activities, trace.timestamps):
                 fh.write("    <event>\n")
-                fh.write(f'      <string key="concept:name" value="{_escape(ev.activity)}"/>\n')
-                fh.write(
-                    f'      <date key="time:timestamp" value="{_format_timestamp(ev.timestamp)}"/>\n'
-                )
+                fh.write(f'      <string key="concept:name" value="{_escape(label)}"/>\n')
+                fh.write(f'      <date key="time:timestamp" value="{_format_timestamp(ts)}"/>\n')
                 fh.write("    </event>\n")
             fh.write("  </trace>\n")
         fh.write("</log>\n")
@@ -288,8 +280,7 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str) -> EventL
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return parse_csv(fh, case_col, activity_col, time_col)
     reader = csv.DictReader(source)
-    by_case = {}
-    order = []
+    by_case = {}  # case id -> (labels, timestamps), in order of first appearance
     try:
         if reader.fieldnames is None:
             raise ValueError("CSV input has no header row")
@@ -304,16 +295,12 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str) -> EventL
             if activity is None or activity == "":
                 raise ValueError(f"row {row_idx}: empty activity")
             ts = _parse_timestamp(row[time_col] or "", f"row {row_idx}")
-            if case not in by_case:
-                by_case[case] = []
-                order.append(case)
-            by_case[case].append(Event(activity=activity, case_id=case, timestamp=ts))
+            labels, stamps = by_case.setdefault(case, ([], []))
+            labels.append(activity)
+            stamps.append(ts)
     except csv.Error as exc:  # only the reader raises it, e.g. on a field over the size limit
         raise ValueError(f"malformed CSV after line {reader.line_num}: {exc}") from exc
-    traces = []
-    for case in order:
-        events = sorted(by_case[case], key=lambda ev: ev.timestamp)  # stable
-        traces.append(Trace(case_id=case, events=tuple(events)))
+    traces = [_in_time_order(case, labels, stamps) for case, (labels, stamps) in by_case.items()]
     if not traces:
         raise ValueError("CSV input contains no event rows")
     return EventLog.from_traces(traces)
@@ -332,12 +319,12 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
     for i, labels in enumerate(variants):
         case = case_ids[i] if case_ids is not None else f"case_{i + 1:04d}"
         base = start.timestamp() + 60.0 * i
-        events = []
-        for j, lab in enumerate(labels):
+        stamps = []
+        for j in range(len(labels)):
             t = base + 60.0 * j
             stamp = stamp_of.get(t)
             if stamp is None:
                 stamp = stamp_of[t] = datetime.fromtimestamp(t, tz=timezone.utc)
-            events.append(Event(activity=lab, case_id=case, timestamp=stamp))
-        traces.append(Trace(case_id=case, events=tuple(events)))
+            stamps.append(stamp)
+        traces.append(Trace(case, tuple(labels), tuple(stamps)))
     return EventLog.from_traces(traces)

@@ -15,7 +15,6 @@ import pytest
 from suffixbeam.attention import (
     AttentionConfig,
     AttentionModel,
-    finite_difference_check,
     train_attention,
 )
 from suffixbeam.beam import BeamConfig, baseline_beam, modulated_beam
@@ -41,6 +40,7 @@ from suffixbeam.petri import (
 from suffixbeam.predictor import train_ngram
 
 from beam_oracle import enumerate_best
+from gradient_oracle import finite_difference_check
 from nets import chain_net, flower_net
 from replay_reference import reference_replay
 from test_metrics import brute_osa
@@ -324,7 +324,7 @@ def test_prefix_split_recount():
     # larger ABCE is the runner-up; (G,H) holds out the 4 GHJ cases.
     expected_ids = [f"case_{i:04d}" for i in list(range(13, 25)) + list(range(40, 44))]
     assert [t.case_id for t in held.traces] == expected_ids
-    assert [tuple(e.activity for e in t.events) for t in held.traces] == (
+    assert [t.activities for t in held.traces] == (
         [("A", "B", "C", "E")] * 12 + [("G", "H", "J")] * 4
     )
 
@@ -334,7 +334,7 @@ def test_prefix_split_recount():
 
 
 def test_reallife_pipeline_emits_comparison_table(synth, tmp_path):
-    alphabet = sorted({e.activity for t in synth.train_log.traces for e in t.events})
+    alphabet = sorted({a for t in synth.train_log.traces for a in t.activities})
     write_pnml(synth.net, tmp_path / "bk_k3.pnml")
     write_pnml(flower_net(alphabet), tmp_path / "bk_k4.pnml")
 

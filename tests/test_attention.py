@@ -7,12 +7,13 @@ from suffixbeam.attention import (
     AttentionConfig,
     AttentionModel,
     EpochStats,
-    finite_difference_check,
     sinusoidal_encoding,
     train_attention,
 )
 from suffixbeam.encoding import Vocabulary, build_vocabulary
 from suffixbeam.eventlog import END, build_prefix_log, log_from_variants
+
+from gradient_oracle import finite_difference_check
 
 VOCAB4 = Vocabulary(labels=("A", "B", "C", END))
 

@@ -457,6 +457,15 @@ def test_csv_logs_with_custom_columns(tmp_path, capsys):
     assert (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("spec, count", [("case_id,activity", 2), ("case_id,activity,timestamp,resource", 4)])
+def test_csv_columns_must_name_three_columns(tmp_path, capsys, spec, count):
+    log = tmp_path / "tiny.csv"
+    log.write_text("case_id,activity,timestamp,resource\nc1,A,2024-01-01T00:00:00,r\n")
+    code, _, err = run(capsys, ["split", "--log", str(log), "--k", "1", "--csv-columns", spec])
+    assert code == 1
+    assert f"--csv-columns takes 3 names (case,activity,timestamp), got {count}" in err
+
+
 def test_config_file_values_lose_to_any_explicit_flag(workspace, tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"order": 2}))

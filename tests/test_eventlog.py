@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from suffixbeam import eventlog
 from suffixbeam.eventlog import (
     END,
-    Event,
     EventLog,
     Trace,
     build_prefix_log,
@@ -27,26 +26,46 @@ from logs import repetitive_variants
 UTC = timezone.utc
 
 
-def ev(activity, case="c1", ts=None):
-    return Event(activity=activity, case_id=case, timestamp=ts or datetime(2021, 3, 4, tzinfo=UTC))
+EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+
+
+def at(*minutes):
+    return tuple(datetime(2021, 3, 4, tzinfo=UTC) + timedelta(minutes=m) for m in minutes)
+
+
+def in_time_order(events):
+    """Reference: the (label, epoch-ms) events of one case as its two columns, stably sorted by time."""
+    ordered = sorted(events, key=lambda e: e[1])  # sorted() is stable
+    labels = tuple(label for label, _ in ordered)
+    return labels, tuple(EPOCH + timedelta(milliseconds=ms) for _, ms in ordered)
+
+
+def columns(log):
+    return [(t.case_id, t.activities, t.timestamps) for t in log.traces]
+
+
+# few distinct instants, so that ties are common
+MILLIS = st.sampled_from([0, 1000, 2000])
 
 
 # ---------------------------------------------------------------------------
 # construction / validation
 
 
-def test_event_requires_activity_and_case():
-    with pytest.raises(ValueError, match="empty activity"):
-        Event(activity="", case_id="c", timestamp=datetime(2021, 1, 1, tzinfo=UTC))
+def test_trace_validates_its_columns():
     with pytest.raises(ValueError, match="empty case id"):
-        Event(activity="A", case_id="", timestamp=datetime(2021, 1, 1, tzinfo=UTC))
-
-
-def test_trace_rejects_empty_and_foreign_events():
-    with pytest.raises(ValueError, match="no events"):
-        Trace(case_id="c1", events=())
-    with pytest.raises(ValueError, match="contains event of case"):
-        Trace(case_id="c1", events=(ev("A", case="c2"),))
+        Trace(case_id="", activities=("A",), timestamps=at(0))
+    with pytest.raises(ValueError, match="trace 'c1' has no events"):
+        Trace(case_id="c1", activities=(), timestamps=())
+    with pytest.raises(TypeError, match="activities and timestamps must be tuples"):
+        Trace(case_id="c1", activities=["A"], timestamps=at(0))  # a list variant is no dict key
+    with pytest.raises(ValueError, match="trace 'c1' has an event with empty activity label"):
+        Trace(case_id="c1", activities=("A", ""), timestamps=at(0, 1))
+    with pytest.raises(ValueError, match="trace 'c1' has 2 activities but 1 timestamps"):
+        Trace(case_id="c1", activities=("A", "B"), timestamps=at(0))
+    with pytest.raises(ValueError, match="trace 'c1' has 1 activities but 2 timestamps"):
+        Trace(case_id="c1", activities=("A",), timestamps=at(0, 1))
+    assert len(Trace(case_id="c1", activities=("A", "B"), timestamps=at(0, 1))) == 2
 
 
 def test_log_alphabet_and_reserved_label():
@@ -62,7 +81,7 @@ def test_log_alphabet_and_reserved_label():
 
 
 def test_variant_of():
-    t = Trace(case_id="c1", events=(ev("A"), ev("B"), ev("A")))
+    t = Trace(case_id="c1", activities=("A", "B", "A"), timestamps=at(0, 0, 0))
     assert variant_of(t) == ("A", "B", "A")
 
 
@@ -184,7 +203,7 @@ def test_parse_xes_default_case_id_and_epoch_millis():
     </trace></log>"""
     log = parse_xes(doc)
     assert log.traces[0].case_id == "trace_1"
-    assert log.traces[0].events[0].timestamp == datetime(2021, 1, 1, tzinfo=UTC)
+    assert log.traces[0].timestamps == (datetime(2021, 1, 1, tzinfo=UTC),)
 
 
 def test_parse_xes_missing_activity():
@@ -213,7 +232,28 @@ def test_parse_xes_reads_only_direct_children_of_a_trace():
     trace = parse_xes(doc).traces[0]
     assert trace.case_id == "c1"
     assert variant_of(trace) == ("A",)
-    assert trace.events[0].attrs == {"l": None}
+
+
+@settings(max_examples=100)
+@given(st.lists(st.lists(st.tuples(st.sampled_from("ABC"), st.none() | MILLIS), min_size=1, max_size=8),
+                min_size=1, max_size=4))
+def test_parse_xes_orders_events_like_a_stable_sort(traces):
+    doc = "<log>"
+    want = []
+    for i, events in enumerate(traces):
+        doc += f'<trace><string key="concept:name" value="t{i}"/>'
+        timed, ms = [], 0  # an event without a timestamp keeps the previous instant
+        for label, stamp in events:
+            doc += f'<event><string key="concept:name" value="{label}"/>'
+            if stamp is not None:
+                doc += f'<date key="time:timestamp" value="{stamp}"/>'
+                ms = stamp
+            doc += "</event>"
+            timed.append((label, ms))
+        doc += "</trace>"
+        want.append((f"t{i}", *in_time_order(timed)))
+    doc += "</log>"
+    assert columns(parse_xes(doc.encode())) == want
 
 
 @pytest.mark.parametrize(
@@ -246,8 +286,8 @@ def test_instants_outside_the_utc_range_name_their_place(text):
 def test_parsed_timestamps_are_utc():
     raw = b"case,activity,time\nc1,A,2021-01-01T10:00:00+02:00\nc1,B,0001-01-01T01:30:00+01:00\n"
     log = parse_csv(raw, "case", "activity", "time")
-    stamps = [ev.timestamp for ev in log.traces[0].events]
-    assert stamps == [datetime(1, 1, 1, 0, 30, tzinfo=UTC), datetime(2021, 1, 1, 8, tzinfo=UTC)]
+    stamps = log.traces[0].timestamps
+    assert stamps == (datetime(1, 1, 1, 0, 30, tzinfo=UTC), datetime(2021, 1, 1, 8, tzinfo=UTC))
     assert all(ts.tzinfo is UTC for ts in stamps)
 
 
@@ -264,9 +304,7 @@ def test_xes_round_trip(tmp_path):
     back = parse_xes(str(path))
     assert [t.case_id for t in back.traces] == ["x", "y", "z"]
     assert [variant_of(t) for t in back.traces] == [variant_of(t) for t in log.traces]
-    assert [
-        [e.timestamp for e in t.events] for t in back.traces
-    ] == [[e.timestamp for e in t.events] for t in log.traces]
+    assert [t.timestamps for t in back.traces] == [t.timestamps for t in log.traces]
     # determinism: a second write produces identical bytes
     path2 = tmp_path / "out2.xes"
     write_xes(log, path2)
@@ -299,16 +337,26 @@ def test_parse_csv_groups_and_sorts():
     assert variant_of(log.traces[0]) == ("A", "C", "B")
 
 
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from(["c1", "c2", "c3"]), st.sampled_from("ABC"), MILLIS),
+                min_size=1, max_size=20))
+def test_parse_csv_groups_and_orders_rows_like_a_stable_sort(rows):
+    raw = "case,activity,time\n" + "".join(f"{case},{label},{ms}\n" for case, label, ms in rows)
+    cases = list(dict.fromkeys(case for case, _, _ in rows))  # by first appearance
+    want = [(case, *in_time_order([(label, ms) for c, label, ms in rows if c == case])) for case in cases]
+    assert columns(parse_csv(raw.encode(), "case", "activity", "time")) == want
+
+
 def test_parse_csv_from_bytes_and_epoch():
     raw = b"case,activity,time\nc1,A,1609459200000\n"
     log = parse_csv(raw, "case", "activity", "time")
-    assert log.traces[0].events[0].timestamp == datetime(2021, 1, 1, tzinfo=UTC)
+    assert log.traces[0].timestamps == (datetime(2021, 1, 1, tzinfo=UTC),)
 
 
 def test_parse_csv_naive_timestamp_is_utc():
     raw = b"case,activity,time\nc1,A,2021-01-01T10:00:00\n"
     log = parse_csv(raw, "case", "activity", "time")
-    assert log.traces[0].events[0].timestamp == datetime(2021, 1, 1, 10, tzinfo=UTC)
+    assert log.traces[0].timestamps == (datetime(2021, 1, 1, 10, tzinfo=UTC),)
 
 
 def test_parse_csv_closes_a_path_it_opens(tmp_path, monkeypatch):
@@ -374,9 +422,8 @@ def test_log_from_variants_layout():
     log = log_from_variants([("A", "B"), ("C",)])
     assert [t.case_id for t in log.traces] == ["case_0001", "case_0002"]
     t0, t1 = log.traces
-    assert t0.events[0].timestamp == datetime(2020, 1, 1, 0, 0, 0, tzinfo=UTC)
-    assert t0.events[1].timestamp == datetime(2020, 1, 1, 0, 1, 0, tzinfo=UTC)
-    assert t1.events[0].timestamp == datetime(2020, 1, 1, 0, 1, 0, tzinfo=UTC)
+    assert t0.timestamps == (datetime(2020, 1, 1, 0, 0, tzinfo=UTC), datetime(2020, 1, 1, 0, 1, tzinfo=UTC))
+    assert t1.timestamps == (datetime(2020, 1, 1, 0, 1, 0, tzinfo=UTC),)
 
 
 @settings(max_examples=100)
@@ -395,7 +442,5 @@ def test_log_from_variants_equals_per_event_timestamps(variants, start):
     for i, trace in enumerate(log.traces):
         base = start.timestamp() + 60.0 * i
         want = [datetime.fromtimestamp(base + 60.0 * j, tz=UTC) for j in range(len(trace))]
-        got = [ev.timestamp for ev in trace.events]
         # equal instants in the same zone, to the microsecond
-        assert [ts.isoformat() for ts in got] == [ts.isoformat() for ts in want]
-        assert all(ev.case_id == trace.case_id for ev in trace.events)
+        assert [ts.isoformat() for ts in trace.timestamps] == [ts.isoformat() for ts in want]

@@ -88,4 +88,4 @@ def test_mutated_documents_parse_or_raise_value_error(seeds, kind, encoding, ste
     if isinstance(result, PetriNet):
         assert result.compiled.in_w.shape == (len(result.transitions), len(result.places))
     else:
-        assert result.traces and all(t.events for t in result.traces)
+        assert result.traces and all(t.activities for t in result.traces)
