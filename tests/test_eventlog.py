@@ -52,15 +52,23 @@ MILLIS = st.sampled_from([0, 1000, 2000])
 # construction / validation
 
 
-def test_trace_validates_its_columns():
-    with pytest.raises(ValueError, match="empty case id"):
-        Trace(case_id="", activities=("A",), timestamps=at(0))
-    with pytest.raises(ValueError, match="trace 'c1' has no events"):
-        Trace(case_id="c1", activities=(), timestamps=())
-    with pytest.raises(TypeError, match="activities and timestamps must be tuples"):
-        Trace(case_id="c1", activities=["A"], timestamps=at(0))  # a list variant is no dict key
+def test_event_requires_activity_and_case():
     with pytest.raises(ValueError, match="trace 'c1' has an event with empty activity label"):
         Trace(case_id="c1", activities=("A", ""), timestamps=at(0, 1))
+    with pytest.raises(ValueError, match="empty case id"):
+        Trace(case_id="", activities=("A",), timestamps=at(0))
+
+
+def test_trace_rejects_empty_and_foreign_events():
+    # the case id is held once per trace, so every event belongs to it
+    with pytest.raises(ValueError, match="trace 'c1' has no events"):
+        Trace(case_id="c1", activities=(), timestamps=())
+    assert Trace(case_id="c1", activities=("A",), timestamps=at(0)).case_id == "c1"
+
+
+def test_trace_validates_its_columns():
+    with pytest.raises(TypeError, match="activities and timestamps must be tuples"):
+        Trace(case_id="c1", activities=["A"], timestamps=at(0))  # a list variant is no dict key
     with pytest.raises(ValueError, match="trace 'c1' has 2 activities but 1 timestamps"):
         Trace(case_id="c1", activities=("A", "B"), timestamps=at(0))
     with pytest.raises(ValueError, match="trace 'c1' has 1 activities but 2 timestamps"):
