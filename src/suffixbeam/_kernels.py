@@ -2,9 +2,10 @@
 
 Markings are int32 arrays with no negative count (the net rejects one). A
 firing that would take a count past the int32 range raises ValueError
-instead of wrapping. The kernels run only when a net's replay memo misses (see
-:class:`suffixbeam.petri.CompiledNet`) and return new arrays, never writing
-to the marking they are given.
+instead of wrapping. The kernels are the miss path of a net's reachability
+graph (see :class:`suffixbeam.petri.CompiledNet`): they run once per state
+and label, or per state for the finish, and return new arrays, never
+writing to the marking they are given.
 
 Replay conventions baked into these kernels (the rest of the package and
 the test oracles mirror them):
@@ -21,7 +22,11 @@ the test oracles mirror them):
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 SILENT_BFS_DEPTH = 10
 # Distinct markings one silent search may hold before it gives up.
@@ -38,8 +43,10 @@ def silent_path_to(net, marking, req):
     BFS over reachable markings; children are generated in silent-id order,
     so the first goal hit is the shortest, earliest sequence. The search
     gives up once it holds NODE_CAP distinct markings and an enabled silent
-    firing would add another (the cap is checked before the duplicate test).
-    Returns the transition rows of the path, or None when there is none.
+    firing would add another (the cap is checked before the duplicate test),
+    and logs that at WARNING, since the replay then charges missing tokens a
+    path might have avoided. Returns the transition rows of the path, or None
+    when there is none or the search gave up.
     """
     if (marking >= req).all():
         return []
@@ -56,7 +63,9 @@ def silent_path_to(net, marking, req):
         if depth[head] < SILENT_BFS_DEPTH:
             for j in np.flatnonzero((node >= silent_in).all(axis=1)):
                 if len(nodes) >= NODE_CAP:
-                    return None  # search space truncated; give up
+                    logger.warning("silent search gave up after %d markings; the replay step"
+                                   " charges the tokens it could not enable as missing", NODE_CAP)
+                    return None
                 child = node + silent_delta[j]
                 key = child.tobytes()
                 if key in seen:

@@ -32,14 +32,17 @@ factor.
 A candidate is a plain tuple ``(log_score, ids, labels, terminated,
 replay)``, ranked by ``(-log_score, ids)``: ``labels`` are the predicted
 content labels (END excluded), ``ids`` their vocabulary indices (END
-included once terminated), and ``replay`` is ``(marking, produced,
-consumed, missing)`` after prefix + labels, or None when the beam is not
-modulated. The root prefix is replayed with a
-:class:`~suffixbeam.petri.ReplayState`; a child then steps by reading the
-net's replay memo (``CompiledNet.replay_label``, ``residual``, ``finish``)
-and scores its counters with :func:`~suffixbeam.petri.fitness_counts`. One
-stable argsort over the step's ``(n, |V|)`` batch of rows picks the labels
-every open candidate expands by.
+included once terminated), and ``replay`` is ``(sid, produced, consumed,
+missing)`` after prefix + labels, or None when the beam is not modulated;
+``sid`` is a state id of the net's reachability graph
+(:class:`~suffixbeam.petri.CompiledNet`). The prefix is replayed with a
+fresh :class:`~suffixbeam.petri.ReplayState`, which clears a graph past its
+cap, so ids stay valid for the whole beam. A child then costs one lookup,
+``steps[sid][label]``, which also carries the successor's residual; a
+completion reads ``finish[sid]``. Counters are scored with
+:func:`~suffixbeam.petri.fitness_counts`. One stable argsort over the
+step's ``(n, |V|)`` batch of rows picks the labels every open candidate
+expands by.
 
 Scores accumulate in log space and are exponentiated for reporting.
 Probabilities are floored at 1e-12 before the log so a zero can never
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eventlog import END
-from .petri import CompiledNet, PetriNet, ReplayState, compliance, fitness_counts
+from .petri import CompiledNet, PetriNet, _replayed, compliance, fitness_counts
 
 PROB_FLOOR = 1e-12
 
@@ -108,8 +111,8 @@ def _better(a, b):
 
 
 def _complete_fitness(compiled: CompiledNet, replay) -> float:
-    marking, produced, consumed, missing = replay
-    m, c, p, r, _ = compiled.finish(marking)
+    sid, produced, consumed, missing = replay
+    m, c, p, r, _ = compiled.complete(sid)
     return fitness_counts(produced + p, consumed + c, missing + m, r)
 
 
@@ -123,10 +126,12 @@ def _expand(
     ``predict_proba_batch`` call giving the rows of all of them and one
     stable argsort ranking every row. A child scores its parent's log score
     plus (1-w)·log p and, when w > 0, w·log of its replay compliance
-    (complete for END, partial otherwise) read from ``compiled``'s replay
-    memo. Terminated candidates are carried over unchanged.
+    (complete for END, partial otherwise) read from ``compiled``'s
+    reachability graph: one step-table lookup per child. Terminated
+    candidates are carried over unchanged.
     """
     vocab = predictor.vocab
+    steps = compiled.steps if w > 0.0 else None
     end_idx = vocab.index_of(END)
     open_cands = [cand for cand in pool if not cand[3]]
     rows = predictor.predict_proba_batch([prefix + cand[2] for cand in open_cands])
@@ -150,14 +155,13 @@ def _expand(
             label = vocab.labels[idx]
             child_replay = None
             if w > 0.0:
-                marking, produced, consumed, missing = replay
-                marking, m, c, p = compiled.replay_label(marking, label)
+                sid, produced, consumed, missing = replay
+                sid, m, c, p, r = steps[sid].get(label) or compiled.step(sid, label)
                 missing += m
                 consumed += c
                 produced += p
-                remaining = compiled.residual(marking) if strict else 0
-                child_log += w * _log_compliance(fitness_counts(produced, consumed, missing, remaining))
-                child_replay = (marking, produced, consumed, missing)
+                child_log += w * _log_compliance(fitness_counts(produced, consumed, missing, r if strict else 0))
+                child_replay = (sid, produced, consumed, missing)
             expansions.append((child_log, ids + (idx,), labels + (label,), False, child_replay))
     expansions.sort(key=_sort_key)
     return expansions
@@ -173,10 +177,8 @@ def _run_beam(prefix, predictor, config: BeamConfig, net: PetriNet | None) -> Be
     compiled, root_replay = None, None
     if w > 0.0:
         compiled = net.compiled
-        state = ReplayState(compiled)
-        for label in prefix:
-            state.step(label)
-        root_replay = (state.marking, state.produced, state.consumed, state.missing)
+        state = _replayed(net, prefix)  # a fresh state clears a full graph: no id outlives its beam
+        root_replay = (compiled.state(state.marking), state.produced, state.consumed, state.missing)
     pool = [(0.0, (), (), False, root_replay)]
 
     best_terminated = None

@@ -66,6 +66,8 @@ def _load_log(path: str, csv_columns: str | None):
         if len(columns) != 3:
             raise ValueError(f"--csv-columns takes 3 names (case,activity,timestamp), got {len(columns)}")
         return parse_csv(p, *columns)
+    if csv_columns is not None:
+        raise ValueError(f"--csv-columns applies only to a .csv log, not {p.name}")
     return parse_xes(p)
 
 

@@ -31,14 +31,13 @@ from .eventlog import END, _escape, _local, _xml_elements
 
 logger = logging.getLogger(__name__)
 
-# Entries per net. An entry takes a few hundred bytes on a 16-place net
-# (240 B on average), so a full memo stays under 2 MB; the benchmark's nets
-# reach a few hundred entries.
+# States per net's reachability graph. On the benchmark's 16-place net a
+# state takes about 410 B plus 130 B per label stepped from it: its beams
+# visit 145 states of 470 B, and a full graph with all 11 labels stepped
+# from every state takes 7.7 MB.
 REPLAY_MEMO_CAP = 4096
 # Markings are int32 arrays, so no place may hold more tokens than this.
 TOKEN_MAX = int(np.iinfo(np.int32).max)
-_RESIDUAL = object()  # memo-key tags beside the labels of replay steps
-_COMPLETE = object()
 
 
 @dataclass(frozen=True)
@@ -114,17 +113,24 @@ class PetriNet:
 
 
 class CompiledNet:
-    """Array form of a net for the replay kernels, plus its replay memo.
+    """Array form of a net for the replay kernels, plus its reachability graph.
 
-    Replay outcomes depend only on the marking (and the label replayed), so
-    each is computed once per net and kept in ``memo``: in effect the net's
-    reachability graph, built lazily as replay visits it. Keys are
-    ``(marking bytes, label)`` for steps and ``(marking bytes, tag)`` for
-    the strict residual and the complete-replay finish. Markings handed out
-    are read-only arrays, shared by every state that reaches them. The memo
-    is emptied when it would exceed :data:`REPLAY_MEMO_CAP` entries. There
-    is no reference back to the net, so dropping a net frees its memo at
-    once rather than at the next full garbage collection.
+    Replay outcomes depend only on the marking and the label, so the net
+    keeps the part of its reachability graph (Murata 1989) that replay has
+    visited, each marking interned as an int state id: ``markings[sid]`` is
+    the read-only marking, ``id_of[marking bytes]`` its id, ``residual[sid]``
+    its tokens not explainable as part of the final marking (the strict
+    penalty). ``steps[sid][label]`` is the step ``(sid', Δmissing,
+    Δconsumed, Δproduced, residual[sid'])`` and ``finish[sid]`` the outcome
+    of consuming the final marking; :meth:`step` and :meth:`complete` fill
+    them through the kernels on a miss.
+
+    Ids stay valid until :meth:`clear`. Only a fresh :class:`ReplayState`,
+    which starts every replay and every modulated beam, clears the graph,
+    once it has passed :data:`REPLAY_MEMO_CAP` states; so no id outlives the
+    beam that holds it, as long as one thread at a time replays on the net.
+    There is no reference back to the net, so dropping a net frees its graph
+    at once rather than at the next full garbage collection.
     """
 
     def __init__(self, place_index, in_w, out_w, silent_ids, label_tids, initial, final):
@@ -134,8 +140,9 @@ class CompiledNet:
         self.silent_ids = silent_ids
         self.label_tids = label_tids  # label -> ascending int32 array of transition rows
         self.initial = initial
+        self.initial_tokens = int(initial.sum())
         self.final = final
-        self.memo = {}
+        self.clear()
 
     @staticmethod
     def build(net: PetriNet) -> "CompiledNet":
@@ -166,45 +173,46 @@ class CompiledNet:
         initial.flags.writeable = False
         return CompiledNet(place_index, in_w, out_w, silent_ids, label_tids, initial, final)
 
-    def _store(self, key, value):
-        if len(self.memo) >= REPLAY_MEMO_CAP:
-            self.memo.clear()
-        self.memo[key] = value
-        return value
+    def clear(self) -> None:
+        """Forget every state; ids handed out before are no longer valid."""
+        self.markings, self.id_of, self.steps, self.residual, self.finish = [], {}, [], [], []
 
-    def replay_label(self, marking, label):
-        """(next marking, Δmissing, Δconsumed, Δproduced) of one visible label.
+    def state(self, marking) -> int:
+        """Id of the marking, interned (and made read-only) on first sight."""
+        key = marking.tobytes()
+        sid = self.id_of.get(key)
+        if sid is None:
+            sid = self.id_of[key] = len(self.markings)
+            marking.flags.writeable = False
+            self.markings.append(marking)
+            self.steps.append({})
+            self.residual.append(int(np.maximum(marking - self.final, 0).sum()))
+            self.finish.append(None)
+        return sid
+
+    def step(self, sid: int, label):
+        """``steps[sid][label]``, replayed through the kernels on a miss.
 
         A label unknown to the net fires a virtual transition that leaves
         the marking alone but penalizes the trace: one token missing, one
         consumed.
         """
-        key = (marking.tobytes(), label)
-        hit = self.memo.get(key)
+        hit = self.steps[sid].get(label)
         if hit is None:
             tids = self.label_tids.get(label)
             if tids is None:
-                hit = (marking, 1, 1, 0)
+                nxt, m, c, p = sid, 1, 1, 0
             else:
-                hit = _kernels.replay_one_label(self, marking, tids)
-                hit[0].flags.writeable = False
-            self._store(key, hit)
+                marking, m, c, p = _kernels.replay_one_label(self, self.markings[sid], tids)
+                nxt = self.state(marking)
+            hit = self.steps[sid][label] = (nxt, m, c, p, self.residual[nxt])
         return hit
 
-    def residual(self, marking) -> int:
-        """Tokens of the marking not explainable as part of the final marking."""
-        key = (marking.tobytes(), _RESIDUAL)
-        hit = self.memo.get(key)
+    def complete(self, sid: int):
+        """``finish[sid]``: (Δmissing, Δconsumed, Δproduced, remaining, reached)."""
+        hit = self.finish[sid]
         if hit is None:
-            hit = self._store(key, int(np.maximum(marking - self.final, 0).sum()))
-        return hit
-
-    def finish(self, marking):
-        """(Δmissing, Δconsumed, Δproduced, remaining, reached) of consuming the final marking."""
-        key = (marking.tobytes(), _COMPLETE)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self._store(key, _kernels.finish_complete(self, marking))
+            hit = self.finish[sid] = _kernels.finish_complete(self, self.markings[sid])
         return hit
 
 
@@ -223,11 +231,11 @@ class ReplayResult:
 class ReplayState:
     """Incremental replay: marking plus running counters.
 
-    Extending a replayed trace by one label costs a single replay step
-    instead of a full re-replay. (The beam replays its prefix with one of
-    these, then keeps the same four values in plain tuples.) The marking is
-    a read-only array owned by the net's replay memo; a step swaps it for
-    the next one, so clones share it safely.
+    Extending a replayed trace by one label costs one lookup in the net's
+    step table instead of a full re-replay. A fresh state (no marking given)
+    first clears a graph past :data:`REPLAY_MEMO_CAP` states. A state holds
+    its marking (a read-only array of the graph), not a state id, so it
+    outlives a clear and clones share it safely.
     """
 
     __slots__ = ("compiled", "marking", "produced", "consumed", "missing")
@@ -235,8 +243,10 @@ class ReplayState:
     def __init__(self, compiled: CompiledNet, marking=None, produced=None, consumed=0, missing=0):
         self.compiled = compiled
         if marking is None:
+            if len(compiled.markings) > REPLAY_MEMO_CAP:
+                compiled.clear()
             marking = compiled.initial
-            produced = int(compiled.initial.sum())
+            produced = compiled.initial_tokens
         self.marking = marking
         self.produced = produced
         self.consumed = consumed
@@ -247,7 +257,9 @@ class ReplayState:
 
     def step(self, label: str) -> None:
         """Replay one visible label (mutates the state)."""
-        self.marking, m, c, p = self.compiled.replay_label(self.marking, label)
+        compiled = self.compiled
+        sid, m, c, p, _ = compiled.step(compiled.state(self.marking), label)
+        self.marking = compiled.markings[sid]
         self.missing += m
         self.consumed += c
         self.produced += p
@@ -258,17 +270,18 @@ class ReplayState:
         strict=True additionally charges tokens not explainable as part of
         the final marking as remaining.
         """
+        compiled = self.compiled
         return ReplayResult(
             produced=self.produced,
             consumed=self.consumed,
             missing=self.missing,
-            remaining=self.compiled.residual(self.marking) if strict else 0,
+            remaining=compiled.residual[compiled.state(self.marking)] if strict else 0,
             final_reached=None,
         )
 
     def result_complete(self) -> ReplayResult:
         """Counters after consuming the final marking (state left untouched)."""
-        m, c, p, r, reached = self.compiled.finish(self.marking)
+        m, c, p, r, reached = self.compiled.complete(self.compiled.state(self.marking))
         return ReplayResult(
             produced=self.produced + p,
             consumed=self.consumed + c,
@@ -276,6 +289,14 @@ class ReplayState:
             remaining=r,
             final_reached=reached,
         )
+
+
+def _replayed(net: PetriNet, variant) -> ReplayState:
+    """A fresh replay state stepped through the variant, one label at a time."""
+    state = ReplayState(net.compiled)
+    for label in variant:
+        state.step(label)
+    return state
 
 
 def token_replay(net: PetriNet, variant, partial: bool = False) -> ReplayResult:
@@ -286,12 +307,8 @@ def token_replay(net: PetriNet, variant, partial: bool = False) -> ReplayResult:
     """
     if END in variant:
         raise ValueError("strip the completion label before replay")
-    state = ReplayState(net.compiled)
-    for label in variant:
-        state.step(label)
-    if partial:
-        return state.result_partial(strict=False)
-    return state.result_complete()
+    state = _replayed(net, variant)
+    return state.result_partial(strict=False) if partial else state.result_complete()
 
 
 def fitness(result: ReplayResult) -> float:
@@ -320,9 +337,7 @@ def compliance(net: PetriNet, variant, partial: bool = False, partial_mode: str 
         partial = False
     if END in variant:
         raise ValueError("completion label inside a variant")
-    state = ReplayState(net.compiled)
-    for label in variant:
-        state.step(label)
+    state = _replayed(net, variant)
     if partial:
         return fitness(state.result_partial(strict=partial_mode == "strict"))
     return fitness(state.result_complete())

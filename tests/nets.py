@@ -84,6 +84,13 @@ def random_net(rng) -> PetriNet:
     return PetriNet("rand", places, tuple(transitions), tuple(arcs), initial, final)
 
 
+def rebuilt(net) -> PetriNet:
+    """The same net with its own, cold reachability graph."""
+    return PetriNet(
+        net.name, net.places, net.transitions, net.arcs, net.initial_marking, net.final_marking
+    )
+
+
 def marking_to_dict(compiled, vec) -> dict:
     """A compiled net's marking vector as {place id: tokens}, empty places left out."""
     return {pid: int(vec[i]) for pid, i in compiled.place_index.items() if vec[i] > 0}

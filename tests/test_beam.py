@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from suffixbeam import petri
@@ -19,12 +19,12 @@ from suffixbeam.beam import (
 )
 from suffixbeam.encoding import Vocabulary, build_vocabulary
 from suffixbeam.eventlog import END, build_prefix_log, log_from_variants
-from suffixbeam.petri import Arc, PetriNet, Transition
+from suffixbeam.petri import Arc, PetriNet, Transition, compliance
 from suffixbeam.predictor import train_ngram
 from suffixbeam.synthgen import EXCEPTIONAL_VARIANTS, exceptional_process_net
 
 from beam_oracle import enumerate_best
-from nets import chain_net, random_net, wide_net
+from nets import chain_net, random_net, rebuilt, wide_net
 
 AB_VOCAB = Vocabulary(labels=("A", "B", END))
 
@@ -215,6 +215,52 @@ def test_unpruned_beam_matches_enumeration_on_random_and_wide_nets(
     assert got.frontier_peak <= config.b_size  # nothing was pruned
     want = enumerate_best(prefix, pred, max_iter=max_iter, w=w, net=net, partial_mode=partial_mode)
     assert (got.suffix, got.log_score) == want
+
+
+REQUEST = st.tuples(
+    st.lists(st.sampled_from(["A", "B", "C", "D", "Start", "P0", "P1", "Close"]), min_size=1, max_size=4),
+    st.integers(1, 4),
+    st.sampled_from([0.3, 0.85, 1.0]),
+    st.sampled_from(["strict", "lenient"]),
+)
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), branches=st.integers(0, 3), requests=st.lists(REQUEST, min_size=2, max_size=6))
+def test_graph_clears_only_between_beams_and_changes_no_result(seed, branches, requests):
+    # with a cap of 3 states a beam soon grows the graph past it, and the next
+    # request starts by clearing it; every result must equal the one under the
+    # default cap and the one on a cold net
+    net = wide_net(branches) if branches else random_net(np.random.default_rng(seed))
+    labels = sorted({t.label for t in net.transitions if t.label is not None} | {"D"})
+    pred = HashedRowPredictor(Vocabulary(labels=tuple(labels) + (END,)), seed)
+    calls = [
+        (tuple(prefix), BeamConfig(b_size=3, max_iter=max_iter, w=w, partial_mode=mode))
+        for prefix, max_iter, w, mode in requests
+    ]
+
+    def serve(net_of):
+        results = []
+        for prefix, config in calls:
+            net_now = net_of()
+            got = modulated_beam(prefix, net_now, pred, config)
+            results += [got, compliance(net_now, prefix + got.suffix)]
+        return results
+
+    graph, clears = net.compiled, []
+
+    def clear():  # spy: a graph is cleared only once it has passed the cap
+        assert len(graph.markings) > 3
+        clears.append(len(graph.markings))
+        petri.CompiledNet.clear(graph)
+
+    default, cold = serve(lambda warm=rebuilt(net): warm), serve(lambda: rebuilt(net))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(petri, "REPLAY_MEMO_CAP", 3)
+        mp.setattr(graph, "clear", clear)
+        tiny = serve(lambda: net)
+    event(f"graph cleared: {bool(clears)}")
+    assert tiny == default == cold
 
 
 def test_zero_count_fitness_warns_inside_the_beam():

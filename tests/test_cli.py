@@ -466,6 +466,17 @@ def test_csv_columns_must_name_three_columns(tmp_path, capsys, spec, count):
     assert f"--csv-columns takes 3 names (case,activity,timestamp), got {count}" in err
 
 
+def test_csv_columns_are_refused_for_a_log_that_is_not_csv(workspace, tmp_path, capsys):
+    code, _, err = run(
+        capsys,
+        ["split", "--log", workspace["test"], "--k", "3", "--csv-columns", "only_one",
+         "--out", str(tmp_path)],
+    )
+    assert code == 1
+    assert "--csv-columns applies only to a .csv log, not test.xes" in err
+    assert not (tmp_path / "heldout.xes").exists()
+
+
 def test_config_file_values_lose_to_any_explicit_flag(workspace, tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"order": 2}))

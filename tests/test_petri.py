@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from suffixbeam.petri import (
 )
 from suffixbeam.synthgen import exceptional_process_net
 
-from nets import chain_net, flower_net, marking_to_dict, random_net
+from nets import chain_net, flower_net, marking_to_dict, random_net, rebuilt
 from replay_reference import reference_replay
 
 SYNTH_NET = exceptional_process_net()
@@ -296,7 +298,7 @@ def test_silent_search_depth_limit():
     assert_matches_reference(too_deep, ("V",))
 
 
-def test_silent_search_node_cap():
+def test_silent_search_node_cap(caplog):
     def toggles(n, needed):
         places = tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n)) + ("z",)
         transitions = tuple(Transition(f"s{i}", None) for i in range(n)) + (Transition("v", "V"),)
@@ -305,11 +307,18 @@ def test_silent_search_node_cap():
         initial = {f"a{i}": 1 for i in range(n)}
         return PetriNet("toggles", places, transitions, tuple(arcs), initial, {"z": 1})
 
+    caplog.set_level(logging.WARNING, logger="suffixbeam._kernels")
     # ten independent toggles: 2^10 reachable markings fit in the search budget
     assert token_replay(toggles(10, range(10)), ("V",), partial=True).missing == 0
+    assert caplog.records == []
     # thirteen toggles overflow it before any depth-10 marking is generated,
-    # even though a ten-step enabling sequence exists
-    assert token_replay(toggles(13, range(3, 13)), ("V",), partial=True).missing == 10
+    # even though a ten-step enabling sequence exists; the truncation is
+    # logged once, as the second replay reads the step from the net's graph
+    net = toggles(13, range(3, 13))
+    for _ in range(2):
+        assert token_replay(net, ("V",), partial=True).missing == 10
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "silent search gave up after 4096 markings" in caplog.records[0].getMessage()
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +399,6 @@ def test_reference_agreement_hypothesis(variant):
     assert_matches_reference(SYNTH_NET, tuple(variant))
 
 
-def rebuilt(net):
-    """The same net with its own, cold replay memo."""
-    return PetriNet(
-        net.name, net.places, net.transitions, net.arcs, net.initial_marking, net.final_marking
-    )
-
-
 def counters(state):
     lenient, strict = state.result_partial(), state.result_partial(strict=True)
     done = state.result_complete()
@@ -408,9 +410,13 @@ def counters(state):
 
 
 def assert_memo_matches_fresh_and_reference(net, variants):
-    """Replay every variant twice on one net, so later steps hit its memo."""
+    """Replay every variant twice on one net, so later steps hit its graph."""
     for variant in list(variants) * 2:
         state = ReplayState(net.compiled)
+        # a replay starts on a graph within its cap; inside, it may grow past it
+        graph = net.compiled
+        assert len(graph.markings) <= petri.REPLAY_MEMO_CAP
+        assert {m.tobytes(): sid for sid, m in enumerate(graph.markings)} == graph.id_of
         for i, label in enumerate(variant):
             state.step(label)
             seen = variant[: i + 1]
@@ -423,7 +429,6 @@ def assert_memo_matches_fresh_and_reference(net, variants):
                 reference_replay(net, seen),
             )
             assert counters(state) == counters(fresh) == reference
-            assert len(net.compiled.memo) <= petri.REPLAY_MEMO_CAP
 
 
 # random nets: silent transitions, duplicate labels, arc weights of 1-2; "D" is
@@ -458,9 +463,10 @@ def test_replayed_markings_stay_int32_and_read_only():
 def test_replay_memo_stays_within_its_cap(monkeypatch):
     monkeypatch.setattr(petri, "REPLAY_MEMO_CAP", 5)
     net = rebuilt(SYNTH_NET)
-    assert net.compiled.memo == {}  # each net starts cold
+    graph = net.compiled
+    assert graph.markings == [] and graph.id_of == {} and graph.steps == []  # each net starts cold
+    # the longest variant alone visits 7 states, so replays must clear the graph
     assert_memo_matches_fresh_and_reference(net, SYNTH_VARIANTS)
-    assert 0 < len(net.compiled.memo) <= 5
 
 
 # ---------------------------------------------------------------------------
