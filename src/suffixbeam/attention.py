@@ -18,9 +18,9 @@ max-pool, so whatever garbage sits in padded input rows cannot reach the
 output. predict_proba_batch exploits that by truncating overlong prefixes to
 the most recent l_max - 1 activities, which is what beam search needs when
 its hypotheses outgrow the training window. That window is the model's whole
-context, so it keys the model's memo of probability rows (see
-:mod:`suffixbeam.predictor`); a call runs one forward over its distinct
-misses.
+context, so it keys the model's memos of probability rows and of ranked
+next labels (see :mod:`suffixbeam.predictor`); a call runs one forward over
+its distinct misses.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .encoding import Vocabulary
-from .predictor import memoized_rows
+from .predictor import memoized_ranks, memoized_rows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -120,10 +120,11 @@ class AttentionModel:
 
     @params.setter
     def params(self, value: dict) -> None:
-        # new weights invalidate every memoized row; the memo assumes the
-        # arrays are not changed in place while predictions are being made
+        # new weights invalidate every memoized row and record; the memos
+        # assume the arrays are not changed in place while predictions are made
         self._params = value
         self.memo = {}
+        self.ranked = {}
 
     def _init_params(self) -> dict:
         cfg = self.config
@@ -307,11 +308,16 @@ class AttentionModel:
         return self.predict_proba_batch([prefix])[0]
 
     def predict_proba_batch(self, prefixes) -> np.ndarray:
+        return memoized_rows(self.memo, self._windows(prefixes), self._forward_rows)
+
+    def ranked_batch(self, prefixes, k: int) -> list:
+        return memoized_ranks(self.ranked, self._windows(prefixes), k, self._forward_rows)
+
+    def _windows(self, prefixes) -> list:
         if not all(prefixes):
             raise ValueError("prefix must be non-empty")
         t = self.config.l_max - 1
-        windows = [tuple(pref)[-t:] for pref in prefixes]
-        return memoized_rows(self.memo, windows, self._forward_rows)
+        return [tuple(pref)[-t:] for pref in prefixes]
 
     def _forward_rows(self, windows) -> list:
         x, mask = self._encode(windows)

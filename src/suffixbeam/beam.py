@@ -16,8 +16,8 @@ Three entry points share one expansion step (:func:`_expand`):
   wins, None when the search exhausts.
 
 In every step each queued open candidate expands by its b_size most
-probable next labels (one ``predict_proba_batch`` call per step gives the
-rows of all of them) and the pooled expansions are ranked by score (ties:
+probable next labels (one call per step ranks them for all open candidates)
+and the pooled expansions are ranked by score (ties:
 lexicographically smaller label-index tuple first). The checked beam keeps
 the top max_size; baseline and modulated keep the top b_size, and return a
 terminated candidate (last label END) when it ranks first; terminated
@@ -40,14 +40,18 @@ fresh :class:`~suffixbeam.petri.ReplayState`, which clears a graph past its
 cap, so ids stay valid for the whole beam. A child then costs one lookup,
 ``steps[sid][label]``, which also carries the successor's residual; a
 completion reads ``finish[sid]``. Counters are scored with
-:func:`~suffixbeam.petri.fitness_counts`. One stable argsort over the
-step's ``(n, |V|)`` batch of rows picks the labels every open candidate
-expands by.
+:func:`~suffixbeam.petri.fitness_counts`. The labels an open candidate
+expands by, with their floored log probabilities, come from the predictor's
+``ranked_batch(prefixes, b_size)`` when it has one (both bundled models
+memoize these records per context, so a warm step does no numpy work), and
+otherwise from :func:`~suffixbeam.predictor.ranked_rows` over the rows of
+its ``predict_proba_batch``: one stable argsort over the step's ``(n,
+|V|)`` batch. Either way a record is the same, bit for bit.
 
 Scores accumulate in log space and are exponentiated for reporting.
-Probabilities are floored at 1e-12 before the log so a zero can never
-permanently sink a branch; compliance is not floored (log 0 = -inf is a
-legitimate veto).
+Probabilities are floored at :data:`~suffixbeam.predictor.PROB_FLOOR`
+(1e-12) before the log so a zero can never permanently sink a branch;
+compliance is not floored (log 0 = -inf is a legitimate veto).
 """
 
 from __future__ import annotations
@@ -55,12 +59,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .eventlog import END
 from .petri import CompiledNet, PetriNet, _replayed, compliance, fitness_counts
-
-PROB_FLOOR = 1e-12
+from .predictor import ranked_rows
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,6 @@ class BeamResult:
     frontier_peak: int  # largest ranked pool seen; <= b_size certifies no pruning
 
 
-def _log_floor(p: float) -> float:
-    return math.log(p if p > PROB_FLOOR else PROB_FLOOR)
-
-
 def _log_compliance(c: float) -> float:
     return math.log(c) if c > 0.0 else float("-inf")
 
@@ -123,36 +120,33 @@ def _expand(
     """One beam step: every child of the pool, ranked.
 
     Each open candidate spawns its b_size most probable next labels, one
-    ``predict_proba_batch`` call giving the rows of all of them and one
-    stable argsort ranking every row. A child scores its parent's log score
-    plus (1-w)·log p and, when w > 0, w·log of its replay compliance
-    (complete for END, partial otherwise) read from ``compiled``'s
-    reachability graph: one step-table lookup per child. Terminated
-    candidates are carried over unchanged.
+    :func:`_ranked` call giving them for all open candidates with their
+    floored log probabilities. A child scores its parent's log score plus
+    (1-w)·log p and, when w > 0, w·log of its replay compliance (complete
+    for END, partial otherwise) read from ``compiled``'s reachability graph:
+    one step-table lookup per child. Terminated candidates are carried over
+    unchanged.
     """
     vocab = predictor.vocab
+    label_of = vocab.labels
+    keep = 1.0 - w
     steps = compiled.steps if w > 0.0 else None
     end_idx = vocab.index_of(END)
-    open_cands = [cand for cand in pool if not cand[3]]
-    rows = predictor.predict_proba_batch([prefix + cand[2] for cand in open_cands])
-    # ties resolve to the lowest vocabulary index (stable sort on -rows)
-    tops = iter(np.argsort(-rows, axis=1, kind="stable")[:, :b_size].tolist())
-    probs = iter(rows.tolist())
+    records = iter(_ranked(predictor, [prefix + cand[2] for cand in pool if not cand[3]], b_size))
     expansions = []
     for cand in pool:
         log_score, ids, labels, terminated, replay = cand
         if terminated:
             expansions.append(cand)
             continue
-        row = next(probs)
-        for idx in next(tops):
-            child_log = log_score + (1.0 - w) * _log_floor(row[idx])
+        for idx, log_p in next(records):
+            child_log = log_score + keep * log_p
             if idx == end_idx:
                 if w > 0.0:
                     child_log += w * _log_compliance(_complete_fitness(compiled, replay))
                 expansions.append((child_log, ids + (idx,), labels, True, None))
                 continue
-            label = vocab.labels[idx]
+            label = label_of[idx]
             child_replay = None
             if w > 0.0:
                 sid, produced, consumed, missing = replay
@@ -165,6 +159,18 @@ def _expand(
             expansions.append((child_log, ids + (idx,), labels + (label,), False, child_replay))
     expansions.sort(key=_sort_key)
     return expansions
+
+
+def _ranked(predictor, prefixes, k: int) -> list:
+    """Each prefix's :func:`~suffixbeam.predictor.ranked_rows` record.
+
+    From the predictor's ``ranked_batch`` when it has one, else by ranking
+    the rows of its ``predict_proba_batch``.
+    """
+    ranked_batch = getattr(predictor, "ranked_batch", None)
+    if ranked_batch is not None:
+        return ranked_batch(prefixes, k)
+    return ranked_rows(predictor.predict_proba_batch(prefixes), k)
 
 
 def _run_beam(prefix, predictor, config: BeamConfig, net: PetriNet | None) -> BeamResult:

@@ -114,13 +114,21 @@ def _parse_w_grid(spec: str):
             raise ValueError(f"w value {v} outside [0, 1]")
     if 0.0 not in values:
         raise ValueError("w grid must hold 0, the baseline the comparison table is measured against")
-    return values
+    return _no_repeats(values, "w value")
 
 
 def _parse_ks(spec: str):
     values = tuple(int(tok) for tok in spec.split(",") if tok.strip())
     if not values or any(v < 1 for v in values):
         raise ValueError("prefix lengths must be positive integers")
+    return _no_repeats(values, "prefix length")
+
+
+def _no_repeats(values: tuple, what: str) -> tuple:
+    # a repeated grid value would be swept, and written, twice
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{what} {v} is given more than once")
     return values
 
 

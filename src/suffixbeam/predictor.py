@@ -4,21 +4,28 @@ A predictor is anything with ``vocab`` and two methods:
 
 * ``predict_proba_batch(prefixes) -> np.ndarray`` of shape ``(n, |V|)`` for
   n >= 1 prefixes, one row per prefix, each row one probability per vocabulary index summing
-  to 1. The beam search asks for the rows of all its open candidates at
-  once, one call per step.
+  to 1.
 * ``predict_proba(prefix)``, the same for one prefix:
   ``predict_proba_batch([prefix])[0]``.
 
-The beam search only ever consumes those rows, so the n-gram here, the
-attention net, or an external scorer are interchangeable.
+It may also have ``ranked_batch(prefixes, k)``: per prefix, the
+:func:`ranked_rows` record of its row, the ``k`` most probable label indices
+with their logs, each probability floored at :data:`PROB_FLOOR`. The beam
+search asks for the records of all its open candidates at once, one call
+per step; for a predictor without ``ranked_batch`` it ranks the rows of
+``predict_proba_batch`` with :func:`ranked_rows` itself. It consumes nothing
+else, so the n-gram here, the attention net, or an external scorer are
+interchangeable.
 
-Both models here answer through :func:`memoized_rows`: each model object
-keeps a memo from its true context (the n-gram's last ``order`` label
-indices, attention's last ``l_max - 1`` labels) to a read-only row, computes
-a call's distinct misses together, and empties the memo when it would
-exceed :data:`PREDICT_MEMO_CAP` entries. A row depends on nothing but its
-context and the model's parameters, so a memoized row is the row a cold
-model computes, bit for bit.
+Both models here answer through two memos per model object, each keyed by
+the true context (the n-gram's last ``order`` label indices, attention's
+last ``l_max - 1`` labels): :func:`memoized_rows` keeps read-only rows for
+``predict_proba_batch``, and :func:`memoized_ranks` keeps the records of one
+``k`` at a time for ``ranked_batch``, which the beam uses. Either computes a
+call's distinct misses together with the model's own row code and empties
+itself when it would exceed :data:`PREDICT_MEMO_CAP` entries. A row depends
+on nothing but its context and the model's parameters, so a memoized row or
+record is the one a cold model computes, bit for bit.
 
 The n-gram keys its counts by the last ``order`` labels of the prefix
 (fewer when the prefix is shorter) and applies Laplace smoothing:
@@ -34,6 +41,7 @@ equivalence tests rely on.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -42,33 +50,83 @@ import numpy as np
 from .encoding import Vocabulary
 from .eventlog import PrefixLog
 
-# An entry (key, row and dict slot) measured about 370 B with an 11-label
-# vocabulary and 8-label keys, so a full memo stays under 2 MB.
+# An entry (key, value and dict slot) measured about 340 B for a row and
+# 450 B for a record of k = 3 with an 11-label vocabulary and 8-label keys,
+# so a full memo stays under 2 MB.
 PREDICT_MEMO_CAP = 4096
+
+# Probabilities are floored before their log, so a zero never sinks a beam
+# branch for good.
+PROB_FLOOR = 1e-12
+
+
+def ranked_rows(rows: np.ndarray, k: int) -> list:
+    """Each row's ``k`` most probable label indices with their floored logs.
+
+    A row's record is a tuple of ``(index, log p)`` pairs, most probable
+    first; ties go to the lower index (one stable argsort of ``-rows``), and
+    ``p`` is floored at :data:`PROB_FLOOR` before ``math.log``.
+    """
+    tops = np.argsort(-rows, axis=1, kind="stable")[:, :k].tolist()
+    return [tuple((idx, _log_floor(row[idx])) for idx in top) for top, row in zip(tops, rows.tolist())]
+
+
+def _log_floor(p: float) -> float:
+    return math.log(p if p > PROB_FLOOR else PROB_FLOOR)
 
 
 def memoized_rows(memo: dict, keys, compute) -> np.ndarray:
     """Rows for ``keys`` (at least one) as a read-only ``(len(keys), |V|)`` array.
 
-    Keys found in ``memo`` reuse their row; the distinct missing keys go to
-    ``compute(missing)`` in one call, which returns their rows in order.
-    ``compute`` runs before anything is stored, so a call that raises
-    leaves the memo as it was. The memo is emptied when a new row would
-    take it past :data:`PREDICT_MEMO_CAP` entries.
+    ``compute(missing)`` returns the rows of the distinct missing keys in
+    order; ``memo`` keeps them read-only (see :func:`_memoized`).
     """
-    rows = [memo.get(key) for key in keys]
-    missing = list(dict.fromkeys(key for key, row in zip(keys, rows) if row is None))
-    if missing:
-        computed = dict(zip(missing, compute(missing)))
-        for key, row in computed.items():
+
+    def read_only(missing):
+        rows = compute(missing)
+        for row in rows:
             row.setflags(write=False)
-            if len(memo) >= PREDICT_MEMO_CAP:
-                memo.clear()
-            memo[key] = row
-        rows = [computed[key] if row is None else row for key, row in zip(keys, rows)]
-    out = np.array(rows)
+        return rows
+
+    out = np.array(_memoized(memo, keys, read_only))
     out.setflags(write=False)
     return out
+
+
+def memoized_ranks(memo: dict, keys, k: int, compute) -> list:
+    """The :func:`ranked_rows` record of each of ``keys`` (at least one), in order.
+
+    ``compute(missing)`` returns the rows of the distinct missing keys in
+    order; only their records are kept, in ``memo[k]`` (see
+    :func:`_memoized`). ``memo`` holds one ``k`` at a time: a call with
+    another ``k`` empties it, once that call's records are computed.
+    """
+    table = memo.get(k, {})
+    records = _memoized(table, keys, lambda missing: ranked_rows(np.array(compute(missing)), k))
+    if k not in memo:
+        memo.clear()
+        memo[k] = table
+    return records
+
+
+def _memoized(memo: dict, keys, compute) -> list:
+    """The value of each of ``keys``, in order, from ``memo`` or ``compute``.
+
+    The distinct missing keys go to ``compute(missing)`` in one call, which
+    returns their values in order. It runs before anything is stored, so a
+    call that raises leaves the memo as it was. The memo is emptied when a
+    new value would take it past :data:`PREDICT_MEMO_CAP` entries.
+    """
+    values = [memo.get(key) for key in keys]
+    missing = list(dict.fromkeys(key for key, value in zip(keys, values) if value is None))
+    if missing:
+        computed = dict(zip(missing, compute(missing)))
+        for key, value in computed.items():
+            if len(memo) >= PREDICT_MEMO_CAP:
+                memo.clear()
+            memo[key] = value
+        values = [computed[key] if value is None else value for key, value in zip(keys, values)]
+    return values
 
 
 @dataclass(frozen=True)
@@ -78,6 +136,7 @@ class NGramModel:
     alpha: float
     counts: dict  # context tuple (label indices) -> np.int64 array over vocab
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    ranked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def context_of(self, prefix) -> tuple:
         ids = self.vocab.encode_labels(prefix)
@@ -87,10 +146,18 @@ class NGramModel:
         return self.predict_proba_batch([prefix])[0]
 
     def predict_proba_batch(self, prefixes) -> np.ndarray:
+        return memoized_rows(self.memo, self._contexts(prefixes), self._laplace_rows)
+
+    def ranked_batch(self, prefixes, k: int) -> list:
+        return memoized_ranks(self.ranked, self._contexts(prefixes), k, self._laplace_rows)
+
+    def _contexts(self, prefixes) -> list:
         if not all(prefixes):
             raise ValueError("prediction needs a non-empty prefix")
-        keys = [self.context_of(prefix) for prefix in prefixes]
-        return memoized_rows(self.memo, keys, lambda missing: [self._laplace_row(ctx) for ctx in missing])
+        return [self.context_of(prefix) for prefix in prefixes]
+
+    def _laplace_rows(self, contexts) -> list:
+        return [self._laplace_row(ctx) for ctx in contexts]
 
     def _laplace_row(self, ctx) -> np.ndarray:
         n = len(self.vocab)

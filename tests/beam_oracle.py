@@ -10,9 +10,9 @@ tuple ascending) is what an unpruned beam must return.
 
 import math
 
-from suffixbeam.beam import PROB_FLOOR
 from suffixbeam.eventlog import END
 from suffixbeam.petri import ReplayState, fitness
+from suffixbeam.predictor import PROB_FLOOR
 
 
 def _log_floor(p: float) -> float:

@@ -392,6 +392,20 @@ def test_sweep_grid_validation(flag, value, fragment, capsys):
     assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "flag,value,fragment",
+    [
+        ("--w-grid", "0,0.5,0.50", "w value 0.5 is given more than once"),
+        ("--ks", "3,4,3", "prefix length 3 is given more than once"),
+    ],
+)
+def test_sweep_grid_repeats_fail_before_any_work(flag, value, fragment, tmp_path, capsys):
+    code, _, err = run(capsys, ["sweep", "--mode", "synthetic", flag, value, "--out", str(tmp_path)])
+    assert code == 1
+    assert fragment in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # config files and CSV logs
 

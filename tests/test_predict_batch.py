@@ -1,12 +1,15 @@
 """The batched, memoized predictor protocol against uncached references.
 
-Both models answer ``predict_proba_batch`` through one memo per model
-object. Every row they return must equal, bit for bit, the row a cold model
+Both models answer ``predict_proba_batch`` through a memo of rows and
+``ranked_batch`` through a memo of ranked records, each per model object.
+Every row they return must equal, bit for bit, the row a cold model
 computes on its own: the Laplace formula for the n-gram, a single-row
-``forward`` for the attention net.
+``forward`` for the attention net. Every record must equal the stable
+ranking of that cold row with its floored logs.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ from suffixbeam.attention import AttentionConfig, AttentionModel, train_attentio
 from suffixbeam.beam import BeamConfig, baseline_beam, checked_beam, modulated_beam, perfect_fitness_checker
 from suffixbeam.encoding import Vocabulary, build_vocabulary
 from suffixbeam.eventlog import END, build_prefix_log, log_from_variants, prefix, variant_of
-from suffixbeam.predictor import train_ngram
+from suffixbeam.predictor import PROB_FLOOR, NGramModel, memoized_ranks, train_ngram
+
+from nets import wide_net
 
 VOCAB4 = Vocabulary(labels=("A", "B", "C", END))
 TINY = AttentionConfig(l_max=5, d_model=4, n_heads=2, n_layers=1, d_ff=8, dropout=0.0, seed=11)
@@ -34,8 +39,11 @@ def abc_ngram(order=2, alpha=0.01):
 
 def laplace_row(model, prefix):
     ids = model.vocab.encode_labels(prefix)
-    counts = model.counts.get(ids[-model.order:], np.zeros(len(model.vocab), dtype=np.int64))
-    return (counts + model.alpha) / (counts.sum() + model.alpha * len(model.vocab))
+    n = len(model.vocab)
+    counts = model.counts.get(ids[-model.order:], np.zeros(n, dtype=np.int64))
+    if counts.sum() + model.alpha * n == 0:  # alpha = 0 and an unseen context
+        return np.full(n, 1.0 / n)
+    return (counts + model.alpha) / (counts.sum() + model.alpha * n)
 
 
 def cold_forward_row(model, prefix):
@@ -45,9 +53,18 @@ def cold_forward_row(model, prefix):
     return probs[0]
 
 
+def ranking(row, k):
+    """The uncached record: stable top-k of a cold row, floored logs."""
+    return tuple(
+        (idx, math.log(row[idx] if row[idx] > PROB_FLOOR else PROB_FLOOR))
+        for idx in np.argsort(-row, kind="stable")[:k].tolist()
+    )
+
+
 def models():
     return {
         "ngram": (abc_ngram(), laplace_row),
+        "ngram-alpha0": (abc_ngram(alpha=0.0), laplace_row),  # exact zeros hit the floor
         "attention-tiny": (AttentionModel(VOCAB4, TINY), cold_forward_row),
         "attention-default": (AttentionModel(VOCAB4, DEFAULT), cold_forward_row),
     }
@@ -122,13 +139,18 @@ def test_returned_rows_are_read_only(name):
 def test_unknown_label_raises_and_leaves_the_memo_unchanged(name):
     model, _ = models()[name]
     model.predict_proba_batch([("A",), ("B", "C")])
-    before = dict(model.memo)
+    model.ranked_batch([("A",), ("C", "C")], 2)
+    before, ranked_before = dict(model.memo), dict(model.ranked[2])
     with pytest.raises(ValueError, match="^label 'Z' is not in the vocabulary$"):
         model.predict_proba_batch([("C", "A"), ("A", "Z"), ("B",)])
     with pytest.raises(ValueError, match="^label 'Z' is not in the vocabulary$"):
         model.predict_proba(("Z",))
+    for k in (2, 3):  # the same k, and one that would empty the ranked memo
+        with pytest.raises(ValueError, match="^label 'Z' is not in the vocabulary$"):
+            model.ranked_batch([("C", "A"), ("A", "Z"), ("B",)], k)
     assert model.memo.keys() == before.keys()
     assert all(model.memo[key] is row for key, row in before.items())
+    assert list(model.ranked) == [2] and model.ranked[2] == ranked_before
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -136,15 +158,68 @@ def test_empty_prefix_in_a_batch_is_rejected(name):
     model, _ = models()[name]
     with pytest.raises(ValueError, match="non-empty"):
         model.predict_proba_batch([("A",), ()])
-    assert model.memo == {}
+    with pytest.raises(ValueError, match="non-empty"):
+        model.ranked_batch([("A",), ()], 2)
+    assert model.memo == {} and model.ranked == {}
+
+
+@settings(max_examples=60)
+@given(
+    name=st.sampled_from(MODEL_NAMES),
+    batch=st.lists(PREFIXES, min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_ranked_records_equal_the_ranking_of_cold_rows(name, batch, data):
+    model, reference = models()[name]
+    # duplicates within one batch, and prefixes longer than the window
+    batch = batch + data.draw(st.lists(st.sampled_from(batch), max_size=4))
+    ks = data.draw(st.lists(st.integers(1, len(model.vocab) + 1), min_size=1, max_size=3), label="ks")
+    cap = data.draw(st.sampled_from([3, predictor_module.PREDICT_MEMO_CAP]), label="cap")
+    replaced = data.draw(st.booleans(), label="replaced")
+
+    def check(model):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(predictor_module, "PREDICT_MEMO_CAP", cap)
+            for k in ks:
+                want = [ranking(reference(model, p), k) for p in batch]
+                assert model.ranked_batch(batch, k) == want
+                # warm, or refilled where a table past its cap was emptied
+                assert model.ranked_batch(batch[::-1], k) == want[::-1]
+                assert list(model.ranked) == [k] and 0 < len(model.ranked[k]) <= cap
+        assert model.memo == {}  # the ranked path fills no row memo
+
+    check(model)
+    if replaced:
+        if isinstance(model, AttentionModel):
+            model.params = {key: v * 1.5 for key, v in model.params.items()}
+        else:
+            model = dataclasses.replace(model, alpha=model.alpha + 0.05)
+        assert model.ranked == {}
+        check(model)
+
+
+def test_a_failed_compute_leaves_the_ranked_memo_unchanged():
+    memo = {}
+    first = memoized_ranks(memo, ["x", "y", "x"], 2, lambda keys: [np.array([0.2, 0.5, 0.3])] * len(keys))
+    assert first[0] == first[2] == ((1, math.log(0.5)), (2, math.log(0.3)))
+    before = {k: dict(table) for k, table in memo.items()}
+
+    def fail(keys):
+        raise RuntimeError("no rows")
+
+    for k in (2, 3):  # a hit-and-miss call at the same k, and a call at a new k
+        with pytest.raises(RuntimeError):
+            memoized_ranks(memo, ["x", "z"], k, fail)
+        assert memo == before
 
 
 def test_replacing_attention_params_empties_the_memo():
     model = AttentionModel(VOCAB4, TINY)
     old = model.predict_proba(("A", "B"))
-    assert model.memo
+    model.ranked_batch([("A", "B")], 2)
+    assert model.memo and model.ranked
     model.params = {k: v * 1.5 for k, v in model.params.items()}
-    assert model.memo == {}
+    assert model.memo == {} and model.ranked == {}
     new = model.predict_proba(("A", "B"))
     assert not np.array_equal(new, old)
     assert np.array_equal(new, cold_forward_row(model, ("A", "B")))
@@ -158,8 +233,9 @@ def test_retrained_models_start_with_an_empty_memo():
     assert np.array_equal(model.predict_proba(("A",)), cold_forward_row(model, ("A",)))
     ngram = train_ngram(plog, vocab, order=2)
     ngram.predict_proba(("A",))
+    ngram.ranked_batch([("A",)], 2)
     recounted = dataclasses.replace(ngram, counts={})
-    assert recounted.memo == {} and ngram.memo
+    assert recounted.memo == {} and recounted.ranked == {} and ngram.memo and ngram.ranked
     assert recounted.predict_proba(("A",)).tolist() == [0.25] * 4
 
 
@@ -182,6 +258,37 @@ def synth_attention(synth):
     return AttentionModel(build_vocabulary(synth.train_log), AttentionConfig(l_max=20, seed=5))
 
 
+def wide_playouts(n_branches, n, seed):
+    """Runs of ``wide_net(n_branches)``: Start, some branches in any order, an outcome."""
+    rng = np.random.default_rng(seed)
+    runs = []
+    for _ in range(n):
+        done = [f"P{b}" for b in rng.permutation(n_branches).tolist() if rng.random() < 0.85]
+        runs.append(("Start", *done, "Close" if rng.random() < 0.7 else "Reject"))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def wide_attention():
+    """The online serving shape: an attention model of a wide parallel net's runs."""
+    log = log_from_variants(wide_playouts(4, 60, seed=1))
+    model, _ = train_attention(
+        build_prefix_log(log), build_vocabulary(log), AttentionConfig(l_max=8, seed=5), epochs=2
+    )
+    prefixes = sorted({run[:k] for run in wide_playouts(4, 40, seed=2) for k in range(1, len(run))})
+    return model, wide_net(4), prefixes
+
+
+def test_beams_equal_with_memoized_and_fresh_rows_on_the_online_path(wide_attention):
+    model, net, prefixes = wide_attention
+    model = _fresh(model)
+    fresh = FreshRows(model)
+    config = BeamConfig(b_size=3, max_iter=7, w=0.85)
+    for p in prefixes:
+        assert modulated_beam(p, net, model, config) == modulated_beam(p, net, fresh, config)
+    assert model.ranked and not model.memo  # the beam filled the ranked memo only
+
+
 @pytest.mark.parametrize("kind", ["ngram", "attention"])
 def test_beams_equal_with_memoized_and_fresh_rows(kind, synth, synth_ngram, synth_attention):
     model = synth_ngram if kind == "ngram" else synth_attention
@@ -196,7 +303,28 @@ def test_beams_equal_with_memoized_and_fresh_rows(kind, synth, synth_ngram, synt
         config = BeamConfig(b_size=3, max_iter=12, max_size=4)
         assert baseline_beam(p, model, config) == baseline_beam(p, fresh, config)
         assert checked_beam(p, checker, model, config) == checked_beam(p, checker, fresh, config)
-    assert model.memo  # the memoized side really was memoized
+    assert model.ranked and not model.memo  # the memoized side really was memoized, ranked
+
+
+@pytest.mark.parametrize("kind", ["ngram", "attention"])
+def test_a_repeated_request_on_a_warm_model_computes_no_row(kind, synth, synth_ngram, wide_attention, monkeypatch):
+    if kind == "ngram":
+        model, net = _fresh(synth_ngram), synth.net
+        prefixes = sorted({prefix(variant_of(t), 4) for t in synth.test_log.traces[:20]})
+        row_method = (NGramModel, "_laplace_row")
+    else:
+        (model, net, prefixes), row_method = wide_attention, (AttentionModel, "_forward_rows")
+        model = _fresh(model)
+    config = BeamConfig(b_size=3, max_iter=7, w=0.85)
+    first = [modulated_beam(p, net, model, config) for p in prefixes]
+    computed = []
+    original = getattr(*row_method)
+    monkeypatch.setattr(*row_method, lambda self, arg: computed.append(arg) or original(self, arg))
+    assert [modulated_beam(p, net, model, config) for p in prefixes] == first
+    assert computed == []
+    model.ranked.clear()  # the spy does see a cold pass
+    assert [modulated_beam(p, net, model, config) for p in prefixes] == first
+    assert computed
 
 
 def test_one_forward_per_call_over_its_distinct_misses():
