@@ -18,9 +18,10 @@ max-pool, so whatever garbage sits in padded input rows cannot reach the
 output. predict_proba_batch exploits that by truncating overlong prefixes to
 the most recent l_max - 1 activities, which is what beam search needs when
 its hypotheses outgrow the training window. That window is the model's whole
-context, so it keys the model's memos of probability rows and of ranked
-next labels (see :mod:`suffixbeam.predictor`); a call runs one forward over
-its distinct misses.
+context, so it keys the model's memo of ranked next labels, ``ranked`` (see
+:mod:`suffixbeam.predictor`); a ``ranked_batch`` call runs one forward over
+its distinct misses, and a ``predict_proba_batch`` call one forward over all
+its prefixes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .encoding import Vocabulary
-from .predictor import memoized_ranks, memoized_rows
+from .predictor import memoized_ranks
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -120,10 +121,9 @@ class AttentionModel:
 
     @params.setter
     def params(self, value: dict) -> None:
-        # new weights invalidate every memoized row and record; the memos
-        # assume the arrays are not changed in place while predictions are made
+        # new weights invalidate every memoized record; the memo assumes
+        # the arrays are not changed in place while predictions are made
         self._params = value
-        self.memo = {}
         self.ranked = {}
 
     def _init_params(self) -> dict:
@@ -308,7 +308,7 @@ class AttentionModel:
         return self.predict_proba_batch([prefix])[0]
 
     def predict_proba_batch(self, prefixes) -> np.ndarray:
-        return memoized_rows(self.memo, self._windows(prefixes), self._forward_rows)
+        return np.array(self._forward_rows(self._windows(prefixes)))
 
     def ranked_batch(self, prefixes, k: int) -> list:
         return memoized_ranks(self.ranked, self._windows(prefixes), k, self._forward_rows)

@@ -317,6 +317,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.w > 0 and not args.net:
+        raise ValueError("--net is required for --w > 0; without it the beam runs the w = 0 baseline")
     log = _load_log(args.log, args.csv_columns)
     model = _load_model(args.model)
     net = parse_pnml(args.net) if args.net else None

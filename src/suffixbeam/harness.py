@@ -161,6 +161,8 @@ def evaluate_dataset(
     prefix_lengths=DEFAULT_PREFIX_LENGTHS,
 ) -> SweepResult:
     """Sweep the modulation weight over the test log's cases at each prefix length."""
+    if any(k < 1 for k in prefix_lengths):
+        raise ValueError("k must be >= 1")
     variants = [variant_of(trace) for trace in test_log.traces]
     cases_by_k = {}
     for k in prefix_lengths:

@@ -17,15 +17,15 @@ per step; for a predictor without ``ranked_batch`` it ranks the rows of
 else, so the n-gram here, the attention net, or an external scorer are
 interchangeable.
 
-Both models here answer through two memos per model object, each keyed by
-the true context (the n-gram's last ``order`` label indices, attention's
-last ``l_max - 1`` labels): :func:`memoized_rows` keeps read-only rows for
-``predict_proba_batch``, and :func:`memoized_ranks` keeps the records of one
-``k`` at a time for ``ranked_batch``, which the beam uses. Either computes a
-call's distinct misses together with the model's own row code and empties
-itself when it would exceed :data:`PREDICT_MEMO_CAP` entries. A row depends
-on nothing but its context and the model's parameters, so a memoized row or
-record is the one a cold model computes, bit for bit.
+Both models here compute ``predict_proba_batch`` rows afresh on every call
+and answer ``ranked_batch``, which the beam uses, through one memo per model
+object, ``ranked``: :func:`memoized_ranks` keeps the records of one ``k`` at
+a time, keyed by the true context (the n-gram's last ``order`` label
+indices, attention's last ``l_max - 1`` labels). It computes a call's
+distinct misses together with the model's own row code and empties itself
+when it would exceed :data:`PREDICT_MEMO_CAP` entries. A row depends on
+nothing but its context and the model's parameters, so a memoized record is
+the one a cold model's row gives, bit for bit.
 
 The n-gram keys its counts by the last ``order`` labels of the prefix
 (fewer when the prefix is shorter) and applies Laplace smoothing:
@@ -50,9 +50,9 @@ import numpy as np
 from .encoding import Vocabulary
 from .eventlog import PrefixLog
 
-# An entry (key, value and dict slot) measured about 340 B for a row and
-# 450 B for a record of k = 3 with an 11-label vocabulary and 8-label keys,
-# so a full memo stays under 2 MB.
+# An entry (key, record and dict slot) measured about 450 B for a record of
+# k = 3 with an 11-label vocabulary and 8-label keys, so a full memo stays
+# under 2 MB.
 PREDICT_MEMO_CAP = 4096
 
 # Probabilities are floored before their log, so a zero never sinks a beam
@@ -75,58 +75,31 @@ def _log_floor(p: float) -> float:
     return math.log(p if p > PROB_FLOOR else PROB_FLOOR)
 
 
-def memoized_rows(memo: dict, keys, compute) -> np.ndarray:
-    """Rows for ``keys`` (at least one) as a read-only ``(len(keys), |V|)`` array.
-
-    ``compute(missing)`` returns the rows of the distinct missing keys in
-    order; ``memo`` keeps them read-only (see :func:`_memoized`).
-    """
-
-    def read_only(missing):
-        rows = compute(missing)
-        for row in rows:
-            row.setflags(write=False)
-        return rows
-
-    out = np.array(_memoized(memo, keys, read_only))
-    out.setflags(write=False)
-    return out
-
-
 def memoized_ranks(memo: dict, keys, k: int, compute) -> list:
     """The :func:`ranked_rows` record of each of ``keys`` (at least one), in order.
 
-    ``compute(missing)`` returns the rows of the distinct missing keys in
-    order; only their records are kept, in ``memo[k]`` (see
-    :func:`_memoized`). ``memo`` holds one ``k`` at a time: a call with
-    another ``k`` empties it, once that call's records are computed.
+    The distinct missing keys go to ``compute(missing)`` in one call, which
+    returns their rows in order; only their records are kept, in
+    ``memo[k]``. It runs before anything is stored, so a call that raises
+    leaves the memo as it was. ``memo[k]`` is emptied when a new record
+    would take it past :data:`PREDICT_MEMO_CAP` entries, and ``memo`` holds
+    one ``k`` at a time: a call with another ``k`` empties it, once that
+    call's records are computed.
     """
     table = memo.get(k, {})
-    records = _memoized(table, keys, lambda missing: ranked_rows(np.array(compute(missing)), k))
+    records = [table.get(key) for key in keys]
+    missing = list(dict.fromkeys(key for key, record in zip(keys, records) if record is None))
+    if missing:
+        computed = dict(zip(missing, ranked_rows(np.array(compute(missing)), k)))
+        for key, record in computed.items():
+            if len(table) >= PREDICT_MEMO_CAP:
+                table.clear()
+            table[key] = record
+        records = [computed[key] if record is None else record for key, record in zip(keys, records)]
     if k not in memo:
         memo.clear()
         memo[k] = table
     return records
-
-
-def _memoized(memo: dict, keys, compute) -> list:
-    """The value of each of ``keys``, in order, from ``memo`` or ``compute``.
-
-    The distinct missing keys go to ``compute(missing)`` in one call, which
-    returns their values in order. It runs before anything is stored, so a
-    call that raises leaves the memo as it was. The memo is emptied when a
-    new value would take it past :data:`PREDICT_MEMO_CAP` entries.
-    """
-    values = [memo.get(key) for key in keys]
-    missing = list(dict.fromkeys(key for key, value in zip(keys, values) if value is None))
-    if missing:
-        computed = dict(zip(missing, compute(missing)))
-        for key, value in computed.items():
-            if len(memo) >= PREDICT_MEMO_CAP:
-                memo.clear()
-            memo[key] = value
-        values = [computed[key] if value is None else value for key, value in zip(keys, values)]
-    return values
 
 
 @dataclass(frozen=True)
@@ -135,18 +108,29 @@ class NGramModel:
     order: int
     alpha: float
     counts: dict  # context tuple (label indices) -> np.int64 array over vocab
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     ranked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("order must be >= 1")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be >= 0 and finite")
+        n = len(self.vocab)
+        for ctx, row in self.counts.items():
+            if len(ctx) > self.order:  # it would never be looked up
+                raise ValueError(f"count context {list(ctx)} is longer than order {self.order}")
+            if np.shape(row) != (n,) or np.any(np.less(row, 0)):
+                raise ValueError(f"count row of context {list(ctx)} needs {n} counts >= 0, one per label")
+
     def context_of(self, prefix) -> tuple:
-        ids = self.vocab.encode_labels(prefix)
-        return ids[-self.order:] if self.order < len(ids) else ids
+        """The last ``order`` label indices of ``prefix`` (all of a shorter one)."""
+        return self.vocab.encode_labels(prefix)[-self.order:]
 
     def predict_proba(self, prefix) -> np.ndarray:
         return self.predict_proba_batch([prefix])[0]
 
     def predict_proba_batch(self, prefixes) -> np.ndarray:
-        return memoized_rows(self.memo, self._contexts(prefixes), self._laplace_rows)
+        return np.array(self._laplace_rows(self._contexts(prefixes)))
 
     def ranked_batch(self, prefixes, k: int) -> list:
         return memoized_ranks(self.ranked, self._contexts(prefixes), k, self._laplace_rows)
@@ -201,20 +185,14 @@ def train_ngram(prefix_log: PrefixLog, vocab: Vocabulary, order: int = 3, alpha:
     Each distinct (prefix, next) pair is encoded once and counted with its
     multiplicity; contexts keep the order of their first occurrence.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    model = NGramModel(vocab=vocab, order=order, alpha=alpha, counts={})
     if not prefix_log.entries:
         raise ValueError("empty prefix log")
-    n = len(vocab)
-    counts = {}
     for (prefix, nxt), multiplicity in Counter(prefix_log.entries).items():
-        ids = vocab.encode_labels(prefix)
-        ctx = ids[-order:] if order < len(ids) else ids
-        row = counts.get(ctx)
+        ctx = model.context_of(prefix)
+        row = model.counts.get(ctx)
         if row is None:
-            row = np.zeros(n, dtype=np.int64)
-            counts[ctx] = row
+            row = np.zeros(len(vocab), dtype=np.int64)
+            model.counts[ctx] = row
         row[vocab.index_of(nxt)] += multiplicity
-    return NGramModel(vocab=vocab, order=order, alpha=alpha, counts=counts)
+    return model

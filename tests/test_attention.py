@@ -196,7 +196,7 @@ def test_trained_params_own_separate_memory_and_the_memo_is_empty():
     for i, a in enumerate(arrays):
         for b in arrays[i + 1 :]:
             assert not np.shares_memory(a, b)
-    assert model.memo == {}
+    assert model.ranked == {}
 
 
 def test_training_learns_a_deterministic_rule():

@@ -299,6 +299,33 @@ def test_evaluate_without_net_is_the_baseline(workspace, capsys):
     assert "k=3 w=0.00: mean similarity 0.45333 over 200 cases" in out
 
 
+def test_evaluate_with_a_weight_and_no_net_is_rejected(workspace, capsys):
+    code, out, err = run(
+        capsys,
+        [
+            "evaluate", "--log", workspace["test"], "--model", workspace["model"],
+            "--k", "3", "--w", "0.5",
+        ],
+    )
+    assert code == 1
+    assert "--net is required for --w > 0" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_evaluate_rejects_a_prefix_length_below_one(workspace, capsys, k):
+    code, out, err = run(
+        capsys,
+        [
+            "evaluate", "--log", workspace["test"], "--model", workspace["model"],
+            "--net", workspace["net"], "--k", k, "--w", "0.85",
+        ],
+    )
+    assert code == 1
+    assert "k must be >= 1" in err
+    assert out == ""
+
+
 def test_sweep_reallife_writes_reports(workspace, tmp_path, capsys):
     code, out, _ = run(
         capsys,

@@ -216,6 +216,15 @@ def test_evaluate_dataset_with_no_cases_at_all(synth, synth_ngram):
             )
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_evaluate_dataset_rejects_a_prefix_length_below_one(synth, synth_ngram, k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        evaluate_dataset(
+            "bad", synth.test_log, synth_ngram, synth.net, BeamConfig(b_size=3, max_iter=8),
+            w_grid=(0.0,), prefix_lengths=(3, k),
+        )
+
+
 def test_best_w_prefers_smallest_on_ties():
     cells = tuple(
         SweepCell("d", k, w, sim, 4, 0)

@@ -1,9 +1,9 @@
 """The batched, memoized predictor protocol against uncached references.
 
-Both models answer ``predict_proba_batch`` through a memo of rows and
-``ranked_batch`` through a memo of ranked records, each per model object.
-Every row they return must equal, bit for bit, the row a cold model
-computes on its own: the Laplace formula for the n-gram, a single-row
+Both models compute ``predict_proba_batch`` rows afresh and answer
+``ranked_batch`` through one memo of ranked records per model object,
+``ranked``. Every row they return must equal, bit for bit, the row a cold
+model computes on its own: the Laplace formula for the n-gram, a single-row
 ``forward`` for the attention net. Every record must equal the stable
 ranking of that cold row with its floored logs.
 """
@@ -75,7 +75,7 @@ PREFIXES = st.lists(st.sampled_from(["A", "B", "C", END]), min_size=1, max_size=
 
 
 def _fresh(model):
-    """The same model as a new object, so with an empty memo."""
+    """The same model as a new object, so with an empty ``ranked`` memo."""
     if isinstance(model, AttentionModel):
         return AttentionModel(model.vocab, model.config, params=model.params)
     return dataclasses.replace(model)
@@ -100,47 +100,15 @@ def test_batched_memoized_rows_equal_cold_single_rows(name, batch, data):
         got.extend(rows)
     for p, row, ref in zip(batch, got, want):
         assert np.array_equal(row, ref), p
-        assert np.array_equal(model.predict_proba(p), ref)  # warm memo
-        assert np.array_equal(_fresh(model).predict_proba(p), ref)  # cold memo
-
-
-@pytest.mark.parametrize("name", MODEL_NAMES)
-def test_memo_stays_within_its_cap_and_refills_identically(name, monkeypatch):
-    model, reference = models()[name]
-    monkeypatch.setattr(predictor_module, "PREDICT_MEMO_CAP", 3)
-    batches = [[("A",), ("B",), ("A", "B")], [("C", "C"), ("A",), ("B", "A", "C")], [("C",) * 6, ("A", "C")]]
-    first = []
-    for batch in batches:
-        first.append(model.predict_proba_batch(batch))
-        assert 0 < len(model.memo) <= 3
-    model.memo.clear()
-    for batch, rows in zip(batches, first):
-        again = model.predict_proba_batch(batch)
-        assert np.array_equal(again, rows)
-        assert len(model.memo) <= 3
-        for p, row in zip(batch, again):
-            assert np.array_equal(row, reference(model, p))
-
-
-@pytest.mark.parametrize("name", MODEL_NAMES)
-def test_returned_rows_are_read_only(name):
-    model, _ = models()[name]
-    batch = model.predict_proba_batch([("A",), ("A", "B")])
-    row = model.predict_proba(("A",))
-    for arr in (batch, batch[0], row, *model.memo.values()):
-        assert not arr.flags.writeable
-    with pytest.raises(ValueError):
-        row[0] = 1.0
-    with pytest.raises(ValueError):
-        batch[1, 0] = 1.0
+        assert np.array_equal(model.predict_proba(p), ref)  # a single-row call
+        assert np.array_equal(_fresh(model).predict_proba(p), ref)  # a new model object
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_unknown_label_raises_and_leaves_the_memo_unchanged(name):
     model, _ = models()[name]
-    model.predict_proba_batch([("A",), ("B", "C")])
     model.ranked_batch([("A",), ("C", "C")], 2)
-    before, ranked_before = dict(model.memo), dict(model.ranked[2])
+    ranked_before = dict(model.ranked[2])
     with pytest.raises(ValueError, match="^label 'Z' is not in the vocabulary$"):
         model.predict_proba_batch([("C", "A"), ("A", "Z"), ("B",)])
     with pytest.raises(ValueError, match="^label 'Z' is not in the vocabulary$"):
@@ -148,8 +116,6 @@ def test_unknown_label_raises_and_leaves_the_memo_unchanged(name):
     for k in (2, 3):  # the same k, and one that would empty the ranked memo
         with pytest.raises(ValueError, match="^label 'Z' is not in the vocabulary$"):
             model.ranked_batch([("C", "A"), ("A", "Z"), ("B",)], k)
-    assert model.memo.keys() == before.keys()
-    assert all(model.memo[key] is row for key, row in before.items())
     assert list(model.ranked) == [2] and model.ranked[2] == ranked_before
 
 
@@ -160,7 +126,7 @@ def test_empty_prefix_in_a_batch_is_rejected(name):
         model.predict_proba_batch([("A",), ()])
     with pytest.raises(ValueError, match="non-empty"):
         model.ranked_batch([("A",), ()], 2)
-    assert model.memo == {} and model.ranked == {}
+    assert model.ranked == {}
 
 
 @settings(max_examples=60)
@@ -186,7 +152,6 @@ def test_ranked_records_equal_the_ranking_of_cold_rows(name, batch, data):
                 # warm, or refilled where a table past its cap was emptied
                 assert model.ranked_batch(batch[::-1], k) == want[::-1]
                 assert list(model.ranked) == [k] and 0 < len(model.ranked[k]) <= cap
-        assert model.memo == {}  # the ranked path fills no row memo
 
     check(model)
     if replaced:
@@ -215,28 +180,26 @@ def test_a_failed_compute_leaves_the_ranked_memo_unchanged():
 
 def test_replacing_attention_params_empties_the_memo():
     model = AttentionModel(VOCAB4, TINY)
-    old = model.predict_proba(("A", "B"))
-    model.ranked_batch([("A", "B")], 2)
-    assert model.memo and model.ranked
+    old = model.ranked_batch([("A", "B")], 2)
+    assert model.ranked
     model.params = {k: v * 1.5 for k, v in model.params.items()}
-    assert model.memo == {} and model.ranked == {}
-    new = model.predict_proba(("A", "B"))
-    assert not np.array_equal(new, old)
-    assert np.array_equal(new, cold_forward_row(model, ("A", "B")))
+    assert model.ranked == {}
+    new = model.ranked_batch([("A", "B")], 2)
+    assert new != old
+    assert new == [ranking(cold_forward_row(model, ("A", "B")), 2)]
 
 
 def test_retrained_models_start_with_an_empty_memo():
     log = log_from_variants([("A", "B", "C")] * 6 + [("A", "C")] * 4)
     vocab, plog = build_vocabulary(log), build_prefix_log(log)
     model, _ = train_attention(plog, vocab, TINY, epochs=2, batch_size=4)
-    assert model.memo == {}
-    assert np.array_equal(model.predict_proba(("A",)), cold_forward_row(model, ("A",)))
+    assert model.ranked == {}
+    assert model.ranked_batch([("A",)], 2) == [ranking(cold_forward_row(model, ("A",)), 2)]
     ngram = train_ngram(plog, vocab, order=2)
-    ngram.predict_proba(("A",))
     ngram.ranked_batch([("A",)], 2)
     recounted = dataclasses.replace(ngram, counts={})
-    assert recounted.memo == {} and recounted.ranked == {} and ngram.memo and ngram.ranked
-    assert recounted.predict_proba(("A",)).tolist() == [0.25] * 4
+    assert recounted.ranked == {} and ngram.ranked
+    assert recounted.ranked_batch([("A",)], 2) == [ranking(np.full(4, 0.25), 2)]
 
 
 class FreshRows:
@@ -286,7 +249,7 @@ def test_beams_equal_with_memoized_and_fresh_rows_on_the_online_path(wide_attent
     config = BeamConfig(b_size=3, max_iter=7, w=0.85)
     for p in prefixes:
         assert modulated_beam(p, net, model, config) == modulated_beam(p, net, fresh, config)
-    assert model.ranked and not model.memo  # the beam filled the ranked memo only
+    assert model.ranked  # the beam filled the ranked memo
 
 
 @pytest.mark.parametrize("kind", ["ngram", "attention"])
@@ -303,7 +266,7 @@ def test_beams_equal_with_memoized_and_fresh_rows(kind, synth, synth_ngram, synt
         config = BeamConfig(b_size=3, max_iter=12, max_size=4)
         assert baseline_beam(p, model, config) == baseline_beam(p, fresh, config)
         assert checked_beam(p, checker, model, config) == checked_beam(p, checker, fresh, config)
-    assert model.ranked and not model.memo  # the memoized side really was memoized, ranked
+    assert model.ranked  # the memoized side really was memoized
 
 
 @pytest.mark.parametrize("kind", ["ngram", "attention"])
@@ -332,8 +295,8 @@ def test_one_forward_per_call_over_its_distinct_misses():
     rows_forwarded = []
     forward = model.forward
     model.forward = lambda x, mask: rows_forwarded.append(x.shape[0]) or forward(x, mask)
-    model.predict_proba_batch([("A",), ("B",)])
+    model.ranked_batch([("A",), ("B",)], 2)
     # ("C", "A", "B", "C", "A") shares its window with ("A", "B", "C", "A")
-    model.predict_proba_batch([("A",), ("C",), ("C",), ("A", "B", "C", "A"), ("C", "A", "B", "C", "A")])
-    model.predict_proba_batch([("B",), ("C",)])  # all hits: no forward
+    model.ranked_batch([("A",), ("C",), ("C",), ("A", "B", "C", "A"), ("C", "A", "B", "C", "A")], 2)
+    model.ranked_batch([("B",), ("C",)], 2)  # all hits: no forward
     assert rows_forwarded == [2, 2]

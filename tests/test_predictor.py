@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,28 @@ def test_save_load_round_trip(tiny_model, tmp_path):
         assert back.counts[ctx].tolist() == row.tolist()
     # bit-for-bit identical predictions
     assert back.predict_proba(("A", "B")).tolist() == tiny_model.predict_proba(("A", "B")).tolist()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("order", 0, "order must be >= 1"),
+        ("order", 1, r"context \[0, 1\] is longer than order 1"),
+        ("alpha", -5.0, "alpha must be >= 0"),
+        ("alpha", float("nan"), "alpha must be >= 0"),
+        ("counts", [[[0, 1], [4, 2]]], r"context \[0, 1\] needs 3 counts >= 0"),
+        ("counts", [[[0, 1], [4, -2, 0]]], r"context \[0, 1\] needs 3 counts >= 0"),
+    ],
+    ids=["order-0", "order-below-its-contexts", "alpha-negative", "alpha-nan", "row-too-short", "row-negative"],
+)
+def test_load_rejects_tampered_files(tiny_model, tmp_path, key, value, message):
+    path = tmp_path / "model.json"
+    tiny_model.save(path)
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        NGramModel.load(path)
 
 
 def test_load_rejects_other_files(tmp_path):
