@@ -27,6 +27,9 @@ its prefixes.
 from __future__ import annotations
 
 import json
+import math
+import zipfile
+import zlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -37,6 +40,10 @@ from .predictor import memoized_ranks
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# A training minibatch is cut from runs of entries that share a prefix,
+# about this many runs per batch; the encoder sees each run's prefix once.
+CHUNKS_PER_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -52,12 +59,19 @@ class AttentionConfig:
     ln_eps: float = 1e-5
 
     def __post_init__(self):
+        for name in ("l_max", "d_model", "n_heads", "n_layers", "d_ff", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.l_max < 2:
             raise ValueError("l_max must be >= 2")
+        if min(self.d_model, self.n_heads, self.d_ff) < 1 or self.n_layers < 0:
+            raise ValueError("d_model, n_heads and d_ff must be >= 1, n_layers >= 0")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if not 0.0 < self.ln_eps < math.inf:
+            raise ValueError("ln_eps must be > 0 and finite")
 
 
 def sinusoidal_encoding(n_positions: int, d_model: int) -> np.ndarray:
@@ -74,6 +88,34 @@ def sinusoidal_encoding(n_positions: int, d_model: int) -> np.ndarray:
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+def _param_shapes(n_labels: int, cfg: AttentionConfig) -> dict:
+    """Name -> shape of every parameter, in the order the model creates them."""
+    v, d, f = n_labels, cfg.d_model, cfg.d_ff
+    shapes = {"w_in": (v, d), "b_in": (d,), "w_out": (d, v), "b_out": (v,)}
+    for layer in range(cfg.n_layers):
+        key = f"l{layer}_"
+        for name in ("q", "k", "v", "o"):
+            shapes[key + "w" + name] = (d, d)
+            shapes[key + "b" + name] = (d,)
+        shapes.update({key + "w1": (d, f), key + "b1": (f,), key + "w2": (f, d), key + "b2": (d,)})
+        for ln in ("ln1", "ln2"):
+            shapes[key + ln + "_g"] = (d,)
+            shapes[key + ln + "_b"] = (d,)
+    return shapes
+
+
+def _check_params(params: dict, shapes: dict) -> None:
+    missing, extra = sorted(set(shapes) - set(params)), sorted(set(params) - set(shapes))
+    if missing or extra:
+        raise ValueError(f"attention params: missing {missing}, unexpected {extra}")
+    for name, shape in shapes.items():
+        value = params[name]
+        if not isinstance(value, np.ndarray) or value.dtype.kind != "f" or value.shape != shape:
+            raise ValueError(f"attention param {name!r} must be a float array of shape {shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"attention param {name!r} holds a non-finite weight")
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -110,10 +152,16 @@ class AttentionModel:
     """Next-activity distribution over prefixes; predictor-protocol compatible."""
 
     def __init__(self, vocab: Vocabulary, config: AttentionConfig, params: dict | None = None):
+        """Fresh weights from ``config.seed``, or ``params``, which must hold
+        every parameter at its shape with finite float weights (ValueError)."""
         self.vocab = vocab
         self.config = config
         self.pe = sinusoidal_encoding(config.l_max - 1, config.d_model)
-        self.params = params if params is not None else self._init_params()
+        if params is None:
+            params = self._init_params()
+        else:
+            _check_params(params, _param_shapes(len(vocab), config))
+        self.params = params
 
     @property
     def params(self) -> dict:
@@ -127,27 +175,13 @@ class AttentionModel:
         self.ranked = {}
 
     def _init_params(self) -> dict:
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        v, d, f = len(self.vocab), cfg.d_model, cfg.d_ff
-        p = {
-            "w_in": _glorot(rng, v, d),
-            "b_in": np.zeros(d),
-            "w_out": _glorot(rng, d, v),
-            "b_out": np.zeros(v),
-        }
-        for layer in range(cfg.n_layers):
-            key = f"l{layer}_"
-            for name in ("wq", "wk", "wv", "wo"):
-                p[key + name] = _glorot(rng, d, d)
-                p[key + name.replace("w", "b")] = np.zeros(d)
-            p[key + "w1"] = _glorot(rng, d, f)
-            p[key + "b1"] = np.zeros(f)
-            p[key + "w2"] = _glorot(rng, f, d)
-            p[key + "b2"] = np.zeros(d)
-            for ln in ("ln1", "ln2"):
-                p[key + ln + "_g"] = np.ones(d)
-                p[key + ln + "_b"] = np.zeros(d)
+        rng = np.random.default_rng(self.config.seed)
+        p = {}
+        for name, shape in _param_shapes(len(self.vocab), self.config).items():
+            if len(shape) == 2:
+                p[name] = _glorot(rng, *shape)
+            else:
+                p[name] = np.ones(shape) if name.endswith("_g") else np.zeros(shape)
         return p
 
     # ------------------------------------------------------------- forward
@@ -335,12 +369,41 @@ class AttentionModel:
 
     @classmethod
     def load(cls, path) -> "AttentionModel":
-        data = np.load(path, allow_pickle=False)
-        meta = json.loads(str(data["__meta__"]))
-        config = AttentionConfig(**meta["config"])
-        vocab = Vocabulary(tuple(meta["labels"]))
-        params = {k: data[k] for k in data.files if k != "__meta__"}
-        return cls(vocab, config, params=params)
+        """A saved model; a file that does not hold a valid one raises ValueError."""
+        try:
+            # np.load leaves a path it opened open when the archive is bad
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+                arrays = {k: data[k] for k in data.files}
+        except (TypeError, zipfile.BadZipFile, zlib.error, EOFError) as exc:  # TypeError: a bare .npy
+            raise ValueError(f"{path} is not a readable .npz archive: {exc!r}") from None
+        if "__meta__" not in arrays:
+            raise ValueError(f"{path} has no __meta__ entry: not an attention model file")
+        try:
+            meta = json.loads(str(arrays.pop("__meta__")))
+            config = AttentionConfig(**meta["config"])
+            vocab = Vocabulary(tuple(meta["labels"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path} has a bad __meta__ entry: {exc!r}") from None
+        return cls(vocab, config, params=arrays)
+
+
+def _prefix_chunks(prefix_of_entry: np.ndarray, chunk: int, rng: np.random.Generator) -> list:
+    """One epoch of the entries ``0..n-1`` as shuffled chunks that share a prefix.
+
+    The entries are shuffled and grouped stably by prefix id; each prefix's
+    run is cut into chunks of ``chunk`` entries (its last one may be
+    shorter), and the chunks are shuffled. Concatenated and cut into
+    consecutive minibatches, they keep every entry once per epoch, while a
+    minibatch holds few distinct prefixes.
+    """
+    n = len(prefix_of_entry)
+    shuffled = rng.permutation(n)
+    grouped = shuffled[np.argsort(prefix_of_entry[shuffled], kind="stable")]
+    ids = prefix_of_entry[grouped]
+    positions = np.arange(n)
+    run_start = np.maximum.accumulate(np.where(np.r_[True, ids[1:] != ids[:-1]], positions, 0))
+    chunks = np.split(grouped, np.flatnonzero((positions - run_start) % chunk == 0)[1:])
+    return [chunks[i] for i in rng.permutation(len(chunks))]
 
 
 @dataclass(frozen=True)
@@ -359,11 +422,30 @@ def train_attention(
     learning_rate: float = 1e-3,
     val_fraction: float = 0.1,
 ) -> tuple[AttentionModel, list[EpochStats]]:
-    """Adam training with a validation split; best-epoch weights win."""
+    """Adam training with a validation split; best-epoch weights win.
+
+    The entries are split once at random: ``val_fraction`` of them validate
+    (none when there are fewer than 10), the rest train. An epoch visits
+    every training entry once, in consecutive minibatches of ``batch_size``
+    cut from :func:`_prefix_chunks`, runs of at most ``batch_size //
+    CHUNKS_PER_BATCH`` (at least 1) entries that share a prefix. The encoder
+    runs once per distinct prefix of a minibatch, so the runs cut its rows,
+    while the steps per epoch, dropout and the per-entry mean cross-entropy
+    are those of a plain shuffle. The weights of the epoch with the lowest
+    validation loss (training loss without a split) are returned.
+
+    ValueError for an empty log, ``epochs`` or ``batch_size`` below 1,
+    ``val_fraction`` outside [0, 1), or a ``learning_rate`` that is not
+    finite and above 0.
+    """
     if not prefix_log.entries:
         raise ValueError("prefix log is empty")
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
+    if not 0.0 <= val_fraction < 1.0:
+        raise ValueError("val_fraction must be in [0, 1)")
+    if not 0.0 < learning_rate < math.inf:
+        raise ValueError("learning_rate must be > 0 and finite")
     model = AttentionModel(vocab, config)
     # the encoder runs on distinct prefixes only; entries keep a prefix id
     prefix_ids: dict = {}
@@ -409,8 +491,9 @@ def train_attention(
         probs, _ = run(idx)
         return model.loss(probs, y_all[idx])
 
+    chunk = max(1, batch_size // CHUNKS_PER_BATCH)
     for epoch in range(epochs):
-        perm = rng.permutation(len(train_idx))
+        perm = np.concatenate(_prefix_chunks(entry_prefix[train_idx], chunk, rng))
         epoch_loss = 0.0
         for start in range(0, len(perm), batch_size):
             batch = train_idx[perm[start : start + batch_size]]

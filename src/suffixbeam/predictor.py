@@ -168,15 +168,20 @@ class NGramModel:
     def load(path) -> "NGramModel":
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("kind") != "ngram":
+        if not isinstance(payload, dict) or payload.get("kind") != "ngram":
             raise ValueError(f"{path} is not an n-gram model file")
-        vocab = Vocabulary(labels=tuple(payload["vocab"]))
-        counts = {
-            tuple(ctx): np.array(row, dtype=np.int64) for ctx, row in payload["counts"]
-        }
-        return NGramModel(
-            vocab=vocab, order=int(payload["order"]), alpha=float(payload["alpha"]), counts=counts
-        )
+        missing = [key for key in ("vocab", "order", "alpha", "counts") if key not in payload]
+        if missing:
+            raise ValueError(f"{path} lacks the n-gram model entries {missing}")
+        try:
+            vocab = Vocabulary(labels=tuple(payload["vocab"]))
+            counts = {
+                tuple(ctx): np.array(row, dtype=np.int64) for ctx, row in payload["counts"]
+            }
+            order, alpha = int(payload["order"]), float(payload["alpha"])
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path} has a malformed n-gram model entry: {exc!r}") from None
+        return NGramModel(vocab=vocab, order=order, alpha=alpha, counts=counts)
 
 
 def train_ngram(prefix_log: PrefixLog, vocab: Vocabulary, order: int = 3, alpha: float = 0.01) -> NGramModel:

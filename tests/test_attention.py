@@ -1,12 +1,22 @@
+import itertools
+import json
 import math
+import re
+from contextlib import contextmanager
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from suffixbeam import attention
 from suffixbeam.attention import (
     AttentionConfig,
     AttentionModel,
     EpochStats,
+    _prefix_chunks,
     sinusoidal_encoding,
     train_attention,
 )
@@ -14,6 +24,7 @@ from suffixbeam.encoding import Vocabulary, build_vocabulary
 from suffixbeam.eventlog import END, build_prefix_log, log_from_variants
 
 from gradient_oracle import finite_difference_check
+from logs import repetitive_variants
 
 VOCAB4 = Vocabulary(labels=("A", "B", "C", END))
 
@@ -31,6 +42,11 @@ def test_config_validation():
         AttentionConfig(l_max=5, d_model=10, n_heads=4)
     with pytest.raises(ValueError, match="dropout"):
         AttentionConfig(l_max=5, dropout=1.0)
+    for field, value in (("n_heads", 0), ("d_ff", 0), ("n_layers", -1), ("ln_eps", 0.0)):
+        with pytest.raises(ValueError, match=field):
+            AttentionConfig(**{"l_max": 5, "d_model": 4, "n_heads": 2, field: value})
+    with pytest.raises(ValueError, match="d_model must be an integer"):
+        AttentionConfig(l_max=5, d_model=4.0, n_heads=2)
 
 
 def test_sinusoidal_encoding_values():
@@ -246,3 +262,156 @@ def test_training_validation_errors():
         train_attention(plog, vocab, config, epochs=0)
     with pytest.raises(ValueError, match="epochs and batch_size"):
         train_attention(plog, vocab, config, batch_size=0)
+    with pytest.raises(ValueError, match="val_fraction"):
+        train_attention(plog, vocab, config, val_fraction=-0.5)
+    with pytest.raises(ValueError, match="val_fraction"):
+        train_attention(plog, vocab, config, val_fraction=1.0)
+    for bad in (float("nan"), float("inf"), 0.0, -1e-3):
+        with pytest.raises(ValueError, match="learning_rate"):
+            train_attention(plog, vocab, config, learning_rate=bad)
+
+
+# A model file is input: whatever it holds, load gives a valid model or a
+# ValueError that names what is wrong.
+
+
+def _set_meta(arrays, meta):
+    arrays["__meta__"] = np.array(json.dumps(meta))
+
+
+# case -> (the name the error must give, an edit of the saved arrays and meta)
+TAMPERINGS = {
+    "no-w_out": ("w_out", lambda a, meta: a.pop("w_out")),
+    "no-meta": ("__meta__", lambda a, meta: a.pop("__meta__")),
+    "meta-not-json": ("__meta__", lambda a, meta: a.update(__meta__=np.array("{not json"))),
+    "meta-no-config": ("config", lambda a, meta: _set_meta(a, {"labels": meta["labels"]})),
+    "meta-unknown-field": (
+        "__meta__", lambda a, meta: _set_meta(a, {**meta, "config": {**meta["config"], "width": 3}})
+    ),
+    "meta-bad-labels": ("__meta__", lambda a, meta: _set_meta(a, {**meta, "labels": ["A"]})),
+    "extra-param": ("l1_wq", lambda a, meta: a.update(l1_wq=np.zeros((4, 4)))),
+    "w_out-short": ("w_out", lambda a, meta: a.update(w_out=a["w_out"][:, :-1])),
+    "l0_wq-nan": ("l0_wq", lambda a, meta: a["l0_wq"].fill(np.nan)),
+    "b_in-inf": ("b_in", lambda a, meta: a["b_in"].__setitem__(0, np.inf)),
+    "w_in-strings": ("w_in", lambda a, meta: a.update(w_in=np.full((4, 4), "x"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERINGS))
+def test_load_rejects_tampered_files(tmp_path, case):
+    path = tmp_path / "model.npz"
+    tiny_model().save(path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    name, edit = TAMPERINGS[case]
+    edit(arrays, json.loads(str(arrays["__meta__"])))
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=re.escape(name)):
+        AttentionModel.load(path)
+
+
+@pytest.mark.parametrize("content", [b"PK\x03\x04 truncated", b"not an archive"])
+def test_load_rejects_files_that_are_no_archive(tmp_path, content):
+    path = tmp_path / "model.npz"
+    path.write_bytes(content)
+    with pytest.raises(ValueError):
+        AttentionModel.load(path)
+
+
+def test_constructor_checks_params_against_config_and_vocabulary():
+    params = tiny_model().params
+    wider = Vocabulary(labels=("A", "B", "C", "D", END))
+    with pytest.raises(ValueError, match="'w_in'"):
+        AttentionModel(wider, TINY, params=params)
+    with pytest.raises(ValueError, match=r"missing \['l0_wq'"):
+        AttentionModel(VOCAB4, TINY, params={k: v for k, v in params.items() if k != "l0_wq"})
+    deeper = AttentionConfig(l_max=5, d_model=4, n_heads=2, n_layers=2, d_ff=8, dropout=0.0, seed=11)
+    with pytest.raises(ValueError, match=r"missing \['l1_b1'"):
+        AttentionModel(VOCAB4, deeper, params=params)
+
+
+# Each epoch runs over chunks of entries that share a prefix (_prefix_chunks).
+
+
+@st.composite
+def prefix_ids(draw):
+    """Prefix ids of a random prefix log's entries, as train_attention numbers them."""
+    entries = build_prefix_log(log_from_variants(draw(repetitive_variants()))).entries
+    ids: dict = {}
+    return np.array([ids.setdefault(variant, len(ids)) for variant, _ in entries])
+
+
+@settings(max_examples=100)
+@given(prefix_ids(), st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
+def test_prefix_chunks_cover_every_entry_once_in_capped_runs_of_one_prefix(ids, chunk, seed):
+    chunks = _prefix_chunks(ids, chunk, np.random.default_rng(seed))
+    order = np.concatenate(chunks)
+    assert sorted(order.tolist()) == list(range(len(ids)))
+    per_prefix = {}
+    for c in chunks:
+        assert 1 <= len(c) <= chunk
+        assert len(set(ids[c].tolist())) == 1
+        per_prefix.setdefault(int(ids[c[0]]), []).append(len(c))
+    for sizes in per_prefix.values():
+        assert sum(size < chunk for size in sizes) <= 1  # a run is cut greedily
+    again = _prefix_chunks(ids, chunk, np.random.default_rng(seed))
+    assert all(np.array_equal(a, b) for a, b in zip(chunks, again))
+
+
+@contextmanager
+def training_spy():
+    """Records the chunking and the training forwards of train_attention."""
+    spy = SimpleNamespace(chunkings=[], batches=[])  # per epoch, per step
+    real_chunks, real_forward = attention._prefix_chunks, AttentionModel.forward
+
+    def chunks(prefix_of_entry, chunk, rng):
+        out = real_chunks(prefix_of_entry, chunk, rng)
+        spy.chunkings.append((len(prefix_of_entry), chunk, len(out)))
+        return out
+
+    def forward(model, x, mask, dropout_rng=None, rows=None):
+        if dropout_rng is not None:
+            spy.batches.append((len(rows), x.shape[0]))  # (entries, encoder rows)
+        return real_forward(model, x, mask, dropout_rng=dropout_rng, rows=rows)
+
+    with mock.patch.object(attention, "_prefix_chunks", chunks):
+        with mock.patch.object(AttentionModel, "forward", forward):
+            yield spy
+
+
+@settings(max_examples=25)
+@given(repetitive_variants(), st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=999))
+def test_an_epoch_takes_the_steps_of_a_plain_shuffle(variants, batch_size, seed):
+    log = log_from_variants(variants)
+    plog = build_prefix_log(log)
+    config = AttentionConfig(l_max=7, d_model=4, n_heads=2, n_layers=1, d_ff=4, dropout=0.0, seed=seed)
+    epochs = 2
+    with training_spy() as spy:
+        train_attention(plog, build_vocabulary(log), config, epochs=epochs, batch_size=batch_size)
+    n = len(plog.entries)
+    n_train = n - (int(round(n * 0.1)) if n >= 10 else 0)
+    steps = math.ceil(n_train / batch_size)
+    assert spy.chunkings == [(n_train, max(1, batch_size // 8), spy.chunkings[0][2])] * epochs
+    if batch_size < 8:
+        assert spy.chunkings[0][1] == 1
+    assert len(spy.batches) == epochs * steps
+    for epoch in range(epochs):
+        batches = spy.batches[epoch * steps : (epoch + 1) * steps]
+        last = n_train - batch_size * (steps - 1)
+        assert [size for size, _ in batches] == [batch_size] * (steps - 1) + [last]
+        # a chunk is one prefix, and one cut by a batch boundary runs twice
+        assert sum(rows for _, rows in batches) <= spy.chunkings[epoch][2] + steps - 1
+
+
+def test_encoder_rows_per_epoch_stay_within_the_chunks_on_a_repetitive_log():
+    # 40 variants, 8 traces each: a plain shuffle puts about 28 of the 53
+    # distinct prefixes in a 64-entry batch, 8 chunks hold at most 8
+    log = log_from_variants([tuple(v) for v in itertools.product("ABCD", repeat=3)][:40] * 8)
+    plog = build_prefix_log(log)
+    with training_spy() as spy:
+        train_attention(plog, build_vocabulary(log), TINY, epochs=3)
+    steps = len(spy.batches) // 3
+    for epoch, (n_train, chunk, n_chunks) in enumerate(spy.chunkings):
+        assert chunk == 8
+        rows = sum(r for _, r in spy.batches[epoch * steps : (epoch + 1) * steps])
+        assert rows <= n_chunks < n_train

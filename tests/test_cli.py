@@ -1,10 +1,12 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from suffixbeam.attention import AttentionConfig, AttentionModel
@@ -271,6 +273,51 @@ def test_predict_loads_npz_as_attention_model(workspace, tmp_path, capsys):
     assert out.startswith("suffix:")
 
 
+def _drop_ngram_counts(path):
+    payload = json.loads(path.read_text())
+    del payload["counts"]
+    path.write_text(json.dumps(payload))
+
+
+def _edit_npz(edit):
+    def apply(path):
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+    return apply
+
+
+@pytest.mark.parametrize(
+    "model_name, tamper, fragment",
+    [
+        ("ngram.json", _drop_ngram_counts, "['counts']"),
+        ("model.npz", _edit_npz(lambda a: a.pop("w_out")), "'w_out'"),
+        ("model.npz", _edit_npz(lambda a: a.pop("__meta__")), "__meta__"),
+        ("model.npz", _edit_npz(lambda a: a["l0_wq"].fill(np.nan)), "'l0_wq' holds a non-finite weight"),
+        ("model.npz", _edit_npz(lambda a: a.update(w_out=a["w_out"][:, :-1])), "'w_out' must be a float"),
+    ],
+    ids=["ngram-without-counts", "npz-without-w_out", "npz-without-meta", "npz-nan-weight",
+         "npz-w_out-short"],
+)
+def test_predict_with_a_tampered_model_file_is_bad_input(
+    workspace, tmp_path, capsys, model_name, tamper, fragment
+):
+    path = tmp_path / model_name
+    if model_name.endswith(".npz"):
+        vocab = build_vocabulary(parse_xes(workspace["train"]))
+        config = AttentionConfig(l_max=7, d_model=4, n_heads=2, n_layers=1, d_ff=8, seed=3)
+        AttentionModel(vocab, config).save(path)
+    else:
+        path.write_bytes(Path(workspace["model"]).read_bytes())
+    tamper(path)
+    code, _, err = run(
+        capsys, ["predict", "--model", str(path), "--prefix", "Start", "--algorithm", "baseline"]
+    )
+    assert code == 1
+    assert fragment in err
+
+
 # ---------------------------------------------------------------------------
 # evaluate / sweep
 
@@ -393,6 +440,17 @@ def test_default_synthetic_sweep_output_is_locked(tmp_path, capsys):
         "sweep.csv": "05c0c1870032f1f929f9e976b01859f649fdcdb86f2447a70ff832a5675c7873",
         "comparison.csv": "f0270f3e2ad95713b857338ce6ab06d07972c543b17b82708ceb1ff9761eb01c",
     }
+
+
+def test_synthetic_attention_sweep_keeps_the_paper_numbers(tmp_path, capsys):
+    # values, not digests: the attention sweep's CSVs follow its training order
+    with pytest.warns(UserWarning, match="no test trace is longer than k="):
+        code, out, _ = run(
+            capsys, ["sweep", "--mode", "synthetic", "--predictor", "attention", "--out", str(tmp_path)]
+        )
+    assert code == 0
+    assert "micro similarity at w=0.00: 0.54474\n" in out
+    assert re.search(r"best w: \d\.\d\d \(micro 0\.96421\)\n", out)
 
 
 def test_default_synthgen_output_is_locked(workspace):

@@ -102,8 +102,18 @@ def test_save_load_round_trip(tiny_model, tmp_path):
         ("alpha", float("nan"), "alpha must be >= 0"),
         ("counts", [[[0, 1], [4, 2]]], r"context \[0, 1\] needs 3 counts >= 0"),
         ("counts", [[[0, 1], [4, -2, 0]]], r"context \[0, 1\] needs 3 counts >= 0"),
+        ("counts", 5, "malformed n-gram model entry"),
+        ("counts", [[[0, 1]]], "malformed n-gram model entry"),
+        ("counts", [[[0, 1], [1e30, 0, 0]]], "malformed n-gram model entry"),
+        ("vocab", 3, "malformed n-gram model entry"),
+        ("vocab", ["A", "B"], "malformed n-gram model entry"),
+        ("order", "two", "malformed n-gram model entry"),
+        ("order", float("inf"), "malformed n-gram model entry"),
+        ("alpha", [0.5], "malformed n-gram model entry"),
     ],
-    ids=["order-0", "order-below-its-contexts", "alpha-negative", "alpha-nan", "row-too-short", "row-negative"],
+    ids=["order-0", "order-below-its-contexts", "alpha-negative", "alpha-nan", "row-too-short",
+         "row-negative", "counts-not-a-list", "count-pair-without-row", "count-past-int64",
+         "vocab-not-a-list", "vocab-without-end", "order-not-a-number", "order-infinite", "alpha-a-list"],
 )
 def test_load_rejects_tampered_files(tiny_model, tmp_path, key, value, message):
     path = tmp_path / "model.json"
@@ -115,9 +125,23 @@ def test_load_rejects_tampered_files(tiny_model, tmp_path, key, value, message):
         NGramModel.load(path)
 
 
+@pytest.mark.parametrize("key", ["vocab", "order", "alpha", "counts"])
+def test_load_names_a_missing_entry(tiny_model, tmp_path, key):
+    path = tmp_path / "model.json"
+    tiny_model.save(path)
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"lacks the n-gram model entries \['{key}'\]"):
+        NGramModel.load(path)
+
+
 def test_load_rejects_other_files(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"kind": "nonsense"}')
+    with pytest.raises(ValueError, match="not an n-gram model file"):
+        NGramModel.load(path)
+    path.write_text('["kind", "ngram"]')
     with pytest.raises(ValueError, match="not an n-gram model file"):
         NGramModel.load(path)
 
