@@ -15,13 +15,13 @@ Padding is handled by masking, never by the padded values themselves:
 padded key columns get a -inf bias before the attention softmax (their
 weights become exact zeros) and padded positions are -inf'd out of the
 max-pool, so whatever garbage sits in padded input rows cannot reach the
-output. predict_proba_batch exploits that by truncating overlong prefixes to
-the most recent l_max - 1 activities, which is what beam search needs when
-its hypotheses outgrow the training window. That window is the model's whole
-context, so it keys the model's memo of ranked next labels, ``ranked`` (see
-:mod:`suffixbeam.predictor`); a ``ranked_batch`` call runs one forward over
-its distinct misses, and a ``predict_proba_batch`` call one forward over all
-its prefixes.
+output. The model reads a prefix through the window rule it shares with the
+n-gram (:class:`~suffixbeam.predictor.ContextModel`): its most recent
+l_max - 1 labels, which is what beam search needs when its hypotheses
+outgrow the training window. ``_encode`` turns windows into one-hot rows
+(training uses it too), a ``ranked_batch`` call runs one forward over its
+distinct missing windows, and a ``predict_proba_batch`` call one forward
+over all its prefixes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .encoding import Vocabulary
-from .predictor import memoized_ranks
+from .predictor import ContextModel
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -148,19 +148,20 @@ def _layer_norm_backward(dy, cache):
     return dx, np.sum(dy * xhat, axis=axes), np.sum(dy, axis=axes)
 
 
-class AttentionModel:
-    """Next-activity distribution over prefixes; predictor-protocol compatible."""
+class AttentionModel(ContextModel):
+    """Next-activity distribution over the last ``l_max - 1`` labels of a prefix."""
 
     def __init__(self, vocab: Vocabulary, config: AttentionConfig, params: dict | None = None):
         """Fresh weights from ``config.seed``, or ``params``, which must hold
         every parameter at its shape with finite float weights (ValueError)."""
         self.vocab = vocab
         self.config = config
-        self.pe = sinusoidal_encoding(config.l_max - 1, config.d_model)
+        self.context_len = config.l_max - 1
         if params is None:
             params = self._init_params()
         else:
             _check_params(params, _param_shapes(len(vocab), config))
+        self.pe = sinusoidal_encoding(self.context_len, config.d_model)
         self.params = params
 
     @property
@@ -327,33 +328,15 @@ class AttentionModel:
     # ----------------------------------------------------------- inference
 
     def _encode(self, prefixes) -> tuple[np.ndarray, np.ndarray]:
-        t = self.config.l_max - 1
-        v = len(self.vocab)
-        x = np.zeros((len(prefixes), t, v))
-        mask = np.zeros((len(prefixes), t), dtype=bool)
+        x = np.zeros((len(prefixes), self.context_len, len(self.vocab)))
+        mask = np.zeros((len(prefixes), self.context_len), dtype=bool)
         for row, pref in enumerate(prefixes):
-            labels = tuple(pref)[-t:]  # keep the most recent window
-            for j, label in enumerate(labels):
-                x[row, j, self.vocab.index_of(label)] = 1.0
-                mask[row, j] = True
+            ids = self.vocab.encode_labels(self.window(pref))
+            x[row, np.arange(len(ids)), ids] = 1.0
+            mask[row, : len(ids)] = True
         return x, mask
 
-    def predict_proba(self, prefix) -> np.ndarray:
-        return self.predict_proba_batch([prefix])[0]
-
-    def predict_proba_batch(self, prefixes) -> np.ndarray:
-        return np.array(self._forward_rows(self._windows(prefixes)))
-
-    def ranked_batch(self, prefixes, k: int) -> list:
-        return memoized_ranks(self.ranked, self._windows(prefixes), k, self._forward_rows)
-
-    def _windows(self, prefixes) -> list:
-        if not all(prefixes):
-            raise ValueError("prefix must be non-empty")
-        t = self.config.l_max - 1
-        return [tuple(pref)[-t:] for pref in prefixes]
-
-    def _forward_rows(self, windows) -> list:
+    def _rows(self, windows) -> list:
         x, mask = self._encode(windows)
         _, cache = self.forward(x, mask)
         pooled, w_out, b_out = cache["pooled"], self.params["w_out"], self.params["b_out"]
@@ -374,7 +357,8 @@ class AttentionModel:
             # np.load leaves a path it opened open when the archive is bad
             with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
                 arrays = {k: data[k] for k in data.files}
-        except (TypeError, zipfile.BadZipFile, zlib.error, EOFError) as exc:  # TypeError: a bare .npy
+        # TypeError: a bare .npy; ValueError: no archive at all, or a pickled entry
+        except (TypeError, ValueError, zipfile.BadZipFile, zlib.error, EOFError) as exc:
             raise ValueError(f"{path} is not a readable .npz archive: {exc!r}") from None
         if "__meta__" not in arrays:
             raise ValueError(f"{path} has no __meta__ entry: not an attention model file")

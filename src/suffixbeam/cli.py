@@ -71,12 +71,16 @@ def _load_log(path: str, csv_columns: str | None):
     return parse_xes(p)
 
 
+# each predictor kind's model file type; train refuses any other name
+MODEL_SUFFIX = {"ngram": ".json", "attention": ".npz"}
+
+
 def _load_model(path: str):
-    if path.endswith(".npz"):
+    if Path(path).suffix == MODEL_SUFFIX["attention"]:
         from .attention import AttentionModel
 
         return AttentionModel.load(path)
-    return NGramModel.load(path)
+    return NGramModel.load(path)  # read as JSON whatever the name
 
 
 def _parse_args(parser: _Parser, argv: list) -> argparse.Namespace:
@@ -231,10 +235,12 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    suffix = MODEL_SUFFIX[args.predictor]
+    path = Path(args.model_out) if args.model_out else _out_dir(args.out) / f"{args.predictor}{suffix}"
+    if path.suffix != suffix:
+        raise ValueError(f"--model-out of an {args.predictor} model must end in {suffix}, not {path.name!r}")
     log = _load_log(args.log, args.csv_columns)
     model, history = train_predictor(log, args.predictor, args.order, args.alpha, args.epochs)
-    default_name = "ngram.json" if history is None else "attention.npz"
-    path = Path(args.model_out) if args.model_out else _out_dir(args.out) / default_name
     model.save(path)
     if history is None:
         n_prefixes = sum(int(row.sum()) for row in model.counts.values())

@@ -21,8 +21,8 @@ class Vocabulary:
     def __post_init__(self):
         if self.labels.count(END) != 1 or self.labels[-1] != END:
             raise ValueError("vocabulary must contain END exactly once, in last position")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("vocabulary labels must be unique")
+        if not all(isinstance(lab, str) for lab in self.labels) or len(set(self.labels)) != len(self.labels):
+            raise ValueError("vocabulary labels must be unique strings")
 
     def __len__(self):
         return len(self.labels)

@@ -1,34 +1,32 @@
 """Next-activity predictors: the contract plus a smoothed n-gram reference.
 
-A predictor is anything with ``vocab`` and two methods:
+A predictor is anything with ``vocab``, ``predict_proba_batch(prefixes)``,
+an ``(n, |V|)`` array with one next-label distribution per prefix (n >= 1),
+and ``predict_proba(prefix)``, the same for one prefix. It may also have
+``ranked_batch(prefixes, k)``: per prefix, the :func:`ranked_rows` record of
+its row, the ``k`` most probable label indices with their logs, each
+probability floored at :data:`PROB_FLOOR`. The beam asks for the records of
+all its open candidates in one call per step, and ranks the rows of
+``predict_proba_batch`` itself for a predictor without ``ranked_batch``. It
+consumes nothing else, so the n-gram here, the attention net, or an
+external scorer are interchangeable.
 
-* ``predict_proba_batch(prefixes) -> np.ndarray`` of shape ``(n, |V|)`` for
-  n >= 1 prefixes, one row per prefix, each row one probability per vocabulary index summing
-  to 1.
-* ``predict_proba(prefix)``, the same for one prefix:
-  ``predict_proba_batch([prefix])[0]``.
+Both models here inherit the protocol from :class:`ContextModel`, which
+reads a prefix only through its :meth:`~ContextModel.window`, the last
+``context_len`` labels (``order``, or ``l_max - 1``). A label before the
+window is never read; an empty prefix, or an unknown label inside it, is a
+ValueError. A model supplies ``_rows(windows)``, which encodes windows with
+the one label encoder, :meth:`Vocabulary.encode_labels`. ``predict_proba_batch``
+computes rows afresh; ``ranked_batch``, which the beam uses, answers
+through one memo per model object, ``ranked``, keyed by label windows:
+:func:`memoized_ranks` keeps the records of one ``k`` at a time, computes a
+call's distinct misses together and empties itself when it would exceed
+:data:`PREDICT_MEMO_CAP` entries. A row depends on nothing but its window
+and the parameters, so a memoized record is the one a cold model's row
+gives, bit for bit, and a warm call encodes nothing.
 
-It may also have ``ranked_batch(prefixes, k)``: per prefix, the
-:func:`ranked_rows` record of its row, the ``k`` most probable label indices
-with their logs, each probability floored at :data:`PROB_FLOOR`. The beam
-search asks for the records of all its open candidates at once, one call
-per step; for a predictor without ``ranked_batch`` it ranks the rows of
-``predict_proba_batch`` with :func:`ranked_rows` itself. It consumes nothing
-else, so the n-gram here, the attention net, or an external scorer are
-interchangeable.
-
-Both models here compute ``predict_proba_batch`` rows afresh on every call
-and answer ``ranked_batch``, which the beam uses, through one memo per model
-object, ``ranked``: :func:`memoized_ranks` keeps the records of one ``k`` at
-a time, keyed by the true context (the n-gram's last ``order`` label
-indices, attention's last ``l_max - 1`` labels). It computes a call's
-distinct misses together with the model's own row code and empties itself
-when it would exceed :data:`PREDICT_MEMO_CAP` entries. A row depends on
-nothing but its context and the model's parameters, so a memoized record is
-the one a cold model's row gives, bit for bit.
-
-The n-gram keys its counts by the last ``order`` labels of the prefix
-(fewer when the prefix is shorter) and applies Laplace smoothing:
+The n-gram keys its counts by the label indices of the window and applies
+Laplace smoothing:
 
     P(a | ctx) = (count(ctx, a) + alpha) / (total(ctx) + alpha * |V|)
 
@@ -102,8 +100,27 @@ def memoized_ranks(memo: dict, keys, k: int, compute) -> list:
     return records
 
 
+class ContextModel:
+    """The protocol over a window; a subclass has ``context_len``, ``ranked`` and ``_rows``."""
+
+    def window(self, prefix) -> tuple:
+        """The last ``context_len`` labels of ``prefix`` (all of a shorter one)."""
+        if not prefix:
+            raise ValueError("prediction needs a non-empty prefix")
+        return tuple(prefix)[-self.context_len:]
+
+    def predict_proba(self, prefix) -> np.ndarray:
+        return self.predict_proba_batch([prefix])[0]
+
+    def predict_proba_batch(self, prefixes) -> np.ndarray:
+        return np.array(self._rows([self.window(prefix) for prefix in prefixes]))
+
+    def ranked_batch(self, prefixes, k: int) -> list:
+        return memoized_ranks(self.ranked, [self.window(prefix) for prefix in prefixes], k, self._rows)
+
+
 @dataclass(frozen=True)
-class NGramModel:
+class NGramModel(ContextModel):
     vocab: Vocabulary
     order: int
     alpha: float
@@ -122,26 +139,16 @@ class NGramModel:
             if np.shape(row) != (n,) or np.any(np.less(row, 0)):
                 raise ValueError(f"count row of context {list(ctx)} needs {n} counts >= 0, one per label")
 
+    @property
+    def context_len(self) -> int:
+        return self.order
+
     def context_of(self, prefix) -> tuple:
-        """The last ``order`` label indices of ``prefix`` (all of a shorter one)."""
-        return self.vocab.encode_labels(prefix)[-self.order:]
+        """The label indices of the :meth:`window` of ``prefix``: its counts key."""
+        return self.vocab.encode_labels(self.window(prefix))
 
-    def predict_proba(self, prefix) -> np.ndarray:
-        return self.predict_proba_batch([prefix])[0]
-
-    def predict_proba_batch(self, prefixes) -> np.ndarray:
-        return np.array(self._laplace_rows(self._contexts(prefixes)))
-
-    def ranked_batch(self, prefixes, k: int) -> list:
-        return memoized_ranks(self.ranked, self._contexts(prefixes), k, self._laplace_rows)
-
-    def _contexts(self, prefixes) -> list:
-        if not all(prefixes):
-            raise ValueError("prediction needs a non-empty prefix")
-        return [self.context_of(prefix) for prefix in prefixes]
-
-    def _laplace_rows(self, contexts) -> list:
-        return [self._laplace_row(ctx) for ctx in contexts]
+    def _rows(self, windows) -> list:
+        return [self._laplace_row(self.context_of(window)) for window in windows]
 
     def _laplace_row(self, ctx) -> np.ndarray:
         n = len(self.vocab)
@@ -173,12 +180,13 @@ class NGramModel:
         missing = [key for key in ("vocab", "order", "alpha", "counts") if key not in payload]
         if missing:
             raise ValueError(f"{path} lacks the n-gram model entries {missing}")
+        order, alpha = payload["order"], payload["alpha"]
+        if type(order) is not int or type(alpha) not in (int, float):  # a bool or a string is tampered
+            raise ValueError(f"{path} has a malformed n-gram model entry: order {order!r} or alpha {alpha!r}")
         try:
             vocab = Vocabulary(labels=tuple(payload["vocab"]))
-            counts = {
-                tuple(ctx): np.array(row, dtype=np.int64) for ctx, row in payload["counts"]
-            }
-            order, alpha = int(payload["order"]), float(payload["alpha"])
+            counts = {tuple(ctx): np.array(row, dtype=np.int64) for ctx, row in payload["counts"]}
+            alpha = float(alpha)
         except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"{path} has a malformed n-gram model entry: {exc!r}") from None
         return NGramModel(vocab=vocab, order=order, alpha=alpha, counts=counts)

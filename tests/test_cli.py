@@ -169,6 +169,29 @@ def test_train_default_filename(workspace, tmp_path, capsys):
     assert (tmp_path / "ngram.json").exists()
 
 
+@pytest.mark.parametrize(
+    "predictor, name",
+    [("ngram", "m.npz"), ("ngram", "m"), ("attention", "m.json"), ("attention", "m.NPZ")],
+)
+def test_train_refuses_a_model_file_of_another_type(workspace, tmp_path, capsys, predictor, name):
+    # np.savez would append .npz, and predict picks the reader by the suffix
+    code, _, err = run(
+        capsys,
+        ["train", "--log", workspace["train"], "--predictor", predictor, "--model-out", str(tmp_path / name)],
+    )
+    assert code == 1
+    assert f"--model-out of an {predictor} model must end in" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_predict_reports_json_named_npz_as_no_archive(workspace, tmp_path, capsys):
+    path = tmp_path / "ngram.npz"
+    path.write_bytes(Path(workspace["model"]).read_bytes())
+    code, _, err = run(capsys, ["predict", "--model", str(path), "--prefix", "Start"])
+    assert code == 1
+    assert "is not a readable .npz archive" in err
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -255,6 +278,20 @@ def test_predict_rejects_empty_prefix(workspace, capsys):
     )
     assert code == 1
     assert "prefix is empty" in err
+
+
+@pytest.mark.parametrize(
+    "prefix, code",
+    [("Bogus,Start,B1a,Unexpected", 0), ("Start,B1a,Unexpected,Bogus", 1)],
+    ids=["unknown-before-the-window", "unknown-inside-the-window"],
+)
+def test_predict_reads_only_the_window_of_the_prefix(workspace, capsys, prefix, code):
+    # the order-3 n-gram reads the last three labels, as attention reads l_max - 1
+    got, out, err = run(
+        capsys, ["predict", "--model", workspace["model"], "--prefix", prefix, "--algorithm", "baseline"]
+    )
+    assert got == code
+    assert out.startswith("suffix:") if code == 0 else "label 'Bogus' is not in the vocabulary" in err
 
 
 def test_predict_loads_npz_as_attention_model(workspace, tmp_path, capsys):

@@ -19,6 +19,8 @@ def test_vocabulary_validation():
         Vocabulary(labels=("A", END, "B", END))
     with pytest.raises(ValueError, match="unique"):
         Vocabulary(labels=("A", "A", END))
+    with pytest.raises(ValueError, match="unique strings"):  # a suffix is printed as joined labels
+        Vocabulary(labels=(0, "A", END))
 
 
 def test_vocabulary_index(vocab):

@@ -116,6 +116,8 @@ def test_unknown_label_raises_and_leaves_the_memo_unchanged(name):
     for k in (2, 3):  # the same k, and one that would empty the ranked memo
         with pytest.raises(ValueError, match="^label 'Z' is not in the vocabulary$"):
             model.ranked_batch([("C", "A"), ("A", "Z"), ("B",)], k)
+    with pytest.raises(ValueError, match="^label 'Z' is not in the vocabulary$"):
+        model.ranked_batch([("B", "Z") + ("A",) * (model.context_len - 1)], 2)  # Z opens the window
     assert list(model.ranked) == [2] and model.ranked[2] == ranked_before
 
 
@@ -276,18 +278,19 @@ def test_a_repeated_request_on_a_warm_model_computes_no_row(kind, synth, synth_n
         prefixes = sorted({prefix(variant_of(t), 4) for t in synth.test_log.traces[:20]})
         row_method = (NGramModel, "_laplace_row")
     else:
-        (model, net, prefixes), row_method = wide_attention, (AttentionModel, "_forward_rows")
+        (model, net, prefixes), row_method = wide_attention, (AttentionModel, "_rows")
         model = _fresh(model)
     config = BeamConfig(b_size=3, max_iter=7, w=0.85)
     first = [modulated_beam(p, net, model, config) for p in prefixes]
-    computed = []
-    original = getattr(*row_method)
+    computed, encoded = [], []
+    original, encode = getattr(*row_method), Vocabulary.encode_labels
     monkeypatch.setattr(*row_method, lambda self, arg: computed.append(arg) or original(self, arg))
+    monkeypatch.setattr(Vocabulary, "encode_labels", lambda self, arg: encoded.append(arg) or encode(self, arg))
     assert [modulated_beam(p, net, model, config) for p in prefixes] == first
-    assert computed == []
-    model.ranked.clear()  # the spy does see a cold pass
+    assert computed == [] and encoded == []  # a warm request encodes no label
+    model.ranked.clear()  # the spies do see a cold pass
     assert [modulated_beam(p, net, model, config) for p in prefixes] == first
-    assert computed
+    assert computed and encoded
 
 
 def test_one_forward_per_call_over_its_distinct_misses():
@@ -300,3 +303,34 @@ def test_one_forward_per_call_over_its_distinct_misses():
     model.ranked_batch([("A",), ("C",), ("C",), ("A", "B", "C", "A"), ("C", "A", "B", "C", "A")], 2)
     model.ranked_batch([("B",), ("C",)], 2)  # all hits: no forward
     assert rows_forwarded == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# the one context rule: a model reads the last context_len labels, no more
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_a_label_before_the_window_is_not_read(name):
+    model, _ = models()[name]
+    n = model.context_len
+    windows = [("C", "A", "B", "C", "A", END)[:n], ("A",) * n, ("B", "C")]
+    for before in (("A",), ("Bogus",), ("Bogus", END, "C") * 3):
+        # a short window is read whole, so a label before it is read too
+        full = [before + w if len(w) == n else w for w in windows]
+        assert [model.window(p) for p in full] == windows
+        assert np.array_equal(model.predict_proba_batch(full), model.predict_proba_batch(windows))
+        assert model.ranked_batch(full, 2) == _fresh(model).ranked_batch(windows, 2)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_prefixes_with_one_window_share_one_memo_entry_and_one_row(name, monkeypatch):
+    model, reference = models()[name]
+    window = ("A", "B", "C", "A", "B")[-model.context_len:]
+    computed = []
+    rows = type(model)._rows
+    monkeypatch.setattr(type(model), "_rows", lambda self, ws: computed.append(list(ws)) or rows(self, ws))
+    records = model.ranked_batch([("C",) + window, ("Bogus", "A") + window, window], 3)
+    assert computed == [[window]]
+    assert records == [ranking(reference(model, window), 3)] * 3
+    assert list(model.ranked[3]) == [window]
+    assert model.ranked_batch([("B", "B") + window], 3) == records[:1] and len(computed) == 1

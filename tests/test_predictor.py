@@ -110,10 +110,21 @@ def test_save_load_round_trip(tiny_model, tmp_path):
         ("order", "two", "malformed n-gram model entry"),
         ("order", float("inf"), "malformed n-gram model entry"),
         ("alpha", [0.5], "malformed n-gram model entry"),
+        ("order", 3.5, "malformed n-gram model entry: order 3.5"),
+        ("order", 2.0, "malformed n-gram model entry: order 2.0"),
+        ("order", "2", "malformed n-gram model entry: order '2'"),
+        ("order", True, "malformed n-gram model entry: order True"),
+        ("alpha", True, "malformed n-gram model entry: order 2 or alpha True"),
+        ("alpha", "0.5", "malformed n-gram model entry: order 2 or alpha '0.5'"),
+        ("alpha", 1e400, "alpha must be >= 0 and finite"),
+        ("alpha", 10**400, "malformed n-gram model entry"),
+        ("vocab", [0, "B", END], "malformed n-gram model entry"),
     ],
     ids=["order-0", "order-below-its-contexts", "alpha-negative", "alpha-nan", "row-too-short",
          "row-negative", "counts-not-a-list", "count-pair-without-row", "count-past-int64",
-         "vocab-not-a-list", "vocab-without-end", "order-not-a-number", "order-infinite", "alpha-a-list"],
+         "vocab-not-a-list", "vocab-without-end", "order-not-a-number", "order-infinite", "alpha-a-list",
+         "order-a-fraction", "order-a-float", "order-a-string", "order-a-bool", "alpha-a-bool",
+         "alpha-a-string", "alpha-infinite", "alpha-past-float", "vocab-not-strings"],
 )
 def test_load_rejects_tampered_files(tiny_model, tmp_path, key, value, message):
     path = tmp_path / "model.json"
