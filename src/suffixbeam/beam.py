@@ -41,12 +41,9 @@ cap, so ids stay valid for the whole beam. A child then costs one lookup,
 ``steps[sid][label]``, which also carries the successor's residual; a
 completion reads ``finish[sid]``. Counters are scored with
 :func:`~suffixbeam.petri.fitness_counts`. The labels an open candidate
-expands by, with their floored log probabilities, come from the predictor's
-``ranked_batch(prefixes, b_size)`` when it has one (both bundled models
-memoize these records per context, so a warm step does no numpy work), and
-otherwise from :func:`~suffixbeam.predictor.ranked_rows` over the rows of
-its ``predict_proba_batch``: one stable argsort over the step's ``(n,
-|V|)`` batch. Either way a record is the same, bit for bit.
+expands by, with their floored log probabilities, come from the
+predictor's ``ranked_batch(prefixes, b_size)``, one call per step for all
+open candidates (see :mod:`~suffixbeam.predictor` for the protocol).
 
 Scores accumulate in log space and are exponentiated for reporting.
 Probabilities are floored at :data:`~suffixbeam.predictor.PROB_FLOOR`
@@ -61,7 +58,6 @@ from dataclasses import dataclass
 
 from .eventlog import END
 from .petri import CompiledNet, PetriNet, _replayed, compliance, fitness_counts
-from .predictor import ranked_rows
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ def _expand(
     """One beam step: every child of the pool, ranked.
 
     Each open candidate spawns its b_size most probable next labels, one
-    :func:`_ranked` call giving them for all open candidates with their
+    ``ranked_batch`` call giving them for all open candidates with their
     floored log probabilities. A child scores its parent's log score plus
     (1-w)·log p and, when w > 0, w·log of its replay compliance (complete
     for END, partial otherwise) read from ``compiled``'s reachability graph:
@@ -132,7 +128,7 @@ def _expand(
     keep = 1.0 - w
     steps = compiled.steps if w > 0.0 else None
     end_idx = vocab.index_of(END)
-    records = iter(_ranked(predictor, [prefix + cand[2] for cand in pool if not cand[3]], b_size))
+    records = iter(predictor.ranked_batch([prefix + cand[2] for cand in pool if not cand[3]], b_size))
     expansions = []
     for cand in pool:
         log_score, ids, labels, terminated, replay = cand
@@ -159,18 +155,6 @@ def _expand(
             expansions.append((child_log, ids + (idx,), labels + (label,), False, child_replay))
     expansions.sort(key=_sort_key)
     return expansions
-
-
-def _ranked(predictor, prefixes, k: int) -> list:
-    """Each prefix's :func:`~suffixbeam.predictor.ranked_rows` record.
-
-    From the predictor's ``ranked_batch`` when it has one, else by ranking
-    the rows of its ``predict_proba_batch``.
-    """
-    ranked_batch = getattr(predictor, "ranked_batch", None)
-    if ranked_batch is not None:
-        return ranked_batch(prefixes, k)
-    return ranked_rows(predictor.predict_proba_batch(prefixes), k)
 
 
 def _run_beam(prefix, predictor, config: BeamConfig, net: PetriNet | None) -> BeamResult:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -159,11 +160,17 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+# A parser reads a bare tab, newline or carriage return in a value as a space.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\t": "&#9;", "\n": "&#10;",
+                          "\r": "&#13;"})
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")  # not even as a reference
 
 
 def _escape(s: str) -> str:
-    """Escape text for an XML element or a double-quoted attribute."""
+    """Escape text for an XML element or a double-quoted attribute; XML 1.0 must be able to hold it."""
+    bad = _NOT_XML.search(s)
+    if bad:
+        raise ValueError(f"{s!r} holds {bad.group()!r}, which an XML file cannot hold")
     return s.translate(_ESCAPES)
 
 
@@ -249,20 +256,20 @@ _XES_HEADER = (
 
 
 def write_xes(log: EventLog, path) -> None:
-    """Serialize a log to XES. Output is deterministic byte-for-byte."""
-
+    """Serialize a log to XES, deterministic byte-for-byte; a label that cannot be written writes no file."""
+    parts = [_XES_HEADER]
+    for trace in log.traces:
+        parts.append("  <trace>\n")
+        parts.append(f'    <string key="concept:name" value="{_escape(trace.case_id)}"/>\n')
+        for label, ts in zip(trace.activities, trace.timestamps):
+            parts.append("    <event>\n")
+            parts.append(f'      <string key="concept:name" value="{_escape(label)}"/>\n')
+            parts.append(f'      <date key="time:timestamp" value="{_format_timestamp(ts)}"/>\n')
+            parts.append("    </event>\n")
+        parts.append("  </trace>\n")
+    parts.append("</log>\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_XES_HEADER)
-        for trace in log.traces:
-            fh.write("  <trace>\n")
-            fh.write(f'    <string key="concept:name" value="{_escape(trace.case_id)}"/>\n')
-            for label, ts in zip(trace.activities, trace.timestamps):
-                fh.write("    <event>\n")
-                fh.write(f'      <string key="concept:name" value="{_escape(label)}"/>\n')
-                fh.write(f'      <date key="time:timestamp" value="{_format_timestamp(ts)}"/>\n')
-                fh.write("    </event>\n")
-            fh.write("  </trace>\n")
-        fh.write("</log>\n")
+        fh.write("".join(parts))
 
 
 # ---------------------------------------------------------------------------

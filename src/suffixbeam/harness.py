@@ -11,9 +11,10 @@ Two experiment shapes are supported:
   log; the held-out traces are the ones whose continuations the predictor is
   biased against, which is exactly where modulation can help.
 
-Both shapes differ only in how they build each prefix length's (prefix,
-true suffix) cases; one sweep then scores them. Results land in two CSVs: a
-long-format sweep table (``dataset,k,w,mean_similarity,n_cases,
+Both shapes differ only in the variants each prefix length's (prefix, true
+suffix) cases come from; one per-k rule (:func:`_cases_by_k`) builds the
+cases and one sweep scores them. Results land in two CSVs: a long-format
+sweep table (``dataset,k,w,mean_similarity,n_cases,
 forced_terminations``; for each w the per-k rows, then a ``k=micro`` row for
 their weighted average) and a compact comparison table
 (``dataset,k,baseline,modulated,diff``) using the best sweep weight.
@@ -109,9 +110,30 @@ def split_by_prefix(log: EventLog, k: int):
     return log, EventLog.from_traces(tuple(held_out))
 
 
+def _cases_by_k(dataset: str, prefix_lengths, variants_of) -> dict:
+    """``{k: cases}`` over the prefix lengths, in the given order, that have cases.
+
+    A case is the (prefix, true suffix) of one of ``variants_of(k)`` longer
+    than k. A k below 1 raises before any work, a k without cases is skipped
+    with a warning, and no cases at all raise.
+    """
+    if any(k < 1 for k in prefix_lengths):
+        raise ValueError("k must be >= 1")
+    cases_by_k = {}
+    for k in prefix_lengths:
+        cases = [(prefix(v, k), suffix(v, k)) for v in variants_of(k) if len(v) > k]
+        if cases:
+            cases_by_k[k] = cases
+        else:
+            warnings.warn(f"{dataset}: k={k} skipped: it has no test case")
+    if not cases_by_k:
+        raise ValueError(f"{dataset}: no prefix length has any test case")
+    return cases_by_k
+
+
 def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, beam_config: BeamConfig,
-           w_grid) -> tuple:
-    """The sweep's cells: for each w, one cell per k and then the micro row.
+           w_grid) -> SweepResult:
+    """For each w, one cell per k and then the micro row.
 
     ``cases_by_k`` maps each prefix length to its (prefix, true suffix)
     cases. Each distinct prefix is predicted once per w, and each distinct
@@ -143,12 +165,7 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, beam
             sum(c.n_cases for c in k_cells),
             sum(c.forced_terminations for c in k_cells),
         ))
-    return tuple(cells)
-
-
-def _cases(variants, k: int) -> list:
-    """The (prefix, true suffix) case of every variant longer than k, in order."""
-    return [(prefix(v, k), suffix(v, k)) for v in variants if len(v) > k]
+    return SweepResult(dataset, tuple(cells), tuple(cases_by_k), tuple(w_grid))
 
 
 def evaluate_dataset(
@@ -161,20 +178,9 @@ def evaluate_dataset(
     prefix_lengths=DEFAULT_PREFIX_LENGTHS,
 ) -> SweepResult:
     """Sweep the modulation weight over the test log's cases at each prefix length."""
-    if any(k < 1 for k in prefix_lengths):
-        raise ValueError("k must be >= 1")
     variants = [variant_of(trace) for trace in test_log.traces]
-    cases_by_k = {}
-    for k in prefix_lengths:
-        cases = _cases(variants, k)
-        if cases:
-            cases_by_k[k] = cases
-        else:
-            warnings.warn(f"{dataset}: no test trace is longer than k={k}; skipping")
-    if not cases_by_k:
-        raise ValueError(f"{dataset}: no prefix length has any test case")
-    cells = _sweep(dataset, cases_by_k, predictor, net, beam_config, w_grid)
-    return SweepResult(dataset, cells, tuple(sorted(cases_by_k)), tuple(w_grid))
+    cases_by_k = _cases_by_k(dataset, prefix_lengths, lambda k: variants)
+    return _sweep(dataset, cases_by_k, predictor, net, beam_config, w_grid)
 
 
 def write_sweep_csv(path, results) -> None:
@@ -262,21 +268,14 @@ def run_reallife_experiment(
     ngram_alpha: float = 0.01,
     epochs: int = 10,
 ) -> SweepResult:
-    """Per-k second-variant holdout on a real log, then the same sweep.
+    """Per-k second-variant holdout on a real log, checked before training, then the same sweep."""
 
-    Prefix lengths whose holdout is empty are skipped with a warning; at
-    least one must survive, which is checked before the predictor trains.
-    """
-    cases_by_k = {}
-    for k in prefix_lengths:
+    def held_out_variants(k):
         try:
-            _, held_out = split_by_prefix(log, k)
-        except ValueError as exc:
-            warnings.warn(f"{dataset}: k={k} skipped ({exc})")
-            continue
-        cases_by_k[k] = _cases(map(variant_of, held_out.traces), k)
-    if not cases_by_k:
-        raise ValueError(f"{dataset}: every prefix length produced an empty holdout")
+            return map(variant_of, split_by_prefix(log, k)[1].traces)
+        except ValueError:  # an empty holdout
+            return ()
+
+    cases_by_k = _cases_by_k(dataset, prefix_lengths, held_out_variants)
     predictor, _ = train_predictor(log, predictor_kind, ngram_order, ngram_alpha, epochs)
-    cells = _sweep(dataset, cases_by_k, predictor, net, _beam_config(log, b_size), w_grid)
-    return SweepResult(dataset, cells, tuple(cases_by_k), tuple(w_grid))
+    return _sweep(dataset, cases_by_k, predictor, net, _beam_config(log, b_size), w_grid)

@@ -1,29 +1,27 @@
-"""Next-activity predictors: the contract plus a smoothed n-gram reference.
+"""Next-activity predictors: the protocol plus a smoothed n-gram reference.
 
-A predictor is anything with ``vocab``, ``predict_proba_batch(prefixes)``,
-an ``(n, |V|)`` array with one next-label distribution per prefix (n >= 1),
-and ``predict_proba(prefix)``, the same for one prefix. It may also have
-``ranked_batch(prefixes, k)``: per prefix, the :func:`ranked_rows` record of
-its row, the ``k`` most probable label indices with their logs, each
-probability floored at :data:`PROB_FLOOR`. The beam asks for the records of
-all its open candidates in one call per step, and ranks the rows of
-``predict_proba_batch`` itself for a predictor without ``ranked_batch``. It
-consumes nothing else, so the n-gram here, the attention net, or an
-external scorer are interchangeable.
+A predictor is anything with ``vocab`` and ``ranked_batch(prefixes, k)``:
+per prefix (at least one), the :func:`ranked_rows` record of its
+next-label distribution, the ``k`` most probable label indices with their
+logs, each probability floored at :data:`PROB_FLOOR`. The beam asks for
+the records of all its open candidates in one call per step and for
+nothing else.
 
-Both models here inherit the protocol from :class:`ContextModel`, which
-reads a prefix only through its :meth:`~ContextModel.window`, the last
+Subclassing :class:`ContextModel` is the way to get the protocol: a model
+gives ``vocab``, ``context_len``, a ``ranked`` dict and ``_rows(windows)``,
+and reads a prefix only through its :meth:`~ContextModel.window`, the last
 ``context_len`` labels (``order``, or ``l_max - 1``). A label before the
 window is never read; an empty prefix, or an unknown label inside it, is a
-ValueError. A model supplies ``_rows(windows)``, which encodes windows with
-the one label encoder, :meth:`Vocabulary.encode_labels`. ``predict_proba_batch``
-computes rows afresh; ``ranked_batch``, which the beam uses, answers
-through one memo per model object, ``ranked``, keyed by label windows:
-:func:`memoized_ranks` keeps the records of one ``k`` at a time, computes a
-call's distinct misses together and empties itself when it would exceed
-:data:`PREDICT_MEMO_CAP` entries. A row depends on nothing but its window
-and the parameters, so a memoized record is the one a cold model's row
-gives, bit for bit, and a warm call encodes nothing.
+ValueError. ``_rows`` encodes windows with the one label encoder,
+:meth:`Vocabulary.encode_labels`. ``ranked_batch`` answers through the
+model's memo, ``ranked``, keyed by label windows: :func:`memoized_ranks`
+keeps the records of one ``k`` at a time, computes a call's distinct misses
+together and empties itself when it would exceed :data:`PREDICT_MEMO_CAP`
+entries. A row depends on nothing but its window and the parameters, so a
+memoized record is the one a cold model's row gives, bit for bit, and a
+warm call encodes nothing. ``predict_proba(prefix)`` and
+``predict_proba_batch(prefixes)``, an ``(n, |V|)`` array, compute rows
+afresh; the beam does not use them.
 
 The n-gram keys its counts by the label indices of the window and applies
 Laplace smoothing:
@@ -101,7 +99,7 @@ def memoized_ranks(memo: dict, keys, k: int, compute) -> list:
 
 
 class ContextModel:
-    """The protocol over a window; a subclass has ``context_len``, ``ranked`` and ``_rows``."""
+    """The protocol over a window; a subclass has ``vocab``, ``context_len``, ``ranked`` and ``_rows``."""
 
     def window(self, prefix) -> tuple:
         """The last ``context_len`` labels of ``prefix`` (all of a shorter one)."""
@@ -136,6 +134,8 @@ class NGramModel(ContextModel):
         for ctx, row in self.counts.items():
             if len(ctx) > self.order:  # it would never be looked up
                 raise ValueError(f"count context {list(ctx)} is longer than order {self.order}")
+            if any(type(i) is not int or not 0 <= i < n for i in ctx):  # nor would this
+                raise ValueError(f"count context {list(ctx)} needs label indices in [0, {n})")
             if np.shape(row) != (n,) or np.any(np.less(row, 0)):
                 raise ValueError(f"count row of context {list(ctx)} needs {n} counts >= 0, one per label")
 
@@ -185,11 +185,18 @@ class NGramModel(ContextModel):
             raise ValueError(f"{path} has a malformed n-gram model entry: order {order!r} or alpha {alpha!r}")
         try:
             vocab = Vocabulary(labels=tuple(payload["vocab"]))
-            counts = {tuple(ctx): np.array(row, dtype=np.int64) for ctx, row in payload["counts"]}
+            counts = {tuple(ctx): _count_row(row) for ctx, row in payload["counts"]}
             alpha = float(alpha)
         except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"{path} has a malformed n-gram model entry: {exc!r}") from None
         return NGramModel(vocab=vocab, order=order, alpha=alpha, counts=counts)
+
+
+def _count_row(row) -> np.ndarray:
+    """A count row read from a model file: ints only, as an int64 array."""
+    if any(type(count) is not int for count in row):  # a bool, a fraction or a string is tampered
+        raise TypeError(f"count row {row!r} holds a value that is not an int")
+    return np.array(row, dtype=np.int64)
 
 
 def train_ngram(prefix_log: PrefixLog, vocab: Vocabulary, order: int = 3, alpha: float = 0.01) -> NGramModel:

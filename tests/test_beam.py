@@ -20,7 +20,7 @@ from suffixbeam.beam import (
 from suffixbeam.encoding import Vocabulary, build_vocabulary
 from suffixbeam.eventlog import END, build_prefix_log, log_from_variants
 from suffixbeam.petri import Arc, PetriNet, Transition, compliance
-from suffixbeam.predictor import train_ngram
+from suffixbeam.predictor import ranked_rows, train_ngram
 from suffixbeam.synthgen import EXCEPTIONAL_VARIANTS, exceptional_process_net
 
 from beam_oracle import enumerate_best
@@ -41,6 +41,9 @@ class TablePredictor:
 
     def predict_proba_batch(self, prefixes):
         return np.tile(self._probs, (len(prefixes), 1))
+
+    def ranked_batch(self, prefixes, k):
+        return ranked_rows(self.predict_proba_batch(prefixes), k)
 
 
 def ab_ngram(seed=3, n=40):
@@ -189,6 +192,9 @@ class HashedRowPredictor:
 
     def predict_proba_batch(self, prefixes):
         return np.array([self.predict_proba(prefix) for prefix in prefixes])
+
+    def ranked_batch(self, prefixes, k):
+        return ranked_rows(self.predict_proba_batch(prefixes), k)
 
 
 # "D" is unknown to every net, A-C to the wide nets and some random ones
@@ -392,6 +398,9 @@ class SeededTablePredictor:
                     row[self.vocab.index_of(nxt)] += rng.random()
             rows.append(row / row.sum())
         return np.array(rows)
+
+    def ranked_batch(self, prefixes, k):
+        return ranked_rows(self.predict_proba_batch(prefixes), k)
 
 
 # SHA-256 of the repr of every result below; any change to a beam's output moves it

@@ -449,6 +449,19 @@ def test_sweep_synthetic_small_grid(tmp_path, capsys):
     assert (tmp_path / "comparison.csv").exists()
 
 
+def test_sweep_keeps_the_given_order_of_ks_in_every_output(tmp_path, capsys):
+    code, out, _ = run(
+        capsys,
+        ["sweep", "--mode", "synthetic", "--ks", "5,3,4", "--w-grid", "0.0,0.9", "--out", str(tmp_path)],
+    )
+    assert code == 0
+    assert "prefix lengths evaluated: 5, 3, 4" in out
+    sweep_ks = [line.split(",")[1] for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    table_ks = [line.split(",")[1] for line in (tmp_path / "comparison.csv").read_text().splitlines()[1:]]
+    assert sweep_ks == ["5", "3", "4", "micro"] * 2
+    assert table_ks == sweep_ks[:4]
+
+
 def test_sweep_w_grid_without_the_baseline_fails_before_any_work(workspace, tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -468,7 +481,7 @@ def test_sweep_w_grid_without_the_baseline_fails_before_any_work(workspace, tmp_
 
 
 def test_default_synthetic_sweep_output_is_locked(tmp_path, capsys):
-    with pytest.warns(UserWarning, match="no test trace is longer than k="):
+    with pytest.warns(UserWarning, match="skipped: it has no test case"):
         code, _, _ = run(capsys, ["sweep", "--mode", "synthetic", "--out", str(tmp_path)])
     assert code == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -481,7 +494,7 @@ def test_default_synthetic_sweep_output_is_locked(tmp_path, capsys):
 
 def test_synthetic_attention_sweep_keeps_the_paper_numbers(tmp_path, capsys):
     # values, not digests: the attention sweep's CSVs follow its training order
-    with pytest.warns(UserWarning, match="no test trace is longer than k="):
+    with pytest.warns(UserWarning, match="skipped: it has no test case"):
         code, out, _ = run(
             capsys, ["sweep", "--mode", "synthetic", "--predictor", "attention", "--out", str(tmp_path)]
         )
@@ -689,3 +702,17 @@ def test_split_of_a_log_outside_the_utc_range_is_bad_input(tmp_path, capsys):
     code, _, err = run(capsys, ["split", "--log", str(early), "--k", "2", "--out", str(tmp_path)])
     assert code == 1
     assert "outside the UTC date range" in err
+
+
+def test_split_of_a_label_xml_cannot_hold_is_bad_input(tmp_path, capsys):
+    log = tmp_path / "ctrl.csv"
+    log.write_text(
+        "case_id,activity,timestamp\n"
+        "c1,A,2024-01-01T00:00:00\nc1,B,2024-01-01T00:01:00\nc1,C,2024-01-01T00:02:00\n"
+        "c2,A,2024-01-02T00:00:00\nc2,B,2024-01-02T00:01:00\nc2,C,2024-01-02T00:02:00\n"
+        "c3,A,2024-01-03T00:00:00\nc3,B,2024-01-03T00:01:00\nc3,D\x01,2024-01-03T00:02:00\n"
+    )
+    code, _, err = run(capsys, ["split", "--log", str(log), "--k", "2", "--out", str(tmp_path)])
+    assert code == 1
+    assert "an XML file cannot hold" in err
+    assert not (tmp_path / "heldout.xes").exists()

@@ -328,6 +328,37 @@ def test_write_xes_escapes_markup(tmp_path):
     assert variant_of(back.traces[0]) == ("a<b&c>d\"e",)
 
 
+# Any character XML 1.0 can hold: tab, newline, carriage return and all from
+# the space up, but no surrogate and neither U+FFFE nor U+FFFF.
+XML_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",)).filter(lambda c: c in "\t\n\r" or " " <= c < "\ufffe"
+                                                        or c > "\uffff"),
+    min_size=1, max_size=6,
+).filter(lambda text: text != END)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(XML_TEXT, st.lists(XML_TEXT, min_size=1, max_size=4)), min_size=1, max_size=4))
+def test_write_xes_round_trips_every_text_xml_can_hold(tmp_path_factory, cases):
+    log = log_from_variants([tuple(labels) for _, labels in cases], case_ids=[case_id for case_id, _ in cases])
+    path = tmp_path_factory.getbasetemp() / "round_trip.xes"
+    write_xes(log, path)
+    back = parse_xes(path)
+    assert [(t.case_id, t.activities, t.timestamps) for t in back.traces] == [
+        (t.case_id, t.activities, t.timestamps) for t in log.traces
+    ]
+
+
+@pytest.mark.parametrize("char", ["\x01", "\x0b", "\x1f", "\ufffe"])
+def test_write_xes_refuses_a_character_xml_cannot_hold(tmp_path, char):
+    path = tmp_path / "bad.xes"
+    with pytest.raises(ValueError, match="an XML file cannot hold"):
+        write_xes(log_from_variants([("A", f"B{char}")]), path)
+    with pytest.raises(ValueError, match="an XML file cannot hold"):
+        write_xes(log_from_variants([("A",)], case_ids=[f"c{char}"]), path)
+    assert not path.exists()  # no half-written file
+
+
 # ---------------------------------------------------------------------------
 # CSV
 

@@ -97,7 +97,7 @@ def test_split_errors():
 @pytest.fixture(scope="module")
 def small_sweep(synth, synth_ngram):
     test_log = EventLog.from_traces(synth.test_log.traces[:60])
-    with pytest.warns(UserWarning, match="k=9; skipping"):
+    with pytest.warns(UserWarning, match="k=9 skipped"):
         result = evaluate_dataset(
             "demo",
             test_log,
@@ -268,7 +268,7 @@ def test_reallife_experiment_recombines_micro(synth):
 
 def test_reallife_experiment_requires_some_holdout(synth):
     with pytest.warns(UserWarning):
-        with pytest.raises(ValueError, match="every prefix length produced an empty holdout"):
+        with pytest.raises(ValueError, match="no prefix length has any test case"):
             run_reallife_experiment(
                 "repair", synth.train_log, synth.net, w_grid=(0.0,), prefix_lengths=(20,)
             )
@@ -278,10 +278,19 @@ def test_reallife_experiment_checks_the_holdouts_before_training(synth, monkeypa
     trained = []
     monkeypatch.setattr(harness, "train_ngram", lambda *a, **kw: trained.append(a))
     with pytest.warns(UserWarning):
-        with pytest.raises(ValueError, match="every prefix length produced an empty holdout"):
+        with pytest.raises(ValueError, match="no prefix length has any test case"):
             run_reallife_experiment(
                 "repair", synth.train_log, synth.net, w_grid=(0.0,), prefix_lengths=(20, 30)
             )
+    assert trained == []
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_reallife_experiment_rejects_a_prefix_length_below_one(synth, monkeypatch, k):
+    trained = []
+    monkeypatch.setattr(harness, "train_ngram", lambda *a, **kw: trained.append(a))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        run_reallife_experiment("repair", synth.train_log, synth.net, w_grid=(0.0,), prefix_lengths=(3, k))
     assert trained == []
 
 
@@ -335,7 +344,7 @@ def test_reallife_sweep_equals_the_per_k_composition(variants, net_seed, prefix_
         warnings.simplefilter("ignore", UserWarning)
         want, populated = per_k_reallife("d", log, net, w_grid, prefix_lengths)
         if not populated:
-            with pytest.raises(ValueError, match="empty holdout"):
+            with pytest.raises(ValueError, match="no prefix length has any test case"):
                 run_reallife_experiment("d", log, net, w_grid=w_grid, prefix_lengths=prefix_lengths)
             return
         got = run_reallife_experiment("d", log, net, w_grid=w_grid, prefix_lengths=prefix_lengths)

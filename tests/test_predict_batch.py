@@ -21,7 +21,7 @@ from suffixbeam.attention import AttentionConfig, AttentionModel, train_attentio
 from suffixbeam.beam import BeamConfig, baseline_beam, checked_beam, modulated_beam, perfect_fitness_checker
 from suffixbeam.encoding import Vocabulary, build_vocabulary
 from suffixbeam.eventlog import END, build_prefix_log, log_from_variants, prefix, variant_of
-from suffixbeam.predictor import PROB_FLOOR, NGramModel, memoized_ranks, train_ngram
+from suffixbeam.predictor import PROB_FLOOR, NGramModel, memoized_ranks, ranked_rows, train_ngram
 
 from nets import wide_net
 
@@ -217,6 +217,9 @@ class FreshRows:
     def predict_proba_batch(self, prefixes):
         return np.array([self.predict_proba(p) for p in prefixes])
 
+    def ranked_batch(self, prefixes, k):
+        return ranked_rows(self.predict_proba_batch(prefixes), k)
+
 
 @pytest.fixture(scope="module")
 def synth_attention(synth):
@@ -269,6 +272,32 @@ def test_beams_equal_with_memoized_and_fresh_rows(kind, synth, synth_ngram, synt
         assert baseline_beam(p, model, config) == baseline_beam(p, fresh, config)
         assert checked_beam(p, checker, model, config) == checked_beam(p, checker, fresh, config)
     assert model.ranked  # the memoized side really was memoized
+
+
+class RankedOnly:
+    """All a beam may ask of a predictor: ``vocab`` and ``ranked_batch``."""
+
+    def __init__(self, rows):
+        self.vocab = rows.vocab
+        self._rows = rows
+
+    def ranked_batch(self, prefixes, k):
+        return self._rows.ranked_batch(prefixes, k)
+
+
+def test_every_beam_runs_on_vocab_and_ranked_batch_alone(synth, synth_ngram):
+    fresh = FreshRows(synth_ngram)
+    lean = RankedOnly(fresh)
+    assert not hasattr(lean, "predict_proba") and not hasattr(lean, "predict_proba_batch")
+    checker = perfect_fitness_checker(synth.net)
+    prefixes = sorted({prefix(variant_of(t), k) for t in synth.test_log.traces[:40] for k in (3, 5)})
+    for p in prefixes:
+        for w in (0.0, 0.85):
+            config = BeamConfig(b_size=3, max_iter=12, w=w)
+            assert modulated_beam(p, synth.net, lean, config) == modulated_beam(p, synth.net, fresh, config)
+        config = BeamConfig(b_size=3, max_iter=12, max_size=4)
+        assert baseline_beam(p, lean, config) == baseline_beam(p, fresh, config)
+        assert checked_beam(p, checker, lean, config) == checked_beam(p, checker, fresh, config)
 
 
 @pytest.mark.parametrize("kind", ["ngram", "attention"])

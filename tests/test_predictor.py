@@ -119,12 +119,19 @@ def test_save_load_round_trip(tiny_model, tmp_path):
         ("alpha", 1e400, "alpha must be >= 0 and finite"),
         ("alpha", 10**400, "malformed n-gram model entry"),
         ("vocab", [0, "B", END], "malformed n-gram model entry"),
+        ("counts", [[[0, 1], [4, 2.7, 0]]], "malformed n-gram model entry"),
+        ("counts", [[[0, 1], ["4", "2", "0"]]], "malformed n-gram model entry"),
+        ("counts", [[[0, 1], [4, True, 0]]], "malformed n-gram model entry"),
+        ("counts", [[["x", 99], [4, 2, 0]]], r"context \['x', 99\] needs label indices in \[0, 3\)"),
+        ("counts", [[[-1], [4, 2, 0]]], r"context \[-1\] needs label indices in \[0, 3\)"),
+        ("counts", [[[0, True], [4, 2, 0]]], r"context \[0, True\] needs label indices"),
     ],
     ids=["order-0", "order-below-its-contexts", "alpha-negative", "alpha-nan", "row-too-short",
          "row-negative", "counts-not-a-list", "count-pair-without-row", "count-past-int64",
          "vocab-not-a-list", "vocab-without-end", "order-not-a-number", "order-infinite", "alpha-a-list",
          "order-a-fraction", "order-a-float", "order-a-string", "order-a-bool", "alpha-a-bool",
-         "alpha-a-string", "alpha-infinite", "alpha-past-float", "vocab-not-strings"],
+         "alpha-a-string", "alpha-infinite", "alpha-past-float", "vocab-not-strings", "count-a-fraction",
+         "counts-strings", "count-a-bool", "context-not-indices", "context-index-negative", "context-a-bool"],
 )
 def test_load_rejects_tampered_files(tiny_model, tmp_path, key, value, message):
     path = tmp_path / "model.json"
