@@ -55,14 +55,13 @@ def silent_path_to(net, marking, req):
         return None
     silent_in = net.in_w[silent_ids]
     silent_delta = net.out_w[silent_ids] - silent_in
-    nodes, parent, via, depth = [marking], [-1], [-1], [0]
+    level = [(marking, [])]  # the markings first reached at one depth, with their paths
     seen = {marking.tobytes()}
-    head = 0
-    while head < len(nodes):
-        node = nodes[head]
-        if depth[head] < SILENT_BFS_DEPTH:
+    for _ in range(SILENT_BFS_DEPTH):
+        next_level = []
+        for node, path in level:
             for j in np.flatnonzero((node >= silent_in).all(axis=1)):
-                if len(nodes) >= NODE_CAP:
+                if len(seen) >= NODE_CAP:
                     logger.warning("silent search gave up after %d markings; the replay step"
                                    " charges the tokens it could not enable as missing", NODE_CAP)
                     return None
@@ -71,18 +70,11 @@ def silent_path_to(net, marking, req):
                 if key in seen:
                     continue
                 seen.add(key)
-                nodes.append(child)
-                parent.append(head)
-                via.append(int(silent_ids[j]))
-                depth.append(depth[head] + 1)
+                child_path = path + [int(silent_ids[j])]
                 if (child >= req).all():
-                    path = []
-                    idx = len(nodes) - 1
-                    while idx > 0:
-                        path.append(via[idx])
-                        idx = parent[idx]
-                    return path[::-1]
-        head += 1
+                    return child_path
+                next_level.append((child, child_path))
+        level = next_level
     return None
 
 

@@ -336,13 +336,14 @@ class AttentionModel(ContextModel):
             mask[row, : len(ids)] = True
         return x, mask
 
-    def _rows(self, windows) -> list:
+    def _rows(self, windows) -> np.ndarray:
         x, mask = self._encode(windows)
         _, cache = self.forward(x, mask)
         pooled, w_out, b_out = cache["pooled"], self.params["w_out"], self.params["b_out"]
-        # The head runs row by row: a (B, d) @ (d, |V|) product rounds
-        # differently from the one-row product, and beam scores would move.
-        return [_softmax_rows(pooled[i : i + 1] @ w_out + b_out)[0] for i in range(len(windows))]
+        # The head is a stack of one-row products, (B, 1, d) @ (d, |V|): a
+        # (B, d) @ (d, |V|) product rounds differently from the one-row
+        # product, and beam scores would move.
+        return _softmax_rows(pooled[:, None, :] @ w_out + b_out)[:, 0]
 
     # --------------------------------------------------------- persistence
 

@@ -110,30 +110,11 @@ def _parse_args(parser: _Parser, argv: list) -> argparse.Namespace:
 
 
 def _parse_w_grid(spec: str):
-    values = tuple(round(float(tok), 6) for tok in spec.split(",") if tok.strip())
-    if not values:
-        raise ValueError("empty w grid")
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"w value {v} outside [0, 1]")
-    if 0.0 not in values:
-        raise ValueError("w grid must hold 0, the baseline the comparison table is measured against")
-    return _no_repeats(values, "w value")
+    return tuple(round(float(tok), 6) for tok in spec.split(",") if tok.strip())
 
 
 def _parse_ks(spec: str):
-    values = tuple(int(tok) for tok in spec.split(",") if tok.strip())
-    if not values or any(v < 1 for v in values):
-        raise ValueError("prefix lengths must be positive integers")
-    return _no_repeats(values, "prefix length")
-
-
-def _no_repeats(values: tuple, what: str) -> tuple:
-    # a repeated grid value would be swept, and written, twice
-    for i, v in enumerate(values):
-        if v in values[:i]:
-            raise ValueError(f"{what} {v} is given more than once")
-    return values
+    return tuple(int(tok) for tok in spec.split(",") if tok.strip())
 
 
 def build_parser() -> _Parser:
@@ -283,33 +264,22 @@ def _cmd_predict(args) -> int:
 
 def _cmd_sweep(args) -> int:
     out = _out_dir(args.out)
-    w_grid = _parse_w_grid(args.w_grid)
-    ks = _parse_ks(args.ks)
+    settings = dict(
+        predictor_kind=args.predictor,
+        b_size=args.b_size,
+        w_grid=_parse_w_grid(args.w_grid),
+        prefix_lengths=_parse_ks(args.ks),
+        ngram_order=args.order,
+        ngram_alpha=args.alpha,
+        epochs=args.epochs,
+    )
     if args.mode == "synthetic":
-        sweep = run_synthetic_experiment(
-            config=SynthConfig(seed=args.seed),
-            predictor_kind=args.predictor,
-            b_size=args.b_size,
-            w_grid=w_grid,
-            prefix_lengths=ks,
-            ngram_order=args.order,
-            ngram_alpha=args.alpha,
-            epochs=args.epochs,
-        )
+        sweep = run_synthetic_experiment(SynthConfig(seed=args.seed), **settings)
     else:
         if not args.log or not args.net:
             raise ValueError("--log and --net are required in reallife mode")
         sweep = run_reallife_experiment(
-            args.name,
-            _load_log(args.log, args.csv_columns),
-            parse_pnml(args.net),
-            predictor_kind=args.predictor,
-            b_size=args.b_size,
-            w_grid=w_grid,
-            prefix_lengths=ks,
-            ngram_order=args.order,
-            ngram_alpha=args.alpha,
-            epochs=args.epochs,
+            args.name, _load_log(args.log, args.csv_columns), parse_pnml(args.net), **settings
         )
     sweep_path, table_path = out / "sweep.csv", out / "comparison.csv"
     write_sweep_csv(sweep_path, sweep)
@@ -323,12 +293,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.w > 0 and not args.net:
-        raise ValueError("--net is required for --w > 0; without it the beam runs the w = 0 baseline")
     log = _load_log(args.log, args.csv_columns)
     model = _load_model(args.model)
     net = parse_pnml(args.net) if args.net else None
-    config = BeamConfig(b_size=args.b_size, max_iter=args.max_iter, w=args.w, partial_mode="strict")
+    config = BeamConfig(b_size=args.b_size, max_iter=args.max_iter, partial_mode="strict")
     sweep = evaluate_dataset(
         "evaluate", log, model, net, config, w_grid=(args.w,), prefix_lengths=(args.k,)
     )

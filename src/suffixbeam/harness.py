@@ -13,10 +13,12 @@ Two experiment shapes are supported:
 
 Both shapes differ only in the variants each prefix length's (prefix, true
 suffix) cases come from; one per-k rule (:func:`_cases_by_k`) builds the
-cases and one sweep scores them. Results land in two CSVs: a long-format
-sweep table (``dataset,k,w,mean_similarity,n_cases,
-forced_terminations``; for each w the per-k rows, then a ``k=micro`` row for
-their weighted average) and a compact comparison table
+cases and one sweep scores them. Every entry first checks its settings by
+one rule set (:func:`_beam_configs`), which builds the per-w beam configs, so
+a bad setting raises before any split, prefix log or training. Results land
+in two CSVs: a long-format sweep table (``dataset,k,w,mean_similarity,
+n_cases,forced_terminations``; for each w the per-k rows, then a
+``k=micro`` row for their weighted average) and a compact comparison table
 (``dataset,k,baseline,modulated,diff``) using the best sweep weight.
 """
 
@@ -114,11 +116,9 @@ def _cases_by_k(dataset: str, prefix_lengths, variants_of) -> dict:
     """``{k: cases}`` over the prefix lengths, in the given order, that have cases.
 
     A case is the (prefix, true suffix) of one of ``variants_of(k)`` longer
-    than k. A k below 1 raises before any work, a k without cases is skipped
-    with a warning, and no cases at all raise.
+    than k. A k without cases is skipped with a warning, and no cases at all
+    raise.
     """
-    if any(k < 1 for k in prefix_lengths):
-        raise ValueError("k must be >= 1")
     cases_by_k = {}
     for k in prefix_lengths:
         cases = [(prefix(v, k), suffix(v, k)) for v in variants_of(k) if len(v) > k]
@@ -131,9 +131,34 @@ def _cases_by_k(dataset: str, prefix_lengths, variants_of) -> dict:
     return cases_by_k
 
 
-def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, beam_config: BeamConfig,
-           w_grid) -> SweepResult:
-    """For each w, one cell per k and then the micro row.
+def _beam_configs(beam_config: BeamConfig, w_grid, prefix_lengths, net: PetriNet | None,
+                  comparison: bool) -> tuple:
+    """One beam config per w of the grid, once the sweep's settings pass.
+
+    Neither the w grid nor the prefix lengths may be empty or repeat a
+    value (a repeat would be swept, and written, twice), every k is at least
+    1, and a w above 0 needs a net (without one the beam runs the baseline).
+    A ``comparison`` measures against w = 0, so its grid must hold 0.
+    :class:`BeamConfig` checks the range of each w.
+    """
+    for values, what in ((w_grid, "w value"), (prefix_lengths, "prefix length")):
+        if not values:
+            raise ValueError(f"no {what} given")
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"{what} {v} is given more than once")
+    if min(prefix_lengths) < 1:
+        raise ValueError("k must be >= 1")
+    configs = tuple(replace(beam_config, w=w) for w in w_grid)
+    if comparison and 0.0 not in w_grid:
+        raise ValueError("w grid must hold 0, the baseline the comparison table is measured against")
+    if net is None and max(w_grid) > 0:
+        raise ValueError(f"w {max(w_grid)} needs a net; without one the beam runs the w = 0 baseline")
+    return configs
+
+
+def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, configs) -> SweepResult:
+    """For each w's beam config, one cell per k and then the micro row.
 
     ``cases_by_k`` maps each prefix length to its (prefix, true suffix)
     cases. Each distinct prefix is predicted once per w, and each distinct
@@ -143,8 +168,8 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, beam
     distinct = list(dict.fromkeys(case for cases in cases_by_k.values() for case in cases))
     prefixes = list(dict.fromkeys(pref for pref, _ in distinct))
     cells = []
-    for w in w_grid:
-        cfg = replace(beam_config, w=w)
+    for cfg in configs:
+        w = cfg.w
         result_of = {pref: modulated_beam(pref, net, predictor, cfg) for pref in prefixes}
         outcome_of = {
             (pref, truth): (dl_similarity(result_of[pref].suffix, truth), result_of[pref].forced_termination)
@@ -165,7 +190,7 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, beam
             sum(c.n_cases for c in k_cells),
             sum(c.forced_terminations for c in k_cells),
         ))
-    return SweepResult(dataset, tuple(cells), tuple(cases_by_k), tuple(w_grid))
+    return SweepResult(dataset, tuple(cells), tuple(cases_by_k), tuple(cfg.w for cfg in configs))
 
 
 def evaluate_dataset(
@@ -177,10 +202,14 @@ def evaluate_dataset(
     w_grid=DEFAULT_W_GRID,
     prefix_lengths=DEFAULT_PREFIX_LENGTHS,
 ) -> SweepResult:
-    """Sweep the modulation weight over the test log's cases at each prefix length."""
+    """Sweep the modulation weight over the test log's cases at each prefix length.
+
+    The grid need not hold w = 0: no comparison is made here.
+    """
+    configs = _beam_configs(beam_config, w_grid, prefix_lengths, net, comparison=False)
     variants = [variant_of(trace) for trace in test_log.traces]
     cases_by_k = _cases_by_k(dataset, prefix_lengths, lambda k: variants)
-    return _sweep(dataset, cases_by_k, predictor, net, beam_config, w_grid)
+    return _sweep(dataset, cases_by_k, predictor, net, configs)
 
 
 def write_sweep_csv(path, results) -> None:
@@ -242,17 +271,13 @@ def run_synthetic_experiment(
     ngram_alpha: float = 0.01,
     epochs: int = 10,
 ) -> SweepResult:
-    """Generate the synthetic log, train, and sweep on the exceptional traces."""
+    """Generate the synthetic log, check the settings, train, and sweep on the exceptional traces."""
     generated = generate(config)
+    beam_config = _beam_config(generated.train_log, b_size)
+    _beam_configs(beam_config, w_grid, prefix_lengths, generated.net, comparison=True)
     predictor, _ = train_predictor(generated.train_log, predictor_kind, ngram_order, ngram_alpha, epochs)
     return evaluate_dataset(
-        "synthetic",
-        generated.test_log,
-        predictor,
-        generated.net,
-        _beam_config(generated.train_log, b_size),
-        w_grid=w_grid,
-        prefix_lengths=prefix_lengths,
+        "synthetic", generated.test_log, predictor, generated.net, beam_config, w_grid, prefix_lengths
     )
 
 
@@ -268,7 +293,9 @@ def run_reallife_experiment(
     ngram_alpha: float = 0.01,
     epochs: int = 10,
 ) -> SweepResult:
-    """Per-k second-variant holdout on a real log, checked before training, then the same sweep."""
+    """Check the settings, take the per-k second-variant holdout of a real log
+    and check it before training, then run the same sweep."""
+    configs = _beam_configs(_beam_config(log, b_size), w_grid, prefix_lengths, net, comparison=True)
 
     def held_out_variants(k):
         try:
@@ -278,4 +305,4 @@ def run_reallife_experiment(
 
     cases_by_k = _cases_by_k(dataset, prefix_lengths, held_out_variants)
     predictor, _ = train_predictor(log, predictor_kind, ngram_order, ngram_alpha, epochs)
-    return _sweep(dataset, cases_by_k, predictor, net, _beam_config(log, b_size), w_grid)
+    return _sweep(dataset, cases_by_k, predictor, net, configs)

@@ -349,9 +349,10 @@ def compliance(net: PetriNet, variant, partial: bool = False, partial_mode: str 
 def parse_pnml(source) -> PetriNet:
     """Read a PNML place/transition net (namespaced or not).
 
-    Transitions with no name text, or flagged invisible via a toolspecific
-    element, are silent. A missing final marking is inferred as one token in
-    every sink place.
+    A transition's label is its name text as written, surrounding spaces
+    kept, as the log readers keep them. Transitions with blank or no name
+    text, or flagged invisible via a toolspecific element, are silent. A
+    missing final marking is inferred as one token in every sink place.
     """
     for root in _xml_elements(source, "PNML"):
         pass  # the document element ends last
@@ -383,9 +384,7 @@ def parse_pnml(source) -> PetriNet:
                 tool.get("activity") == "$invisible$" or tool.get("tool") == "invisible"
                 for tool in elem.iter("toolspecific")
             )
-            label = _text_of(elem.find(".//name"))
-            if invisible or not label:
-                label = None
+            label = None if invisible else _text_of(elem.find(".//name"), strip=False)
             transitions.append(Transition(tid=tid, label=label))
         elif elem.tag == "arc":
             src, tgt = elem.get("source"), elem.get("target")
@@ -422,14 +421,17 @@ def parse_pnml(source) -> PetriNet:
     )
 
 
-def _text_of(elem):
-    """Text of the element's first ``<text>`` descendant, else its own text."""
+def _text_of(elem, strip=True):
+    """Text of the element's first ``<text>`` descendant, else its own text,
+    stripped unless ``strip`` is false; None when it is blank."""
     if elem is None:
         return None
     text = elem.findtext(".//text")
-    if text is not None:
-        return text.strip()
-    return (elem.text or "").strip() or None
+    if text is None:
+        text = elem.text or ""
+    if not text.strip():
+        return None
+    return text.strip() if strip else text
 
 
 def write_pnml(net: PetriNet, path) -> None:

@@ -392,7 +392,7 @@ def test_evaluate_with_a_weight_and_no_net_is_rejected(workspace, capsys):
         ],
     )
     assert code == 1
-    assert "--net is required for --w > 0" in err
+    assert "w 0.5 needs a net" in err
     assert out == ""
 
 
@@ -516,15 +516,17 @@ def test_default_synthgen_output_is_locked(workspace):
 @pytest.mark.parametrize(
     "flag,value,fragment",
     [
-        ("--w-grid", "0.5,1.5", "outside [0, 1]"),
-        ("--w-grid", " , ", "empty w grid"),
-        ("--ks", "3,0", "positive integers"),
+        ("--w-grid", "0.5,1.5", "w must be in [0, 1]"),
+        ("--w-grid", " , ", "no w value given"),
+        ("--ks", "3,0", "k must be >= 1"),
+        ("--b-size", "0", "b_size and max_iter must be >= 1"),
     ],
 )
-def test_sweep_grid_validation(flag, value, fragment, capsys):
-    code, _, err = run(capsys, ["sweep", "--mode", "synthetic", flag, value])
+def test_sweep_grid_validation(flag, value, fragment, tmp_path, capsys):
+    code, _, err = run(capsys, ["sweep", "--mode", "synthetic", flag, value, "--out", str(tmp_path)])
     assert code == 1
     assert fragment in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

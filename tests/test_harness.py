@@ -20,6 +20,7 @@ from suffixbeam.harness import (
     SweepResult,
     evaluate_dataset,
     run_reallife_experiment,
+    run_synthetic_experiment,
     split_by_prefix,
     write_comparison_csv,
     write_sweep_csv,
@@ -223,6 +224,59 @@ def test_evaluate_dataset_rejects_a_prefix_length_below_one(synth, synth_ngram, 
             "bad", synth.test_log, synth_ngram, synth.net, BeamConfig(b_size=3, max_iter=8),
             w_grid=(0.0,), prefix_lengths=(3, k),
         )
+
+
+# ---------------------------------------------------------------------------
+# the sweep's settings, checked by every entry before any work
+
+ENTRIES = ("evaluate", "synthetic", "reallife")
+BAD_SETTINGS = {
+    "empty w grid": (dict(w_grid=()), "no w value given", ENTRIES),
+    "empty ks": (dict(prefix_lengths=()), "no prefix length given", ENTRIES),
+    "repeated w": (dict(w_grid=(0.0, 0.5, 0.5)), "w value 0.5 is given more than once", ENTRIES),
+    "repeated k": (dict(prefix_lengths=(3, 4, 3)), "prefix length 3 is given more than once", ENTRIES),
+    "k=0": (dict(prefix_lengths=(3, 0)), "k must be >= 1", ENTRIES),
+    "w=1.5": (dict(w_grid=(0.0, 1.5)), r"w must be in \[0, 1\]", ENTRIES),
+    # evaluate_dataset takes a built BeamConfig, which cannot hold b_size 0
+    "b_size=0": (dict(b_size=0), "b_size and max_iter must be >= 1", ("synthetic", "reallife")),
+    # only the experiments compare against w = 0
+    "no w=0": (dict(w_grid=(0.5, 0.85)), "w grid must hold 0", ("synthetic", "reallife")),
+    # the synthetic experiment brings its own net
+    "w>0 without a net": (dict(net=None), "w 0.85 needs a net", ("evaluate", "reallife")),
+}
+
+
+def run_entry(entry, synth, predictor, settings):
+    s = dict(net=synth.net, b_size=3, w_grid=(0.0, 0.85), prefix_lengths=(3, 4)) | settings
+    grid = dict(w_grid=s["w_grid"], prefix_lengths=s["prefix_lengths"])
+    if entry == "evaluate":
+        config = BeamConfig(b_size=s["b_size"], max_iter=8)
+        return evaluate_dataset("bad", synth.test_log, predictor, s["net"], config, **grid)
+    if entry == "synthetic":
+        return run_synthetic_experiment(b_size=s["b_size"], **grid)
+    return run_reallife_experiment("bad", synth.train_log, s["net"], b_size=s["b_size"], **grid)
+
+
+@pytest.mark.parametrize(
+    "entry,setting",
+    [(entry, name) for name, (_, _, entries) in BAD_SETTINGS.items() for entry in entries],
+)
+def test_every_entry_rejects_a_bad_setting_before_any_work(synth, synth_ngram, monkeypatch, entry, setting):
+    settings, fragment, _ = BAD_SETTINGS[setting]
+    work = []
+    monkeypatch.setattr(harness, "train_predictor", lambda *a, **kw: work.append("train"))
+    monkeypatch.setattr(harness, "_cases_by_k", lambda *a, **kw: work.append("split"))
+    with pytest.raises(ValueError, match=fragment):
+        run_entry(entry, synth, synth_ngram, settings)
+    assert work == []
+
+
+def test_evaluate_dataset_without_a_net_runs_the_baseline(synth, synth_ngram):
+    test_log = EventLog.from_traces(synth.test_log.traces[:40])
+    args = ("base", test_log, synth_ngram)
+    kwargs = dict(w_grid=(0.0,), prefix_lengths=(3, 4))
+    config = BeamConfig(b_size=3, max_iter=8)
+    assert evaluate_dataset(*args, None, config, **kwargs) == evaluate_dataset(*args, synth.net, config, **kwargs)
 
 
 def test_best_w_prefers_smallest_on_ties():

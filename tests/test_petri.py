@@ -503,6 +503,26 @@ def test_pnml_round_trip_weighted(tmp_path):
     assert back.final_marking == {"q": 3}
 
 
+def test_pnml_keeps_a_label_as_written(tmp_path):
+    # the log readers keep a label's spaces, so the net must too
+    path = tmp_path / "spaced.pnml"
+    write_pnml(chain_net((" A ",)), path)
+    back = parse_pnml(str(path))
+    assert [t.label for t in back.transitions] == [" A "]
+    assert fitness(token_replay(back, (" A ",))) == 1.0
+    blank = b"""<pnml><net id="n"><page id="pg">
+      <place id="a"><initialMarking><text> 1 </text></initialMarking></place>
+      <place id="b"/>
+      <transition id="t1"><name><text>  </text></name></transition>
+      <arc id="a1" source="a" target="t1"><inscription><text> 2 </text></inscription></arc>
+      <arc id="a2" source="t1" target="b"/>
+    </page></net></pnml>"""
+    net = parse_pnml(blank)
+    assert net.transitions[0].label is None  # blank name text: silent
+    assert net.initial_marking == {"a": 1}
+    assert net.arcs[0].weight == 2
+
+
 def test_parse_pnml_infers_final_marking_from_sinks():
     doc = b"""<pnml><net id="n"><page id="pg">
       <place id="src"><initialMarking><text>1</text></initialMarking></place>
