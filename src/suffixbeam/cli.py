@@ -52,9 +52,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_dir(value: str | None) -> Path:
-    path = Path(value or os.environ.get("SUFFIXBEAM_OUT") or ".")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; a command makes it only when it writes its first file."""
+    return Path(value or os.environ.get("SUFFIXBEAM_OUT") or ".")
 
 
 def _load_log(path: str, csv_columns: str | None):
@@ -195,6 +194,7 @@ def _cmd_synthgen(args) -> int:
         branch_probability=args.branch_probability,
     )
     result = generate(config)
+    out.mkdir(parents=True, exist_ok=True)
     write_xes(result.train_log, out / "train.xes")
     write_xes(result.test_log, out / "test.xes")
     write_pnml(result.net, out / "exceptional.pnml")
@@ -209,6 +209,7 @@ def _cmd_split(args) -> int:
     _, held_out = split_by_prefix(log, args.k)
     out = _out_dir(args.out)
     path = out / "heldout.xes"
+    out.mkdir(parents=True, exist_ok=True)
     write_xes(held_out, path)
     variants = {t.activities for t in held_out.traces}
     print(f"held out {len(held_out.traces)} traces ({len(variants)} variants) at k={args.k} -> {path}")
@@ -222,6 +223,8 @@ def _cmd_train(args) -> int:
         raise ValueError(f"--model-out of an {args.predictor} model must end in {suffix}, not {path.name!r}")
     log = _load_log(args.log, args.csv_columns)
     model, history = train_predictor(log, args.predictor, args.order, args.alpha, args.epochs)
+    if not args.model_out:
+        path.parent.mkdir(parents=True, exist_ok=True)
     model.save(path)
     if history is None:
         n_prefixes = sum(int(row.sum()) for row in model.counts.values())
@@ -282,6 +285,7 @@ def _cmd_sweep(args) -> int:
             args.name, _load_log(args.log, args.csv_columns), parse_pnml(args.net), **settings
         )
     sweep_path, table_path = out / "sweep.csv", out / "comparison.csv"
+    out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(sweep_path, sweep)
     write_comparison_csv(table_path, sweep)
     print(f"prefix lengths evaluated: {', '.join(str(k) for k in sweep.prefix_lengths)}")

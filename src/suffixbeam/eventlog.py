@@ -317,21 +317,17 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
     """Build a log out of bare label sequences (synthetic data, tests).
 
     Trace i starts at ``start`` + i minutes; events are one minute apart.
+    ``case_ids``, when given, names each variant's trace.
     """
-    start = start or datetime(2020, 1, 1, tzinfo=timezone.utc)
-    # datetimes are immutable, so events at the same instant share one; the
-    # key is the float itself, so sharing never changes a timestamp
-    stamp_of = {}
-    traces = []
-    for i, labels in enumerate(variants):
-        case = case_ids[i] if case_ids is not None else f"case_{i + 1:04d}"
-        base = start.timestamp() + 60.0 * i
-        stamps = []
-        for j in range(len(labels)):
-            t = base + 60.0 * j
-            stamp = stamp_of.get(t)
-            if stamp is None:
-                stamp = stamp_of[t] = datetime.fromtimestamp(t, tz=timezone.utc)
-            stamps.append(stamp)
-        traces.append(Trace(case, tuple(labels), tuple(stamps)))
-    return EventLog.from_traces(traces)
+    variants = [tuple(labels) for labels in variants]
+    if case_ids is None:
+        case_ids = [f"case_{i + 1:04d}" for i in range(len(variants))]
+    elif len(case_ids) != len(variants):
+        raise ValueError(f"{len(case_ids)} case ids given for {len(variants)} variants")
+    # one datetime per minute, shared by every trace holding that instant
+    base = (start or datetime(2020, 1, 1, tzinfo=timezone.utc)).timestamp()
+    table = tuple(datetime.fromtimestamp(base + 60.0 * m, tz=timezone.utc)
+                  for m in range(len(variants) + max(map(len, variants), default=0)))
+    return EventLog.from_traces(
+        Trace(case, labels, table[i:i + len(labels)]) for i, (case, labels) in enumerate(zip(case_ids, variants))
+    )

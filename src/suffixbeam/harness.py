@@ -13,9 +13,12 @@ Two experiment shapes are supported:
 
 Both shapes differ only in the variants each prefix length's (prefix, true
 suffix) cases come from; one per-k rule (:func:`_cases_by_k`) builds the
-cases and one sweep scores them. Every entry first checks its settings by
-one rule set (:func:`_beam_configs`), which builds the per-w beam configs, so
-a bad setting raises before any split, prefix log or training. Results land
+cases and one sweep scores them: once per sweep it maps each case to the
+index of its distinct case, so for each w it runs one beam per distinct
+prefix, scores each distinct case once, and sums each k's cells by index.
+Every entry first checks its settings by one rule set
+(:func:`_beam_configs`), which builds the per-w beam configs, so a bad
+setting raises before any split, prefix log or training. Results land
 in two CSVs: a long-format sweep table (``dataset,k,w,mean_similarity,
 n_cases,forced_terminations``; for each w the per-k rows, then a
 ``k=micro`` row for their weighted average) and a compact comparison table
@@ -161,31 +164,29 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, conf
     """For each w's beam config, one cell per k and then the micro row.
 
     ``cases_by_k`` maps each prefix length to its (prefix, true suffix)
-    cases. Each distinct prefix is predicted once per w, and each distinct
-    case scored once; the outcomes are then read back per case, in order,
-    so means accumulate exactly as a per-case loop would.
+    cases. Once per sweep each k's cases become rows of indices into the
+    distinct cases. For each w, each distinct prefix is predicted once and
+    each distinct case scored once; a k cell then sums its rows in case
+    order, so means are bit-identical to a per-case loop.
     """
-    distinct = list(dict.fromkeys(case for cases in cases_by_k.values() for case in cases))
-    prefixes = list(dict.fromkeys(pref for pref, _ in distinct))
+    index_of = {}
+    rows_by_k = {k: [index_of.setdefault(c, len(index_of)) for c in cases] for k, cases in cases_by_k.items()}
+    prefixes = list(dict.fromkeys(pref for pref, _ in index_of))
     cells = []
     for cfg in configs:
-        w = cfg.w
         result_of = {pref: modulated_beam(pref, net, predictor, cfg) for pref in prefixes}
-        outcome_of = {
-            (pref, truth): (dl_similarity(result_of[pref].suffix, truth), result_of[pref].forced_termination)
-            for pref, truth in distinct
-        }
-        k_cells = []
-        for k, cases in cases_by_k.items():
-            outcomes = [outcome_of[case] for case in cases]
-            sims = [sim for sim, _ in outcomes]
-            forced = sum(flag for _, flag in outcomes)
-            k_cells.append(SweepCell(dataset, k, w, sum(sims) / len(sims), len(sims), forced))
+        sims = [dl_similarity(result_of[pref].suffix, truth) for pref, truth in index_of]
+        forced = [result_of[pref].forced_termination for pref, _ in index_of]
+        k_cells = [
+            SweepCell(dataset, k, cfg.w, sum(map(sims.__getitem__, rows)) / len(rows), len(rows),
+                      sum(map(forced.__getitem__, rows)))
+            for k, rows in rows_by_k.items()
+        ]
         cells.extend(k_cells)
         cells.append(SweepCell(
             dataset,
             MICRO,
-            w,
+            cfg.w,
             micro_average((c.mean_similarity, c.n_cases) for c in k_cells),
             sum(c.n_cases for c in k_cells),
             sum(c.forced_terminations for c in k_cells),

@@ -138,10 +138,8 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthResult:
     n_short, n_tailed = _split(n_b1_exc, config.short_exceptional_fraction)
     n_tail_bc, n_tail_cb = _split(n_tailed, 0.5)
 
-    entries: list[tuple[tuple, bool]] = []
-    for _ in range(n_b1_norm):
-        variant = NORMAL_B1_BC if rng.random() < 0.5 else NORMAL_B1_CB
-        entries.append((variant, False))
+    # one draw per branch-1 normal, in the order that n single draws would come
+    entries = [(NORMAL_B1_BC if r < 0.5 else NORMAL_B1_CB, False) for r in rng.random(n_b1_norm)]
     entries.extend((NORMAL_B2, False) for _ in range(n_b2_norm))
     entries.extend((EXC_B1_SHORT, True) for _ in range(n_short))
     entries.extend((EXC_B1_TAIL_BC, True) for _ in range(n_tail_bc))

@@ -543,6 +543,24 @@ def test_sweep_grid_repeats_fail_before_any_work(flag, value, fragment, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["sweep", "--ks", "0"], "k must be >= 1"),
+        (["synthgen", "--n-exceptional", "0"], "no exceptional traces"),
+        (["train", "--log", "missing.xes"], "event log not found"),
+    ],
+    ids=["sweep", "synthgen", "train"],
+)
+def test_a_failed_command_makes_no_out_directory(argv, fragment, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where missing.xes is missing
+    out = tmp_path / "d"
+    code, _, err = run(capsys, argv + ["--out", str(out)])
+    assert code == 1
+    assert fragment in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config files and CSV logs
 

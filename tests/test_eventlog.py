@@ -465,6 +465,18 @@ def test_log_from_variants_layout():
     assert t1.timestamps == (datetime(2020, 1, 1, 0, 1, 0, tzinfo=UTC),)
 
 
+@pytest.mark.parametrize("n_ids", [1, 3])
+def test_log_from_variants_needs_one_case_id_per_variant(n_ids):
+    ids = [f"c{i}" for i in range(n_ids)]
+    with pytest.raises(ValueError, match=f"{n_ids} case ids given for 2 variants"):
+        log_from_variants([("A", "B"), ("C",)], case_ids=ids)
+
+
+def test_log_from_variants_takes_a_generator():
+    log = log_from_variants(v for v in [("A", "B"), ("C",)])
+    assert columns(log) == columns(log_from_variants([("A", "B"), ("C",)]))
+
+
 @settings(max_examples=100)
 @given(
     repetitive_variants(),

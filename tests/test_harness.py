@@ -1,11 +1,14 @@
 import csv
+import hashlib
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from logs import repetitive_variants
 from nets import random_net
 
 from suffixbeam import harness
@@ -167,6 +170,14 @@ def reference_sweep(dataset, test_log, predictor, net, config, w_grid, prefix_le
     return SweepResult(dataset, tuple(cells), tuple(prefix_lengths), tuple(w_grid))
 
 
+def counting(fn, counter, key):
+    def wrapped(*a, **kw):
+        counter[key(*a)] += 1
+        return fn(*a, **kw)
+
+    return wrapped
+
+
 def test_sweep_predicts_each_distinct_case_once_with_identical_results(
     synth, synth_ngram, tmp_path, monkeypatch
 ):
@@ -180,14 +191,6 @@ def test_sweep_predicts_each_distinct_case_once_with_identical_results(
     assert len({pref for pref, _ in cases}) < len(cases)  # one prefix, several truths
 
     beams, scored = Counter(), Counter()
-
-    def counting(fn, counter, key):
-        def wrapped(*a, **kw):
-            counter[key(*a)] += 1
-            return fn(*a, **kw)
-
-        return wrapped
-
     monkeypatch.setattr(harness, "modulated_beam", counting(modulated_beam, beams, lambda p, _, __, c: (p, c.w)))
     monkeypatch.setattr(harness, "dl_similarity", counting(dl_similarity, scored, lambda s, t: t))
     got = evaluate_dataset(*args, synth.net, config, **kwargs)
@@ -200,6 +203,46 @@ def test_sweep_predicts_each_distinct_case_once_with_identical_results(
         writer(tmp_path / "got.csv", got)
         writer(tmp_path / "want.csv", want)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@settings(max_examples=60)
+@given(
+    variants=repetitive_variants(),
+    net_seed=st.integers(0, 2**16),
+    prefix_lengths=st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True),
+    w_grid=st.lists(st.sampled_from((0.3, 0.85, 1.0)), unique=True).map(lambda ws: (0.0, *ws)),
+)
+def test_sweep_sums_each_k_over_its_cases_with_one_beam_per_prefix_and_w(
+    variants, net_seed, prefix_lengths, w_grid
+):
+    # only the ks that have cases: the reference has no rule for skipping one
+    prefix_lengths = [k for k in prefix_lengths if any(len(v) > k for v in variants)]
+    assume(prefix_lengths)
+    log = log_from_variants(variants)
+    predictor = train_ngram(build_prefix_log(log), build_vocabulary(log), order=3, alpha=0.01)
+    net = random_net(np.random.default_rng(net_seed))
+    config = BeamConfig(b_size=2, max_iter=6)
+    kwargs = dict(w_grid=w_grid, prefix_lengths=prefix_lengths)
+    beams = Counter()
+    with mock.patch.object(harness, "modulated_beam",
+                           counting(modulated_beam, beams, lambda p, _, __, c: (p, c.w))):
+        got = evaluate_dataset("d", log, predictor, net, config, **kwargs)
+    prefixes = {v[:k] for v in variants for k in prefix_lengths if len(v) > k}
+    assert beams == Counter({(pref, w): 1 for pref in prefixes for w in w_grid})
+    assert got == reference_sweep("d", log, predictor, net, config, **kwargs)  # floats compared exactly
+
+
+def test_default_synthetic_experiment_csvs_are_locked(tmp_path):
+    with pytest.warns(UserWarning, match="skipped: it has no test case"):
+        result = run_synthetic_experiment()
+    write_sweep_csv(tmp_path / "sweep.csv", result)
+    write_comparison_csv(tmp_path / "comparison.csv", result)
+    digests = {name: hashlib.md5((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("sweep.csv", "comparison.csv")}
+    assert digests == {
+        "sweep.csv": "e2f62b8a7fbe244a86caea45526a4b9e",
+        "comparison.csv": "530051ebea746a47684972a5d2a0e310",
+    }
 
 
 def test_evaluate_dataset_with_no_cases_at_all(synth, synth_ngram):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -67,6 +68,15 @@ def test_generation_is_deterministic():
     assert [variant_of(t) for t in a.train_log.traces] != [
         variant_of(t) for t in c.train_log.traces
     ]
+
+
+def test_default_train_log_is_locked(synth):
+    # the draw order, case ids and timestamps as they were when the lock was
+    # taken; test_generation_is_deterministic only compares the code with itself
+    digest = hashlib.md5()
+    for t in synth.train_log.traces:
+        digest.update(repr((t.case_id, t.activities, tuple(ts.isoformat() for ts in t.timestamps))).encode())
+    assert digest.hexdigest() == "9ba8281a13dba25ef6c7f72767cddde6"
 
 
 def test_no_exceptional_traces_is_an_error():
