@@ -15,6 +15,7 @@ from .beam import (
     checked_beam,
     modulated_beam,
     perfect_fitness_checker,
+    sweep_beams,
 )
 from .encoding import Vocabulary, build_vocabulary
 from .eventlog import (
@@ -101,6 +102,7 @@ __all__ = [
     "run_synthetic_experiment",
     "split_by_prefix",
     "suffix",
+    "sweep_beams",
     "token_replay",
     "train_attention",
     "train_ngram",

@@ -1,6 +1,7 @@
 """Beam-search suffix prediction, with optional replay-fitness modulation.
 
-Three entry points share one expansion step (:func:`_expand`):
+Four entry points share one beam loop and its expansion step
+(:func:`_expand`):
 
 * :func:`baseline_beam` — scores are cumulative predictor probabilities;
   a configured w is ignored.
@@ -11,6 +12,12 @@ Three entry points share one expansion step (:func:`_expand`):
 
   At w = 0 the compliance factor is skipped outright (0^0 := 1), the net is
   never consulted, and the run is bit-for-bit the baseline.
+* :func:`sweep_beams` — the modulated beam at several w in one call, for
+  configs that differ only in w. The w > 0 beams share one record per
+  expanded open node: each child's log p, log C, ids, labels and replay,
+  none of which depends on w. So a node that several w reach is ranked and
+  replayed once, and each result is bit-for-bit its own modulated beam.
+  One config has nothing to share and keeps no records.
 * :func:`checked_beam` — plain probability scores plus a boolean compliance
   check on complete candidates only; first passing candidate in rank order
   wins, None when the search exhausts.
@@ -35,9 +42,10 @@ content labels (END excluded), ``ids`` their vocabulary indices (END
 included once terminated), and ``replay`` is ``(sid, produced, consumed,
 missing)`` after prefix + labels, or None when the beam is not modulated;
 ``sid`` is a state id of the net's reachability graph
-(:class:`~suffixbeam.petri.CompiledNet`). The prefix is replayed with a
-fresh :class:`~suffixbeam.petri.ReplayState`, which clears a graph past its
-cap, so ids stay valid for the whole beam. A child then costs one lookup,
+(:class:`~suffixbeam.petri.CompiledNet`). A call replays the prefix once,
+with a fresh :class:`~suffixbeam.petri.ReplayState`, which clears a graph
+past its cap, so ids (and the records that hold them) stay valid for the
+whole call and are dropped with it. A child then costs one lookup,
 ``steps[sid][label]``, which also carries the successor's residual; a
 completion reads ``finish[sid]``. Counters are scored with
 :func:`~suffixbeam.petri.fitness_counts`. The labels an open candidate
@@ -54,7 +62,8 @@ compliance is not floored (log 0 = -inf is a legitimate veto).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .eventlog import END
 from .petri import CompiledNet, PetriNet, _replayed, compliance, fitness_counts
@@ -77,6 +86,10 @@ class BeamConfig:
             raise ValueError("max_size must be >= 1")
         if self.partial_mode not in ("strict", "lenient"):
             raise ValueError(f"unknown partial_mode {self.partial_mode!r}")
+
+
+# every BeamConfig field but w: the configs of one sweep_beams call share them
+_BUT_W = attrgetter(*(f.name for f in fields(BeamConfig) if f.name != "w"))
 
 
 @dataclass(frozen=True)
@@ -111,7 +124,7 @@ def _complete_fitness(compiled: CompiledNet, replay) -> float:
 
 def _expand(
     pool, prefix, predictor, b_size: int, w: float = 0.0,
-    compiled: CompiledNet | None = None, strict: bool = True,
+    compiled: CompiledNet | None = None, strict: bool = True, records: dict | None = None,
 ) -> list:
     """One beam step: every child of the pool, ranked.
 
@@ -122,60 +135,85 @@ def _expand(
     for END, partial otherwise) read from ``compiled``'s reachability graph:
     one step-table lookup per child. Terminated candidates are carried over
     unchanged.
+
+    ``records`` (given to the w > 0 beams of a sweep) maps an expanded open
+    candidate's labels to its children's ``(log p, log C, ids, labels,
+    terminated, replay)``, none of which depends on w. A candidate with a
+    record is scored from it; only the others are ranked, and each gets its
+    record as it is scored.
     """
     vocab = predictor.vocab
     label_of = vocab.labels
     keep = 1.0 - w
     steps = compiled.steps if w > 0.0 else None
     end_idx = vocab.index_of(END)
-    records = iter(predictor.ranked_batch([prefix + cand[2] for cand in pool if not cand[3]], b_size))
+    fresh = [prefix + cand[2] for cand in pool if not cand[3] and (records is None or cand[2] not in records)]
+    ranked = iter(predictor.ranked_batch(fresh, b_size) if fresh else ())
     expansions = []
+    record = None
     for cand in pool:
         log_score, ids, labels, terminated, replay = cand
         if terminated:
             expansions.append(cand)
             continue
-        for idx, log_p in next(records):
+        if records is not None:
+            record = records.get(labels)
+            if record is not None:
+                for log_p, lc, child_ids, child_labels, child_terminated, child_replay in record:
+                    child_log = log_score + keep * log_p
+                    child_log += w * lc
+                    expansions.append((child_log, child_ids, child_labels, child_terminated, child_replay))
+                continue
+            record = records[labels] = []
+        for idx, log_p in next(ranked):
             child_log = log_score + keep * log_p
             if idx == end_idx:
                 if w > 0.0:
-                    child_log += w * _log_compliance(_complete_fitness(compiled, replay))
-                expansions.append((child_log, ids + (idx,), labels, True, None))
-                continue
-            label = label_of[idx]
-            child_replay = None
-            if w > 0.0:
-                sid, produced, consumed, missing = replay
-                sid, m, c, p, r = steps[sid].get(label) or compiled.step(sid, label)
-                missing += m
-                consumed += c
-                produced += p
-                child_log += w * _log_compliance(fitness_counts(produced, consumed, missing, r if strict else 0))
-                child_replay = (sid, produced, consumed, missing)
-            expansions.append((child_log, ids + (idx,), labels + (label,), False, child_replay))
+                    lc = _log_compliance(_complete_fitness(compiled, replay))
+                    child_log += w * lc
+                child = (child_log, ids + (idx,), labels, True, None)
+            else:
+                label = label_of[idx]
+                child_replay = None
+                if w > 0.0:
+                    sid, produced, consumed, missing = replay
+                    sid, m, c, p, r = steps[sid].get(label) or compiled.step(sid, label)
+                    missing += m
+                    consumed += c
+                    produced += p
+                    lc = _log_compliance(fitness_counts(produced, consumed, missing, r if strict else 0))
+                    child_log += w * lc
+                    child_replay = (sid, produced, consumed, missing)
+                child = (child_log, ids + (idx,), labels + (label,), False, child_replay)
+            expansions.append(child)
+            if record is not None:
+                record.append((log_p, lc) + child[1:])
     expansions.sort(key=_sort_key)
     return expansions
 
 
-def _run_beam(prefix, predictor, config: BeamConfig, net: PetriNet | None) -> BeamResult:
+def _prepared(prefix, net: PetriNet | None, w: float):
+    """The prefix as a tuple and, when a beam at weight ``w`` needs them,
+    the compiled net and the replay of the prefix (else None, None)."""
     prefix = tuple(prefix)
     if not prefix:
         raise ValueError("beam search needs a non-empty prefix")
-    w = config.w if net is not None else 0.0
-    strict = config.partial_mode == "strict"
+    if net is None or w <= 0.0:
+        return prefix, None, None
+    compiled = net.compiled
+    state = _replayed(net, prefix)  # a fresh state clears a full graph: no id outlives the call
+    return prefix, compiled, (compiled.state(state.marking), state.produced, state.consumed, state.missing)
 
-    compiled, root_replay = None, None
-    if w > 0.0:
-        compiled = net.compiled
-        state = _replayed(net, prefix)  # a fresh state clears a full graph: no id outlives its beam
-        root_replay = (compiled.state(state.marking), state.produced, state.consumed, state.missing)
-    pool = [(0.0, (), (), False, root_replay)]
+
+def _run_beam(prefix, predictor, config: BeamConfig, w: float, compiled, root_replay, records) -> BeamResult:
+    strict = config.partial_mode == "strict"
+    pool = [(0.0, (), (), False, root_replay if w > 0.0 else None)]
 
     best_terminated = None
     frontier_peak = 1
     for h in range(config.max_iter + 1):
         closure = pool[0]  # deepest rank-0 open seen; stays within the length budget
-        expansions = _expand(pool, prefix, predictor, config.b_size, w, compiled, strict)
+        expansions = _expand(pool, prefix, predictor, config.b_size, w, compiled, strict, records)
         frontier_peak = max(frontier_peak, len(expansions))
         if expansions[0][3]:
             return _finish(expansions[0], forced=False, iterations=h + 1, peak=frontier_peak)
@@ -211,12 +249,33 @@ def _finish(cand, forced: bool, iterations: int, peak: int) -> BeamResult:
 
 def baseline_beam(prefix, predictor, config: BeamConfig) -> BeamResult:
     """Suffix prediction with pure probability scores (w treated as 0)."""
-    return _run_beam(prefix, predictor, config, net=None)
+    return modulated_beam(prefix, None, predictor, config)
 
 
 def modulated_beam(prefix, net: PetriNet | None, predictor, config: BeamConfig) -> BeamResult:
     """Suffix prediction with replay-fitness-modulated scores; the baseline when w = 0 or net is None."""
-    return _run_beam(prefix, predictor, config, net=net)
+    w = config.w if net is not None else 0.0
+    prefix, compiled, root_replay = _prepared(prefix, net, w)
+    return _run_beam(prefix, predictor, config, w, compiled, root_replay, None)
+
+
+def sweep_beams(prefix, net: PetriNet | None, predictor, configs) -> tuple:
+    """``modulated_beam`` at each of ``configs``, which may differ only in w, in one call.
+
+    The prefix is replayed once, and the w > 0 beams share their node
+    records, so a node that several of them reach is ranked and replayed
+    once. Each result equals its own ``modulated_beam`` bit for bit.
+    """
+    configs = tuple(configs)
+    if len(set(map(_BUT_W, configs))) > 1:
+        raise ValueError("the configs of one sweep may differ only in w")
+    ws = [cfg.w if net is not None else 0.0 for cfg in configs]
+    prefix, compiled, root_replay = _prepared(prefix, net, max(ws, default=0.0))
+    records = {} if len(configs) > 1 else None  # one config has nothing to share
+    return tuple(
+        _run_beam(prefix, predictor, cfg, w, compiled, root_replay, records if w > 0.0 else None)
+        for cfg, w in zip(configs, ws)
+    )
 
 
 def checked_beam(prefix, checker, predictor, config: BeamConfig) -> BeamResult | None:

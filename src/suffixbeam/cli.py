@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .beam import BeamConfig, baseline_beam, checked_beam, modulated_beam, perfect_fitness_checker
-from .eventlog import parse_csv, parse_xes, write_xes
+from .eventlog import parse_csv, parse_xes, write_xes, xes_document
 from .harness import (
     DEFAULT_PREFIX_LENGTHS,
     DEFAULT_W_GRID,
@@ -207,10 +207,11 @@ def _cmd_synthgen(args) -> int:
 def _cmd_split(args) -> int:
     log = _load_log(args.log, args.csv_columns)
     _, held_out = split_by_prefix(log, args.k)
+    document = xes_document(held_out)  # a label XML cannot hold raises before the directory is made
     out = _out_dir(args.out)
     path = out / "heldout.xes"
     out.mkdir(parents=True, exist_ok=True)
-    write_xes(held_out, path)
+    path.write_text(document, encoding="utf-8", newline="\n")
     variants = {t.activities for t in held_out.traces}
     print(f"held out {len(held_out.traces)} traces ({len(variants)} variants) at k={args.k} -> {path}")
     return 0
@@ -221,6 +222,8 @@ def _cmd_train(args) -> int:
     path = Path(args.model_out) if args.model_out else _out_dir(args.out) / f"{args.predictor}{suffix}"
     if path.suffix != suffix:
         raise ValueError(f"--model-out of an {args.predictor} model must end in {suffix}, not {path.name!r}")
+    if args.model_out and not path.parent.is_dir():  # found before the log is read and the model trained
+        raise FileNotFoundError(f"--model-out directory not found: {path.parent}")
     log = _load_log(args.log, args.csv_columns)
     model, history = train_predictor(log, args.predictor, args.order, args.alpha, args.epochs)
     if not args.model_out:

@@ -255,8 +255,8 @@ _XES_HEADER = (
 )
 
 
-def write_xes(log: EventLog, path) -> None:
-    """Serialize a log to XES, deterministic byte-for-byte; a label that cannot be written writes no file."""
+def xes_document(log: EventLog) -> str:
+    """A log as an XES document, deterministic byte-for-byte; a label XML cannot hold raises ValueError."""
     parts = [_XES_HEADER]
     for trace in log.traces:
         parts.append("  <trace>\n")
@@ -268,8 +268,14 @@ def write_xes(log: EventLog, path) -> None:
             parts.append("    </event>\n")
         parts.append("  </trace>\n")
     parts.append("</log>\n")
+    return "".join(parts)
+
+
+def write_xes(log: EventLog, path) -> None:
+    """Write a log's :func:`xes_document`; a label that cannot be written writes no file."""
+    document = xes_document(log)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(parts))
+        fh.write(document)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ Two experiment shapes are supported:
 Both shapes differ only in the variants each prefix length's (prefix, true
 suffix) cases come from; one per-k rule (:func:`_cases_by_k`) builds the
 cases and one sweep scores them: once per sweep it maps each case to the
-index of its distinct case, so for each w it runs one beam per distinct
-prefix, scores each distinct case once, and sums each k's cells by index.
+index of its distinct case and searches each distinct prefix at every w in
+one :func:`~suffixbeam.beam.sweep_beams` call; then for each w it scores
+each distinct case once and sums each k's cells by index.
 Every entry first checks its settings by one rule set
 (:func:`_beam_configs`), which builds the per-w beam configs, so a bad
 setting raises before any split, prefix log or training. Results land
@@ -31,7 +32,7 @@ import csv
 import warnings
 from dataclasses import dataclass, replace
 
-from .beam import BeamConfig, modulated_beam
+from .beam import BeamConfig, sweep_beams
 from .eventlog import EventLog, build_prefix_log, prefix, suffix, variant_of
 from .metrics import dl_similarity, micro_average
 from .petri import PetriNet
@@ -165,18 +166,19 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, conf
 
     ``cases_by_k`` maps each prefix length to its (prefix, true suffix)
     cases. Once per sweep each k's cases become rows of indices into the
-    distinct cases. For each w, each distinct prefix is predicted once and
-    each distinct case scored once; a k cell then sums its rows in case
-    order, so means are bit-identical to a per-case loop.
+    distinct cases, and each distinct prefix is predicted at every w by one
+    :func:`sweep_beams` call. For each w each distinct case is scored once;
+    a k cell then sums its rows in case order, so means are bit-identical
+    to a per-case loop.
     """
     index_of = {}
     rows_by_k = {k: [index_of.setdefault(c, len(index_of)) for c in cases] for k, cases in cases_by_k.items()}
     prefixes = list(dict.fromkeys(pref for pref, _ in index_of))
+    beams_of = {pref: sweep_beams(pref, net, predictor, configs) for pref in prefixes}
     cells = []
-    for cfg in configs:
-        result_of = {pref: modulated_beam(pref, net, predictor, cfg) for pref in prefixes}
-        sims = [dl_similarity(result_of[pref].suffix, truth) for pref, truth in index_of]
-        forced = [result_of[pref].forced_termination for pref, _ in index_of]
+    for i, cfg in enumerate(configs):
+        sims = [dl_similarity(beams_of[pref][i].suffix, truth) for pref, truth in index_of]
+        forced = [beams_of[pref][i].forced_termination for pref, _ in index_of]
         k_cells = [
             SweepCell(dataset, k, cfg.w, sum(map(sims.__getitem__, rows)) / len(rows), len(rows),
                       sum(map(forced.__getitem__, rows)))

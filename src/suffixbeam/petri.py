@@ -126,9 +126,9 @@ class CompiledNet:
     them through the kernels on a miss.
 
     Ids stay valid until :meth:`clear`. Only a fresh :class:`ReplayState`,
-    which starts every replay and every modulated beam, clears the graph,
-    once it has passed :data:`REPLAY_MEMO_CAP` states; so no id outlives the
-    beam that holds it, as long as one thread at a time replays on the net.
+    which starts every replay and every beam call, clears the graph, once it
+    has passed :data:`REPLAY_MEMO_CAP` states; so no id outlives the call
+    that holds it, as long as one thread at a time replays on the net.
     There is no reference back to the net, so dropping a net frees its graph
     at once rather than at the next full garbage collection.
     """

@@ -16,6 +16,7 @@ from suffixbeam.beam import (
     checked_beam,
     modulated_beam,
     perfect_fitness_checker,
+    sweep_beams,
 )
 from suffixbeam.encoding import Vocabulary, build_vocabulary
 from suffixbeam.eventlog import END, build_prefix_log, log_from_variants
@@ -292,6 +293,81 @@ def test_zero_count_fitness_warns_inside_the_beam():
     assert beam_warnings == oracle_warnings == {
         (UserWarning, "fitness undefined for zero produced/consumed counts; returning 0.0", petri.__file__)
     }
+
+
+# ---------------------------------------------------------------------------
+# one call across a w grid
+
+
+# every grid holds 0 and 1.0; the order and the w between them vary
+W_GRID = st.lists(st.sampled_from([0.3, 0.5, 0.85]), unique=True).flatmap(
+    lambda ws: st.permutations([0.0, 1.0, *ws])
+)
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    branches=st.integers(0, 2),
+    prefix=st.lists(st.sampled_from(["A", "B", "C", "D", "Start", "P0", "P1", "Close"]), min_size=1, max_size=4),
+    b_size=st.integers(1, 3),
+    max_iter=st.integers(1, 4),
+    partial_mode=st.sampled_from(["strict", "lenient"]),
+    w_grid=W_GRID,
+    with_net=st.booleans(),
+)
+def test_sweep_beams_equals_one_modulated_beam_per_config(
+    seed, branches, prefix, b_size, max_iter, partial_mode, w_grid, with_net
+):
+    # random nets have silent transitions, duplicate labels and arc weights of
+    # 1-2, and "D" is unknown to every net; a small max_iter makes forced
+    # terminations, and b_size 1 often closes an open leader by fiat
+    net = wide_net(branches) if branches else random_net(np.random.default_rng(seed))
+    labels = sorted({t.label for t in net.transitions if t.label is not None} | {"D"})
+    pred = HashedRowPredictor(Vocabulary(labels=tuple(labels) + (END,)), seed)
+    net = net if with_net else None
+    configs = [BeamConfig(b_size=b_size, max_iter=max_iter, w=w, partial_mode=partial_mode) for w in w_grid]
+    got = sweep_beams(tuple(prefix), net, pred, configs)
+    want = tuple(modulated_beam(tuple(prefix), net, pred, config) for config in configs)
+    event(f"forced terminations: {sum(r.forced_termination for r in want)}")
+    assert got == want  # suffix, scores, iterations and frontier peak, bit for bit
+
+
+def test_sweep_beams_ranks_each_node_once_per_call():
+    net = exceptional_process_net()
+    labels = sorted({t.label for t in net.transitions if t.label is not None})
+    pred = SeededTablePredictor(Vocabulary(labels=tuple(labels) + (END,)))
+    rank = pred.ranked_batch
+
+    def asks(search):
+        """The prefixes the search hands to ranked_batch, in order."""
+        asked = []
+        pred.ranked_batch = lambda prefixes, k: asked.extend(prefixes) or rank(prefixes, k)
+        search()
+        del pred.ranked_batch
+        return asked
+
+    configs = [BeamConfig(b_size=3, max_iter=8, w=w) for w in (0.0, 0.3, 0.85, 1.0)]
+    prefix = ("Start", "B2a")
+    alone = [asks(lambda: modulated_beam(prefix, net, pred, config)) for config in configs]
+    asked = asks(lambda: sweep_beams(prefix, net, pred, configs))
+    assert asked[: len(alone[0])] == alone[0]  # the w = 0 beam shares nothing
+    shared = asked[len(alone[0]):]
+    assert len(shared) == len(set(shared)) < sum(map(len, alone[1:]))  # each node ranked once
+    assert set(shared) == set().union(*alone[1:])
+    assert asks(lambda: sweep_beams(prefix, net, pred, configs[2:3])) == alone[2]
+
+
+def test_sweep_beams_configs_may_differ_only_in_w():
+    pred = TablePredictor(AB_VOCAB, [0.5, 0.3, 0.2])
+    net = exceptional_process_net()
+    for other in (dict(b_size=2), dict(max_iter=3), dict(max_size=2), dict(partial_mode="lenient")):
+        configs = [BeamConfig(w=0.3), BeamConfig(w=0.85, **other)]
+        with pytest.raises(ValueError, match="differ only in w"):
+            sweep_beams(("A",), net, pred, configs)
+    with pytest.raises(ValueError, match="non-empty prefix"):
+        sweep_beams((), net, pred, [BeamConfig(w=0.3)])
+    assert sweep_beams(("A",), net, pred, []) == ()
 
 
 # ---------------------------------------------------------------------------

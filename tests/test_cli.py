@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from suffixbeam import cli
 from suffixbeam.attention import AttentionConfig, AttentionModel
 from suffixbeam.cli import main
 from suffixbeam.encoding import build_vocabulary
@@ -30,6 +31,15 @@ def workspace(tmp_path_factory):
         "net": str(root / "exceptional.pnml"),
         "model": str(root / "ngram.json"),
     }
+
+
+# split at k = 2 holds out c3, whose last label holds a character XML cannot hold
+CONTROL_CHARACTER_CSV = (
+    "case_id,activity,timestamp\n"
+    "c1,A,2024-01-01T00:00:00\nc1,B,2024-01-01T00:01:00\nc1,C,2024-01-01T00:02:00\n"
+    "c2,A,2024-01-02T00:00:00\nc2,B,2024-01-02T00:01:00\nc2,C,2024-01-02T00:02:00\n"
+    "c3,A,2024-01-03T00:00:00\nc3,B,2024-01-03T00:01:00\nc3,D\x01,2024-01-03T00:02:00\n"
+)
 
 
 def run(capsys, argv):
@@ -181,6 +191,17 @@ def test_train_refuses_a_model_file_of_another_type(workspace, tmp_path, capsys,
     )
     assert code == 1
     assert f"--model-out of an {predictor} model must end in" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_into_a_missing_directory_fails_before_training(workspace, tmp_path, capsys, monkeypatch):
+    def train_predictor(*args):
+        raise AssertionError("the model was trained")
+
+    monkeypatch.setattr(cli, "train_predictor", train_predictor)
+    code, _, err = run(capsys, ["train", "--log", workspace["train"], "--model-out", str(tmp_path / "new" / "m.json")])
+    assert code == 1
+    assert f"--model-out directory not found: {tmp_path / 'new'}" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -549,11 +570,13 @@ def test_sweep_grid_repeats_fail_before_any_work(flag, value, fragment, tmp_path
         (["sweep", "--ks", "0"], "k must be >= 1"),
         (["synthgen", "--n-exceptional", "0"], "no exceptional traces"),
         (["train", "--log", "missing.xes"], "event log not found"),
+        (["split", "--log", "ctrl.csv", "--k", "2"], "an XML file cannot hold"),
     ],
-    ids=["sweep", "synthgen", "train"],
+    ids=["sweep", "synthgen", "train", "split"],
 )
 def test_a_failed_command_makes_no_out_directory(argv, fragment, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # where missing.xes is missing
+    (tmp_path / "ctrl.csv").write_text(CONTROL_CHARACTER_CSV)
     out = tmp_path / "d"
     code, _, err = run(capsys, argv + ["--out", str(out)])
     assert code == 1
@@ -726,12 +749,7 @@ def test_split_of_a_log_outside_the_utc_range_is_bad_input(tmp_path, capsys):
 
 def test_split_of_a_label_xml_cannot_hold_is_bad_input(tmp_path, capsys):
     log = tmp_path / "ctrl.csv"
-    log.write_text(
-        "case_id,activity,timestamp\n"
-        "c1,A,2024-01-01T00:00:00\nc1,B,2024-01-01T00:01:00\nc1,C,2024-01-01T00:02:00\n"
-        "c2,A,2024-01-02T00:00:00\nc2,B,2024-01-02T00:01:00\nc2,C,2024-01-02T00:02:00\n"
-        "c3,A,2024-01-03T00:00:00\nc3,B,2024-01-03T00:01:00\nc3,D\x01,2024-01-03T00:02:00\n"
-    )
+    log.write_text(CONTROL_CHARACTER_CSV)
     code, _, err = run(capsys, ["split", "--log", str(log), "--k", "2", "--out", str(tmp_path)])
     assert code == 1
     assert "an XML file cannot hold" in err

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import warnings
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from logs import repetitive_variants
 from nets import random_net
 
-from suffixbeam import harness
-from suffixbeam.beam import BeamConfig, baseline_beam, modulated_beam
+from suffixbeam import harness, petri
+from suffixbeam.beam import BeamConfig, baseline_beam, modulated_beam, sweep_beams
 from suffixbeam.encoding import build_vocabulary
 from suffixbeam.eventlog import EventLog, build_prefix_log, log_from_variants, variant_of
 from suffixbeam.harness import (
@@ -191,11 +192,12 @@ def test_sweep_predicts_each_distinct_case_once_with_identical_results(
     assert len({pref for pref, _ in cases}) < len(cases)  # one prefix, several truths
 
     beams, scored = Counter(), Counter()
-    monkeypatch.setattr(harness, "modulated_beam", counting(modulated_beam, beams, lambda p, _, __, c: (p, c.w)))
+    monkeypatch.setattr(harness, "sweep_beams", counting(sweep_beams, beams, lambda p, _, __, cs: (p, tuple(cs))))
     monkeypatch.setattr(harness, "dl_similarity", counting(dl_similarity, scored, lambda s, t: t))
     got = evaluate_dataset(*args, synth.net, config, **kwargs)
     monkeypatch.undo()
-    assert beams == Counter({(pref, w): 1 for pref, _ in cases for w in w_grid})
+    grid = tuple(replace(config, w=w) for w in w_grid)  # the whole grid, in grid order
+    assert beams == Counter({(pref, grid): 1 for pref, _ in cases})
     assert scored == Counter(truth for _, truth in cases for w in w_grid)
     want = reference_sweep(*args, exceptional_process_net(), config, **kwargs)
     assert got == want  # floats compared exactly
@@ -224,12 +226,36 @@ def test_sweep_sums_each_k_over_its_cases_with_one_beam_per_prefix_and_w(
     config = BeamConfig(b_size=2, max_iter=6)
     kwargs = dict(w_grid=w_grid, prefix_lengths=prefix_lengths)
     beams = Counter()
-    with mock.patch.object(harness, "modulated_beam",
-                           counting(modulated_beam, beams, lambda p, _, __, c: (p, c.w))):
+    with mock.patch.object(harness, "sweep_beams",
+                           counting(sweep_beams, beams, lambda p, _, __, cs: (p, tuple(cs)))):
         got = evaluate_dataset("d", log, predictor, net, config, **kwargs)
     prefixes = {v[:k] for v in variants for k in prefix_lengths if len(v) > k}
-    assert beams == Counter({(pref, w): 1 for pref in prefixes for w in w_grid})
+    grid = tuple(replace(config, w=w) for w in w_grid)
+    assert beams == Counter({(pref, grid): 1 for pref in prefixes})
     assert got == reference_sweep("d", log, predictor, net, config, **kwargs)  # floats compared exactly
+
+
+def test_a_graph_clear_inside_a_sweep_changes_no_cell(synth, synth_ngram, monkeypatch):
+    # with a cap of 3 states, the graph is cleared at the start of almost
+    # every sweep_beams call, between the prefixes of one sweep
+    test_log = EventLog.from_traces(synth.test_log.traces[:30])
+    config = BeamConfig(b_size=3, max_iter=8)
+    kwargs = dict(w_grid=(0.0, 0.3, 0.85, 1.0), prefix_lengths=(3, 4, 5))
+    want = reference_sweep("clears", test_log, synth_ngram, exceptional_process_net(), config, **kwargs)
+    net = exceptional_process_net()
+    graph, clears = net.compiled, []
+
+    def clear():  # spy
+        clears.append(len(graph.markings))
+        petri.CompiledNet.clear(graph)
+
+    monkeypatch.setattr(petri, "REPLAY_MEMO_CAP", 3)
+    monkeypatch.setattr(graph, "clear", clear)
+    sweeps = Counter()
+    monkeypatch.setattr(harness, "sweep_beams", counting(sweep_beams, sweeps, lambda *a: "call"))
+    got = evaluate_dataset("clears", test_log, synth_ngram, net, config, **kwargs)
+    assert 1 < len(clears) < sweeps["call"]  # the first call starts on an empty graph
+    assert got == want  # floats compared exactly
 
 
 def test_default_synthetic_experiment_csvs_are_locked(tmp_path):
