@@ -1,11 +1,17 @@
 """Token-replay kernels: silent BFS, one-label replay, final-marking finish.
 
-Markings are int32 arrays with no negative count (the net rejects one). A
-firing that would take a count past the int32 range raises ValueError
+The kernels work on packed markings: one Python int holding 32 bits per
+place, place p in bits 32p to 32p+31, which is the marking's little-endian
+int32 bytes read with ``int.from_bytes`` (:func:`pack`). Counts never
+exceed ``petri.TOKEN_MAX`` < 2**31, so with ``H`` the top bit of every
+field, ``((m | H) - pre) & H == H`` says that m covers ``pre`` in every
+place at once (no field borrows from its neighbour), an enabled firing is
+``m - pre + post``, and a count past ``TOKEN_MAX`` shows as ``m & H``; a
+firing or a silent search that would take a count there raises ValueError
 instead of wrapping. The kernels are the miss path of a net's reachability
 graph (see :class:`suffixbeam.petri.CompiledNet`): they run once per state
-and label, or per state for the finish, and return new arrays, never
-writing to the marking they are given.
+and label, or per state for the finish, and the graph turns only a new
+state back into an int32 array.
 
 Replay conventions baked into these kernels (the rest of the package and
 the test oracles mirror them):
@@ -31,65 +37,103 @@ logger = logging.getLogger(__name__)
 SILENT_BFS_DEPTH = 10
 # Distinct markings one silent search may hold before it gives up.
 NODE_CAP = 4096
+FIELD = 0xFFFFFFFF  # one place's 32 bits
 
 # There is no compiled backend; the benchmark records this flag with its
 # environment, so it stays as a constant.
 USING_NUMBA = False
 
 
+def pack(marking) -> int:
+    """The packed form of an int32 marking array."""
+    return int.from_bytes(marking.astype("<i4", copy=False).tobytes(), "little")
+
+
+def unpack(code: int, n_places: int):
+    """The read-only int32 array of a packed marking."""
+    return np.frombuffer(code.to_bytes(4 * n_places, "little"), dtype="<i4").astype(np.int32, copy=False)
+
+
+def _overflow(net, code):
+    """The error for a packed marking with a count past the int32 range."""
+    over = code & net.high
+    place = list(net.place_index)[((over & -over).bit_length() - 1) // 32]
+    return ValueError(f"replay overflows the int32 token count of place {place!r}")
+
+
 def silent_path_to(net, marking, req):
     """Shortest sequence of enabled silent firings after which req is covered.
 
-    BFS over reachable markings; children are generated in silent-id order,
-    so the first goal hit is the shortest, earliest sequence. The search
-    gives up once it holds NODE_CAP distinct markings and an enabled silent
-    firing would add another (the cap is checked before the duplicate test),
-    and logs that at WARNING, since the replay then charges missing tokens a
-    path might have avoided. Returns the transition rows of the path, or None
-    when there is none or the search gave up.
+    BFS over reachable packed markings; children are generated in silent-row
+    order, so the first goal hit is the shortest, earliest sequence. The
+    search gives up once it holds NODE_CAP distinct markings and an enabled
+    silent firing would add another (the cap is checked before the duplicate
+    test), and logs that at WARNING, since the replay then charges missing
+    tokens a path might have avoided. A child with a count past the int32
+    range raises ValueError. Returns the transition rows of the path, or
+    None when there is none or the search gave up.
     """
-    if (marking >= req).all():
+    high = net.high
+    if ((marking | high) - req) & high == high:
         return []
-    silent_ids = net.silent_ids
-    if not len(silent_ids):
+    silent_rows = net.silent_rows
+    if not silent_rows:
         return None
-    silent_in = net.in_w[silent_ids]
-    silent_delta = net.out_w[silent_ids] - silent_in
+    pre, post = net.pre, net.post
     level = [(marking, [])]  # the markings first reached at one depth, with their paths
-    seen = {marking.tobytes()}
+    seen = {marking}
     for _ in range(SILENT_BFS_DEPTH):
         next_level = []
         for node, path in level:
-            for j in np.flatnonzero((node >= silent_in).all(axis=1)):
+            lifted = node | high
+            for t in silent_rows:
+                if (lifted - pre[t]) & high != high:
+                    continue
                 if len(seen) >= NODE_CAP:
                     logger.warning("silent search gave up after %d markings; the replay step"
                                    " charges the tokens it could not enable as missing", NODE_CAP)
                     return None
-                child = node + silent_delta[j]
-                key = child.tobytes()
-                if key in seen:
+                child = node - pre[t] + post[t]
+                if child & high:
+                    raise _overflow(net, child)
+                if child in seen:
                     continue
-                seen.add(key)
-                child_path = path + [int(silent_ids[j])]
-                if (child >= req).all():
+                seen.add(child)
+                child_path = path + [t]
+                if ((child | high) - req) & high == high:
                     return child_path
                 next_level.append((child, child_path))
         level = next_level
     return None
 
 
+def _consume(net, marking, t):
+    """Take row t's input tokens from the packed marking, flooring each place
+    at zero: (marking, tokens missing)."""
+    high = net.high
+    if ((marking | high) - net.pre[t]) & high == high:
+        return marking - net.pre[t], 0
+    missing = 0
+    for shift, weight in net.inputs[t]:
+        have = marking >> shift & FIELD
+        if have < weight:
+            missing += weight - have
+            weight = have
+        marking -= weight << shift
+    return marking, missing
+
+
 def _fire(net, marking, rows):
     """Fire the transition rows in order: (marking, missing, consumed, produced)."""
     missing = consumed = produced = 0
     for t in rows:
-        in_row, out_row = net.in_w[t], net.out_w[t]
-        missing += int(np.maximum(in_row - marking, 0).sum())
-        consumed += int(in_row.sum())
-        produced += int(out_row.sum())
-        marking = np.maximum(marking - in_row, 0) + out_row
-        if (marking < 0).any():  # int32 wrapped: two non-negative counts added past 2**31 - 1
-            pid = next(pid for pid, i in net.place_index.items() if marking[i] < 0)
-            raise ValueError(f"replay overflows the int32 token count of place {pid!r}")
+        marking, short = _consume(net, marking, t)
+        marking += net.post[t]
+        missing += short
+        consumed += net.pre_tokens[t]
+        produced += net.post_tokens[t]
+        if marking & net.high:  # a count past TOKEN_MAX: two counts added past 2**31 - 1
+            raise _overflow(net, marking)
     return marking, missing, consumed, produced
 
 
@@ -99,17 +143,19 @@ def replay_one_label(net, marking, tids):
     Among the candidate transitions (all sharing the label, ids ascending)
     the one needing the fewest missing tokens wins — a transition that a
     silent sequence can fully enable counts as zero missing; ties go to the
-    lowest transition id. Returns (next marking, missing, consumed,
+    lowest transition id. Returns (next packed marking, missing, consumed,
     produced), the counters including any silent firings.
     """
+    high = net.high
     best, best_miss, path = None, float("inf"), []
+    lifted = marking | high
     for t in tids:
-        in_row = net.in_w[t]
-        miss = int(np.maximum(in_row - marking, 0).sum())
-        found = [] if miss == 0 else silent_path_to(net, marking, in_row)
+        pre = net.pre[t]
+        found = [] if (lifted - pre) & high == high else silent_path_to(net, marking, pre)
         if found is not None:
             best, path = t, found
             break
+        miss = _consume(net, marking, t)[1]
         if miss < best_miss:
             best, best_miss = t, miss
     return _fire(net, marking, path + [best])
@@ -122,9 +168,10 @@ def finish_complete(net, marking):
     deltas for the finishing moves, the count of tokens left anywhere after
     the final consumption, and whether the final marking was met exactly.
     """
-    path = silent_path_to(net, marking, net.final) or []
+    path = silent_path_to(net, marking, net.final_code) or []
     marking, _, consumed, produced = _fire(net, marking, path)
-    missing = int(np.maximum(net.final - marking, 0).sum())
-    remaining = int(np.maximum(marking - net.final, 0).sum())
+    counts = unpack(marking, len(net.place_index))
+    missing = int(np.maximum(net.final - counts, 0).sum())
+    remaining = int(np.maximum(counts - net.final, 0).sum())
     consumed += int(net.final.sum())
     return missing, consumed, produced, remaining, missing == 0 and remaining == 0

@@ -33,6 +33,7 @@ from .harness import (
     DEFAULT_PREFIX_LENGTHS,
     DEFAULT_W_GRID,
     evaluate_dataset,
+    format_w,
     run_reallife_experiment,
     run_synthetic_experiment,
     split_by_prefix,
@@ -293,7 +294,7 @@ def _cmd_sweep(args) -> int:
     write_comparison_csv(table_path, sweep)
     print(f"prefix lengths evaluated: {', '.join(str(k) for k in sweep.prefix_lengths)}")
     print(f"micro similarity at w=0.00: {sweep.baseline_micro:.5f}")
-    print(f"best w: {sweep.best_w:.2f} (micro {sweep.best_micro:.5f})")
+    print(f"best w: {format_w(sweep.best_w)} (micro {sweep.best_micro:.5f})")
     print(f"wrote {sweep_path}")
     print(f"wrote {table_path}")
     return 0
@@ -308,7 +309,7 @@ def _cmd_evaluate(args) -> int:
         "evaluate", log, model, net, config, w_grid=(args.w,), prefix_lengths=(args.k,)
     )
     cell = sweep.cell(args.k, args.w)
-    print(f"k={args.k} w={args.w:.2f}: mean similarity {cell.mean_similarity:.5f} "
+    print(f"k={args.k} w={format_w(args.w)}: mean similarity {cell.mean_similarity:.5f} "
           f"over {cell.n_cases} cases ({cell.forced_terminations} forced terminations)")
     return 0
 

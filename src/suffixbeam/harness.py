@@ -15,8 +15,9 @@ Both shapes differ only in the variants each prefix length's (prefix, true
 suffix) cases come from; one per-k rule (:func:`_cases_by_k`) builds the
 cases and one sweep scores them: once per sweep it maps each case to the
 index of its distinct case and searches each distinct prefix at every w in
-one :func:`~suffixbeam.beam.sweep_beams` call; then for each w it scores
-each distinct case once and sums each k's cells by index.
+one :func:`~suffixbeam.beam.sweep_beams` call, scores each distinct
+(predicted, true) suffix pair once, and for each w sums each k's cells by
+index.
 Every entry first checks its settings by one rule set
 (:func:`_beam_configs`), which builds the per-w beam configs, so a bad
 setting raises before any split, prefix log or training. Results land
@@ -31,6 +32,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .beam import BeamConfig, sweep_beams
 from .eventlog import EventLog, build_prefix_log, prefix, suffix, variant_of
@@ -167,17 +169,19 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, conf
     ``cases_by_k`` maps each prefix length to its (prefix, true suffix)
     cases. Once per sweep each k's cases become rows of indices into the
     distinct cases, and each distinct prefix is predicted at every w by one
-    :func:`sweep_beams` call. For each w each distinct case is scored once;
-    a k cell then sums its rows in case order, so means are bit-identical
-    to a per-case loop.
+    :func:`sweep_beams` call. Each distinct (predicted, true) suffix pair is
+    scored once per sweep; a k cell then sums its rows in case order, so
+    means are bit-identical to a per-case loop.
     """
     index_of = {}
     rows_by_k = {k: [index_of.setdefault(c, len(index_of)) for c in cases] for k, cases in cases_by_k.items()}
     prefixes = list(dict.fromkeys(pref for pref, _ in index_of))
     beams_of = {pref: sweep_beams(pref, net, predictor, configs) for pref in prefixes}
+    pairs_at = [[(beams_of[pref][i].suffix, truth) for pref, truth in index_of] for i in range(len(configs))]
+    similarity = {pair: dl_similarity(*pair) for pair in dict.fromkeys(chain.from_iterable(pairs_at))}
     cells = []
     for i, cfg in enumerate(configs):
-        sims = [dl_similarity(beams_of[pref][i].suffix, truth) for pref, truth in index_of]
+        sims = [similarity[pair] for pair in pairs_at[i]]
         forced = [beams_of[pref][i].forced_termination for pref, _ in index_of]
         k_cells = [
             SweepCell(dataset, k, cfg.w, sum(map(sims.__getitem__, rows)) / len(rows), len(rows),
@@ -215,6 +219,12 @@ def evaluate_dataset(
     return _sweep(dataset, cases_by_k, predictor, net, configs)
 
 
+def format_w(w: float) -> str:
+    """w as reports print it: two decimals, or in full where two would round it."""
+    text = f"{w:.2f}"
+    return text if float(text) == w else repr(w)
+
+
 def write_sweep_csv(path, results) -> None:
     """Long-format sweep table; accepts one result or a list."""
     if isinstance(results, SweepResult):
@@ -225,7 +235,7 @@ def write_sweep_csv(path, results) -> None:
         for result in results:
             for c in result.cells:
                 writer.writerow(
-                    [c.dataset, c.k, f"{c.w:.2f}", repr(c.mean_similarity), c.n_cases, c.forced_terminations]
+                    [c.dataset, c.k, format_w(c.w), repr(c.mean_similarity), c.n_cases, c.forced_terminations]
                 )
 
 

@@ -113,17 +113,22 @@ class PetriNet:
 
 
 class CompiledNet:
-    """Array form of a net for the replay kernels, plus its reachability graph.
+    """Packed form of a net for the replay kernels, plus its reachability graph.
+
+    Each transition row has packed ``pre``/``post`` markings (see
+    :mod:`suffixbeam._kernels`), its input ``(bit shift, weight)`` pairs and
+    its arc sums ``pre_tokens``/``post_tokens``; ``high`` is the top bit of
+    every place's field and ``final_code`` the packed final marking.
 
     Replay outcomes depend only on the marking and the label, so the net
     keeps the part of its reachability graph (Murata 1989) that replay has
     visited, each marking interned as an int state id: ``markings[sid]`` is
-    the read-only marking, ``id_of[marking bytes]`` its id, ``residual[sid]``
-    its tokens not explainable as part of the final marking (the strict
-    penalty). ``steps[sid][label]`` is the step ``(sid', Δmissing,
-    Δconsumed, Δproduced, residual[sid'])`` and ``finish[sid]`` the outcome
-    of consuming the final marking; :meth:`step` and :meth:`complete` fill
-    them through the kernels on a miss.
+    the read-only int32 marking, ``id_of[marking bytes]`` its id,
+    ``residual[sid]`` its tokens not explainable as part of the final
+    marking (the strict penalty). ``steps[sid][label]`` is the step
+    ``(sid', Δmissing, Δconsumed, Δproduced, residual[sid'])`` and
+    ``finish[sid]`` the outcome of consuming the final marking; :meth:`step`
+    and :meth:`complete` fill them through the kernels on a miss.
 
     Ids stay valid until :meth:`clear`. Only a fresh :class:`ReplayState`,
     which starts every replay and every beam call, clears the graph, once it
@@ -133,37 +138,41 @@ class CompiledNet:
     at once rather than at the next full garbage collection.
     """
 
-    def __init__(self, place_index, in_w, out_w, silent_ids, label_tids, initial, final):
+    def __init__(self, place_index, in_arcs, out_arcs, silent_rows, label_tids, initial, final):
         self.place_index = place_index
-        self.in_w = in_w
-        self.out_w = out_w
-        self.silent_ids = silent_ids
-        self.label_tids = label_tids  # label -> ascending int32 array of transition rows
+        self.inputs = [tuple((32 * p, w) for p, w in arcs.items()) for arcs in in_arcs]
+        self.pre = [sum(w << shift for shift, w in pairs) for pairs in self.inputs]
+        self.post = [sum(w << 32 * p for p, w in arcs.items()) for arcs in out_arcs]
+        self.pre_tokens = [sum(arcs.values()) for arcs in in_arcs]
+        self.post_tokens = [sum(arcs.values()) for arcs in out_arcs]
+        self.high = sum(1 << 32 * p + 31 for p in range(len(place_index)))
+        self.silent_rows = silent_rows
+        self.label_tids = label_tids  # label -> ascending tuple of transition rows
         self.initial = initial
         self.initial_tokens = int(initial.sum())
         self.final = final
+        self.final_code = _kernels.pack(final)
         self.clear()
 
     @staticmethod
     def build(net: PetriNet) -> "CompiledNet":
         place_index = {pid: i for i, pid in enumerate(net.places)}
         tid_index = {t.tid: i for i, t in enumerate(net.transitions)}
-        n_p, n_t = len(net.places), len(net.transitions)
-        in_w = np.zeros((n_t, n_p), dtype=np.int32)
-        out_w = np.zeros((n_t, n_p), dtype=np.int32)
+        n_p = len(net.places)
+        in_arcs = [{} for _ in net.transitions]  # row -> {place row: summed weight}
+        out_arcs = [{} for _ in net.transitions]
         for arc in net.arcs:
             if arc.source in place_index:
-                in_w[tid_index[arc.target], place_index[arc.source]] += arc.weight
+                t, p, arcs = tid_index[arc.target], place_index[arc.source], in_arcs
             else:
-                out_w[tid_index[arc.source], place_index[arc.target]] += arc.weight
-        silent_ids = np.array(
-            [i for i, t in enumerate(net.transitions) if t.label is None], dtype=np.int32
-        )
+                t, p, arcs = tid_index[arc.source], place_index[arc.target], out_arcs
+            arcs[t][p] = arcs[t].get(p, 0) + arc.weight
+        silent_rows = [i for i, t in enumerate(net.transitions) if t.label is None]
         label_tids = {}
         for i, t in enumerate(net.transitions):
             if t.label is not None:
                 label_tids.setdefault(t.label, []).append(i)
-        label_tids = {lab: np.array(rows, dtype=np.int32) for lab, rows in label_tids.items()}
+        label_tids = {lab: tuple(rows) for lab, rows in label_tids.items()}
         initial = np.zeros(n_p, dtype=np.int32)
         for pid, n in net.initial_marking.items():
             initial[place_index[pid]] = n
@@ -171,7 +180,7 @@ class CompiledNet:
         for pid, n in net.final_marking.items():
             final[place_index[pid]] = n
         initial.flags.writeable = False
-        return CompiledNet(place_index, in_w, out_w, silent_ids, label_tids, initial, final)
+        return CompiledNet(place_index, in_arcs, out_arcs, silent_rows, label_tids, initial, final)
 
     def clear(self) -> None:
         """Forget every state; ids handed out before are no longer valid."""
@@ -203,8 +212,8 @@ class CompiledNet:
             if tids is None:
                 nxt, m, c, p = sid, 1, 1, 0
             else:
-                marking, m, c, p = _kernels.replay_one_label(self, self.markings[sid], tids)
-                nxt = self.state(marking)
+                code, m, c, p = _kernels.replay_one_label(self, _kernels.pack(self.markings[sid]), tids)
+                nxt = self.state(_kernels.unpack(code, len(self.place_index)))
             hit = self.steps[sid][label] = (nxt, m, c, p, self.residual[nxt])
         return hit
 
@@ -212,7 +221,7 @@ class CompiledNet:
         """``finish[sid]``: (Δmissing, Δconsumed, Δproduced, remaining, reached)."""
         hit = self.finish[sid]
         if hit is None:
-            hit = self.finish[sid] = _kernels.finish_complete(self, self.markings[sid])
+            hit = self.finish[sid] = _kernels.finish_complete(self, _kernels.pack(self.markings[sid]))
         return hit
 
 

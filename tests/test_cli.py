@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -392,6 +393,18 @@ def test_evaluate_exact_report(workspace, capsys):
     assert "k=3 w=0.85: mean similarity 0.95333 over 200 cases (0 forced terminations)" in out
 
 
+def test_evaluate_prints_a_w_that_two_decimals_would_round_in_full(workspace, capsys):
+    code, out, _ = run(
+        capsys,
+        [
+            "evaluate", "--log", workspace["test"], "--model", workspace["model"],
+            "--net", workspace["net"], "--k", "3", "--w", "0.875",
+        ],
+    )
+    assert code == 0
+    assert "k=3 w=0.875: mean similarity 0.95333 over 200 cases (0 forced terminations)" in out
+
+
 def test_evaluate_without_net_is_the_baseline(workspace, capsys):
     code, out, _ = run(
         capsys,
@@ -468,6 +481,18 @@ def test_sweep_synthetic_small_grid(tmp_path, capsys):
     assert "best w: 0.90 (micro 0.95333)" in out
     assert (tmp_path / "sweep.csv").exists()
     assert (tmp_path / "comparison.csv").exists()
+
+
+def test_sweep_writes_w_values_that_two_decimals_would_round_in_full(tmp_path, capsys):
+    code, out, _ = run(
+        capsys,
+        ["sweep", "--mode", "synthetic", "--ks", "3", "--w-grid", "0,0.12,0.121,0.875",
+         "--out", str(tmp_path)],
+    )
+    assert code == 0
+    assert "best w: 0.875 (micro 0.95333)" in out
+    rows = list(csv.reader((tmp_path / "sweep.csv").read_text().splitlines()))[1:]
+    assert [row[2] for row in rows] == [w for w in ("0.00", "0.12", "0.121", "0.875") for _ in range(2)]
 
 
 def test_sweep_keeps_the_given_order_of_ks_in_every_output(tmp_path, capsys):

@@ -193,12 +193,16 @@ def test_sweep_predicts_each_distinct_case_once_with_identical_results(
 
     beams, scored = Counter(), Counter()
     monkeypatch.setattr(harness, "sweep_beams", counting(sweep_beams, beams, lambda p, _, __, cs: (p, tuple(cs))))
-    monkeypatch.setattr(harness, "dl_similarity", counting(dl_similarity, scored, lambda s, t: t))
+    monkeypatch.setattr(harness, "dl_similarity", counting(dl_similarity, scored, lambda s, t: (s, t)))
     got = evaluate_dataset(*args, synth.net, config, **kwargs)
     monkeypatch.undo()
     grid = tuple(replace(config, w=w) for w in w_grid)  # the whole grid, in grid order
     assert beams == Counter({(pref, grid): 1 for pref, _ in cases})
-    assert scored == Counter(truth for _, truth in cases for w in w_grid)
+    # one score per distinct (predicted, true) suffix pair over the whole sweep
+    pairs = {(res.suffix, truth) for pref, truth in cases
+             for res in sweep_beams(pref, exceptional_process_net(), synth_ngram, grid)}
+    assert scored == Counter(dict.fromkeys(pairs, 1))
+    assert len(pairs) < len(cases) * len(w_grid)  # some pairs recur across w
     want = reference_sweep(*args, exceptional_process_net(), config, **kwargs)
     assert got == want  # floats compared exactly
     for writer in (write_sweep_csv, write_comparison_csv):
@@ -498,6 +502,17 @@ def test_sweep_csv_round_trips_floats(small_sweep, tmp_path):
         assert int(row[4]) == cell.n_cases
         assert int(row[5]) == cell.forced_terminations
     assert {row[1] for row in body} == {"3", "4", "micro"}
+
+
+def test_sweep_csv_writes_w_in_full_where_two_decimals_would_round_it(tmp_path):
+    ws = (0.0, 0.1, 0.12, 0.121, 0.125, 0.95, 1.0)
+    cells = tuple(SweepCell("d", MICRO, w, 0.5, 1, 0) for w in ws)
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, SweepResult("d", cells, (), ws))
+    with open(path, newline="") as fh:
+        written = [row[2] for row in csv.reader(fh)][1:]
+    assert written == ["0.00", "0.10", "0.12", "0.121", "0.125", "0.95", "1.00"]
+    assert [float(w) for w in written] == list(ws)
 
 
 def test_comparison_csv_layout(small_sweep, tmp_path):

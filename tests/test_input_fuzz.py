@@ -98,7 +98,9 @@ def test_mutated_documents_parse_or_raise_value_error(seeds, kind, encoding, ste
         return
     assert isinstance(result, kind_of_result)
     if isinstance(result, PetriNet):
-        assert result.compiled.in_w.shape == (len(result.transitions), len(result.places))
+        compiled = result.compiled  # one packed row per transition, one 32-bit field per place
+        assert len(compiled.pre) == len(compiled.post) == len(result.transitions)
+        assert all(0 <= row < 1 << 32 * len(result.places) for row in compiled.pre + compiled.post)
     else:
         assert result.traces and all(t.activities for t in result.traces)
 

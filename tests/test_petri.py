@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suffixbeam import petri
+from suffixbeam import _kernels, petri
 from suffixbeam.eventlog import END
 from suffixbeam.petri import (
     Arc,
@@ -22,7 +22,7 @@ from suffixbeam.petri import (
 from suffixbeam.synthgen import exceptional_process_net
 
 from nets import chain_net, flower_net, marking_to_dict, random_net, rebuilt
-from replay_reference import reference_replay
+from replay_reference import RefReplay, reference_replay
 
 SYNTH_NET = exceptional_process_net()
 INT32_MAX = 2**31 - 1
@@ -100,6 +100,23 @@ def test_token_counts_cannot_wrap_int32():
     assert state.marking[0] == INT32_MAX
     with pytest.raises(ValueError, match="overflows the int32 token count of place 'p'"):
         state.step("A")
+
+
+def test_silent_search_cannot_wrap_int32():
+    # A fills p to TOKEN_MAX; V then needs a g token that only the silent s
+    # makes, and s also puts one more token on p. A wrapped child would
+    # cover nothing, and the step would quietly charge a missing token.
+    net = PetriNet(
+        "n",
+        ("r", "r2", "p", "g", "z"),
+        (Transition("a", "A"), Transition("s", None), Transition("v", "V")),
+        (Arc("r2", "a"), Arc("a", "p"), Arc("r", "s"), Arc("s", "p"), Arc("s", "g"),
+         Arc("p", "v"), Arc("g", "v"), Arc("v", "z")),
+        {"r": 1, "r2": 1, "p": INT32_MAX - 1},
+        {"z": 1},
+    )
+    with pytest.raises(ValueError, match="overflows the int32 token count of place 'p'"):
+        token_replay(net, ("A", "V"), partial=True)
 
 
 def test_chain_net_shape():
@@ -298,15 +315,17 @@ def test_silent_search_depth_limit():
     assert_matches_reference(too_deep, ("V",))
 
 
-def test_silent_search_node_cap(caplog):
-    def toggles(n, needed):
-        places = tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n)) + ("z",)
-        transitions = tuple(Transition(f"s{i}", None) for i in range(n)) + (Transition("v", "V"),)
-        arcs = [a for i in range(n) for a in (Arc(f"a{i}", f"s{i}"), Arc(f"s{i}", f"b{i}"))]
-        arcs += [Arc(f"b{i}", "v") for i in needed] + [Arc("v", "z")]
-        initial = {f"a{i}": 1 for i in range(n)}
-        return PetriNet("toggles", places, transitions, tuple(arcs), initial, {"z": 1})
+def toggles(n, needed):
+    """n independent silent toggles a_i -> b_i; V needs the b tokens of ``needed``."""
+    places = tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n)) + ("z",)
+    transitions = tuple(Transition(f"s{i}", None) for i in range(n)) + (Transition("v", "V"),)
+    arcs = [a for i in range(n) for a in (Arc(f"a{i}", f"s{i}"), Arc(f"s{i}", f"b{i}"))]
+    arcs += [Arc(f"b{i}", "v") for i in needed] + [Arc("v", "z")]
+    initial = {f"a{i}": 1 for i in range(n)}
+    return PetriNet("toggles", places, transitions, tuple(arcs), initial, {"z": 1})
 
+
+def test_silent_search_node_cap(caplog):
     caplog.set_level(logging.WARNING, logger="suffixbeam._kernels")
     # ten independent toggles: 2^10 reachable markings fit in the search budget
     assert token_replay(toggles(10, range(10)), ("V",), partial=True).missing == 0
@@ -319,6 +338,46 @@ def test_silent_search_node_cap(caplog):
         assert token_replay(net, ("V",), partial=True).missing == 10
     assert [r.levelname for r in caplog.records] == ["WARNING"]
     assert "silent search gave up after 4096 markings" in caplog.records[0].getMessage()
+
+
+def assert_silent_paths_match_reference(net, ref, tids=None, final=True):
+    """From ref's marking, the kernel's silent path to the inputs of each
+    of ``tids`` (default: every transition), and to the final marking, is
+    the one the reference finds."""
+    compiled = net.compiled
+    marking = _kernels.pack(np.array([ref.marking.get(p, 0) for p in net.places], dtype=np.int32))
+    tid_of_row = [t.tid for t in net.transitions]
+    needs = [(compiled.pre[row], ref.inputs[tid]) for row, tid in enumerate(tid_of_row)
+             if tids is None or tid in tids]
+    if final:
+        needs.append((compiled.final_code, net.final_marking))
+    for req, need in needs:
+        rows = _kernels.silent_path_to(compiled, marking, req)
+        assert (None if rows is None else [tid_of_row[row] for row in rows]) == ref._silent_path(need)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from("ABCD"), max_size=6))
+def test_silent_path_kernel_matches_reference_on_random_nets(seed, variant):
+    net = random_net(np.random.default_rng(seed))
+    # the same net with every transition silent, so that searches often
+    # have several shortest paths and the order of children decides
+    twin = PetriNet(net.name, net.places, tuple(Transition(t.tid, None) for t in net.transitions),
+                    net.arcs, net.initial_marking, net.final_marking)
+    ref, twin_ref = RefReplay(net), RefReplay(twin)
+    for label in (None, *variant):
+        if label is not None:
+            ref.step(label)
+        twin_ref.marking = dict(ref.marking)
+        assert_silent_paths_match_reference(net, ref)
+        assert_silent_paths_match_reference(twin, twin_ref)
+
+
+@pytest.mark.parametrize("n, needed", [(10, range(10)), (13, range(3, 13))], ids=["found", "capped"])
+def test_silent_path_kernel_matches_reference_on_toggle_nets(n, needed):
+    # only V's search is long; the reference takes seconds on a capped one
+    net = toggles(n, needed)
+    assert_silent_paths_match_reference(net, RefReplay(net), tids={"v"}, final=False)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +472,15 @@ def assert_memo_matches_fresh_and_reference(net, variants):
     """Replay every variant twice on one net, so later steps hit its graph."""
     for variant in list(variants) * 2:
         state = ReplayState(net.compiled)
+        ref = RefReplay(net)
         # a replay starts on a graph within its cap; inside, it may grow past it
         graph = net.compiled
         assert len(graph.markings) <= petri.REPLAY_MEMO_CAP
         assert {m.tobytes(): sid for sid, m in enumerate(graph.markings)} == graph.id_of
         for i, label in enumerate(variant):
             state.step(label)
+            ref.step(label)
+            assert marking_to_dict(net.compiled, state.marking) == {p: n for p, n in ref.marking.items() if n}
             seen = variant[: i + 1]
             fresh = ReplayState(rebuilt(net).compiled)
             for lab in seen:
