@@ -36,24 +36,33 @@ flag set); only when none was ever generated does the best open candidate
 get END appended, folding in its complete compliance but no probability
 factor.
 
-A candidate is a plain tuple ``(log_score, ids, labels, terminated,
-replay)``, ranked by ``(-log_score, ids)``: ``labels`` are the predicted
+A candidate is a plain tuple ``(neg, ids, labels, terminated, replay)``:
+``neg`` is the negated log score, so a plain ``sort()`` ranks a pool by
+``(-log score, ids)`` with no key function, and as ids are unique within a
+pool a comparison never reaches ``replay``. ``labels`` are the predicted
 content labels (END excluded), ``ids`` their vocabulary indices (END
 included once terminated), and ``replay`` is ``(sid, produced, consumed,
 missing)`` after prefix + labels, or None when the beam is not modulated;
 ``sid`` is a state id of the net's reachability graph
-(:class:`~suffixbeam.petri.CompiledNet`). A call replays the prefix once,
-with a fresh :class:`~suffixbeam.petri.ReplayState`, which clears a graph
-past its cap, so ids (and the records that hold them) stay valid for the
-whole call and are dropped with it. A child then costs one lookup,
-``steps[sid][label]``, which also carries the successor's residual; a
-completion reads ``finish[sid]``. Counters are scored with
-:func:`~suffixbeam.petri.fitness_counts`. The labels an open candidate
-expands by, with their floored log probabilities, come from the
-predictor's ``ranked_batch(prefixes, b_size)``, one call per step for all
-open candidates (see :mod:`~suffixbeam.predictor` for the protocol).
+(:class:`~suffixbeam.petri.CompiledNet`). A call walks the prefix's state
+ids through ``steps`` once, after a fresh
+:class:`~suffixbeam.petri.ReplayState` has cleared a graph past its cap, so
+ids (and the records that hold them) stay valid for the whole call and are
+dropped with it. A child then costs one lookup, ``steps[sid][label]``,
+which also carries the successor's residual; a completion reads
+``finish[sid]``. Compliance is :func:`~suffixbeam.petri.fitness_counts`
+computed inline; only the zero-count case calls it, for its warning. The
+labels an open candidate expands by, with their floored log probabilities,
+come from the predictor's ``ranked_batch(prefixes, b_size)``, one call per
+step for all open candidates (see :mod:`~suffixbeam.predictor` for the
+protocol). So a warm step, every window memoized and every child step in
+the graph, costs one memo lookup per open candidate, one sort, and per
+child two tuple concatenations, one step-table lookup, a few float
+operations and one ``math.log``. A prefix that holds END is a ValueError.
 
-Scores accumulate in log space and are exponentiated for reporting.
+Scores accumulate in log space, negated, and are exponentiated for
+reporting; a result's log score is ``0.0 - neg``, never ``-neg``, so a path
+of probability 1 scores +0.0, as a sum of logs does.
 Probabilities are floored at :data:`~suffixbeam.predictor.PROB_FLOOR`
 (1e-12) before the log so a zero can never permanently sink a branch;
 compliance is not floored (log 0 = -inf is a legitimate veto).
@@ -66,7 +75,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .eventlog import END
-from .petri import CompiledNet, PetriNet, _replayed, compliance, fitness_counts
+from .petri import CompiledNet, PetriNet, ReplayState, compliance, fitness_counts
 
 
 @dataclass(frozen=True)
@@ -102,26 +111,6 @@ class BeamResult:
     frontier_peak: int  # largest ranked pool seen; <= b_size certifies no pruning
 
 
-def _log_compliance(c: float) -> float:
-    return math.log(c) if c > 0.0 else float("-inf")
-
-
-def _sort_key(cand) -> tuple:
-    return (-cand[0], cand[1])
-
-
-def _better(a, b):
-    if a is None or _sort_key(b) < _sort_key(a):
-        return b
-    return a
-
-
-def _complete_fitness(compiled: CompiledNet, replay) -> float:
-    sid, produced, consumed, missing = replay
-    m, c, p, r, _ = compiled.complete(sid)
-    return fitness_counts(produced + p, consumed + c, missing + m, r)
-
-
 def _expand(
     pool, prefix, predictor, b_size: int, w: float = 0.0,
     compiled: CompiledNet | None = None, strict: bool = True, records: dict | None = None,
@@ -130,11 +119,11 @@ def _expand(
 
     Each open candidate spawns its b_size most probable next labels, one
     ``ranked_batch`` call giving them for all open candidates with their
-    floored log probabilities. A child scores its parent's log score plus
-    (1-w)·log p and, when w > 0, w·log of its replay compliance (complete
-    for END, partial otherwise) read from ``compiled``'s reachability graph:
-    one step-table lookup per child. Terminated candidates are carried over
-    unchanged.
+    floored log probabilities. A child's negated score is its parent's less
+    (1-w)·log p and, when w > 0, less w·log of its replay compliance
+    (complete for END, partial otherwise) read from ``compiled``'s
+    reachability graph: one step-table lookup per child. Terminated
+    candidates are carried over unchanged.
 
     ``records`` (given to the w > 0 beams of a sweep) maps an expanded open
     candidate's labels to its children's ``(log p, log C, ids, labels,
@@ -142,109 +131,133 @@ def _expand(
     record is scored from it; only the others are ranked, and each gets its
     record as it is scored.
     """
-    vocab = predictor.vocab
-    label_of = vocab.labels
+    label_of = predictor.vocab.labels
+    end_idx = len(label_of) - 1  # END is the vocabulary's last label
     keep = 1.0 - w
-    steps = compiled.steps if w > 0.0 else None
-    end_idx = vocab.index_of(END)
+    modulated = w > 0.0
+    if modulated:
+        steps, finish = compiled.steps, compiled.finish
     fresh = [prefix + cand[2] for cand in pool if not cand[3] and (records is None or cand[2] not in records)]
     ranked = iter(predictor.ranked_batch(fresh, b_size) if fresh else ())
     expansions = []
+    append = expansions.append
     record = None
     for cand in pool:
-        log_score, ids, labels, terminated, replay = cand
+        neg, ids, labels, terminated, replay = cand
         if terminated:
-            expansions.append(cand)
+            append(cand)
             continue
         if records is not None:
             record = records.get(labels)
             if record is not None:
-                for log_p, lc, child_ids, child_labels, child_terminated, child_replay in record:
-                    child_log = log_score + keep * log_p
-                    child_log += w * lc
-                    expansions.append((child_log, child_ids, child_labels, child_terminated, child_replay))
+                for log_p, lc, child_ids, child_labels, done, child_replay in record:
+                    append((neg - keep * log_p - w * lc, child_ids, child_labels, done, child_replay))
                 continue
             record = records[labels] = []
+        if modulated:
+            sid, produced, consumed, missing = replay
+            step = steps[sid]
         for idx, log_p in next(ranked):
-            child_log = log_score + keep * log_p
+            child_neg = neg - keep * log_p
+            child_replay = None
             if idx == end_idx:
-                if w > 0.0:
-                    lc = _log_compliance(_complete_fitness(compiled, replay))
-                    child_log += w * lc
-                child = (child_log, ids + (idx,), labels, True, None)
+                child_labels, done = labels, True
+                if modulated:
+                    m, c, p, r, _ = finish[sid] or compiled.complete(sid)
             else:
                 label = label_of[idx]
-                child_replay = None
-                if w > 0.0:
-                    sid, produced, consumed, missing = replay
-                    sid, m, c, p, r = steps[sid].get(label) or compiled.step(sid, label)
-                    missing += m
-                    consumed += c
-                    produced += p
-                    lc = _log_compliance(fitness_counts(produced, consumed, missing, r if strict else 0))
-                    child_log += w * lc
-                    child_replay = (sid, produced, consumed, missing)
-                child = (child_log, ids + (idx,), labels + (label,), False, child_replay)
-            expansions.append(child)
+                child_labels, done = labels + (label,), False
+                if modulated:
+                    nxt, m, c, p, r = step.get(label) or compiled.step(sid, label)
+                    if not strict:
+                        r = 0
+            if modulated:
+                m += missing
+                c += consumed
+                p += produced
+                if c > 0 and p > 0:  # fitness_counts, inline; it warns on the zero-count fallback
+                    fit = 0.5 * (1.0 - m / c) + 0.5 * (1.0 - r / p)
+                else:
+                    fit = fitness_counts(p, c, m, r)
+                lc = math.log(fit) if fit > 0.0 else -math.inf
+                child_neg -= w * lc
+                if not done:
+                    child_replay = (nxt, p, c, m)
+            child_ids = ids + (idx,)
+            append((child_neg, child_ids, child_labels, done, child_replay))
             if record is not None:
-                record.append((log_p, lc) + child[1:])
-    expansions.sort(key=_sort_key)
+                record.append((log_p, lc, child_ids, child_labels, done, child_replay))
+    expansions.sort()  # by (-log score, ids); ids are unique within a pool
     return expansions
+
+
+def _prefix(prefix) -> tuple:
+    """The running prefix a beam continues, as a tuple: non-empty and without END."""
+    prefix = tuple(prefix)
+    if not prefix:
+        raise ValueError("beam search needs a non-empty prefix")
+    if END in prefix:
+        raise ValueError(f"a running prefix cannot hold the completion label {END}")
+    return prefix
 
 
 def _prepared(prefix, net: PetriNet | None, w: float):
     """The prefix as a tuple and, when a beam at weight ``w`` needs them,
     the compiled net and the replay of the prefix (else None, None)."""
-    prefix = tuple(prefix)
-    if not prefix:
-        raise ValueError("beam search needs a non-empty prefix")
+    prefix = _prefix(prefix)
     if net is None or w <= 0.0:
         return prefix, None, None
     compiled = net.compiled
-    state = _replayed(net, prefix)  # a fresh state clears a full graph: no id outlives the call
-    return prefix, compiled, (compiled.state(state.marking), state.produced, state.consumed, state.missing)
+    state = ReplayState(compiled)  # a fresh state clears a full graph: no id outlives the call
+    sid, produced, consumed, missing = compiled.state(state.marking), state.produced, 0, 0
+    steps = compiled.steps
+    for label in prefix:
+        sid, m, c, p, _ = steps[sid].get(label) or compiled.step(sid, label)
+        missing += m
+        consumed += c
+        produced += p
+    return prefix, compiled, (sid, produced, consumed, missing)
 
 
 def _run_beam(prefix, predictor, config: BeamConfig, w: float, compiled, root_replay, records) -> BeamResult:
     strict = config.partial_mode == "strict"
+    b_size = config.b_size
     pool = [(0.0, (), (), False, root_replay if w > 0.0 else None)]
 
     best_terminated = None
     frontier_peak = 1
     for h in range(config.max_iter + 1):
         closure = pool[0]  # deepest rank-0 open seen; stays within the length budget
-        expansions = _expand(pool, prefix, predictor, config.b_size, w, compiled, strict, records)
-        frontier_peak = max(frontier_peak, len(expansions))
+        expansions = _expand(pool, prefix, predictor, b_size, w, compiled, strict, records)
+        if len(expansions) > frontier_peak:
+            frontier_peak = len(expansions)
         if expansions[0][3]:
             return _finish(expansions[0], forced=False, iterations=h + 1, peak=frontier_peak)
-        # the step's best completion; carried-over ones were already seen
-        completed = next((cand for cand in expansions if cand[3]), None)
-        if completed is not None:
-            best_terminated = _better(best_terminated, completed)
-        pool = expansions[: config.b_size]
+        for cand in expansions:  # the step's best completion; carried-over ones were already seen
+            if cand[3]:
+                if best_terminated is None or cand < best_terminated:
+                    best_terminated = cand
+                break
+        pool = expansions[:b_size]
 
     iterations = config.max_iter + 1
     if best_terminated is not None:
         return _finish(best_terminated, forced=True, iterations=iterations, peak=frontier_peak)
     # No completion was ever generated (possible when b_size < |vocab| and END
     # never makes the cut): close the best-ranked open hypothesis by fiat.
-    log_score, ids, labels, _, replay = closure
+    neg, ids, labels, _, replay = closure
     if w > 0.0:
-        log_score += w * _log_compliance(_complete_fitness(compiled, replay))
-    closed = (log_score, ids + (predictor.vocab.index_of(END),), labels, True, None)
+        sid, produced, consumed, missing = replay
+        m, c, p, r, _ = compiled.complete(sid)
+        fit = fitness_counts(produced + p, consumed + c, missing + m, r)
+        neg -= w * (math.log(fit) if fit > 0.0 else -math.inf)
+    closed = (neg, ids + (len(predictor.vocab) - 1,), labels, True, None)
     return _finish(closed, forced=True, iterations=iterations, peak=frontier_peak)
 
 
 def _finish(cand, forced: bool, iterations: int, peak: int) -> BeamResult:
-    log_score = cand[0]
-    return BeamResult(
-        suffix=cand[2],
-        score=math.exp(log_score) if log_score != float("-inf") else 0.0,
-        log_score=log_score,
-        forced_termination=forced,
-        iterations=iterations,
-        frontier_peak=peak,
-    )
+    log_score = 0.0 - cand[0]  # not -cand[0]: a path of probability 1 scores +0.0, not -0.0
+    return BeamResult(cand[2], math.exp(log_score), log_score, forced, iterations, peak)
 
 
 def baseline_beam(prefix, predictor, config: BeamConfig) -> BeamResult:
@@ -287,9 +300,7 @@ def checked_beam(prefix, checker, predictor, config: BeamConfig) -> BeamResult |
     stripped) and dropped otherwise. Exhausting the queue or the iteration
     budget yields None — this variant has no forced-termination fallback.
     """
-    prefix = tuple(prefix)
-    if not prefix:
-        raise ValueError("beam search needs a non-empty prefix")
+    prefix = _prefix(prefix)
     max_size = config.max_size if config.max_size is not None else config.b_size
 
     pool = [(0.0, (), (), False, None)]

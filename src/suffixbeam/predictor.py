@@ -74,8 +74,9 @@ def _log_floor(p: float) -> float:
 def memoized_ranks(memo: dict, keys, k: int, compute) -> list:
     """The :func:`ranked_rows` record of each of ``keys`` (at least one), in order.
 
-    The distinct missing keys go to ``compute(missing)`` in one call, which
-    returns their rows in order; only their records are kept, in
+    When every key hits, the records are returned with no miss scan.
+    Otherwise the distinct missing keys go to ``compute(missing)`` in one
+    call, which returns their rows in order; only their records are kept, in
     ``memo[k]``. It runs before anything is stored, so a call that raises
     leaves the memo as it was. ``memo[k]`` is emptied when a new record
     would take it past :data:`PREDICT_MEMO_CAP` entries, and ``memo`` holds
@@ -83,15 +84,16 @@ def memoized_ranks(memo: dict, keys, k: int, compute) -> list:
     call's records are computed.
     """
     table = memo.get(k, {})
-    records = [table.get(key) for key in keys]
+    records = list(map(table.get, keys))
+    if None not in records:  # every key hits
+        return records
     missing = list(dict.fromkeys(key for key, record in zip(keys, records) if record is None))
-    if missing:
-        computed = dict(zip(missing, ranked_rows(np.array(compute(missing)), k)))
-        for key, record in computed.items():
-            if len(table) >= PREDICT_MEMO_CAP:
-                table.clear()
-            table[key] = record
-        records = [computed[key] if record is None else record for key, record in zip(keys, records)]
+    computed = dict(zip(missing, ranked_rows(np.array(compute(missing)), k)))
+    for key, record in computed.items():
+        if len(table) >= PREDICT_MEMO_CAP:
+            table.clear()
+        table[key] = record
+    records = [computed[key] if record is None else record for key, record in zip(keys, records)]
     if k not in memo:
         memo.clear()
         memo[k] = table
@@ -114,7 +116,7 @@ class ContextModel:
         return np.array(self._rows([self.window(prefix) for prefix in prefixes]))
 
     def ranked_batch(self, prefixes, k: int) -> list:
-        return memoized_ranks(self.ranked, [self.window(prefix) for prefix in prefixes], k, self._rows)
+        return memoized_ranks(self.ranked, list(map(self.window, prefixes)), k, self._rows)
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ class RefReplay:
         if self._covered(start, need):
             return []
         frontier = [(start, [])]
-        seen = [start]
+        seen = {frozenset(start.items())}  # a dict marking equals another iff their items do
         depth = 0
         while frontier and depth < MAX_DEPTH:
             nxt = []
@@ -83,9 +83,10 @@ class RefReplay:
                     if len(seen) >= NODE_CAP:
                         return None
                     child = self._fire_silent(marking, tid)
-                    if child in seen:
+                    frozen = frozenset(child.items())
+                    if frozen in seen:
                         continue
-                    seen.append(child)
+                    seen.add(frozen)
                     child_path = path + [tid]
                     if self._covered(child, need):
                         return child_path

@@ -82,6 +82,21 @@ def test_empty_prefix_rejected():
         checked_beam((), lambda v: True, pred, BeamConfig())
 
 
+@pytest.mark.parametrize("prefix", [("A", END), (END,), (END, "A")])
+def test_a_prefix_that_holds_end_is_rejected_by_every_beam(prefix):
+    pred = TablePredictor(AB_VOCAB, [0.5, 0.3, 0.2])
+    net = chain_net(("A", "B"))
+    searches = (
+        lambda: baseline_beam(prefix, pred, BeamConfig()),
+        lambda: modulated_beam(prefix, net, pred, BeamConfig(w=0.85)),
+        lambda: sweep_beams(prefix, net, pred, [BeamConfig(w=0.0), BeamConfig(w=0.85)]),
+        lambda: checked_beam(prefix, lambda v: True, pred, BeamConfig()),
+    )
+    for search in searches:
+        with pytest.raises(ValueError, match="^a running prefix cannot hold the completion label __END__$"):
+            search()
+
+
 # ---------------------------------------------------------------------------
 # retention and termination semantics
 
@@ -108,6 +123,17 @@ def test_budget_exhaustion_returns_best_observed_completion():
     # that is also the true argmax over all completions of length <= 2
     labels, log = enumerate_best(("A",), pred, max_iter=2, w=0.0)
     assert labels == () and log == res.log_score
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0])
+def test_a_certain_compliant_path_scores_positive_zero(w):
+    # p(END) = 1 and a fitting completion: the log score is exactly +0.0,
+    # not the -0.0 a negated sum of zeros would give
+    pred = TablePredictor(AB_VOCAB, [0.0, 0.0, 1.0])
+    net = chain_net(("A",))
+    for res in (modulated_beam(("A",), net, pred, BeamConfig(w=w)), baseline_beam(("A",), pred, BeamConfig())):
+        assert (res.suffix, res.score) == ((), 1.0)
+        assert math.copysign(1.0, res.log_score) == 1.0
 
 
 def test_no_completion_generated_closes_deepest_leader():

@@ -302,6 +302,21 @@ def test_predict_rejects_empty_prefix(workspace, capsys):
     assert "prefix is empty" in err
 
 
+@pytest.mark.parametrize("algorithm", ["baseline", "modulated", "checked"])
+def test_predict_rejects_a_prefix_that_holds_end(workspace, capsys, algorithm):
+    # END is in the model's vocabulary, so only the beam's own check stops it
+    code, out, err = run(
+        capsys,
+        [
+            "predict", "--model", workspace["model"], "--net", workspace["net"],
+            "--prefix", "Start,__END__", "--algorithm", algorithm,
+        ],
+    )
+    assert code == 1
+    assert out == ""
+    assert "a running prefix cannot hold the completion label __END__" in err
+
+
 @pytest.mark.parametrize(
     "prefix, code",
     [("Bogus,Start,B1a,Unexpected", 0), ("Start,B1a,Unexpected,Bogus", 1)],

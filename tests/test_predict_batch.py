@@ -126,9 +126,16 @@ def test_empty_prefix_in_a_batch_is_rejected(name):
     model, _ = models()[name]
     with pytest.raises(ValueError, match="non-empty"):
         model.predict_proba_batch([("A",), ()])
-    with pytest.raises(ValueError, match="non-empty"):
-        model.ranked_batch([("A",), ()], 2)
-    assert model.ranked == {}
+    keys = [("A",), ("C", "B"), ("A",)]
+    for warm in (False, True):
+        if warm:  # every other key hits, so only the empty prefix is left to reject
+            model.ranked_batch(keys, 2)
+        before = {k: dict(table) for k, table in model.ranked.items()}
+        for at in range(len(keys) + 1):
+            for k in (2, 3):  # the memo's k, and one that would empty it
+                with pytest.raises(ValueError, match="non-empty"):
+                    model.ranked_batch(keys[:at] + [()] + keys[at:], k)
+                assert model.ranked == before
 
 
 @settings(max_examples=60)

@@ -31,3 +31,44 @@ def test_unused_import_check_finds_a_leftover():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unread_private_names(sources: dict) -> list:
+    """``(module, name)`` of each private module-level name that no module reads.
+
+    Private means one leading underscore, not a dunder. A read is a loaded
+    name, an attribute of that name or an import of it, in any module.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [(module, name) for module, name in defined if name not in read]
+
+
+def test_unread_private_name_check_finds_a_leftover():
+    sources = {
+        "a.py": "_used = 1\n_left, _also = 2, 3\n__dunder__ = 4\ndef _f():\n    return _used\nclass _C: pass\n",
+        "b.py": "from .a import _f\nfrom . import a\na._also\n",
+    }
+    assert unread_private_names(sources) == [("a.py", "_left"), ("a.py", "_C")]
+
+
+def test_no_unread_private_names():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
