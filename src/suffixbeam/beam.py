@@ -73,6 +73,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
+from typing import NamedTuple
 
 from .eventlog import END
 from .petri import CompiledNet, PetriNet, ReplayState, compliance, fitness_counts
@@ -101,8 +102,9 @@ class BeamConfig:
 _BUT_W = attrgetter(*(f.name for f in fields(BeamConfig) if f.name != "w"))
 
 
-@dataclass(frozen=True)
-class BeamResult:
+class BeamResult(NamedTuple):
+    """One beam's answer; immutable, and cheap to build (a sweep builds one per w)."""
+
     suffix: tuple  # predicted labels, END stripped
     score: float
     log_score: float

@@ -4,7 +4,9 @@ A trace is one case: its id and two columns of equal length, the activity
 labels in time order and their UTC timestamps. A log is a collection of
 traces. Everything downstream works on *variants* — a trace's label column,
 a plain tuple of strings — so the functions here are the only place that
-touches timestamps or raw files.
+touches timestamps or raw files. A log counts its distinct variants once,
+when it is built, and the prefix log counts its distinct pairs from them,
+so work that only counts follows the distinct variants, not the traces.
 
 Why this exists: suffix prediction trains on the *prefix log* (every prefix
 of every trace paired with the next label), and the completion label ``END``
@@ -19,8 +21,10 @@ import csv
 import io
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from collections import Counter
+from dataclasses import InitVar, dataclass, field
+from datetime import datetime, timedelta, timezone
+from itertools import accumulate, repeat
 
 #: Reserved completion label appended to traces when building prefix logs.
 #: Rejected if it occurs in input data.
@@ -58,30 +62,54 @@ class Trace:
 
 @dataclass(frozen=True)
 class EventLog:
+    """Traces, their labels and their distinct variants.
+
+    ``variants`` maps each distinct variant to its number of traces, in
+    order of first occurrence; it is counted once, when the log is built.
+    ``alphabet`` defaults to the labels of those variants.
+    """
+
     traces: tuple
-    alphabet: frozenset
+    alphabet: frozenset = None
+    variants: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "variants", Counter(map(variant_of, self.traces)))
+        if self.alphabet is None:
+            object.__setattr__(self, "alphabet", frozenset().union(*self.variants))
 
     def __len__(self):
         return len(self.traces)
 
     @staticmethod
     def from_traces(traces) -> "EventLog":
-        traces = tuple(traces)
-        alphabet = frozenset().union(*(t.activities for t in traces))
-        if END in alphabet:
+        log = EventLog(tuple(traces))
+        if END in log.alphabet:
             raise ValueError(f"input data uses the reserved completion label {END!r}")
-        return EventLog(traces=traces, alphabet=alphabet)
+        return log
 
 
 @dataclass(frozen=True)
 class PrefixLog:
     """Multiset of (prefix variant, next label) pairs.
 
-    Kept as a list rather than a set: training needs empirical frequencies,
-    so multiplicities are preserved.
+    ``entries`` keeps every pair, multiplicities preserved, in log order.
+    ``counts`` maps each distinct pair to its multiplicity, in order of
+    first occurrence, so ``counts == Counter(entries)`` item for item. It is
+    counted from ``runs``, ``(pairs, n)`` items saying that each of
+    ``pairs`` occurs ``n`` times; without them each entry is a run of one.
     """
 
     entries: tuple  # of (Variant, str)
+    runs: InitVar[object] = None
+    counts: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, runs):
+        counts = {}
+        for pairs, n in ((self.entries, 1),) if runs is None else runs:
+            for pair in pairs:
+                counts[pair] = counts.get(pair, 0) + n
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self):
         return len(self.entries)
@@ -111,20 +139,19 @@ def build_prefix_log(log: EventLog) -> PrefixLog:
 
     The completion label END is appended to each trace first, so a trace of
     length n contributes n entries, the last one targeting END. Each
-    distinct variant is sliced once; its repeats reuse the same entries.
+    distinct variant is sliced once; its repeats reuse the same entries, and
+    its pairs are counted once, with the variant's number of traces.
     """
     if not log.traces:
         raise ValueError("cannot build a prefix log from an empty event log")
-    entries = []
     pairs_of = {}
+    for variant in log.variants:
+        labels = variant + (END,)
+        pairs_of[variant] = [(labels[:k], labels[k]) for k in range(1, len(labels))]
+    entries = []
     for trace in log.traces:
-        variant = variant_of(trace)
-        pairs = pairs_of.get(variant)
-        if pairs is None:
-            labels = variant + (END,)
-            pairs = pairs_of[variant] = [(labels[:k], labels[k]) for k in range(1, len(labels))]
-        entries.extend(pairs)
-    return PrefixLog(entries=tuple(entries))
+        entries.extend(pairs_of[variant_of(trace)])
+    return PrefixLog(tuple(entries), runs=((pairs_of[v], n) for v, n in log.variants.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +349,20 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str) -> EventL
 def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
     """Build a log out of bare label sequences (synthetic data, tests).
 
-    Trace i starts at ``start`` + i minutes; events are one minute apart.
-    ``case_ids``, when given, names each variant's trace.
+    Trace i starts at ``start`` + i minutes (a naive ``start`` is local
+    time); events are one minute apart. ``case_ids``, when given, names each
+    variant's trace. The timestamps come from one table of UTC datetimes a
+    minute apart, each trace's a slice of it, so traces share one object
+    wherever the instant is the same.
     """
     variants = [tuple(labels) for labels in variants]
     if case_ids is None:
-        case_ids = [f"case_{i + 1:04d}" for i in range(len(variants))]
+        case_ids = ["case_%04d" % i for i in range(1, len(variants) + 1)]
     elif len(case_ids) != len(variants):
         raise ValueError(f"{len(case_ids)} case ids given for {len(variants)} variants")
-    # one datetime per minute, shared by every trace holding that instant
-    base = (start or datetime(2020, 1, 1, tzinfo=timezone.utc)).timestamp()
-    table = tuple(datetime.fromtimestamp(base + 60.0 * m, tz=timezone.utc)
-                  for m in range(len(variants) + max(map(len, variants), default=0)))
+    first = (start or datetime(2020, 1, 1, tzinfo=timezone.utc)).astimezone(timezone.utc)
+    n_minutes = len(variants) + max(map(len, variants), default=0)
+    table = tuple(accumulate(repeat(timedelta(minutes=1), n_minutes - 1), initial=first))
     return EventLog.from_traces(
         Trace(case, labels, table[i:i + len(labels)]) for i, (case, labels) in enumerate(zip(case_ids, variants))
     )

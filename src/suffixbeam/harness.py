@@ -264,14 +264,14 @@ def train_predictor(train_log: EventLog, kind: str, ngram_order: int, ngram_alph
     if kind == "attention":
         from .attention import AttentionConfig, train_attention
 
-        l_max = max(len(t) for t in train_log.traces) + 1
+        l_max = max(map(len, train_log.variants)) + 1
         return train_attention(plog, vocab, AttentionConfig(l_max=l_max), epochs=epochs)
     raise ValueError(f"unknown predictor kind {kind!r}")
 
 
 def _beam_config(train_log: EventLog, b_size: int) -> BeamConfig:
     """The sweep's beam: at most as many steps as the longest training trace, strict partial scores."""
-    return BeamConfig(b_size=b_size, max_iter=max(len(t) for t in train_log.traces), partial_mode="strict")
+    return BeamConfig(b_size=b_size, max_iter=max(map(len, train_log.variants)), partial_mode="strict")
 
 
 def run_synthetic_experiment(

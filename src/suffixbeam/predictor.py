@@ -31,14 +31,15 @@ Laplace smoothing:
 An unseen context therefore yields the uniform distribution, and with
 alpha > 0 no probability is ever exactly 0 or 1 — the beam's log-domain
 scores stay finite and strictly decrease along a path, which the
-equivalence tests rely on.
+equivalence tests rely on. Training reads the prefix log's distinct pairs
+with their multiplicities (:attr:`~suffixbeam.eventlog.PrefixLog.counts`),
+so it costs about one step per distinct pair, however often each occurs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,13 +205,14 @@ def _count_row(row) -> np.ndarray:
 def train_ngram(prefix_log: PrefixLog, vocab: Vocabulary, order: int = 3, alpha: float = 0.01) -> NGramModel:
     """Count (last <= order labels -> next label) over the prefix log.
 
-    Each distinct (prefix, next) pair is encoded once and counted with its
-    multiplicity; contexts keep the order of their first occurrence.
+    Each distinct (prefix, next) pair of ``prefix_log.counts`` is encoded
+    once and counted with its multiplicity; contexts keep the order of their
+    first occurrence.
     """
     model = NGramModel(vocab=vocab, order=order, alpha=alpha, counts={})
     if not prefix_log.entries:
         raise ValueError("empty prefix log")
-    for (prefix, nxt), multiplicity in Counter(prefix_log.entries).items():
+    for (prefix, nxt), multiplicity in prefix_log.counts.items():
         ctx = model.context_of(prefix)
         row = model.counts.get(ctx)
         if row is None:

@@ -16,7 +16,11 @@ net knows better.
 
 ``generate`` is fully deterministic for a given config.  The test log
 contains exactly the exceptional training traces (the model has seen them;
-the question is whether search finds them again).
+the question is whether search finds them again).  The training log comes
+from :func:`~suffixbeam.eventlog.log_from_variants`, so its variants are
+counted once and its timestamps come from one table of minutes.  The seed
+and the trace counts must be non-negative integers and the fractions numbers
+in [0, 1]; a bool is neither.
 """
 
 from __future__ import annotations
@@ -55,12 +59,14 @@ class SynthConfig:
     short_exceptional_fraction: float = 0.04
 
     def __post_init__(self):
-        if self.n_train_normal < 0 or self.n_train_exceptional < 0:
-            raise ValueError("trace counts must be non-negative")
+        for name in ("seed", "n_train_normal", "n_train_exceptional"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+                raise ValueError(f"{name} must be a non-negative integer, not {v!r}")
         for name in ("branch_probability", "exceptional_branch1_fraction", "short_exceptional_fraction"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], not {v!r}")
 
 
 @dataclass(frozen=True)

@@ -461,6 +461,18 @@ def test_checked_beam_skips_non_compliant_completions():
     assert res.suffix == ("B",)
 
 
+def test_result_is_immutable():
+    res = BeamResult(("B",), 0.5, math.log(0.5), False, 2, 3)
+    for name in BeamResult._fields:
+        with pytest.raises(AttributeError):
+            setattr(res, name, None)
+    assert res == BeamResult(("B",), 0.5, math.log(0.5), False, 2, 3)
+    assert repr(res) == (
+        "BeamResult(suffix=('B',), score=0.5, log_score=-0.6931471805599453, forced_termination=False,"
+        " iterations=2, frontier_peak=3)"
+    )
+
+
 def test_result_shape(synth, synth_ngram):
     from suffixbeam.eventlog import variant_of
 

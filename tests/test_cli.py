@@ -127,6 +127,17 @@ def test_out_falls_back_to_env_dir(tmp_path, monkeypatch, capsys):
     assert "wrote 12 training traces" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["synthgen", "--seed", "-1"],
+    ["sweep", "--mode", "synthetic", "--seed", "-1"],
+])
+def test_a_negative_seed_is_bad_input_naming_the_seed(argv, tmp_path, capsys):
+    code, _, err = run(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "seed must be a non-negative integer, not -1" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # split / train
 

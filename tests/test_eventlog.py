@@ -1,5 +1,6 @@
 import io
 import re
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -10,6 +11,7 @@ from suffixbeam import eventlog
 from suffixbeam.eventlog import (
     END,
     EventLog,
+    PrefixLog,
     Trace,
     build_prefix_log,
     log_from_variants,
@@ -74,6 +76,22 @@ def test_trace_validates_its_columns():
     with pytest.raises(ValueError, match="trace 'c1' has 1 activities but 2 timestamps"):
         Trace(case_id="c1", activities=("A",), timestamps=at(0, 1))
     assert len(Trace(case_id="c1", activities=("A", "B"), timestamps=at(0, 1))) == 2
+
+
+@settings(max_examples=100)
+@given(repetitive_variants())
+def test_log_counts_its_variants_and_their_labels(variants):
+    log = log_from_variants(variants)
+    want = Counter()
+    for trace in log.traces:
+        want[variant_of(trace)] += 1
+    assert list(log.variants.items()) == list(want.items())  # first-occurrence order
+    assert log.alphabet == frozenset(label for trace in log.traces for label in trace.activities)
+    by_hand = EventLog(traces=log.traces)
+    assert list(by_hand.variants.items()) == list(want.items())
+    assert by_hand == log
+    assert EventLog(traces=log.traces, alphabet=frozenset({"Z"})).alphabet == {"Z"}  # as given
+    assert EventLog(traces=()).variants == {} and EventLog(traces=()).alphabet == frozenset()
 
 
 def test_log_alphabet_and_reserved_label():
@@ -156,6 +174,23 @@ def test_build_prefix_log_equals_per_trace_slicing(variants):
         for k in range(1, len(labels))
     )
     assert build_prefix_log(log).entries == want
+
+
+@settings(max_examples=100)
+@given(repetitive_variants())
+def test_prefix_log_counts_equal_a_count_of_its_entries(variants):
+    plog = build_prefix_log(log_from_variants(variants))
+    assert list(plog.counts.items()) == list(Counter(plog.entries).items())  # same order too
+    by_hand = PrefixLog(entries=plog.entries)
+    assert list(by_hand.counts.items()) == list(plog.counts.items())
+    assert by_hand == plog
+
+
+def test_prefix_log_counts_runs_with_their_multiplicities():
+    ab, b = (("A",), "B"), (("A", "B"), END)
+    plog = PrefixLog(entries=(ab, b, ab, b, ab), runs=[((ab, b), 2), ((ab,), 1)])
+    assert plog.counts == {ab: 3, b: 2}
+    assert PrefixLog(entries=()).counts == {}
 
 
 def test_build_prefix_log_empty_log():
@@ -483,7 +518,7 @@ def test_log_from_variants_takes_a_generator():
     st.datetimes(
         min_value=datetime(1990, 1, 1),
         max_value=datetime(2100, 1, 1),
-        timezones=st.sampled_from([timezone(timedelta(hours=-5)), timezone(timedelta(hours=5, minutes=30))]),
+        timezones=st.sampled_from([None, UTC, timezone(timedelta(hours=-5)), timezone(timedelta(hours=5, minutes=30))]),
     ),
 )
 def test_log_from_variants_equals_per_event_timestamps(variants, start):
@@ -493,5 +528,6 @@ def test_log_from_variants_equals_per_event_timestamps(variants, start):
     for i, trace in enumerate(log.traces):
         base = start.timestamp() + 60.0 * i
         want = [datetime.fromtimestamp(base + 60.0 * j, tz=UTC) for j in range(len(trace))]
-        # equal instants in the same zone, to the microsecond
+        # equal instants in the same zone, to the microsecond; a naive start is local time
         assert [ts.isoformat() for ts in trace.timestamps] == [ts.isoformat() for ts in want]
+        assert all(ts.tzinfo is UTC for ts in trace.timestamps)

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,40 @@ def test_unread_private_name_check_finds_a_leftover():
 def test_no_unread_private_names():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def export_mismatches(source: str) -> list:
+    """What is wrong with a package ``__init__``'s ``__all__``, as ``(problem, name)`` pairs.
+
+    A name is ``repeated`` in ``__all__``, ``unbound`` when the module neither
+    imports, defines nor assigns it, or ``not exported`` when the module
+    imports it (``__future__`` aside) and ``__all__`` leaves it out.
+    """
+    tree = ast.parse(source)
+    imported, bound, exported = [], set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names = [t.id for target in node.targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            bound.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    bound.update(imported)
+    return ([("repeated", name) for name, n in Counter(exported).items() if n > 1]
+            + [("unbound", name) for name in dict.fromkeys(exported) if name not in bound]
+            + [("not exported", name) for name in imported if name not in exported])
+
+
+def test_export_check_finds_a_planted_mismatch():
+    source = (
+        "from .a import f, g as h, k\nimport numpy\n\ndef local(): pass\n\n"
+        "__version__ = '1'\n__all__ = ['f', 'h', 'f', 'local', 'gone', 'numpy']\n"
+    )
+    assert export_mismatches(source) == [("repeated", "f"), ("unbound", "gone"), ("not exported", "k")]
+
+
+def test_package_exports_each_import_once():
+    assert export_mismatches((SRC / "__init__.py").read_text()) == []

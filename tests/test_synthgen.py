@@ -1,6 +1,7 @@
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from suffixbeam.eventlog import variant_of
@@ -27,6 +28,26 @@ def test_config_validation():
         SynthConfig(branch_probability=1.2)
     with pytest.raises(ValueError, match="short_exceptional_fraction"):
         SynthConfig(short_exceptional_fraction=-0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "17"),
+    ("n_train_normal", 2.5), ("n_train_normal", -1), ("n_train_exceptional", True), ("n_train_exceptional", None),
+])
+def test_config_needs_non_negative_integer_seed_and_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a non-negative integer, not {value!r}"):
+        SynthConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None, float("nan"), 1.2])
+def test_config_needs_fractions_in_the_unit_interval(value):
+    with pytest.raises(ValueError, match=rf"branch_probability must be in \[0, 1\], not {value!r}"):
+        SynthConfig(branch_probability=value)
+
+
+def test_config_takes_numpy_integers():
+    config = SynthConfig(seed=np.int64(3), n_train_normal=np.int32(8), n_train_exceptional=np.uint8(4))
+    assert len(generate(config).train_log) == 12
 
 
 def test_default_variant_counts(synth):
