@@ -42,14 +42,19 @@ class Trace:
     timestamps: tuple  # of UTC datetimes, one per activity
 
     def __post_init__(self):
+        if not isinstance(self.case_id, str):
+            raise ValueError(f"trace {self.case_id!r} has a case id that is not a string")
         if not self.case_id:
             raise ValueError("trace with empty case id")
         if not (isinstance(self.activities, tuple) and isinstance(self.timestamps, tuple)):
             raise TypeError(f"trace {self.case_id!r}: activities and timestamps must be tuples")
         if not self.activities:
             raise ValueError(f"trace {self.case_id!r} has no events")
-        if not all(self.activities):
-            raise ValueError(f"trace {self.case_id!r} has an event with empty activity label")
+        for label in self.activities:
+            if not isinstance(label, str):
+                raise ValueError(f"trace {self.case_id!r} has an event whose activity label {label!r} is not a string")
+            if not label:
+                raise ValueError(f"trace {self.case_id!r} has an event with empty activity label")
         if len(self.timestamps) != len(self.activities):
             raise ValueError(
                 f"trace {self.case_id!r} has {len(self.activities)} activities"
@@ -58,6 +63,21 @@ class Trace:
 
     def __len__(self):
         return len(self.activities)
+
+
+# the slot setters, which skip the frozen __setattr__
+_SET_CASE_ID, _SET_ACTIVITIES, _SET_TIMESTAMPS = (
+    getattr(Trace, name).__set__ for name in ("case_id", "activities", "timestamps")
+)
+
+
+def _trusted_trace(case_id: str, activities: tuple, timestamps: tuple) -> Trace:
+    """A Trace built without its checks: the caller vouches that ``Trace(...)`` would accept these."""
+    trace = object.__new__(Trace)
+    _SET_CASE_ID(trace, case_id)
+    _SET_ACTIVITIES(trace, activities)
+    _SET_TIMESTAMPS(trace, timestamps)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -353,7 +373,10 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
     time); events are one minute apart. ``case_ids``, when given, names each
     variant's trace. The timestamps come from one table of UTC datetimes a
     minute apart, each trace's a slice of it, so traces share one object
-    wherever the instant is the same.
+    wherever the instant is the same. ``Trace``'s checks run once per
+    distinct variant, by the public constructor on its first trace, so an
+    error names the same case as a trace-by-trace build, and once per case
+    id; a repeat with a valid case id skips the rest.
     """
     variants = [tuple(labels) for labels in variants]
     if case_ids is None:
@@ -363,6 +386,16 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
     first = (start or datetime(2020, 1, 1, tzinfo=timezone.utc)).astimezone(timezone.utc)
     n_minutes = len(variants) + max(map(len, variants), default=0)
     table = tuple(accumulate(repeat(timedelta(minutes=1), n_minutes - 1), initial=first))
-    return EventLog.from_traces(
-        Trace(case, labels, table[i:i + len(labels)]) for i, (case, labels) in enumerate(zip(case_ids, variants))
-    )
+    checked, traces = set(), []  # checked: the variants a public Trace(...) has passed
+    for i, (case, labels) in enumerate(zip(case_ids, variants)):
+        stamps = table[i:i + len(labels)]
+        try:
+            repeat_ok = isinstance(case, str) and case and labels in checked
+        except TypeError:  # an unhashable label, which Trace(...) rejects
+            repeat_ok = False
+        if repeat_ok:
+            traces.append(_trusted_trace(case, labels, stamps))
+        else:  # the first trace of its variant, or a case id that Trace(...) rejects
+            traces.append(Trace(case, labels, stamps))
+            checked.add(labels)
+    return EventLog.from_traces(traces)

@@ -93,28 +93,28 @@ def split_by_prefix(log: EventLog, k: int):
     Traces of length <= k are never held out (there is no suffix to
     predict). Within a prefix cluster, variants rank by descending trace
     count, ties broken toward the lexicographically smaller variant; all
-    traces of the rank-1 (second) variant go to the held-out set. Training
+    traces of the rank-1 (second) variant go to the held-out set, sorted by
+    case id, then by cluster in prefix order, then in log order. Training
     data is the entire log. Raises ValueError when no cluster has two
     variants, i.e. the split would be empty.
+
+    Clusters and ranks are taken from the log's variant counts; only the
+    walk that collects the held-out traces visits each trace.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     clusters: dict = {}
-    for trace in log.traces:
-        v = variant_of(trace)
-        if len(v) <= k:
-            continue
-        clusters.setdefault(prefix(v, k), {}).setdefault(v, []).append(trace)
-    held_out = []
-    for pref in sorted(clusters):
-        by_variant = clusters[pref]
-        if len(by_variant) < 2:
-            continue
-        ranked = sorted(by_variant.items(), key=lambda item: (-len(item[1]), item[0]))
-        held_out.extend(ranked[1][1])
-    if not held_out:
+    for v, n in log.variants.items():
+        if len(v) > k:
+            clusters.setdefault(prefix(v, k), []).append((-n, v))
+    place_of = {}  # held-out variant -> its cluster's place in prefix order
+    for place, pref in enumerate(sorted(clusters)):
+        if len(clusters[pref]) > 1:
+            place_of[sorted(clusters[pref])[1][1]] = place
+    if not place_of:
         raise ValueError(f"no length-{k} prefix is shared by two variants; nothing to hold out")
-    held_out.sort(key=lambda t: t.case_id)
+    held_out = [trace for trace in log.traces if variant_of(trace) in place_of]
+    held_out.sort(key=lambda t: (t.case_id, place_of[variant_of(t)]))  # stable: log order within a key
     return log, EventLog.from_traces(tuple(held_out))
 
 
@@ -122,12 +122,15 @@ def _cases_by_k(dataset: str, prefix_lengths, variants_of) -> dict:
     """``{k: cases}`` over the prefix lengths, in the given order, that have cases.
 
     A case is the (prefix, true suffix) of one of ``variants_of(k)`` longer
-    than k. A k without cases is skipped with a warning, and no cases at all
-    raise.
+    than k, in their order; each distinct variant is sliced once per k and
+    its repeats share its case. A k without cases is skipped with a warning,
+    and no cases at all raise.
     """
     cases_by_k = {}
     for k in prefix_lengths:
-        cases = [(prefix(v, k), suffix(v, k)) for v in variants_of(k) if len(v) > k]
+        variants = [v for v in variants_of(k) if len(v) > k]
+        case_of = {v: (prefix(v, k), suffix(v, k)) for v in dict.fromkeys(variants)}
+        cases = list(map(case_of.__getitem__, variants))
         if cases:
             cases_by_k[k] = cases
         else:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 from collections import Counter
@@ -66,6 +67,20 @@ def test_trace_rejects_empty_and_foreign_events():
     with pytest.raises(ValueError, match="trace 'c1' has no events"):
         Trace(case_id="c1", activities=(), timestamps=())
     assert Trace(case_id="c1", activities=("A",), timestamps=at(0)).case_id == "c1"
+
+
+def test_trace_rejects_a_case_id_or_label_that_is_not_a_string():
+    with pytest.raises(ValueError, match="trace 7 has a case id that is not a string"):
+        Trace(case_id=7, activities=("A",), timestamps=at(0))
+    with pytest.raises(ValueError, match="trace 'c1' has an event whose activity label 3 is not a string"):
+        Trace(case_id="c1", activities=("A", 3), timestamps=at(0, 1))
+    # through the log builder: a ValueError at once, not a TypeError from a later sort or write
+    with pytest.raises(ValueError, match="trace 'case_0001' has an event whose activity label 3 is not"):
+        log_from_variants([("A", 3)])
+    with pytest.raises(ValueError, match="trace 7 has a case id that is not a string"):
+        log_from_variants([("A", "B")], case_ids=[7])
+    with pytest.raises(ValueError, match=re.escape("trace 'case_0002' has an event whose activity label ['B']")):
+        log_from_variants([("A",), ("A", ["B"])])  # an unhashable label
 
 
 def test_trace_validates_its_columns():
@@ -531,3 +546,69 @@ def test_log_from_variants_equals_per_event_timestamps(variants, start):
         # equal instants in the same zone, to the microsecond; a naive start is local time
         assert [ts.isoformat() for ts in trace.timestamps] == [ts.isoformat() for ts in want]
         assert all(ts.tzinfo is UTC for ts in trace.timestamps)
+
+
+def per_trace_log(variants, case_ids=None):
+    """Reference: log_from_variants as one public Trace(...) per trace, each with its own timestamps."""
+    first = datetime(2020, 1, 1, tzinfo=UTC)
+    case_ids = case_ids or ["case_%04d" % i for i in range(1, len(variants) + 1)]
+    return EventLog.from_traces(
+        Trace(case, tuple(labels), tuple(first + timedelta(minutes=i + j) for j in range(len(labels))))
+        for i, (case, labels) in enumerate(zip(case_ids, variants))
+    )
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100)
+@given(repetitive_variants(), st.booleans(), st.data())
+def test_log_from_variants_builds_each_trace_as_trace_would(variants, named, data):
+    case_ids = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=len(variants), max_size=len(variants)))
+    case_ids = case_ids if named else None
+    got, want = log_from_variants(variants, case_ids), per_trace_log(variants, case_ids)
+    assert len(got.traces) == len(want.traces) == len(variants)
+    for trace, ref in zip(got.traces, want.traces):
+        assert trace == ref and type(trace) is Trace
+        assert hash(trace) == hash(ref) and len(trace) == len(ref) and repr(trace) == repr(ref)
+        for name in ("case_id", "activities", "timestamps"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trace, name, getattr(ref, name))
+    assert got == want and list(got.variants.items()) == list(want.variants.items())
+
+
+@st.composite
+def faulty_variants(draw):
+    """Variants and case ids with a few bad labels and ids among repeats: (variants, case_ids or None)."""
+    pool = draw(st.lists(st.lists(st.sampled_from(["A", "B", "", 3, ["x"]]), min_size=1, max_size=3).map(tuple),
+                         min_size=1, max_size=3))
+    variants = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))]
+    ids = st.sampled_from(["a", "b", "", 7])
+    case_ids = draw(st.none() | st.lists(ids, min_size=len(variants), max_size=len(variants)))
+    return variants, case_ids
+
+
+@settings(max_examples=200)
+@given(faulty_variants())
+def test_log_from_variants_raises_what_a_per_trace_build_raises(drawn):
+    got, want = outcome(log_from_variants, *drawn), outcome(per_trace_log, *drawn)
+    assert got == want  # the same message, naming the same case, or the same log
+
+
+def test_a_repeated_variant_still_checks_its_case_id():
+    with pytest.raises(ValueError, match="trace with empty case id"):
+        log_from_variants([("A", "B"), ("C",), ("A", "B")], case_ids=["c1", "c2", ""])
+    with pytest.raises(ValueError, match="trace 7 has a case id that is not a string"):
+        log_from_variants([("A", "B"), ("A", "B")], case_ids=["c1", 7])
+
+
+def test_an_empty_label_names_the_first_case_that_holds_it():
+    variants = [("A",), ("B",), ("A", ""), ("B", ""), ("A", "")]
+    with pytest.raises(ValueError, match="trace 'case_0003' has an event with empty activity label"):
+        log_from_variants(variants)
+    with pytest.raises(ValueError, match="trace 'c2' has an event with empty activity label"):
+        log_from_variants([("A",), ("A", "")], case_ids=["c1", "c2"])

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -93,6 +94,52 @@ def test_split_errors():
         split_by_prefix(log, 2)
     with pytest.raises(ValueError, match="no length-9 prefix"):
         split_by_prefix(log, 9)
+
+
+def per_trace_split(log, k):
+    """Reference: split_by_prefix as it walked every trace to build its clusters."""
+    clusters = {}
+    for trace in log.traces:
+        v = variant_of(trace)
+        if len(v) > k:
+            clusters.setdefault(v[:k], {}).setdefault(v, []).append(trace)
+    held_out = []
+    for pref in sorted(clusters):
+        if len(clusters[pref]) > 1:
+            ranked = sorted(clusters[pref].items(), key=lambda item: (-len(item[1]), item[0]))
+            held_out.extend(ranked[1][1])
+    if not held_out:
+        raise ValueError(f"no length-{k} prefix is shared by two variants; nothing to hold out")
+    held_out.sort(key=lambda t: t.case_id)
+    return log, EventLog.from_traces(tuple(held_out))
+
+
+@st.composite
+def clustered_variants(draw):
+    """Variants over two labels, so that short prefixes are shared, each drawn at least once, in random order."""
+    pool = draw(st.lists(st.lists(st.sampled_from("AB"), min_size=2, max_size=5).map(tuple), min_size=3, max_size=6,
+                         unique=True))
+    repeats = draw(st.lists(st.integers(0, len(pool) - 1), max_size=20))
+    return [pool[i] for i in draw(st.permutations([*range(len(pool)), *repeats]))]
+
+
+@settings(max_examples=200)
+@given(clustered_variants(), st.integers(1, 3), st.data())
+def test_split_by_variant_counts_equals_a_per_trace_split(variants, k, data):
+    # few case ids, so that held-out traces share one and their order shows
+    case_ids = data.draw(st.lists(st.sampled_from("abc"), min_size=len(variants), max_size=len(variants)))
+    log = log_from_variants(variants, case_ids)
+    try:
+        want = per_trace_split(log, k)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            split_by_prefix(log, k)
+        return
+    got = split_by_prefix(log, k)
+    assert got[0] is log
+    assert len(got[1].traces) == len(want[1].traces)
+    assert all(a is b for a, b in zip(got[1].traces, want[1].traces))  # the same traces, in the same order
+    assert got[1] == want[1]
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +238,14 @@ def test_sweep_predicts_each_distinct_case_once_with_identical_results(
     cases = {(v[:k], v[k:]) for v in map(variant_of, test_log.traces) for k in (3, 4, 5) if len(v) > k}
     assert len({pref for pref, _ in cases}) < len(cases)  # one prefix, several truths
 
-    beams, scored = Counter(), Counter()
+    beams, scored, sliced = Counter(), Counter(), Counter()
     monkeypatch.setattr(harness, "sweep_beams", counting(sweep_beams, beams, lambda p, _, __, cs: (p, tuple(cs))))
     monkeypatch.setattr(harness, "dl_similarity", counting(dl_similarity, scored, lambda s, t: (s, t)))
+    monkeypatch.setattr(harness, "suffix", counting(harness.suffix, sliced, lambda v, k: (v, k)))
     got = evaluate_dataset(*args, synth.net, config, **kwargs)
     monkeypatch.undo()
+    # each distinct variant is sliced once per k, not once per test trace
+    assert sliced == Counter({(v, k): 1 for v in test_log.variants for k in (3, 4, 5) if len(v) > k})
     grid = tuple(replace(config, w=w) for w in w_grid)  # the whole grid, in grid order
     assert beams == Counter({(pref, grid): 1 for pref, _ in cases})
     # one score per distinct (predicted, true) suffix pair over the whole sweep
