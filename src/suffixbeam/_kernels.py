@@ -2,16 +2,18 @@
 
 The kernels work on packed markings: one Python int holding 32 bits per
 place, place p in bits 32p to 32p+31, which is the marking's little-endian
-int32 bytes read with ``int.from_bytes`` (:func:`pack`). Counts never
-exceed ``petri.TOKEN_MAX`` < 2**31, so with ``H`` the top bit of every
-field, ``((m | H) - pre) & H == H`` says that m covers ``pre`` in every
-place at once (no field borrows from its neighbour), an enabled firing is
-``m - pre + post``, and a count past ``TOKEN_MAX`` shows as ``m & H``; a
-firing or a silent search that would take a count there raises ValueError
-instead of wrapping. The kernels are the miss path of a net's reachability
-graph (see :class:`suffixbeam.petri.CompiledNet`): they run once per state
-and label, or per state for the finish, and the graph turns only a new
-state back into an int32 array.
+int32 bytes read with ``int.from_bytes`` (:func:`unpack` turns it back).
+Counts never exceed ``petri.TOKEN_MAX`` < 2**31, so with ``H`` the top bit
+of every field, ``(m | H) - b`` holds ``2**31 + m_p - b_p`` in every field
+at once (no field borrows from its neighbour): ``((m | H) - pre) & H == H``
+says that m covers ``pre``, and :func:`excess` sums the positive
+differences. An enabled firing is ``m - pre + post``, and a count past
+``TOKEN_MAX`` shows as ``m & H``; a firing or a silent search that would
+take a count there raises ValueError instead of wrapping. The kernels are
+the miss path of a net's reachability graph (see
+:class:`suffixbeam.petri.CompiledNet`), which keys its states by their
+packed ints: they run once per state and label, or per state for the
+residual and the finish.
 
 Replay conventions baked into these kernels (the rest of the package and
 the test oracles mirror them):
@@ -38,20 +40,33 @@ SILENT_BFS_DEPTH = 10
 # Distinct markings one silent search may hold before it gives up.
 NODE_CAP = 4096
 FIELD = 0xFFFFFFFF  # one place's 32 bits
+# A number is the sum of its 64-bit digits modulo this, as 2**64 is 1 modulo it.
+DIGIT_MOD = 2**64 - 1
 
 # There is no compiled backend; the benchmark records this flag with its
 # environment, so it stays as a constant.
 USING_NUMBA = False
 
 
-def pack(marking) -> int:
-    """The packed form of an int32 marking array."""
-    return int.from_bytes(marking.astype("<i4", copy=False).tobytes(), "little")
-
-
 def unpack(code: int, n_places: int):
     """The read-only int32 array of a packed marking."""
     return np.frombuffer(code.to_bytes(4 * n_places, "little"), dtype="<i4").astype(np.int32, copy=False)
+
+
+def excess(net, a: int, b: int) -> int:
+    """Sum over places of max(a_p - b_p, 0), for packed markings a and b.
+
+    Fields where ``(a | H) - b`` keeps its top bit hold ``a_p - b_p`` in
+    their low 31 bits; the others are masked to 0. Adding the odd fields onto
+    the even ones (``net.evens``) gives 64-bit digits below 2**32, whose sum
+    stays below :data:`DIGIT_MOD`, so one modulo takes it.
+    """
+    high = net.high
+    diff = (a | high) - b
+    kept = diff & high
+    diff &= kept - (kept >> 31)  # a field of 31 ones where a_p >= b_p, else 0
+    evens = net.evens
+    return ((diff & evens) + (diff >> 32 & evens)) % DIGIT_MOD
 
 
 def _overflow(net, code):
@@ -168,10 +183,8 @@ def finish_complete(net, marking):
     deltas for the finishing moves, the count of tokens left anywhere after
     the final consumption, and whether the final marking was met exactly.
     """
-    path = silent_path_to(net, marking, net.final_code) or []
+    final = net.final_code
+    path = silent_path_to(net, marking, final) or []
     marking, _, consumed, produced = _fire(net, marking, path)
-    counts = unpack(marking, len(net.place_index))
-    missing = int(np.maximum(net.final - counts, 0).sum())
-    remaining = int(np.maximum(counts - net.final, 0).sum())
-    consumed += int(net.final.sum())
-    return missing, consumed, produced, remaining, missing == 0 and remaining == 0
+    missing, remaining = excess(net, final, marking), excess(net, marking, final)
+    return missing, consumed + net.final_tokens, produced, remaining, missing == 0 and remaining == 0

@@ -44,11 +44,12 @@ content labels (END excluded), ``ids`` their vocabulary indices (END
 included once terminated), and ``replay`` is ``(sid, produced, consumed,
 missing)`` after prefix + labels, or None when the beam is not modulated;
 ``sid`` is a state id of the net's reachability graph
-(:class:`~suffixbeam.petri.CompiledNet`). A call walks the prefix's state
-ids through ``steps`` once, after a fresh
-:class:`~suffixbeam.petri.ReplayState` has cleared a graph past its cap, so
-ids (and the records that hold them) stay valid for the whole call and are
-dropped with it. A child then costs one lookup, ``steps[sid][label]``,
+(:class:`~suffixbeam.petri.CompiledNet`), which keys its states by packed
+int. A call looks up its root state by the packed int of a fresh
+:class:`~suffixbeam.petri.ReplayState`, which has cleared a graph past its
+cap, and walks the prefix's state ids through ``steps`` once, so ids (and
+the records that hold them) stay valid for the whole call and are dropped
+with it. A child then costs one lookup, ``steps[sid][label]``,
 which also carries the successor's residual; a completion reads
 ``finish[sid]``. Compliance is :func:`~suffixbeam.petri.fitness_counts`
 computed inline; only the zero-count case calls it, for its warning. The
@@ -211,7 +212,7 @@ def _prepared(prefix, net: PetriNet | None, w: float):
         return prefix, None, None
     compiled = net.compiled
     state = ReplayState(compiled)  # a fresh state clears a full graph: no id outlives the call
-    sid, produced, consumed, missing = compiled.state(state.marking), state.produced, 0, 0
+    sid, produced, consumed, missing = compiled.state(state.code), state.produced, 0, 0
     steps = compiled.steps
     for label in prefix:
         sid, m, c, p, _ = steps[sid].get(label) or compiled.step(sid, label)

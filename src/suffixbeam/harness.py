@@ -17,7 +17,8 @@ cases and one sweep scores them: once per sweep it maps each case to the
 index of its distinct case and searches each distinct prefix at every w in
 one :func:`~suffixbeam.beam.sweep_beams` call, scores each distinct
 (predicted, true) suffix pair once, and for each w sums each k's cells by
-index.
+index, or reuses the previous w's sums when its outcomes per distinct case
+repeat.
 Every entry first checks its settings by one rule set
 (:func:`_beam_configs`), which builds the per-w beam configs, so a bad
 setting raises before any split, prefix log or training. Results land
@@ -145,11 +146,15 @@ def _beam_configs(beam_config: BeamConfig, w_grid, prefix_lengths, net: PetriNet
     """One beam config per w of the grid, once the sweep's settings pass.
 
     Neither the w grid nor the prefix lengths may be empty or repeat a
-    value (a repeat would be swept, and written, twice), every k is at least
-    1, and a w above 0 needs a net (without one the beam runs the baseline).
+    value (a repeat would be swept, and written, twice), every k is an int
+    (not a bool) of at least 1, and a w above 0 needs a net (without one the
+    beam runs the baseline).
     A ``comparison`` measures against w = 0, so its grid must hold 0.
     :class:`BeamConfig` checks the range of each w.
     """
+    for k in prefix_lengths:
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ValueError(f"prefix length {k!r} is not an int")
     for values, what in ((w_grid, "w value"), (prefix_lengths, "prefix length")):
         if not values:
             raise ValueError(f"no {what} given")
@@ -174,7 +179,8 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, conf
     distinct cases, and each distinct prefix is predicted at every w by one
     :func:`sweep_beams` call. Each distinct (predicted, true) suffix pair is
     scored once per sweep; a k cell then sums its rows in case order, so
-    means are bit-identical to a per-case loop.
+    means are bit-identical to a per-case loop. A w whose similarities and
+    forced flags, per distinct case, equal the previous w's reuses its sums.
     """
     index_of = {}
     rows_by_k = {k: [index_of.setdefault(c, len(index_of)) for c in cases] for k, cases in cases_by_k.items()}
@@ -183,13 +189,17 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, conf
     pairs_at = [[(beams_of[pref][i].suffix, truth) for pref, truth in index_of] for i in range(len(configs))]
     similarity = {pair: dl_similarity(*pair) for pair in dict.fromkeys(chain.from_iterable(pairs_at))}
     cells = []
+    outcomes = None
     for i, cfg in enumerate(configs):
         sims = [similarity[pair] for pair in pairs_at[i]]
         forced = [beams_of[pref][i].forced_termination for pref, _ in index_of]
+        if (sims, forced) != outcomes:
+            outcomes = sims, forced
+            sums = [(sum(map(sims.__getitem__, rows)), sum(map(forced.__getitem__, rows)))
+                    for rows in rows_by_k.values()]
         k_cells = [
-            SweepCell(dataset, k, cfg.w, sum(map(sims.__getitem__, rows)) / len(rows), len(rows),
-                      sum(map(forced.__getitem__, rows)))
-            for k, rows in rows_by_k.items()
+            SweepCell(dataset, k, cfg.w, total / len(rows), len(rows), n_forced)
+            for (k, rows), (total, n_forced) in zip(rows_by_k.items(), sums)
         ]
         cells.extend(k_cells)
         cells.append(SweepCell(
@@ -287,14 +297,15 @@ def run_synthetic_experiment(
     ngram_alpha: float = 0.01,
     epochs: int = 10,
 ) -> SweepResult:
-    """Generate the synthetic log, check the settings, train, and sweep on the exceptional traces."""
+    """Generate the synthetic log, check the settings and the exceptional
+    traces' cases, train, and sweep on those cases."""
     generated = generate(config)
-    beam_config = _beam_config(generated.train_log, b_size)
-    _beam_configs(beam_config, w_grid, prefix_lengths, generated.net, comparison=True)
+    configs = _beam_configs(_beam_config(generated.train_log, b_size), w_grid, prefix_lengths,
+                            generated.net, comparison=True)
+    variants = [variant_of(trace) for trace in generated.test_log.traces]
+    cases_by_k = _cases_by_k("synthetic", prefix_lengths, lambda k: variants)
     predictor, _ = train_predictor(generated.train_log, predictor_kind, ngram_order, ngram_alpha, epochs)
-    return evaluate_dataset(
-        "synthetic", generated.test_log, predictor, generated.net, beam_config, w_grid, prefix_lengths
-    )
+    return _sweep("synthetic", cases_by_k, predictor, generated.net, configs)
 
 
 def run_reallife_experiment(

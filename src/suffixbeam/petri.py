@@ -32,11 +32,12 @@ from .eventlog import END, _escape, _local, _xml_elements
 logger = logging.getLogger(__name__)
 
 # States per net's reachability graph. On the benchmark's 16-place net a
-# state takes about 410 B plus 130 B per label stepped from it: its beams
-# visit 145 states of 470 B, and a full graph with all 11 labels stepped
-# from every state takes 7.7 MB.
+# state takes about 240 B plus 100-115 B per label stepped from it (sizes
+# summed with sys.getsizeof): 1,800 of its requests visit 160 states of
+# 490 B, and 4,096 states with all 11 labels stepped from each take 5.5 MB.
 REPLAY_MEMO_CAP = 4096
-# Markings are int32 arrays, so no place may hold more tokens than this.
+# A packed marking gives each place 32 bits and keeps the top one clear, and
+# a marking reads as an int32 array, so no place may hold more tokens than this.
 TOKEN_MAX = int(np.iinfo(np.int32).max)
 
 
@@ -118,12 +119,13 @@ class CompiledNet:
     Each transition row has packed ``pre``/``post`` markings (see
     :mod:`suffixbeam._kernels`), its input ``(bit shift, weight)`` pairs and
     its arc sums ``pre_tokens``/``post_tokens``; ``high`` is the top bit of
-    every place's field and ``final_code`` the packed final marking.
+    every place's field, ``evens`` the fields of the even places, and
+    ``initial_code``/``final_code`` the packed initial and final markings.
 
     Replay outcomes depend only on the marking and the label, so the net
     keeps the part of its reachability graph (Murata 1989) that replay has
-    visited, each marking interned as an int state id: ``markings[sid]`` is
-    the read-only int32 marking, ``id_of[marking bytes]`` its id,
+    visited, each packed marking interned as an int state id:
+    ``codes[sid]`` is the packed marking, ``id_of[code]`` its id,
     ``residual[sid]`` its tokens not explainable as part of the final
     marking (the strict penalty). ``steps[sid][label]`` is the step
     ``(sid', Δmissing, Δconsumed, Δproduced, residual[sid'])`` and
@@ -146,19 +148,19 @@ class CompiledNet:
         self.pre_tokens = [sum(arcs.values()) for arcs in in_arcs]
         self.post_tokens = [sum(arcs.values()) for arcs in out_arcs]
         self.high = sum(1 << 32 * p + 31 for p in range(len(place_index)))
+        self.evens = sum(_kernels.FIELD << 64 * p for p in range((len(place_index) + 1) // 2))
         self.silent_rows = silent_rows
         self.label_tids = label_tids  # label -> ascending tuple of transition rows
-        self.initial = initial
-        self.initial_tokens = int(initial.sum())
-        self.final = final
-        self.final_code = _kernels.pack(final)
+        self.initial_code = sum(n << 32 * p for p, n in initial.items())
+        self.initial_tokens = sum(initial.values())
+        self.final_code = sum(n << 32 * p for p, n in final.items())
+        self.final_tokens = sum(final.values())
         self.clear()
 
     @staticmethod
     def build(net: PetriNet) -> "CompiledNet":
         place_index = {pid: i for i, pid in enumerate(net.places)}
         tid_index = {t.tid: i for i, t in enumerate(net.transitions)}
-        n_p = len(net.places)
         in_arcs = [{} for _ in net.transitions]  # row -> {place row: summed weight}
         out_arcs = [{} for _ in net.transitions]
         for arc in net.arcs:
@@ -173,29 +175,22 @@ class CompiledNet:
             if t.label is not None:
                 label_tids.setdefault(t.label, []).append(i)
         label_tids = {lab: tuple(rows) for lab, rows in label_tids.items()}
-        initial = np.zeros(n_p, dtype=np.int32)
-        for pid, n in net.initial_marking.items():
-            initial[place_index[pid]] = n
-        final = np.zeros(n_p, dtype=np.int32)
-        for pid, n in net.final_marking.items():
-            final[place_index[pid]] = n
-        initial.flags.writeable = False
+        initial = {place_index[pid]: n for pid, n in net.initial_marking.items()}
+        final = {place_index[pid]: n for pid, n in net.final_marking.items()}
         return CompiledNet(place_index, in_arcs, out_arcs, silent_rows, label_tids, initial, final)
 
     def clear(self) -> None:
         """Forget every state; ids handed out before are no longer valid."""
-        self.markings, self.id_of, self.steps, self.residual, self.finish = [], {}, [], [], []
+        self.codes, self.id_of, self.steps, self.residual, self.finish = [], {}, [], [], []
 
-    def state(self, marking) -> int:
-        """Id of the marking, interned (and made read-only) on first sight."""
-        key = marking.tobytes()
-        sid = self.id_of.get(key)
+    def state(self, code: int) -> int:
+        """Id of the packed marking, interned on first sight."""
+        sid = self.id_of.get(code)
         if sid is None:
-            sid = self.id_of[key] = len(self.markings)
-            marking.flags.writeable = False
-            self.markings.append(marking)
+            sid = self.id_of[code] = len(self.codes)
+            self.codes.append(code)
             self.steps.append({})
-            self.residual.append(int(np.maximum(marking - self.final, 0).sum()))
+            self.residual.append(_kernels.excess(self, code, self.final_code))
             self.finish.append(None)
         return sid
 
@@ -212,8 +207,8 @@ class CompiledNet:
             if tids is None:
                 nxt, m, c, p = sid, 1, 1, 0
             else:
-                code, m, c, p = _kernels.replay_one_label(self, _kernels.pack(self.markings[sid]), tids)
-                nxt = self.state(_kernels.unpack(code, len(self.place_index)))
+                code, m, c, p = _kernels.replay_one_label(self, self.codes[sid], tids)
+                nxt = self.state(code)
             hit = self.steps[sid][label] = (nxt, m, c, p, self.residual[nxt])
         return hit
 
@@ -221,7 +216,7 @@ class CompiledNet:
         """``finish[sid]``: (Δmissing, Δconsumed, Δproduced, remaining, reached)."""
         hit = self.finish[sid]
         if hit is None:
-            hit = self.finish[sid] = _kernels.finish_complete(self, _kernels.pack(self.markings[sid]))
+            hit = self.finish[sid] = _kernels.finish_complete(self, self.codes[sid])
         return hit
 
 
@@ -238,37 +233,42 @@ class ReplayResult:
 
 
 class ReplayState:
-    """Incremental replay: marking plus running counters.
+    """Incremental replay: packed marking plus running counters.
 
     Extending a replayed trace by one label costs one lookup in the net's
-    step table instead of a full re-replay. A fresh state (no marking given)
+    step table instead of a full re-replay. A fresh state (no code given)
     first clears a graph past :data:`REPLAY_MEMO_CAP` states. A state holds
-    its marking (a read-only array of the graph), not a state id, so it
-    outlives a clear and clones share it safely.
+    its packed marking ``code``, not a state id, so it outlives a clear and
+    clones share it safely; ``marking`` reads it as a read-only int32 array.
     """
 
-    __slots__ = ("compiled", "marking", "produced", "consumed", "missing")
+    __slots__ = ("compiled", "code", "produced", "consumed", "missing")
 
-    def __init__(self, compiled: CompiledNet, marking=None, produced=None, consumed=0, missing=0):
+    def __init__(self, compiled: CompiledNet, code=None, produced=None, consumed=0, missing=0):
         self.compiled = compiled
-        if marking is None:
-            if len(compiled.markings) > REPLAY_MEMO_CAP:
+        if code is None:
+            if len(compiled.codes) > REPLAY_MEMO_CAP:
                 compiled.clear()
-            marking = compiled.initial
+            code = compiled.initial_code
             produced = compiled.initial_tokens
-        self.marking = marking
+        self.code = code
         self.produced = produced
         self.consumed = consumed
         self.missing = missing
 
+    @property
+    def marking(self):
+        """The marking as a read-only int32 array, one count per place."""
+        return _kernels.unpack(self.code, len(self.compiled.place_index))
+
     def clone(self) -> "ReplayState":
-        return ReplayState(self.compiled, self.marking, self.produced, self.consumed, self.missing)
+        return ReplayState(self.compiled, self.code, self.produced, self.consumed, self.missing)
 
     def step(self, label: str) -> None:
         """Replay one visible label (mutates the state)."""
         compiled = self.compiled
-        sid, m, c, p, _ = compiled.step(compiled.state(self.marking), label)
-        self.marking = compiled.markings[sid]
+        sid, m, c, p, _ = compiled.step(compiled.state(self.code), label)
+        self.code = compiled.codes[sid]
         self.missing += m
         self.consumed += c
         self.produced += p
@@ -284,13 +284,13 @@ class ReplayState:
             produced=self.produced,
             consumed=self.consumed,
             missing=self.missing,
-            remaining=compiled.residual[compiled.state(self.marking)] if strict else 0,
+            remaining=compiled.residual[compiled.state(self.code)] if strict else 0,
             final_reached=None,
         )
 
     def result_complete(self) -> ReplayResult:
         """Counters after consuming the final marking (state left untouched)."""
-        m, c, p, r, reached = self.compiled.complete(self.compiled.state(self.marking))
+        m, c, p, r, reached = self.compiled.complete(self.compiled.state(self.code))
         return ReplayResult(
             produced=self.produced + p,
             consumed=self.consumed + c,

@@ -283,8 +283,8 @@ def test_graph_clears_only_between_beams_and_changes_no_result(seed, branches, r
     graph, clears = net.compiled, []
 
     def clear():  # spy: a graph is cleared only once it has passed the cap
-        assert len(graph.markings) > 3
-        clears.append(len(graph.markings))
+        assert len(graph.codes) > 3
+        clears.append(len(graph.codes))
         petri.CompiledNet.clear(graph)
 
     default, cold = serve(lambda warm=rebuilt(net): warm), serve(lambda: rebuilt(net))

@@ -14,7 +14,7 @@ from logs import repetitive_variants
 from nets import random_net
 
 from suffixbeam import harness, petri
-from suffixbeam.beam import BeamConfig, baseline_beam, modulated_beam, sweep_beams
+from suffixbeam.beam import BeamConfig, BeamResult, baseline_beam, modulated_beam, sweep_beams
 from suffixbeam.encoding import build_vocabulary
 from suffixbeam.eventlog import EventLog, build_prefix_log, log_from_variants, variant_of
 from suffixbeam.harness import (
@@ -192,8 +192,18 @@ def test_modulation_helps_on_the_synthetic_holdout(small_sweep):
     assert result.best_micro == result.cell(MICRO, 0.85).mean_similarity
 
 
-def reference_sweep(dataset, test_log, predictor, net, config, w_grid, prefix_lengths):
-    """evaluate_dataset written as one beam per (test trace, k, w)."""
+def reference_sweep(dataset, test_log, predictor, net, config, w_grid, prefix_lengths, beam=None):
+    """evaluate_dataset written as one beam per (test trace, k, w).
+
+    ``beam(prefix, config)``, when given, stands in for the baseline and
+    modulated beams.
+    """
+    if beam is None:
+        def beam(prefix, cfg):
+            if cfg.w == 0.0:
+                return baseline_beam(prefix, predictor, cfg)
+            return modulated_beam(prefix, net, predictor, cfg)
+
     cells = []
     for w in w_grid:
         cfg = BeamConfig(b_size=config.b_size, max_iter=config.max_iter, w=w)
@@ -204,10 +214,7 @@ def reference_sweep(dataset, test_log, predictor, net, config, w_grid, prefix_le
                 v = variant_of(trace)
                 if len(v) <= k:
                     continue
-                if w == 0.0:
-                    res = baseline_beam(v[:k], predictor, cfg)
-                else:
-                    res = modulated_beam(v[:k], net, predictor, cfg)
+                res = beam(v[:k], cfg)
                 sims.append(dl_similarity(res.suffix, v[k:]))
                 forced += res.forced_termination
             k_cells.append(SweepCell(dataset, k, w, sum(sims) / len(sims), len(sims), forced))
@@ -289,6 +296,49 @@ def test_sweep_sums_each_k_over_its_cases_with_one_beam_per_prefix_and_w(
     assert got == reference_sweep("d", log, predictor, net, config, **kwargs)  # floats compared exactly
 
 
+@st.composite
+def alternating_patterns(draw):
+    """3-6 outcome patterns, one per w, that end in an alternation a, b, a."""
+    head = draw(st.lists(st.integers(0, 2), max_size=3))
+    a = draw(st.integers(0, 2))
+    return [*head, a, (a + draw(st.integers(1, 2))) % 3, a]
+
+
+@settings(max_examples=200)
+@given(
+    variants=repetitive_variants(),
+    unique=st.booleans(),
+    prefix_lengths=st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True),
+    patterns=alternating_patterns(),
+    data=st.data(),
+)
+def test_sweep_reuses_a_ws_sums_only_where_its_outcomes_repeat(variants, unique, prefix_lengths, patterns, data):
+    # each w's beams give the outcomes of its pattern, so w values whose
+    # patterns repeat, next to each other or not, repeat every outcome
+    if unique:
+        variants = list(dict.fromkeys(variants))  # a log whose cases do not repeat
+    prefix_lengths = [k for k in prefix_lengths if any(len(v) > k for v in variants)]
+    assume(prefix_lengths)
+    prefixes = sorted({v[:k] for v in variants for k in prefix_lengths if len(v) > k})
+    suffixes = st.lists(st.sampled_from("ABCD"), max_size=4).map(tuple)
+    outcome = {(j, pref): data.draw(st.tuples(suffixes, st.booleans()))
+               for j in sorted(set(patterns)) for pref in prefixes}
+    w_grid = tuple(round(0.1 * i, 1) for i in range(len(patterns)))
+    pattern_at = dict(zip(w_grid, patterns))
+
+    def beam(prefix, config):
+        suffix, forced = outcome[pattern_at[config.w], prefix]
+        return BeamResult(suffix, 1.0, 0.0, forced, 1, 1)
+
+    log, net, config = log_from_variants(variants), random_net(np.random.default_rng(0)), BeamConfig()
+    kwargs = dict(w_grid=w_grid, prefix_lengths=prefix_lengths)
+    with mock.patch.object(harness, "sweep_beams",
+                           lambda pref, _, __, configs: tuple(beam(pref, cfg) for cfg in configs)):
+        got = evaluate_dataset("d", log, None, net, config, **kwargs)
+    want = reference_sweep("d", log, None, net, config, beam=beam, **kwargs)
+    assert repr(got) == repr(want)  # every field; floats by repr
+
+
 def test_a_graph_clear_inside_a_sweep_changes_no_cell(synth, synth_ngram, monkeypatch):
     # with a cap of 3 states, the graph is cleared at the start of almost
     # every sweep_beams call, between the prefixes of one sweep
@@ -300,7 +350,7 @@ def test_a_graph_clear_inside_a_sweep_changes_no_cell(synth, synth_ngram, monkey
     graph, clears = net.compiled, []
 
     def clear():  # spy
-        clears.append(len(graph.markings))
+        clears.append(len(graph.codes))
         petri.CompiledNet.clear(graph)
 
     monkeypatch.setattr(petri, "REPLAY_MEMO_CAP", 3)
@@ -359,6 +409,9 @@ BAD_SETTINGS = {
     "repeated w": (dict(w_grid=(0.0, 0.5, 0.5)), "w value 0.5 is given more than once", ENTRIES),
     "repeated k": (dict(prefix_lengths=(3, 4, 3)), "prefix length 3 is given more than once", ENTRIES),
     "k=0": (dict(prefix_lengths=(3, 0)), "k must be >= 1", ENTRIES),
+    # True would sweep k = 1 and write True in the k column; 3.0 cannot slice
+    "k=True": (dict(prefix_lengths=(True,)), "prefix length True is not an int", ENTRIES),
+    "k=3.0": (dict(prefix_lengths=(3, 3.0)), "prefix length 3.0 is not an int", ENTRIES),
     "w=1.5": (dict(w_grid=(0.0, 1.5)), r"w must be in \[0, 1\]", ENTRIES),
     # evaluate_dataset takes a built BeamConfig, which cannot hold b_size 0
     "b_size=0": (dict(b_size=0), "b_size and max_iter must be >= 1", ("synthetic", "reallife")),

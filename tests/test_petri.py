@@ -83,7 +83,7 @@ def test_net_validation():
     with pytest.raises(ValueError, match="arc 't0' -> 'p' of weight 2147483648 can overflow"):
         PetriNet("n", ("p",), t, (Arc("t0", "p", weight=2**30),) * 2, {}, {})
     full = PetriNet("n", ("p",), t, (Arc("p", "t0"),), {"p": INT32_MAX}, {"p": INT32_MAX})
-    assert full.compiled.initial[0] == INT32_MAX
+    assert ReplayState(full.compiled).marking[0] == INT32_MAX
 
 
 def test_token_counts_cannot_wrap_int32():
@@ -196,12 +196,12 @@ def test_clones_stepped_apart_do_not_alias():
     state.step("Start")
     before = marking_to_dict(net.compiled, state.marking)
     left, right = state.clone(), state.clone()
-    assert left.marking is state.marking  # clones share the read-only marking
+    assert left.code is state.code  # clones share the immutable packed marking
     left.step("B1a")
     right.step("B2a")
     right.step("B2b")
     assert marking_to_dict(net.compiled, state.marking) == before
-    assert left.marking is not right.marking
+    assert left.code != right.code
     for fork, variant in ((left, ("Start", "B1a")), (right, ("Start", "B2a", "B2b"))):
         got = fork.result_complete()
         assert (got.produced, got.consumed, got.missing, got.remaining, got.final_reached) == (
@@ -344,7 +344,7 @@ def assert_silent_paths_match_reference(net, ref):
     """From ref's marking, the kernel's silent path to the inputs of each
     transition, and to the final marking, is the one the reference finds."""
     compiled = net.compiled
-    marking = _kernels.pack(np.array([ref.marking.get(p, 0) for p in net.places], dtype=np.int32))
+    marking = sum(n << 32 * compiled.place_index[p] for p, n in ref.marking.items())
     tid_of_row = [t.tid for t in net.transitions]
     needs = [(compiled.pre[row], ref.inputs[tid]) for row, tid in enumerate(tid_of_row)]
     needs.append((compiled.final_code, net.final_marking))
@@ -376,6 +376,47 @@ def test_silent_path_kernel_matches_reference_on_toggle_nets(n, needed):
     # on 13 toggles both reach the cap
     net = toggles(n, needed)
     assert_silent_paths_match_reference(net, RefReplay(net))
+
+
+token_counts = st.one_of(st.integers(0, 3), st.integers(0, INT32_MAX))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(token_counts, token_counts), min_size=1, max_size=40))
+def test_excess_kernel_matches_numpy(pairs):
+    places = tuple(f"p{i}" for i in range(len(pairs)))
+    compiled = PetriNet("n", places, (Transition("t", "A"),), (), {}, {}).compiled
+    a, b = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    code_a, code_b = (sum(int(n) << 32 * i for i, n in enumerate(side)) for side in (a, b))
+    assert _kernels.excess(compiled, code_a, code_b) == int(np.maximum(a - b, 0).sum())
+    assert _kernels.excess(compiled, code_b, code_a) == int(np.maximum(b - a, 0).sum())
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from("ABCD"), max_size=6))
+def test_residual_and_finish_match_the_numpy_formulas_on_random_nets(seed, variant):
+    # random nets have arc weights of 1-2 and 1-2 tokens in 1-2 initial
+    # places; the final marking here spans 2 or more places
+    rng = np.random.default_rng(seed)
+    net = random_net(rng)
+    spanned = rng.choice(len(net.places), size=int(rng.integers(2, len(net.places) + 1)), replace=False)
+    final = {net.places[p]: int(rng.integers(1, 4)) for p in spanned}
+    net = PetriNet(net.name, net.places, net.transitions, net.arcs, net.initial_marking, final)
+    compiled = net.compiled
+    final_counts = np.array([final.get(p, 0) for p in net.places], dtype=np.int64)
+    state = ReplayState(compiled)
+    for label in (None, *variant):
+        if label is not None:
+            state.step(label)
+        sid = compiled.state(state.code)
+        assert compiled.residual[sid] == int(np.maximum(state.marking - final_counts, 0).sum())
+        path = _kernels.silent_path_to(compiled, state.code, compiled.final_code) or []
+        code, _, consumed, produced = _kernels._fire(compiled, state.code, path)
+        after = _kernels.unpack(code, len(net.places)).astype(np.int64)
+        missing = int(np.maximum(final_counts - after, 0).sum())
+        remaining = int(np.maximum(after - final_counts, 0).sum())
+        reached = missing == 0 and remaining == 0
+        assert compiled.complete(sid) == (missing, consumed + int(final_counts.sum()), produced, remaining, reached)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +514,8 @@ def assert_memo_matches_fresh_and_reference(net, variants):
         ref = RefReplay(net)
         # a replay starts on a graph within its cap; inside, it may grow past it
         graph = net.compiled
-        assert len(graph.markings) <= petri.REPLAY_MEMO_CAP
-        assert {m.tobytes(): sid for sid, m in enumerate(graph.markings)} == graph.id_of
+        assert len(graph.codes) <= petri.REPLAY_MEMO_CAP
+        assert {code: sid for sid, code in enumerate(graph.codes)} == graph.id_of
         for i, label in enumerate(variant):
             state.step(label)
             ref.step(label)
@@ -503,8 +544,9 @@ def test_memoized_replay_matches_fresh_and_reference(seed, variants):
 
 
 def test_replayed_markings_stay_int32_and_read_only():
-    # the memo keys markings by their bytes: an int64 marking would miss every
-    # entry stored for the equal int32 one, so the memo would grow and never hit
+    # the graph keys states by packed int and a state shows its marking as a
+    # view: an int64 view would read other bytes than the int32 marking it
+    # stands for, and a writeable one would suggest that writing moves the state
     rng = np.random.default_rng(7)
     for net in (SYNTH_NET, *(random_net(rng) for _ in range(40))):
         labels = sorted({t.label for t in net.transitions if t.label} | {"junk"})
@@ -524,7 +566,7 @@ def test_replay_memo_stays_within_its_cap(monkeypatch):
     monkeypatch.setattr(petri, "REPLAY_MEMO_CAP", 5)
     net = rebuilt(SYNTH_NET)
     graph = net.compiled
-    assert graph.markings == [] and graph.id_of == {} and graph.steps == []  # each net starts cold
+    assert graph.codes == [] and graph.id_of == {} and graph.steps == []  # each net starts cold
     # the longest variant alone visits 7 states, so replays must clear the graph
     assert_memo_matches_fresh_and_reference(net, SYNTH_VARIANTS)
 
