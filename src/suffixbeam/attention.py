@@ -60,8 +60,9 @@ class AttentionConfig:
 
     def __post_init__(self):
         for name in ("l_max", "d_model", "n_heads", "n_layers", "d_ff", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {v!r}")
         if self.l_max < 2:
             raise ValueError("l_max must be >= 2")
         if min(self.d_model, self.n_heads, self.d_ff) < 1 or self.n_layers < 0:

@@ -44,15 +44,14 @@ content labels (END excluded), ``ids`` their vocabulary indices (END
 included once terminated), and ``replay`` is ``(sid, produced, consumed,
 missing)`` after prefix + labels, or None when the beam is not modulated;
 ``sid`` is a state id of the net's reachability graph
-(:class:`~suffixbeam.petri.CompiledNet`), which keys its states by packed
-int. A call looks up its root state by the packed int of a fresh
-:class:`~suffixbeam.petri.ReplayState`, which has cleared a graph past its
-cap, and walks the prefix's state ids through ``steps`` once, so ids (and
-the records that hold them) stay valid for the whole call and are dropped
-with it. A child then costs one lookup, ``steps[sid][label]``,
-which also carries the successor's residual; a completion reads
-``finish[sid]``. Compliance is :func:`~suffixbeam.petri.fitness_counts`
-computed inline; only the zero-count case calls it, for its warning. The
+(:class:`~suffixbeam.petri.CompiledNet`). A call replays its prefix once
+through :class:`~suffixbeam.petri.ReplayState`, which starts every replay
+and alone clears a full graph, so ids (and the records that hold them) stay
+valid for the whole call. A child then costs one lookup,
+``steps[sid][label]``, which also carries the successor's residual; a
+completion reads ``finish[sid]``. Compliance is
+:func:`~suffixbeam.petri.fitness_counts` computed inline; only the
+zero-count case calls it, for its warning. The
 labels an open candidate expands by, with their floored log probabilities,
 come from the predictor's ``ranked_batch(prefixes, b_size)``, one call per
 step for all open candidates (see :mod:`~suffixbeam.predictor` for the
@@ -73,11 +72,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from operator import attrgetter
 from typing import NamedTuple
 
 from .eventlog import END
-from .petri import CompiledNet, PetriNet, ReplayState, compliance, fitness_counts
+from .petri import CompiledNet, PetriNet, _replayed, compliance, fitness_counts
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,12 @@ class BeamConfig:
     partial_mode: str = "strict"  # how open candidates score in-flight tokens
 
     def __post_init__(self):
+        for name in ("b_size", "max_iter") + (() if self.max_size is None else ("max_size",)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ValueError(f"{name} must be an int, not {v!r}")
+        if isinstance(self.w, bool) or not isinstance(self.w, Real):
+            raise ValueError(f"w must be a real number, not {self.w!r}")
         if self.b_size < 1 or self.max_iter < 1:
             raise ValueError("b_size and max_iter must be >= 1")
         if not 0.0 <= self.w <= 1.0:
@@ -210,16 +216,9 @@ def _prepared(prefix, net: PetriNet | None, w: float):
     prefix = _prefix(prefix)
     if net is None or w <= 0.0:
         return prefix, None, None
-    compiled = net.compiled
-    state = ReplayState(compiled)  # a fresh state clears a full graph: no id outlives the call
-    sid, produced, consumed, missing = compiled.state(state.code), state.produced, 0, 0
-    steps = compiled.steps
-    for label in prefix:
-        sid, m, c, p, _ = steps[sid].get(label) or compiled.step(sid, label)
-        missing += m
-        consumed += c
-        produced += p
-    return prefix, compiled, (sid, produced, consumed, missing)
+    state = _replayed(net, prefix)
+    compiled = state.compiled
+    return prefix, compiled, (compiled.state(state.code), state.produced, state.consumed, state.missing)
 
 
 def _run_beam(prefix, predictor, config: BeamConfig, w: float, compiled, root_replay, records) -> BeamResult:

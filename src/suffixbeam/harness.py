@@ -41,7 +41,7 @@ from .metrics import dl_similarity, micro_average
 from .petri import PetriNet
 from .predictor import train_ngram
 from .encoding import build_vocabulary
-from .synthgen import SynthConfig, generate
+from .synthgen import SynthConfig, exceptional_process_net, generate
 
 DEFAULT_W_GRID = tuple(round(0.05 * i, 2) for i in range(20))  # 0.00 .. 0.95
 DEFAULT_PREFIX_LENGTHS = (3, 4, 5, 6, 7)
@@ -150,11 +150,13 @@ def _beam_configs(beam_config: BeamConfig, w_grid, prefix_lengths, net: PetriNet
     (not a bool) of at least 1, and a w above 0 needs a net (without one the
     beam runs the baseline).
     A ``comparison`` measures against w = 0, so its grid must hold 0.
-    :class:`BeamConfig` checks the range of each w.
+    :class:`BeamConfig` checks the type and range of each w (a bool is not
+    a w), so the configs are built before any repeat is looked for.
     """
     for k in prefix_lengths:
         if isinstance(k, bool) or not isinstance(k, int):
             raise ValueError(f"prefix length {k!r} is not an int")
+    configs = tuple(replace(beam_config, w=w) for w in w_grid)
     for values, what in ((w_grid, "w value"), (prefix_lengths, "prefix length")):
         if not values:
             raise ValueError(f"no {what} given")
@@ -163,7 +165,6 @@ def _beam_configs(beam_config: BeamConfig, w_grid, prefix_lengths, net: PetriNet
                 raise ValueError(f"{what} {v} is given more than once")
     if min(prefix_lengths) < 1:
         raise ValueError("k must be >= 1")
-    configs = tuple(replace(beam_config, w=w) for w in w_grid)
     if comparison and 0.0 not in w_grid:
         raise ValueError("w grid must hold 0, the baseline the comparison table is measured against")
     if net is None and max(w_grid) > 0:
@@ -297,8 +298,11 @@ def run_synthetic_experiment(
     ngram_alpha: float = 0.01,
     epochs: int = 10,
 ) -> SweepResult:
-    """Generate the synthetic log, check the settings and the exceptional
+    """Check the settings, generate the synthetic log, check the exceptional
     traces' cases, train, and sweep on those cases."""
+    # the settings raise before generate; the beam's depth comes from the generated log
+    _beam_configs(BeamConfig(b_size=b_size), w_grid, prefix_lengths, exceptional_process_net(),
+                  comparison=True)
     generated = generate(config)
     configs = _beam_configs(_beam_config(generated.train_log, b_size), w_grid, prefix_lengths,
                             generated.net, comparison=True)

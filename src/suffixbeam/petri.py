@@ -20,6 +20,7 @@ can be scored two ways (the partial_mode of :func:`compliance`):
 
 from __future__ import annotations
 
+import copy
 import logging
 import warnings
 from dataclasses import dataclass, field
@@ -132,12 +133,11 @@ class CompiledNet:
     ``finish[sid]`` the outcome of consuming the final marking; :meth:`step`
     and :meth:`complete` fill them through the kernels on a miss.
 
-    Ids stay valid until :meth:`clear`. Only a fresh :class:`ReplayState`,
-    which starts every replay and every beam call, clears the graph, once it
-    has passed :data:`REPLAY_MEMO_CAP` states; so no id outlives the call
-    that holds it, as long as one thread at a time replays on the net.
-    There is no reference back to the net, so dropping a net frees its graph
-    at once rather than at the next full garbage collection.
+    The one lifetime rule: every replay starts with a new
+    :class:`ReplayState`, the only caller of :meth:`clear`, which it calls
+    once the graph has passed :data:`REPLAY_MEMO_CAP` states; so no id
+    outlives the replay that holds it, one thread at a time per net. With no
+    reference back to the net, dropping a net frees its graph at once.
     """
 
     def __init__(self, place_index, in_arcs, out_arcs, silent_rows, label_tids, initial, final):
@@ -236,25 +236,23 @@ class ReplayState:
     """Incremental replay: packed marking plus running counters.
 
     Extending a replayed trace by one label costs one lookup in the net's
-    step table instead of a full re-replay. A fresh state (no code given)
-    first clears a graph past :data:`REPLAY_MEMO_CAP` states. A state holds
-    its packed marking ``code``, not a state id, so it outlives a clear and
-    clones share it safely; ``marking`` reads it as a read-only int32 array.
+    step table instead of a full re-replay. A new state starts at the
+    initial marking and first clears a graph past :data:`REPLAY_MEMO_CAP`
+    states. A state holds its packed marking ``code``, not a state id, so it
+    outlives a clear and clones share it safely; ``marking`` reads it as a
+    read-only int32 array.
     """
 
     __slots__ = ("compiled", "code", "produced", "consumed", "missing")
 
-    def __init__(self, compiled: CompiledNet, code=None, produced=None, consumed=0, missing=0):
+    def __init__(self, compiled: CompiledNet):
+        if len(compiled.codes) > REPLAY_MEMO_CAP:
+            compiled.clear()
         self.compiled = compiled
-        if code is None:
-            if len(compiled.codes) > REPLAY_MEMO_CAP:
-                compiled.clear()
-            code = compiled.initial_code
-            produced = compiled.initial_tokens
-        self.code = code
-        self.produced = produced
-        self.consumed = consumed
-        self.missing = missing
+        self.code = compiled.initial_code
+        self.produced = compiled.initial_tokens
+        self.consumed = 0
+        self.missing = 0
 
     @property
     def marking(self):
@@ -262,7 +260,7 @@ class ReplayState:
         return _kernels.unpack(self.code, len(self.compiled.place_index))
 
     def clone(self) -> "ReplayState":
-        return ReplayState(self.compiled, self.code, self.produced, self.consumed, self.missing)
+        return copy.copy(self)
 
     def step(self, label: str) -> None:
         """Replay one visible label (mutates the state)."""

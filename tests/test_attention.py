@@ -47,6 +47,8 @@ def test_config_validation():
             AttentionConfig(**{"l_max": 5, "d_model": 4, "n_heads": 2, field: value})
     with pytest.raises(ValueError, match="d_model must be an integer"):
         AttentionConfig(l_max=5, d_model=4.0, n_heads=2)
+    with pytest.raises(ValueError, match="^n_layers must be an integer, not True$"):  # a bool is no integer
+        AttentionConfig(l_max=5, d_model=4, n_heads=2, n_layers=True)
 
 
 def test_sinusoidal_encoding_values():
@@ -279,16 +281,21 @@ def _set_meta(arrays, meta):
     arrays["__meta__"] = np.array(json.dumps(meta))
 
 
+def _set_config(arrays, meta, **fields):
+    _set_meta(arrays, {**meta, "config": {**meta["config"], **fields}})
+
+
 # case -> (the name the error must give, an edit of the saved arrays and meta)
 TAMPERINGS = {
     "no-w_out": ("w_out", lambda a, meta: a.pop("w_out")),
     "no-meta": ("__meta__", lambda a, meta: a.pop("__meta__")),
     "meta-not-json": ("__meta__", lambda a, meta: a.update(__meta__=np.array("{not json"))),
     "meta-no-config": ("config", lambda a, meta: _set_meta(a, {"labels": meta["labels"]})),
-    "meta-unknown-field": (
-        "__meta__", lambda a, meta: _set_meta(a, {**meta, "config": {**meta["config"], "width": 3}})
-    ),
+    "meta-unknown-field": ("__meta__", lambda a, meta: _set_config(a, meta, width=3)),
     "meta-bad-labels": ("__meta__", lambda a, meta: _set_meta(a, {**meta, "labels": ["A"]})),
+    # JSON true is a bool, which Python would take as the integer 1
+    "meta-bool-d_model": ("d_model must be an integer", lambda a, meta: _set_config(a, meta, d_model=True)),
+    "meta-bool-seed": ("seed must be an integer", lambda a, meta: _set_config(a, meta, seed=True)),
     "extra-param": ("l1_wq", lambda a, meta: a.update(l1_wq=np.zeros((4, 4)))),
     "w_out-short": ("w_out", lambda a, meta: a.update(w_out=a["w_out"][:, :-1])),
     "l0_wq-nan": ("l0_wq", lambda a, meta: a["l0_wq"].fill(np.nan)),

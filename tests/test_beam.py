@@ -2,6 +2,7 @@ import hashlib
 import math
 import warnings
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,28 @@ def test_config_validation():
         BeamConfig(max_size=0)
     with pytest.raises(ValueError, match="partial_mode"):
         BeamConfig(partial_mode="fuzzy")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("b_size", 2.5), ("b_size", True), ("max_iter", 2.5), ("max_iter", "3"), ("max_size", 2.0),
+     ("max_size", False)],
+)
+def test_config_sizes_must_be_ints(field, value):
+    # 2.5 would fail only inside the beam, as a slice index; a bool is no size
+    with pytest.raises(ValueError, match=f"^{field} must be an int, not {value!r}$"):
+        BeamConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+def test_config_w_must_be_a_real_number(value):
+    with pytest.raises(ValueError, match=f"^w must be a real number, not {value!r}$"):
+        BeamConfig(w=value)
+
+
+def test_config_takes_numpy_numbers_and_no_max_size():
+    config = BeamConfig(b_size=np.int64(2), max_iter=np.int32(4), w=np.float64(0.5), max_size=None)
+    assert (config.b_size, config.max_iter, config.w, config.max_size) == (2, 4, 0.5, None)
 
 
 def test_empty_prefix_rejected():
@@ -394,6 +417,39 @@ def test_sweep_beams_configs_may_differ_only_in_w():
     with pytest.raises(ValueError, match="non-empty prefix"):
         sweep_beams((), net, pred, [BeamConfig(w=0.3)])
     assert sweep_beams(("A",), net, pred, []) == ()
+
+
+# ---------------------------------------------------------------------------
+# the prefix replay: one walk, petri's ReplayState.step
+
+
+@pytest.mark.parametrize(
+    "prefix", [("Start",), ("Start", "B1a", "Unexpected"), ("Bogus", "Start", "B2a", "B2b")]
+)
+def test_a_beam_replays_its_prefix_through_replay_state_once(synth, synth_ngram, monkeypatch, prefix):
+    stepped = []
+    step = petri.ReplayState.step
+
+    def spy(state, label):
+        stepped.append(label)
+        step(state, label)
+
+    monkeypatch.setattr(petri.ReplayState, "step", spy)
+
+    def steps_of(search):
+        stepped.clear()
+        search()
+        return tuple(stepped)
+
+    config = BeamConfig(b_size=3, max_iter=8)
+    ws = [replace(config, w=w) for w in (0.0, 0.3, 0.85)]
+    assert steps_of(lambda: modulated_beam(prefix, synth.net, synth_ngram, ws[2])) == prefix
+    assert steps_of(lambda: sweep_beams(prefix, synth.net, synth_ngram, ws)) == prefix
+    assert steps_of(lambda: sweep_beams(prefix, synth.net, synth_ngram, ws[1:2])) == prefix
+    assert steps_of(lambda: baseline_beam(prefix, synth_ngram, ws[2])) == ()
+    assert steps_of(lambda: modulated_beam(prefix, synth.net, synth_ngram, ws[0])) == ()
+    assert steps_of(lambda: modulated_beam(prefix, None, synth_ngram, ws[2])) == ()
+    assert steps_of(lambda: sweep_beams(prefix, synth.net, synth_ngram, ws[:1] * 2)) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,12 @@ def _edit_npz(edit):
     return apply
 
 
+def _set_npz_config(arrays, **fields):
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["config"].update(fields)
+    arrays["__meta__"] = np.array(json.dumps(meta))
+
+
 @pytest.mark.parametrize(
     "model_name, tamper, fragment",
     [
@@ -381,9 +387,11 @@ def _edit_npz(edit):
         ("model.npz", _edit_npz(lambda a: a.pop("__meta__")), "__meta__"),
         ("model.npz", _edit_npz(lambda a: a["l0_wq"].fill(np.nan)), "'l0_wq' holds a non-finite weight"),
         ("model.npz", _edit_npz(lambda a: a.update(w_out=a["w_out"][:, :-1])), "'w_out' must be a float"),
+        ("model.npz", _edit_npz(lambda a: _set_npz_config(a, d_model=True)), "d_model must be an integer"),
+        ("model.npz", _edit_npz(lambda a: _set_npz_config(a, seed=True)), "seed must be an integer"),
     ],
     ids=["ngram-without-counts", "npz-without-w_out", "npz-without-meta", "npz-nan-weight",
-         "npz-w_out-short"],
+         "npz-w_out-short", "npz-bool-d_model", "npz-bool-seed"],
 )
 def test_predict_with_a_tampered_model_file_is_bad_input(
     workspace, tmp_path, capsys, model_name, tamper, fragment

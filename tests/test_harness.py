@@ -413,8 +413,13 @@ BAD_SETTINGS = {
     "k=True": (dict(prefix_lengths=(True,)), "prefix length True is not an int", ENTRIES),
     "k=3.0": (dict(prefix_lengths=(3, 3.0)), "prefix length 3.0 is not an int", ENTRIES),
     "w=1.5": (dict(w_grid=(0.0, 1.5)), r"w must be in \[0, 1\]", ENTRIES),
+    # True would sweep w = 1 and write True in the w cells, and beside 1.0 look like a repeat
+    "w=True": (dict(w_grid=(0.0, True)), "w must be a real number, not True", ENTRIES),
+    "w=True and 1.0": (dict(w_grid=(0.0, True, 1.0)), "w must be a real number, not True", ENTRIES),
+    "w='0.5'": (dict(w_grid=(0.0, "0.5")), "w must be a real number, not '0.5'", ENTRIES),
     # evaluate_dataset takes a built BeamConfig, which cannot hold b_size 0
     "b_size=0": (dict(b_size=0), "b_size and max_iter must be >= 1", ("synthetic", "reallife")),
+    "b_size=2.5": (dict(b_size=2.5), "b_size must be an int, not 2.5", ("synthetic", "reallife")),
     # only the experiments compare against w = 0
     "no w=0": (dict(w_grid=(0.5, 0.85)), "w grid must hold 0", ("synthetic", "reallife")),
     # the synthetic experiment brings its own net
@@ -440,6 +445,7 @@ def run_entry(entry, synth, predictor, settings):
 def test_every_entry_rejects_a_bad_setting_before_any_work(synth, synth_ngram, monkeypatch, entry, setting):
     settings, fragment, _ = BAD_SETTINGS[setting]
     work = []
+    monkeypatch.setattr(harness, "generate", lambda *a, **kw: work.append("generate"))
     monkeypatch.setattr(harness, "train_predictor", lambda *a, **kw: work.append("train"))
     monkeypatch.setattr(harness, "_cases_by_k", lambda *a, **kw: work.append("split"))
     with pytest.raises(ValueError, match=fragment):

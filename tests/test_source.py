@@ -110,3 +110,47 @@ def test_export_check_finds_a_planted_mismatch():
 
 def test_package_exports_each_import_once():
     assert export_mismatches((SRC / "__init__.py").read_text()) == []
+
+
+def replay_lifetime_breaches(source: str) -> list:
+    """``(line, what)`` of each place a module starts a replay or touches the graph's lifetime.
+
+    That is a ``ReplayState(...)`` call, a ``.clear()`` on a compiled net
+    (a receiver named or ending in ``compiled``) and a read of
+    ``REPLAY_MEMO_CAP``; only :mod:`suffixbeam.petri` may hold them.
+    """
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and name(node.func) == "ReplayState":
+            found.append((node.lineno, "ReplayState(...)"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "clear":
+            if name(node.func.value) in ("compiled", "CompiledNet"):
+                found.append((node.lineno, "compiled.clear()"))
+        elif name(node) == "REPLAY_MEMO_CAP":
+            found.append((node.lineno, "REPLAY_MEMO_CAP"))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, "REPLAY_MEMO_CAP") for alias in node.names if alias.name == "REPLAY_MEMO_CAP"]
+    return sorted(found)
+
+
+def test_replay_lifetime_check_finds_a_leftover():
+    source = (
+        "from .petri import REPLAY_MEMO_CAP, ReplayState\n"
+        "state = ReplayState(net.compiled)\n"
+        "if len(net.compiled.codes) > petri.REPLAY_MEMO_CAP:\n"
+        "    net.compiled.clear()\n"
+        "compiled.clear()\n"
+        "memo.clear()\n"
+    )
+    assert replay_lifetime_breaches(source) == [
+        (1, "REPLAY_MEMO_CAP"), (2, "ReplayState(...)"), (3, "REPLAY_MEMO_CAP"),
+        (4, "compiled.clear()"), (5, "compiled.clear()"),
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "petri.py"])
+def test_only_petri_starts_a_replay_or_clears_a_graph(module):
+    assert replay_lifetime_breaches((SRC / module).read_text()) == []
