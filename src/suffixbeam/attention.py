@@ -31,6 +31,7 @@ import math
 import zipfile
 import zlib
 from dataclasses import dataclass, asdict
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -61,8 +62,14 @@ class AttentionConfig:
     def __post_init__(self):
         for name in ("l_max", "d_model", "n_heads", "n_layers", "d_ff", "seed"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            if isinstance(v, bool) or not isinstance(v, Integral):
                 raise ValueError(f"{name} must be an integer, not {v!r}")
+        for name in ("dropout", "ln_eps"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Real):
+                raise ValueError(f"{name} must be a real number, not {v!r}")
+        if not isinstance(self.positional_encoding, (bool, np.bool_)):
+            raise ValueError(f"positional_encoding must be a bool, not {self.positional_encoding!r}")
         if self.l_max < 2:
             raise ValueError("l_max must be >= 2")
         if min(self.d_model, self.n_heads, self.d_ff) < 1 or self.n_layers < 0:
@@ -203,6 +210,7 @@ class AttentionModel(ContextModel):
         mask: np.ndarray,
         dropout_rng: np.random.Generator | None = None,
         rows: np.ndarray | None = None,
+        for_backward: bool = True,
     ):
         """Run the network; returns (probs, cache). Dropout only with a rng.
 
@@ -212,11 +220,16 @@ class AttentionModel(ContextModel):
         With ``rows``, ``x``/``mask`` hold distinct prefixes and output row
         i is prefix ``rows[i]``: the encoder runs once per prefix, while
         dropout, the head and the softmax run per output row.
+
+        The cache holds what :meth:`backward` reads. When no backward
+        follows (``for_backward=False``) it holds only ``pooled`` and
+        ``probs``, and each layer's activations are freed as the next
+        layer runs; the probabilities are the same either way.
         """
         if not mask.any(axis=1).all():
             raise ValueError("every mask row needs a real position; an empty prefix has none")
         p, cfg = self.params, self.config
-        cache = {"x": x, "mask": mask, "layers": [], "rows": rows}
+        layers = []
         h = x @ p["w_in"] + p["b_in"]
         if cfg.positional_encoding:
             h = h + self.pe[None, : x.shape[1], :]
@@ -226,7 +239,6 @@ class AttentionModel(ContextModel):
         scale = 1.0 / np.sqrt(cfg.d_model / cfg.n_heads)
         for layer in range(cfg.n_layers):
             key = f"l{layer}_"
-            lc = {"h_in": h}
             q = self._split_heads(h @ p[key + "wq"] + p[key + "bq"])
             k = self._split_heads(h @ p[key + "wk"] + p[key + "bk"])
             v = self._split_heads(h @ p[key + "wv"] + p[key + "bv"])
@@ -239,25 +251,25 @@ class AttentionModel(ContextModel):
             act = np.maximum(pre1, 0.0)
             ffn_out = act @ p[key + "w2"] + p[key + "b2"]
             h2, ln2_cache = _layer_norm_forward(ln1_out + ffn_out, p[key + "ln2_g"], p[key + "ln2_b"], cfg.ln_eps)
-            lc.update(q=q, k=k, v=v, attn=attn, merged=merged, ln1_out=ln1_out,
-                      ln1_cache=ln1_cache, pre1=pre1, act=act, ln2_cache=ln2_cache)
-            cache["layers"].append(lc)
+            if for_backward:
+                layers.append(dict(h_in=h, q=q, k=k, v=v, attn=attn, merged=merged, ln1_out=ln1_out,
+                                   ln1_cache=ln1_cache, pre1=pre1, act=act, ln2_cache=ln2_cache))
             h = h2
         pooled_src = np.where(mask[:, :, None], h, -np.inf)
         pool_idx = np.argmax(pooled_src, axis=1)  # (B, D)
         pooled = np.take_along_axis(h, pool_idx[:, None, :], axis=1)[:, 0, :]
-        cache["h_final"] = h
-        cache["pool_idx"] = pool_idx
+        cache = {}
+        if for_backward:
+            cache.update(x=x, mask=mask, layers=layers, rows=rows, h_final=h, pool_idx=pool_idx)
         if rows is not None:
             pooled = pooled[rows]
         if dropout_rng is not None and cfg.dropout > 0.0:
             keep = (dropout_rng.random(pooled.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
             pooled = pooled * keep
             cache["drop_keep"] = keep
-        cache["pooled"] = pooled
         logits = pooled @ p["w_out"] + p["b_out"]
         probs = _softmax_rows(logits)
-        cache["probs"] = probs
+        cache.update(pooled=pooled, probs=probs)
         return probs, cache
 
     # ------------------------------------------------------------ backward
@@ -339,7 +351,7 @@ class AttentionModel(ContextModel):
 
     def _rows(self, windows) -> np.ndarray:
         x, mask = self._encode(windows)
-        _, cache = self.forward(x, mask)
+        _, cache = self.forward(x, mask, for_backward=False)
         pooled, w_out, b_out = cache["pooled"], self.params["w_out"], self.params["b_out"]
         # The head is a stack of one-row products, (B, 1, d) @ (d, |V|): a
         # (B, d) @ (d, |V|) product rounds differently from the one-row
@@ -440,13 +452,14 @@ def train_attention(
     x_all, mask_all = model._encode(list(prefix_ids))
     y_all = np.array([vocab.index_of(target) for _, target in prefix_log.entries])
 
-    def run(idx, dropout_rng=None):
+    def run(idx, dropout_rng=None, for_backward=True):
         # distinct prefixes in order of first occurrence, so a batch without
         # repeats runs exactly as the plain per-entry forward
         seen: dict = {}
         rows = np.array([seen.setdefault(i, len(seen)) for i in entry_prefix[idx].tolist()])
         distinct = list(seen)
-        return model.forward(x_all[distinct], mask_all[distinct], dropout_rng=dropout_rng, rows=rows)
+        return model.forward(x_all[distinct], mask_all[distinct], dropout_rng=dropout_rng, rows=rows,
+                             for_backward=for_backward)
 
     rng = np.random.default_rng(config.seed + 1)
     n = len(y_all)
@@ -474,7 +487,7 @@ def train_attention(
     def evaluate(idx) -> float:
         if len(idx) == 0:
             return np.nan
-        probs, _ = run(idx)
+        probs, _ = run(idx, for_backward=False)
         return model.loss(probs, y_all[idx])
 
     chunk = max(1, batch_size // CHUNKS_PER_BATCH)

@@ -199,8 +199,8 @@ def _cmd_synthgen(args) -> int:
     write_xes(result.train_log, out / "train.xes")
     write_xes(result.test_log, out / "test.xes")
     write_pnml(result.net, out / "exceptional.pnml")
-    print(f"wrote {len(result.train_log.traces)} training traces -> {out / 'train.xes'}")
-    print(f"wrote {len(result.test_log.traces)} exceptional test traces -> {out / 'test.xes'}")
+    print(f"wrote {len(result.train_log)} training traces -> {out / 'train.xes'}")
+    print(f"wrote {len(result.test_log)} exceptional test traces -> {out / 'test.xes'}")
     print(f"wrote background-knowledge net -> {out / 'exceptional.pnml'}")
     return 0
 
@@ -213,8 +213,7 @@ def _cmd_split(args) -> int:
     path = out / "heldout.xes"
     out.mkdir(parents=True, exist_ok=True)
     path.write_text(document, encoding="utf-8", newline="\n")
-    variants = {t.activities for t in held_out.traces}
-    print(f"held out {len(held_out.traces)} traces ({len(variants)} variants) at k={args.k} -> {path}")
+    print(f"held out {len(held_out)} traces ({len(held_out.variants)} variants) at k={args.k} -> {path}")
     return 0
 
 

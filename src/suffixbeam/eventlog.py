@@ -4,9 +4,14 @@ A trace is one case: its id and two columns of equal length, the activity
 labels in time order and their UTC timestamps. A log is a collection of
 traces. Everything downstream works on *variants* — a trace's label column,
 a plain tuple of strings — so the functions here are the only place that
-touches timestamps or raw files. A log counts its distinct variants once,
-when it is built, and the prefix log counts its distinct pairs from them,
-so work that only counts follows the distinct variants, not the traces.
+touches timestamps or raw files. A log holds each trace's variant in log
+order and counts its distinct variants once, when it is built, and the
+prefix log counts its distinct pairs from them, so work on labels never
+reads a trace and work that only counts follows the distinct variants.
+A log parsed from a file holds its traces from the start; a log built from
+bare variants runs every check when it is built and makes its traces only
+when they are first read, which the sweep never does. This module is the
+only one that makes a ``Trace``, so it alone decides when a log makes them.
 
 Why this exists: suffix prediction trains on the *prefix log* (every prefix
 of every trace paired with the next label), and the completion label ``END``
@@ -22,8 +27,9 @@ import io
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import FrozenInstanceError, InitVar, dataclass, field
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from itertools import accumulate, repeat
 
 #: Reserved completion label appended to traces when building prefix logs.
@@ -31,6 +37,25 @@ from itertools import accumulate, repeat
 END = "__END__"
 
 Variant = tuple  # a variant is a tuple of activity labels
+
+
+def _check_trace(case_id, activities, timestamps) -> None:
+    """Raise what ``Trace(case_id, activities, timestamps)`` raises, if anything: ``Trace``'s checks."""
+    if not isinstance(case_id, str):
+        raise ValueError(f"trace {case_id!r} has a case id that is not a string")
+    if not case_id:
+        raise ValueError("trace with empty case id")
+    if not (isinstance(activities, tuple) and isinstance(timestamps, tuple)):
+        raise TypeError(f"trace {case_id!r}: activities and timestamps must be tuples")
+    if not activities:
+        raise ValueError(f"trace {case_id!r} has no events")
+    for label in activities:
+        if not isinstance(label, str):
+            raise ValueError(f"trace {case_id!r} has an event whose activity label {label!r} is not a string")
+        if not label:
+            raise ValueError(f"trace {case_id!r} has an event with empty activity label")
+    if len(timestamps) != len(activities):
+        raise ValueError(f"trace {case_id!r} has {len(activities)} activities but {len(timestamps)} timestamps")
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,71 +67,90 @@ class Trace:
     timestamps: tuple  # of UTC datetimes, one per activity
 
     def __post_init__(self):
-        if not isinstance(self.case_id, str):
-            raise ValueError(f"trace {self.case_id!r} has a case id that is not a string")
-        if not self.case_id:
-            raise ValueError("trace with empty case id")
-        if not (isinstance(self.activities, tuple) and isinstance(self.timestamps, tuple)):
-            raise TypeError(f"trace {self.case_id!r}: activities and timestamps must be tuples")
-        if not self.activities:
-            raise ValueError(f"trace {self.case_id!r} has no events")
-        for label in self.activities:
-            if not isinstance(label, str):
-                raise ValueError(f"trace {self.case_id!r} has an event whose activity label {label!r} is not a string")
-            if not label:
-                raise ValueError(f"trace {self.case_id!r} has an event with empty activity label")
-        if len(self.timestamps) != len(self.activities):
-            raise ValueError(
-                f"trace {self.case_id!r} has {len(self.activities)} activities"
-                f" but {len(self.timestamps)} timestamps"
-            )
+        _check_trace(self.case_id, self.activities, self.timestamps)
 
     def __len__(self):
         return len(self.activities)
 
 
-# the slot setters, which skip the frozen __setattr__
-_SET_CASE_ID, _SET_ACTIVITIES, _SET_TIMESTAMPS = (
-    getattr(Trace, name).__set__ for name in ("case_id", "activities", "timestamps")
-)
-
-
-def _trusted_trace(case_id: str, activities: tuple, timestamps: tuple) -> Trace:
-    """A Trace built without its checks: the caller vouches that ``Trace(...)`` would accept these."""
-    trace = object.__new__(Trace)
-    _SET_CASE_ID(trace, case_id)
-    _SET_ACTIVITIES(trace, activities)
-    _SET_TIMESTAMPS(trace, timestamps)
-    return trace
-
-
-@dataclass(frozen=True)
 class EventLog:
-    """Traces, their labels and their distinct variants.
+    """Traces, the variant of each, their distinct variants and their labels.
 
+    ``trace_variants`` holds each trace's variant in log order, and
     ``variants`` maps each distinct variant to its number of traces, in
-    order of first occurrence; it is counted once, when the log is built.
-    ``alphabet`` defaults to the labels of those variants.
+    order of first occurrence; both are made once, when the log is built,
+    so work on labels alone never reads ``traces``. ``alphabet`` defaults to
+    the labels of the variants. A log built by :func:`log_from_variants`, or
+    selected from one, makes its traces on the first read of ``traces`` and
+    keeps them. A log is immutable, and two logs are equal when their
+    traces and alphabets are, as for a frozen dataclass of those two fields.
     """
 
-    traces: tuple
-    alphabet: frozenset = None
-    variants: dict = field(init=False, repr=False, compare=False)
+    def __init__(self, traces: tuple, alphabet: frozenset = None):
+        self._fill(traces, tuple(map(variant_of, traces)), alphabet)
 
-    def __post_init__(self):
-        object.__setattr__(self, "variants", Counter(map(variant_of, self.traces)))
-        if self.alphabet is None:
-            object.__setattr__(self, "alphabet", frozenset().union(*self.variants))
+    @classmethod
+    def _planned(cls, trace_variants: tuple, make: partial) -> "EventLog":
+        """A log of these variants whose traces ``make()`` returns, on the first read of ``traces``."""
+        log = cls.__new__(cls)
+        log._fill(make, trace_variants, None)
+        return log
+
+    def _fill(self, traces, trace_variants: tuple, alphabet) -> None:
+        variants = Counter(trace_variants)
+        if alphabet is None:
+            alphabet = frozenset().union(*variants)
+        self.__dict__.update(_traces=traces, trace_variants=trace_variants, variants=variants, alphabet=alphabet)
+
+    @property
+    def traces(self) -> tuple:
+        if isinstance(self._traces, partial):
+            self.__dict__["_traces"] = self._traces()
+        return self._traces
 
     def __len__(self):
-        return len(self.traces)
+        return len(self.trace_variants)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.traces, self.alphabet) == (other.traces, other.alphabet)
+
+    def __hash__(self):
+        return hash((self.traces, self.alphabet))
+
+    def __repr__(self):
+        return f"EventLog(traces={self.traces!r}, alphabet={self.alphabet!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @staticmethod
     def from_traces(traces) -> "EventLog":
-        log = EventLog(tuple(traces))
-        if END in log.alphabet:
-            raise ValueError(f"input data uses the reserved completion label {END!r}")
-        return log
+        return _without_end(EventLog(tuple(traces)))
+
+    def select(self, rows) -> "EventLog":
+        """The log of this log's traces at ``rows``, in that order.
+
+        Its traces are the same objects, read from this log on the first
+        read of its own ``traces``; its alphabet is the labels they hold.
+        """
+        rows = tuple(rows)
+        return EventLog._planned(tuple(map(self.trace_variants.__getitem__, rows)), partial(_traces_at, self, rows))
+
+
+def _traces_at(log: EventLog, rows: tuple) -> tuple:
+    return tuple(map(log.traces.__getitem__, rows))
+
+
+def _without_end(log: EventLog) -> EventLog:
+    """``log``, once its alphabet is found not to hold the reserved label END."""
+    if END in log.alphabet:
+        raise ValueError(f"input data uses the reserved completion label {END!r}")
+    return log
 
 
 @dataclass(frozen=True)
@@ -162,15 +206,15 @@ def build_prefix_log(log: EventLog) -> PrefixLog:
     distinct variant is sliced once; its repeats reuse the same entries, and
     its pairs are counted once, with the variant's number of traces.
     """
-    if not log.traces:
+    if not log.trace_variants:
         raise ValueError("cannot build a prefix log from an empty event log")
     pairs_of = {}
     for variant in log.variants:
         labels = variant + (END,)
         pairs_of[variant] = [(labels[:k], labels[k]) for k in range(1, len(labels))]
     entries = []
-    for trace in log.traces:
-        entries.extend(pairs_of[variant_of(trace)])
+    for variant in log.trace_variants:
+        entries.extend(pairs_of[variant])
     return PrefixLog(tuple(entries), runs=((pairs_of[v], n) for v, n in log.variants.items()))
 
 
@@ -371,31 +415,41 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
 
     Trace i starts at ``start`` + i minutes (a naive ``start`` is local
     time); events are one minute apart. ``case_ids``, when given, names each
-    variant's trace. The timestamps come from one table of UTC datetimes a
-    minute apart, each trace's a slice of it, so traces share one object
-    wherever the instant is the same. ``Trace``'s checks run once per
-    distinct variant, by the public constructor on its first trace, so an
-    error names the same case as a trace-by-trace build, and once per case
-    id; a repeat with a valid case id skips the rest.
+    variant's trace; else trace i is ``"case_%04d" % i``, from 1 up. The
+    timestamps come from one table of UTC datetimes a minute apart, each
+    trace's a slice of it, so traces share one object wherever the instant
+    is the same.
+
+    Every check runs here, so bad input raises at the call: ``Trace``'s
+    checks on the first trace of each variant and on each trace whose case
+    id is bad, in log order, so an error names the same case as a
+    trace-by-trace build would, then the reserved-label check. The traces
+    themselves are made on the first read of the log's ``traces``.
     """
-    variants = [tuple(labels) for labels in variants]
-    if case_ids is None:
-        case_ids = ["case_%04d" % i for i in range(1, len(variants) + 1)]
-    elif len(case_ids) != len(variants):
-        raise ValueError(f"{len(case_ids)} case ids given for {len(variants)} variants")
+    column = tuple(map(tuple, variants))
+    if case_ids is not None:
+        case_ids = tuple(case_ids)
+        if len(case_ids) != len(column):
+            raise ValueError(f"{len(case_ids)} case ids given for {len(column)} variants")
     first = (start or datetime(2020, 1, 1, tzinfo=timezone.utc)).astimezone(timezone.utc)
-    n_minutes = len(variants) + max(map(len, variants), default=0)
+    n_minutes = len(column) + max(map(len, column), default=0)
     table = tuple(accumulate(repeat(timedelta(minutes=1), n_minutes - 1), initial=first))
-    checked, traces = set(), []  # checked: the variants a public Trace(...) has passed
-    for i, (case, labels) in enumerate(zip(case_ids, variants)):
-        stamps = table[i:i + len(labels)]
-        try:
-            repeat_ok = isinstance(case, str) and case and labels in checked
-        except TypeError:  # an unhashable label, which Trace(...) rejects
-            repeat_ok = False
-        if repeat_ok:
-            traces.append(_trusted_trace(case, labels, stamps))
-        else:  # the first trace of its variant, or a case id that Trace(...) rejects
-            traces.append(Trace(case, labels, stamps))
-            checked.add(labels)
-    return EventLog.from_traces(traces)
+    try:  # the first row of each variant: the later rows overwrite the earlier ones
+        rows = set(dict(zip(reversed(column), range(len(column) - 1, -1, -1))).values())
+    except TypeError:  # an unhashable label, which Trace's checks reject: check every row
+        rows = set(range(len(column)))
+    if case_ids is not None:
+        rows.update(i for i, case in enumerate(case_ids) if not (isinstance(case, str) and case))
+    for i in sorted(rows):
+        _check_trace(_case_id(case_ids, i), column[i], table[i:i + len(column[i])])
+    return _without_end(EventLog._planned(column, partial(_minute_traces, column, case_ids, table)))
+
+
+def _case_id(case_ids, i: int) -> str:
+    """Row i's case id in :func:`log_from_variants`."""
+    return "case_%04d" % (i + 1) if case_ids is None else case_ids[i]
+
+
+def _minute_traces(column: tuple, case_ids, table: tuple) -> tuple:
+    """The traces of :func:`log_from_variants`: row i starts at ``table[i]``."""
+    return tuple(Trace(_case_id(case_ids, i), labels, table[i:i + len(labels)]) for i, labels in enumerate(column))

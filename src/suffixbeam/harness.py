@@ -228,8 +228,7 @@ def evaluate_dataset(
     The grid need not hold w = 0: no comparison is made here.
     """
     configs = _beam_configs(beam_config, w_grid, prefix_lengths, net, comparison=False)
-    variants = [variant_of(trace) for trace in test_log.traces]
-    cases_by_k = _cases_by_k(dataset, prefix_lengths, lambda k: variants)
+    cases_by_k = _cases_by_k(dataset, prefix_lengths, lambda k: test_log.trace_variants)
     return _sweep(dataset, cases_by_k, predictor, net, configs)
 
 
@@ -306,8 +305,7 @@ def run_synthetic_experiment(
     generated = generate(config)
     configs = _beam_configs(_beam_config(generated.train_log, b_size), w_grid, prefix_lengths,
                             generated.net, comparison=True)
-    variants = [variant_of(trace) for trace in generated.test_log.traces]
-    cases_by_k = _cases_by_k("synthetic", prefix_lengths, lambda k: variants)
+    cases_by_k = _cases_by_k("synthetic", prefix_lengths, lambda k: generated.test_log.trace_variants)
     predictor, _ = train_predictor(generated.train_log, predictor_kind, ngram_order, ngram_alpha, epochs)
     return _sweep("synthetic", cases_by_k, predictor, generated.net, configs)
 
@@ -330,7 +328,7 @@ def run_reallife_experiment(
 
     def held_out_variants(k):
         try:
-            return map(variant_of, split_by_prefix(log, k)[1].traces)
+            return split_by_prefix(log, k)[1].trace_variants
         except ValueError:  # an empty holdout
             return ()
 

@@ -18,7 +18,10 @@ net knows better.
 contains exactly the exceptional training traces (the model has seen them;
 the question is whether search finds them again).  The training log comes
 from :func:`~suffixbeam.eventlog.log_from_variants`, so its variants are
-counted once and its timestamps come from one table of minutes.  The seed
+counted once and its timestamps come from one table of minutes; the test
+log is its exceptional rows, picked by index.  Neither makes a trace until
+its ``traces`` are first read, and then the test log's are the training
+log's own objects; only writing a log as XES reads them.  The seed
 and the trace counts must be non-negative integers and the fractions numbers
 in [0, 1]; a bool is neither.
 """
@@ -154,10 +157,7 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthResult:
     rng.shuffle(entries)
 
     train_log = log_from_variants([variant for variant, _ in entries])
-    exceptional = tuple(
-        trace for trace, (_, is_exc) in zip(train_log.traces, entries) if is_exc
-    )
+    exceptional = [row for row, (_, is_exc) in enumerate(entries) if is_exc]
     if not exceptional:
         raise ValueError("config produced no exceptional traces; nothing to test on")
-    test_log = EventLog.from_traces(exceptional)
-    return SynthResult(train_log=train_log, test_log=test_log, net=exceptional_process_net())
+    return SynthResult(train_log=train_log, test_log=train_log.select(exceptional), net=exceptional_process_net())

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
 from unittest import mock
@@ -49,6 +50,18 @@ def test_config_validation():
         AttentionConfig(l_max=5, d_model=4.0, n_heads=2)
     with pytest.raises(ValueError, match="^n_layers must be an integer, not True$"):  # a bool is no integer
         AttentionConfig(l_max=5, d_model=4, n_heads=2, n_layers=True)
+    for field, value, message in (
+        ("ln_eps", True, "ln_eps must be a real number, not True"),  # a bool is no real number either
+        ("dropout", False, "dropout must be a real number, not False"),
+        ("dropout", "0.1", "dropout must be a real number, not '0.1'"),
+        ("positional_encoding", "false", "positional_encoding must be a bool, not 'false'"),  # truthy
+        ("positional_encoding", 1, "positional_encoding must be a bool, not 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AttentionConfig(**{"l_max": 5, "d_model": 4, "n_heads": 2, field: value})
+    numpy_fields = AttentionConfig(l_max=5, d_model=4, n_heads=2, dropout=np.float32(0.25), ln_eps=np.float64(1e-6),
+                                   positional_encoding=np.bool_(False))
+    assert numpy_fields.dropout == 0.25 and not numpy_fields.positional_encoding
 
 
 def test_sinusoidal_encoding_values():
@@ -207,6 +220,43 @@ def test_gather_gradients_match_finite_differences_of_the_expanded_batch():
         np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=GRAD_ATOL, err_msg=name)
 
 
+def test_a_forward_that_no_backward_follows_keeps_no_activations():
+    model = AttentionModel(VOCAB4, DROPPY)
+    x, mask = model._encode(DISTINCT)
+    probs, cache = model.forward(x, mask, rows=ROWS)
+    bare_probs, bare = model.forward(x, mask, rows=ROWS, for_backward=False)
+    assert np.array_equal(bare_probs, probs) and np.array_equal(bare["pooled"], cache["pooled"])
+    assert sorted(bare) == ["pooled", "probs"] and len(cache["layers"]) == DROPPY.n_layers
+    # training keeps the activations of its steps only; its validation loss and a ranked batch keep none
+    calls, real_forward = [], AttentionModel.forward
+
+    def forward(model, x, mask, dropout_rng=None, rows=None, for_backward=True):
+        calls.append((dropout_rng is not None, for_backward))
+        return real_forward(model, x, mask, dropout_rng=dropout_rng, rows=rows, for_backward=for_backward)
+
+    log = log_from_variants([("A", "B", "C")] * 6 + [("A", "C")] * 4)
+    with mock.patch.object(AttentionModel, "forward", forward):
+        trained, _ = train_attention(build_prefix_log(log), build_vocabulary(log), TINY, epochs=2, batch_size=4)
+        trained.ranked_batch([("A",), ("A", "B")], 2)
+    assert set(calls) == {(True, True), (False, False)} and calls[-1] == (False, False)
+
+
+def test_a_forward_that_no_backward_follows_frees_each_layer_as_it_goes():
+    model = AttentionModel(VOCAB4, AttentionConfig(l_max=8, n_layers=4))
+    rng = np.random.default_rng(0)
+    x, mask = model._encode([tuple(rng.choice(["A", "B", "C"], size=rng.integers(1, 8))) for _ in range(200)])
+    peaks = []
+    for for_backward in (True, False):
+        tracemalloc.start()
+        try:
+            model.forward(x, mask, for_backward=for_backward)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # four layers of activations against about one (0.36 of the peak when measured)
+    assert peaks[1] < 0.5 * peaks[0]
+
+
 def test_trained_params_own_separate_memory_and_the_memo_is_empty():
     log = log_from_variants([("A", "B", "C")] * 6 + [("A", "C")] * 4)
     model, _ = train_attention(build_prefix_log(log), build_vocabulary(log), TINY, epochs=2, batch_size=4)
@@ -296,6 +346,9 @@ TAMPERINGS = {
     # JSON true is a bool, which Python would take as the integer 1
     "meta-bool-d_model": ("d_model must be an integer", lambda a, meta: _set_config(a, meta, d_model=True)),
     "meta-bool-seed": ("seed must be an integer", lambda a, meta: _set_config(a, meta, seed=True)),
+    "meta-bool-ln_eps": ("ln_eps must be a real number", lambda a, meta: _set_config(a, meta, ln_eps=True)),
+    "meta-string-positional_encoding": (
+        "positional_encoding must be a bool", lambda a, meta: _set_config(a, meta, positional_encoding="false")),
     "extra-param": ("l1_wq", lambda a, meta: a.update(l1_wq=np.zeros((4, 4)))),
     "w_out-short": ("w_out", lambda a, meta: a.update(w_out=a["w_out"][:, :-1])),
     "l0_wq-nan": ("l0_wq", lambda a, meta: a["l0_wq"].fill(np.nan)),
@@ -376,10 +429,10 @@ def training_spy():
         spy.chunkings.append((len(prefix_of_entry), chunk, len(out)))
         return out
 
-    def forward(model, x, mask, dropout_rng=None, rows=None):
+    def forward(model, x, mask, dropout_rng=None, rows=None, **kwargs):
         if dropout_rng is not None:
             spy.batches.append((len(rows), x.shape[0]))  # (entries, encoder rows)
-        return real_forward(model, x, mask, dropout_rng=dropout_rng, rows=rows)
+        return real_forward(model, x, mask, dropout_rng=dropout_rng, rows=rows, **kwargs)
 
     with mock.patch.object(attention, "_prefix_chunks", chunks):
         with mock.patch.object(AttentionModel, "forward", forward):

@@ -389,9 +389,12 @@ def _set_npz_config(arrays, **fields):
         ("model.npz", _edit_npz(lambda a: a.update(w_out=a["w_out"][:, :-1])), "'w_out' must be a float"),
         ("model.npz", _edit_npz(lambda a: _set_npz_config(a, d_model=True)), "d_model must be an integer"),
         ("model.npz", _edit_npz(lambda a: _set_npz_config(a, seed=True)), "seed must be an integer"),
+        ("model.npz", _edit_npz(lambda a: _set_npz_config(a, ln_eps=True)), "ln_eps must be a real number"),
+        ("model.npz", _edit_npz(lambda a: _set_npz_config(a, positional_encoding="false")),
+         "positional_encoding must be a bool"),
     ],
     ids=["ngram-without-counts", "npz-without-w_out", "npz-without-meta", "npz-nan-weight",
-         "npz-w_out-short", "npz-bool-d_model", "npz-bool-seed"],
+         "npz-w_out-short", "npz-bool-d_model", "npz-bool-seed", "npz-bool-ln_eps", "npz-string-positional_encoding"],
 )
 def test_predict_with_a_tampered_model_file_is_bad_input(
     workspace, tmp_path, capsys, model_name, tamper, fragment

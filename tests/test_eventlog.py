@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import pickle
 import re
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -24,7 +25,7 @@ from suffixbeam.eventlog import (
     write_xes,
 )
 
-from logs import repetitive_variants
+from logs import made_traces, repetitive_variants
 
 UTC = timezone.utc
 
@@ -597,6 +598,88 @@ def faulty_variants(draw):
 def test_log_from_variants_raises_what_a_per_trace_build_raises(drawn):
     got, want = outcome(log_from_variants, *drawn), outcome(per_trace_log, *drawn)
     assert got == want  # the same message, naming the same case, or the same log
+
+
+@settings(max_examples=100)
+@given(repetitive_variants(), st.booleans(), st.data())
+def test_a_log_from_variants_makes_its_traces_on_the_first_read_as_trace_would(variants, named, data):
+    case_ids = data.draw(st.lists(st.sampled_from(["a", "b", "case_0001"]), min_size=len(variants),
+                                  max_size=len(variants))) if named else None
+    with made_traces() as made:
+        got = log_from_variants(variants, case_ids)
+        # what works on labels alone reads the variant column and makes no trace
+        assert got.trace_variants == tuple(variants) and len(got) == len(variants)
+        assert list(got.variants.items()) == list(Counter(variants).items())
+        assert got.alphabet == frozenset(label for v in variants for label in v)
+        build_prefix_log(got)
+        assert made == []
+        traces = got.traces
+        assert made == list(case_ids or ["case_%04d" % i for i in range(1, len(variants) + 1)])
+        assert got.traces is traces  # kept: a second read makes none
+        assert len(made) == len(variants)
+    want = per_trace_log(variants, case_ids)
+    assert columns(got) == columns(want)
+    assert all(type(trace) is Trace for trace in traces)
+    stamps = [ts for trace in traces for ts in trace.timestamps]
+    assert len(set(map(id, stamps))) == len(set(stamps))  # one object per instant
+    assert got == want and want == got and hash(got) == hash(want) and repr(got) == repr(want)
+    assert EventLog(traces=traces) == got and got == EventLog(traces=traces)
+    assert list(got.variants.items()) == list(want.variants.items()) and got.alphabet == want.alphabet
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.traces = traces
+
+
+def test_a_log_from_variants_pickles_before_and_after_its_traces_are_made():
+    log = log_from_variants([("A", "B"), ("C",), ("A", "B")], case_ids=["x", "y", "z"])
+    with made_traces() as made:
+        copy = pickle.loads(pickle.dumps(log))
+        assert made == []
+    assert copy == log and columns(copy) == columns(log)
+    assert pickle.loads(pickle.dumps(log)) == log
+
+
+@settings(max_examples=50)
+@given(repetitive_variants(), st.booleans(), st.data())
+def test_select_picks_the_same_trace_objects_when_they_are_read(variants, built, data):
+    log = log_from_variants(variants)
+    if built:
+        log = EventLog.from_traces(log.traces)
+    rows = data.draw(st.lists(st.integers(0, len(variants) - 1), max_size=len(variants)))
+    with made_traces() as made:
+        picked = log.select(iter(rows))
+        assert picked.trace_variants == tuple(variants[i] for i in rows) and len(picked) == len(rows)
+        assert made == []
+        assert [id(t) for t in picked.traces] == [id(log.traces[i]) for i in rows]
+    assert picked == EventLog.from_traces(log.traces[i] for i in rows)
+
+
+# one kind of bad input each: (variants, case ids or None)
+BAD_INPUTS = {
+    "empty-label": ([("A",), ("A", "")], None),
+    "numeric-label": ([("A",), ("B", 3)], ["c1", "c2"]),
+    "unhashable-label": ([("A",), ("A", ["x"])], None),
+    "reserved-label": ([("A",), ("A", END)], None),
+    "empty-case-id": ([("A",), ("B",), ("A",)], ["c1", "c2", ""]),
+    "numeric-case-id": ([("A",), ("A",)], ["c1", 7]),
+    "no-events": ([("A",), ()], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_raises_at_the_call_as_a_per_trace_build_does(case):
+    variants, case_ids = BAD_INPUTS[case]
+    with pytest.raises(ValueError) as want:
+        per_trace_log(variants, case_ids)
+    with made_traces() as made, pytest.raises(ValueError) as got:
+        log_from_variants(variants, case_ids)
+    assert made == []  # raised before any trace was made
+    assert str(got.value) == str(want.value)
+
+
+def test_a_case_id_count_mismatch_raises_before_any_trace_is_made():
+    with made_traces() as made, pytest.raises(ValueError, match="1 case ids given for 2 variants"):
+        log_from_variants([("A",), ("B",)], case_ids=["c1"])
+    assert made == []
 
 
 def test_a_repeated_variant_still_checks_its_case_id():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from logs import repetitive_variants
+from logs import made_traces, repetitive_variants
 from nets import random_net
 
 from suffixbeam import harness, petri
@@ -373,6 +373,13 @@ def test_default_synthetic_experiment_csvs_are_locked(tmp_path):
         "sweep.csv": "e2f62b8a7fbe244a86caea45526a4b9e",
         "comparison.csv": "530051ebea746a47684972a5d2a0e310",
     }
+
+
+def test_the_default_synthetic_experiment_makes_no_trace():
+    # set-up and sweep read the logs' variant columns: a Trace is made only to be read
+    with made_traces() as made, pytest.warns(UserWarning, match="skipped: it has no test case"):
+        run_synthetic_experiment()
+    assert made == []
 
 
 def test_evaluate_dataset_with_no_cases_at_all(synth, synth_ngram):

@@ -333,7 +333,7 @@ def test_one_forward_per_call_over_its_distinct_misses():
     model = AttentionModel(VOCAB4, TINY)
     rows_forwarded = []
     forward = model.forward
-    model.forward = lambda x, mask: rows_forwarded.append(x.shape[0]) or forward(x, mask)
+    model.forward = lambda x, mask, **kwargs: rows_forwarded.append(x.shape[0]) or forward(x, mask, **kwargs)
     model.ranked_batch([("A",), ("B",)], 2)
     # ("C", "A", "B", "C", "A") shares its window with ("A", "B", "C", "A")
     model.ranked_batch([("A",), ("C",), ("C",), ("A", "B", "C", "A"), ("C", "A", "B", "C", "A")], 2)

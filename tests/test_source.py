@@ -154,3 +154,42 @@ def test_replay_lifetime_check_finds_a_leftover():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "petri.py"])
 def test_only_petri_starts_a_replay_or_clears_a_graph(module):
     assert replay_lifetime_breaches((SRC / module).read_text()) == []
+
+
+def trace_makers(source: str) -> list:
+    """``(line, what)`` of each place a module makes a ``Trace``.
+
+    That is a ``Trace(...)`` call, a ``_trusted_trace(...)`` call and a
+    ``__new__`` call handed ``Trace``; only :mod:`suffixbeam.eventlog` may
+    hold them, so it alone decides when a log makes its traces.
+    """
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and name(node.func) in ("Trace", "_trusted_trace"):
+            found.append((node.lineno, f"{name(node.func)}(...)"))
+        elif isinstance(node, ast.Call) and name(node.func) == "__new__":
+            if any(name(arg) == "Trace" for arg in node.args):
+                found.append((node.lineno, "__new__(Trace)"))
+    return sorted(found)
+
+
+def test_trace_maker_check_finds_a_leftover():
+    source = (
+        "from .eventlog import Trace, _trusted_trace\n"
+        "a = Trace('c', ('A',), stamps)\n"
+        "b = eventlog.Trace('c', ('A',), stamps)\n"
+        "c = _trusted_trace('c', ('A',), stamps)\n"
+        "d = object.__new__(Trace)\n"
+        "e = isinstance(a, Trace) and TraceLike('c')\n"
+    )
+    assert trace_makers(source) == [
+        (2, "Trace(...)"), (3, "Trace(...)"), (4, "_trusted_trace(...)"), (5, "__new__(Trace)"),
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "eventlog.py"])
+def test_only_eventlog_makes_a_trace(module):
+    assert trace_makers((SRC / module).read_text()) == []

@@ -4,7 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from suffixbeam.eventlog import variant_of
+from logs import made_traces
+from suffixbeam.encoding import build_vocabulary
+from suffixbeam.eventlog import build_prefix_log, variant_of
+from suffixbeam.predictor import train_ngram
 from suffixbeam.petri import compliance
 from suffixbeam.synthgen import (
     EXC_B1_SHORT,
@@ -91,13 +94,30 @@ def test_generation_is_deterministic():
     ]
 
 
+def train_log_digest(log) -> str:
+    digest = hashlib.md5()
+    for t in log.traces:
+        digest.update(repr((t.case_id, t.activities, tuple(ts.isoformat() for ts in t.timestamps))).encode())
+    return digest.hexdigest()
+
+
 def test_default_train_log_is_locked(synth):
     # the draw order, case ids and timestamps as they were when the lock was
     # taken; test_generation_is_deterministic only compares the code with itself
-    digest = hashlib.md5()
-    for t in synth.train_log.traces:
-        digest.update(repr((t.case_id, t.activities, tuple(ts.isoformat() for ts in t.timestamps))).encode())
-    assert digest.hexdigest() == "9ba8281a13dba25ef6c7f72767cddde6"
+    assert train_log_digest(synth.train_log) == "9ba8281a13dba25ef6c7f72767cddde6"
+
+
+def test_generate_and_ngram_set_up_make_no_trace():
+    with made_traces() as made:
+        generated = generate(SynthConfig())
+        log = generated.train_log
+        train_ngram(build_prefix_log(log), build_vocabulary(log), order=3, alpha=0.01)
+        assert len(generated.test_log) == 200 and made == []
+        # the traces are made on the first read, as the lock has them
+        assert train_log_digest(log) == "9ba8281a13dba25ef6c7f72767cddde6"
+        assert len(made) == 1000
+        assert all(t is log.traces[int(t.case_id[5:]) - 1] for t in generated.test_log.traces)
+        assert len(made) == 1000  # the test log's traces are the training log's objects
 
 
 def test_no_exceptional_traces_is_an_error():
