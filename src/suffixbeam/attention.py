@@ -36,7 +36,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .encoding import Vocabulary
-from .predictor import ContextModel
+from .predictor import ContextModel, _json_number
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -361,7 +361,7 @@ class AttentionModel(ContextModel):
     # --------------------------------------------------------- persistence
 
     def save(self, path) -> None:
-        meta = json.dumps({"config": asdict(self.config), "labels": list(self.vocab.labels)})
+        meta = json.dumps({"config": asdict(self.config), "labels": list(self.vocab.labels)}, default=_json_number)
         np.savez_compressed(path, __meta__=np.array(meta), **self.params)
 
     @classmethod

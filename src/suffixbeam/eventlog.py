@@ -8,10 +8,12 @@ touches timestamps or raw files. A log holds each trace's variant in log
 order and counts its distinct variants once, when it is built, and the
 prefix log counts its distinct pairs from them, so work on labels never
 reads a trace and work that only counts follows the distinct variants.
-A log parsed from a file holds its traces from the start; a log built from
-bare variants runs every check when it is built and makes its traces only
-when they are first read, which the sweep never does. This module is the
-only one that makes a ``Trace``, so it alone decides when a log makes them.
+A log is a frozen dataclass with one constructor, ``EventLog(traces)``,
+which rejects the reserved label END in every log. A log parsed from a file
+holds its traces from the start; a log built from bare variants runs every
+check when it is built and makes its traces only when they are first read,
+which the sweep never does. This module is the only one that makes a
+``Trace``, so it alone decides when a log makes them.
 
 Why this exists: suffix prediction trains on the *prefix log* (every prefix
 of every trace paired with the next label), and the completion label ``END``
@@ -27,10 +29,11 @@ import io
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter
-from dataclasses import FrozenInstanceError, InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from itertools import accumulate, repeat
+from typing import NamedTuple
 
 #: Reserved completion label appended to traces when building prefix logs.
 #: Rejected if it occurs in input data.
@@ -73,6 +76,29 @@ class Trace:
         return len(self.activities)
 
 
+class _Planned(NamedTuple):
+    """Traces not made yet: ``make()`` makes them; ``variants`` is their variant column, known now."""
+
+    variants: tuple
+    make: partial
+
+
+class _Traces:
+    """The ``traces`` field of a log: a stored :class:`_Planned` is made on the first read and the result kept."""
+
+    def __get__(self, log, owner=None):
+        if log is None:
+            raise AttributeError("traces")  # so the field has no default
+        traces = log.__dict__["traces"]
+        if isinstance(traces, _Planned):
+            traces = log.__dict__["traces"] = traces.make()
+        return traces
+
+    def __set__(self, log, traces):
+        log.__dict__["traces"] = traces
+
+
+@dataclass(frozen=True)
 class EventLog:
     """Traces, the variant of each, their distinct variants and their labels.
 
@@ -80,57 +106,28 @@ class EventLog:
     ``variants`` maps each distinct variant to its number of traces, in
     order of first occurrence; both are made once, when the log is built,
     so work on labels alone never reads ``traces``. ``alphabet`` defaults to
-    the labels of the variants. A log built by :func:`log_from_variants`, or
-    selected from one, makes its traces on the first read of ``traces`` and
-    keeps them. A log is immutable, and two logs are equal when their
-    traces and alphabets are, as for a frozen dataclass of those two fields.
+    the labels of the variants. No log may hold the reserved label END.
+    A log built by :func:`log_from_variants`, or selected from one, makes
+    its traces on the first read of ``traces`` and keeps them.
     """
 
-    def __init__(self, traces: tuple, alphabet: frozenset = None):
-        self._fill(traces, tuple(map(variant_of, traces)), alphabet)
+    traces: tuple = _Traces()
+    alphabet: frozenset = None
+    trace_variants: tuple = field(init=False, repr=False, compare=False)
+    variants: dict = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def _planned(cls, trace_variants: tuple, make: partial) -> "EventLog":
-        """A log of these variants whose traces ``make()`` returns, on the first read of ``traces``."""
-        log = cls.__new__(cls)
-        log._fill(make, trace_variants, None)
-        return log
-
-    def _fill(self, traces, trace_variants: tuple, alphabet) -> None:
-        variants = Counter(trace_variants)
-        if alphabet is None:
-            alphabet = frozenset().union(*variants)
-        self.__dict__.update(_traces=traces, trace_variants=trace_variants, variants=variants, alphabet=alphabet)
-
-    @property
-    def traces(self) -> tuple:
-        if isinstance(self._traces, partial):
-            self.__dict__["_traces"] = self._traces()
-        return self._traces
+    def __post_init__(self):
+        traces = self.__dict__["traces"]
+        column = traces.variants if isinstance(traces, _Planned) else tuple(map(variant_of, traces))
+        variants = Counter(column)
+        labels = frozenset().union(*variants)
+        if END in labels.union(self.alphabet or ()):
+            raise ValueError(f"input data uses the reserved completion label {END!r}")
+        alphabet = labels if self.alphabet is None else self.alphabet
+        self.__dict__.update(trace_variants=column, variants=variants, alphabet=alphabet)
 
     def __len__(self):
         return len(self.trace_variants)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.traces, self.alphabet) == (other.traces, other.alphabet)
-
-    def __hash__(self):
-        return hash((self.traces, self.alphabet))
-
-    def __repr__(self):
-        return f"EventLog(traces={self.traces!r}, alphabet={self.alphabet!r})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @staticmethod
-    def from_traces(traces) -> "EventLog":
-        return _without_end(EventLog(tuple(traces)))
 
     def select(self, rows) -> "EventLog":
         """The log of this log's traces at ``rows``, in that order.
@@ -139,18 +136,11 @@ class EventLog:
         read of its own ``traces``; its alphabet is the labels they hold.
         """
         rows = tuple(rows)
-        return EventLog._planned(tuple(map(self.trace_variants.__getitem__, rows)), partial(_traces_at, self, rows))
+        return EventLog(_Planned(tuple(map(self.trace_variants.__getitem__, rows)), partial(_traces_at, self, rows)))
 
 
 def _traces_at(log: EventLog, rows: tuple) -> tuple:
     return tuple(map(log.traces.__getitem__, rows))
-
-
-def _without_end(log: EventLog) -> EventLog:
-    """``log``, once its alphabet is found not to hold the reserved label END."""
-    if END in log.alphabet:
-        raise ValueError(f"input data uses the reserved completion label {END!r}")
-    return log
 
 
 @dataclass(frozen=True)
@@ -305,7 +295,7 @@ def parse_xes(source) -> EventLog:
             elem.clear()
     if not traces:
         raise ValueError("XES document contains no traces")
-    return EventLog.from_traces(traces)
+    return EventLog(tuple(traces))
 
 
 def _read_xes_trace(trace, index: int) -> Trace:
@@ -407,7 +397,7 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str) -> EventL
     traces = [_in_time_order(case, labels, stamps) for case, (labels, stamps) in by_case.items()]
     if not traces:
         raise ValueError("CSV input contains no event rows")
-    return EventLog.from_traces(traces)
+    return EventLog(tuple(traces))
 
 
 def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
@@ -423,17 +413,21 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
     Every check runs here, so bad input raises at the call: ``Trace``'s
     checks on the first trace of each variant and on each trace whose case
     id is bad, in log order, so an error names the same case as a
-    trace-by-trace build would, then the reserved-label check. The traces
-    themselves are made on the first read of the log's ``traces``.
+    trace-by-trace build would, then the reserved-label check; a minute
+    table that would leave the datetime range raises ValueError too. The
+    traces themselves are made on the first read of the log's ``traces``.
     """
     column = tuple(map(tuple, variants))
     if case_ids is not None:
         case_ids = tuple(case_ids)
         if len(case_ids) != len(column):
             raise ValueError(f"{len(case_ids)} case ids given for {len(column)} variants")
-    first = (start or datetime(2020, 1, 1, tzinfo=timezone.utc)).astimezone(timezone.utc)
     n_minutes = len(column) + max(map(len, column), default=0)
-    table = tuple(accumulate(repeat(timedelta(minutes=1), n_minutes - 1), initial=first))
+    try:
+        first = (start or datetime(2020, 1, 1, tzinfo=timezone.utc)).astimezone(timezone.utc)
+        table = tuple(accumulate(repeat(timedelta(minutes=1), n_minutes - 1), initial=first))
+    except OverflowError as exc:  # a start near either end of the datetime range
+        raise ValueError(f"{n_minutes} minutes from {start} leave the datetime range") from exc
     try:  # the first row of each variant: the later rows overwrite the earlier ones
         rows = set(dict(zip(reversed(column), range(len(column) - 1, -1, -1))).values())
     except TypeError:  # an unhashable label, which Trace's checks reject: check every row
@@ -442,7 +436,7 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
         rows.update(i for i, case in enumerate(case_ids) if not (isinstance(case, str) and case))
     for i in sorted(rows):
         _check_trace(_case_id(case_ids, i), column[i], table[i:i + len(column[i])])
-    return _without_end(EventLog._planned(column, partial(_minute_traces, column, case_ids, table)))
+    return EventLog(_Planned(column, partial(_minute_traces, column, case_ids, table)))
 
 
 def _case_id(case_ids, i: int) -> str:

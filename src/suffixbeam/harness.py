@@ -34,6 +34,7 @@ import csv
 import warnings
 from dataclasses import dataclass, replace
 from itertools import chain
+from numbers import Integral
 
 from .beam import BeamConfig, sweep_beams
 from .eventlog import EventLog, build_prefix_log, prefix, suffix, variant_of
@@ -116,7 +117,7 @@ def split_by_prefix(log: EventLog, k: int):
         raise ValueError(f"no length-{k} prefix is shared by two variants; nothing to hold out")
     held_out = [trace for trace in log.traces if variant_of(trace) in place_of]
     held_out.sort(key=lambda t: (t.case_id, place_of[variant_of(t)]))  # stable: log order within a key
-    return log, EventLog.from_traces(tuple(held_out))
+    return log, EventLog(tuple(held_out))
 
 
 def _cases_by_k(dataset: str, prefix_lengths, variants_of) -> dict:
@@ -146,15 +147,15 @@ def _beam_configs(beam_config: BeamConfig, w_grid, prefix_lengths, net: PetriNet
     """One beam config per w of the grid, once the sweep's settings pass.
 
     Neither the w grid nor the prefix lengths may be empty or repeat a
-    value (a repeat would be swept, and written, twice), every k is an int
-    (not a bool) of at least 1, and a w above 0 needs a net (without one the
-    beam runs the baseline).
+    value (a repeat would be swept, and written, twice), every k is an
+    integer (not a bool) of at least 1, and a w above 0 needs a net
+    (without one the beam runs the baseline).
     A ``comparison`` measures against w = 0, so its grid must hold 0.
     :class:`BeamConfig` checks the type and range of each w (a bool is not
     a w), so the configs are built before any repeat is looked for.
     """
     for k in prefix_lengths:
-        if isinstance(k, bool) or not isinstance(k, int):
+        if isinstance(k, bool) or not isinstance(k, Integral):
             raise ValueError(f"prefix length {k!r} is not an int")
     configs = tuple(replace(beam_config, w=w) for w in w_grid)
     for values, what in ((w_grid, "w value"), (prefix_lengths, "prefix length")):

@@ -16,6 +16,9 @@ can be scored two ways (the partial_mode of :func:`compliance`):
   marking pays for its in-flight tokens. The beam search defaults to this
   mode: under the lenient rule every prefix of a fitting trace scores 1 and
   the modulation weight can never vote *against* continuing.
+
+A net is a frozen dataclass; a net made by ``dataclasses.replace`` compiles
+its own packed form (:class:`CompiledNet`) on first use.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from __future__ import annotations
 import copy
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +59,9 @@ class Arc:
     weight: int = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class PetriNet:
-    """Immutable after construction; replay state lives outside the net."""
+    """A place/transition net; its compiled form is built on first use and kept beside the fields."""
 
     name: str
     places: tuple
@@ -65,7 +69,6 @@ class PetriNet:
     arcs: tuple  # of Arc
     initial_marking: dict
     final_marking: dict
-    _compiled: "CompiledNet" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         place_set = set(self.places)
@@ -107,20 +110,20 @@ class PetriNet:
                     f" the {TOKEN_MAX} tokens a place holds"
                 )
 
-    @property
+    @cached_property
     def compiled(self) -> "CompiledNet":
-        if self._compiled is None:
-            self._compiled = CompiledNet.build(self)
-        return self._compiled
+        return CompiledNet(self)
 
 
 class CompiledNet:
     """Packed form of a net for the replay kernels, plus its reachability graph.
 
-    Each transition row has packed ``pre``/``post`` markings (see
-    :mod:`suffixbeam._kernels`), its input ``(bit shift, weight)`` pairs and
-    its arc sums ``pre_tokens``/``post_tokens``; ``high`` is the top bit of
-    every place's field, ``evens`` the fields of the even places, and
+    ``CompiledNet(net)`` is its one constructor, and ``net.compiled`` the
+    one a net builds on first use and keeps. Each transition row has packed
+    ``pre``/``post`` markings (see :mod:`suffixbeam._kernels`), its input
+    ``(bit shift, weight)`` pairs and its arc sums
+    ``pre_tokens``/``post_tokens``; ``high`` is the top bit of every place's
+    field, ``evens`` the fields of the even places, and
     ``initial_code``/``final_code`` the packed initial and final markings.
 
     Replay outcomes depend only on the marking and the label, so the net
@@ -140,26 +143,8 @@ class CompiledNet:
     reference back to the net, dropping a net frees its graph at once.
     """
 
-    def __init__(self, place_index, in_arcs, out_arcs, silent_rows, label_tids, initial, final):
-        self.place_index = place_index
-        self.inputs = [tuple((32 * p, w) for p, w in arcs.items()) for arcs in in_arcs]
-        self.pre = [sum(w << shift for shift, w in pairs) for pairs in self.inputs]
-        self.post = [sum(w << 32 * p for p, w in arcs.items()) for arcs in out_arcs]
-        self.pre_tokens = [sum(arcs.values()) for arcs in in_arcs]
-        self.post_tokens = [sum(arcs.values()) for arcs in out_arcs]
-        self.high = sum(1 << 32 * p + 31 for p in range(len(place_index)))
-        self.evens = sum(_kernels.FIELD << 64 * p for p in range((len(place_index) + 1) // 2))
-        self.silent_rows = silent_rows
-        self.label_tids = label_tids  # label -> ascending tuple of transition rows
-        self.initial_code = sum(n << 32 * p for p, n in initial.items())
-        self.initial_tokens = sum(initial.values())
-        self.final_code = sum(n << 32 * p for p, n in final.items())
-        self.final_tokens = sum(final.values())
-        self.clear()
-
-    @staticmethod
-    def build(net: PetriNet) -> "CompiledNet":
-        place_index = {pid: i for i, pid in enumerate(net.places)}
+    def __init__(self, net: PetriNet):
+        self.place_index = place_index = {pid: i for i, pid in enumerate(net.places)}
         tid_index = {t.tid: i for i, t in enumerate(net.transitions)}
         in_arcs = [{} for _ in net.transitions]  # row -> {place row: summed weight}
         out_arcs = [{} for _ in net.transitions]
@@ -169,15 +154,23 @@ class CompiledNet:
             else:
                 t, p, arcs = tid_index[arc.source], place_index[arc.target], out_arcs
             arcs[t][p] = arcs[t].get(p, 0) + arc.weight
-        silent_rows = [i for i, t in enumerate(net.transitions) if t.label is None]
-        label_tids = {}
+        self.inputs = [tuple((32 * p, w) for p, w in arcs.items()) for arcs in in_arcs]
+        self.pre = [sum(w << shift for shift, w in pairs) for pairs in self.inputs]
+        self.post = [sum(w << 32 * p for p, w in arcs.items()) for arcs in out_arcs]
+        self.pre_tokens = [sum(arcs.values()) for arcs in in_arcs]
+        self.post_tokens = [sum(arcs.values()) for arcs in out_arcs]
+        self.high = sum(1 << 32 * p + 31 for p in range(len(place_index)))
+        self.evens = sum(_kernels.FIELD << 64 * p for p in range((len(place_index) + 1) // 2))
+        self.silent_rows = [i for i, t in enumerate(net.transitions) if t.label is None]
+        self.label_tids = {}  # label -> ascending tuple of transition rows
         for i, t in enumerate(net.transitions):
             if t.label is not None:
-                label_tids.setdefault(t.label, []).append(i)
-        label_tids = {lab: tuple(rows) for lab, rows in label_tids.items()}
-        initial = {place_index[pid]: n for pid, n in net.initial_marking.items()}
-        final = {place_index[pid]: n for pid, n in net.final_marking.items()}
-        return CompiledNet(place_index, in_arcs, out_arcs, silent_rows, label_tids, initial, final)
+                self.label_tids[t.label] = self.label_tids.get(t.label, ()) + (i,)
+        self.initial_code = sum(n << 32 * place_index[pid] for pid, n in net.initial_marking.items())
+        self.initial_tokens = sum(net.initial_marking.values())
+        self.final_code = sum(n << 32 * place_index[pid] for pid, n in net.final_marking.items())
+        self.final_tokens = sum(net.final_marking.values())
+        self.clear()
 
     def clear(self) -> None:
         """Forget every state; ids handed out before are no longer valid."""

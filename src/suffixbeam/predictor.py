@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -129,6 +130,10 @@ class NGramModel(ContextModel):
     ranked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.order, bool) or not isinstance(self.order, Integral):
+            raise ValueError(f"order must be an int, not {self.order!r}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
+            raise ValueError(f"alpha must be a real number, not {self.alpha!r}")
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if not 0 <= self.alpha < math.inf:
@@ -172,7 +177,7 @@ class NGramModel(ContextModel):
             "counts": [[list(ctx), row.tolist()] for ctx, row in sorted(self.counts.items())],
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            json.dump(payload, fh, default=_json_number)
 
     @staticmethod
     def load(path) -> "NGramModel":
@@ -193,6 +198,11 @@ class NGramModel(ContextModel):
         except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"{path} has a malformed n-gram model entry: {exc!r}") from None
         return NGramModel(vocab=vocab, order=order, alpha=alpha, counts=counts)
+
+
+def _json_number(value):
+    """A number JSON cannot write, a numpy scalar or a fraction, as the Python number it equals."""
+    return value.item() if isinstance(value, np.generic) else float(value)
 
 
 def _count_row(row) -> np.ndarray:

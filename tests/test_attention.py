@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import json
 import math
 import re
 import tracemalloc
 from contextlib import contextmanager
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -162,6 +164,24 @@ def test_save_load_round_trip(tmp_path):
     back = AttentionModel.load(path)
     assert back.config == model.config
     assert back.vocab == model.vocab
+    for k in model.params:
+        assert np.array_equal(back.params[k], model.params[k])
+    assert np.array_equal(back.predict_proba(("A", "B")), model.predict_proba(("A", "B")))
+
+
+@pytest.mark.parametrize("config", [
+    AttentionConfig(l_max=np.int64(5), d_model=np.int32(4), n_heads=np.int64(2), n_layers=np.int8(1),
+                    d_ff=np.uint16(8), dropout=np.float32(0.0), positional_encoding=np.bool_(True),
+                    seed=np.int64(11), ln_eps=np.float32(1e-5)),
+    AttentionConfig(l_max=5, d_model=4, n_heads=2, n_layers=1, d_ff=8, dropout=Fraction(1, 4), seed=11),
+], ids=["numpy", "fraction"])
+def test_a_config_of_other_numbers_saves_python_numbers(tmp_path, config):
+    model = AttentionModel(VOCAB4, config)
+    path = tmp_path / "model.npz"
+    model.save(path)
+    back = AttentionModel.load(path)
+    assert back.config == config
+    assert all(type(v) in (int, float, bool) for v in dataclasses.astuple(back.config))
     for k in model.params:
         assert np.array_equal(back.params[k], model.params[k])
     assert np.array_equal(back.predict_proba(("A", "B")), model.predict_proba(("A", "B")))

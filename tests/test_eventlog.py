@@ -118,6 +118,22 @@ def test_log_alphabet_and_reserved_label():
         log_from_variants([("A", END)])
 
 
+def test_every_log_rejects_the_reserved_label():
+    with pytest.raises(ValueError, match="reserved completion label"):
+        EventLog((Trace("c", (END,), at(0)),))
+    with pytest.raises(ValueError, match="reserved completion label"):
+        EventLog((Trace("c", ("A",), at(0)),), alphabet=frozenset({"A", END}))
+
+
+@pytest.mark.parametrize("start", [
+    datetime(9999, 12, 31, 23, 59, tzinfo=UTC),  # the second minute passes datetime.max
+    datetime(1, 1, 1, 0, 30, tzinfo=timezone(timedelta(hours=1))),  # before datetime.min in UTC
+])
+def test_a_start_whose_minutes_leave_the_datetime_range_is_a_value_error(start):
+    with pytest.raises(ValueError, match="leave the datetime range"):
+        log_from_variants([("A", "B")], start=start)
+
+
 # ---------------------------------------------------------------------------
 # variants and slicing
 
@@ -553,10 +569,10 @@ def per_trace_log(variants, case_ids=None):
     """Reference: log_from_variants as one public Trace(...) per trace, each with its own timestamps."""
     first = datetime(2020, 1, 1, tzinfo=UTC)
     case_ids = case_ids or ["case_%04d" % i for i in range(1, len(variants) + 1)]
-    return EventLog.from_traces(
+    return EventLog(tuple(
         Trace(case, tuple(labels), tuple(first + timedelta(minutes=i + j) for j in range(len(labels))))
         for i, (case, labels) in enumerate(zip(case_ids, variants))
-    )
+    ))
 
 
 def outcome(build, *args):
@@ -643,14 +659,14 @@ def test_a_log_from_variants_pickles_before_and_after_its_traces_are_made():
 def test_select_picks_the_same_trace_objects_when_they_are_read(variants, built, data):
     log = log_from_variants(variants)
     if built:
-        log = EventLog.from_traces(log.traces)
+        log = EventLog(log.traces)
     rows = data.draw(st.lists(st.integers(0, len(variants) - 1), max_size=len(variants)))
     with made_traces() as made:
         picked = log.select(iter(rows))
         assert picked.trace_variants == tuple(variants[i] for i in rows) and len(picked) == len(rows)
         assert made == []
         assert [id(t) for t in picked.traces] == [id(log.traces[i]) for i in rows]
-    assert picked == EventLog.from_traces(log.traces[i] for i in rows)
+    assert picked == EventLog(tuple(log.traces[i] for i in rows))
 
 
 # one kind of bad input each: (variants, case ids or None)

@@ -111,7 +111,7 @@ def per_trace_split(log, k):
     if not held_out:
         raise ValueError(f"no length-{k} prefix is shared by two variants; nothing to hold out")
     held_out.sort(key=lambda t: t.case_id)
-    return log, EventLog.from_traces(tuple(held_out))
+    return log, EventLog(tuple(held_out))
 
 
 @st.composite
@@ -148,7 +148,7 @@ def test_split_by_variant_counts_equals_a_per_trace_split(variants, k, data):
 
 @pytest.fixture(scope="module")
 def small_sweep(synth, synth_ngram):
-    test_log = EventLog.from_traces(synth.test_log.traces[:60])
+    test_log = EventLog(synth.test_log.traces[:60])
     with pytest.warns(UserWarning, match="k=9 skipped"):
         result = evaluate_dataset(
             "demo",
@@ -236,7 +236,7 @@ def counting(fn, counter, key):
 def test_sweep_predicts_each_distinct_case_once_with_identical_results(
     synth, synth_ngram, tmp_path, monkeypatch
 ):
-    test_log = EventLog.from_traces(synth.test_log.traces[:40])
+    test_log = EventLog(synth.test_log.traces[:40])
     args = ("repeats", test_log, synth_ngram)
     w_grid = (0.0, 0.5, 0.85)
     kwargs = dict(w_grid=w_grid, prefix_lengths=(3, 4, 5))
@@ -342,7 +342,7 @@ def test_sweep_reuses_a_ws_sums_only_where_its_outcomes_repeat(variants, unique,
 def test_a_graph_clear_inside_a_sweep_changes_no_cell(synth, synth_ngram, monkeypatch):
     # with a cap of 3 states, the graph is cleared at the start of almost
     # every sweep_beams call, between the prefixes of one sweep
-    test_log = EventLog.from_traces(synth.test_log.traces[:30])
+    test_log = EventLog(synth.test_log.traces[:30])
     config = BeamConfig(b_size=3, max_iter=8)
     kwargs = dict(w_grid=(0.0, 0.3, 0.85, 1.0), prefix_lengths=(3, 4, 5))
     want = reference_sweep("clears", test_log, synth_ngram, exceptional_process_net(), config, **kwargs)
@@ -383,7 +383,7 @@ def test_the_default_synthetic_experiment_makes_no_trace():
 
 
 def test_evaluate_dataset_with_no_cases_at_all(synth, synth_ngram):
-    test_log = EventLog.from_traces(synth.test_log.traces[:5])
+    test_log = EventLog(synth.test_log.traces[:5])
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError, match="no prefix length has any test case"):
             evaluate_dataset(
@@ -460,8 +460,19 @@ def test_every_entry_rejects_a_bad_setting_before_any_work(synth, synth_ngram, m
     assert work == []
 
 
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_every_entry_takes_numpy_prefix_lengths_as_the_ints_they_equal(synth, synth_ngram, tmp_path, entry):
+    settings = dict(w_grid=(0.0, 0.85), prefix_lengths=(np.int64(3), np.int32(4)))
+    got = run_entry(entry, synth, synth_ngram, settings)
+    want = run_entry(entry, synth, synth_ngram, dict(settings, prefix_lengths=(3, 4)))
+    assert got == want
+    write_sweep_csv(tmp_path / "got.csv", got)
+    write_sweep_csv(tmp_path / "want.csv", want)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_evaluate_dataset_without_a_net_runs_the_baseline(synth, synth_ngram):
-    test_log = EventLog.from_traces(synth.test_log.traces[:40])
+    test_log = EventLog(synth.test_log.traces[:40])
     args = ("base", test_log, synth_ngram)
     kwargs = dict(w_grid=(0.0,), prefix_lengths=(3, 4))
     config = BeamConfig(b_size=3, max_iter=8)

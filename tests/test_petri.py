@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -49,6 +50,25 @@ def assert_matches_reference(net, variant):
 
 # ---------------------------------------------------------------------------
 # net construction
+
+
+def test_a_replaced_net_replays_against_its_own_transitions():
+    net = chain_net(["A", "B", "C"])
+    assert compliance(net, ("A", "B", "C")) == 1.0  # compiles the net and keeps its graph
+    lower = tuple(Transition(t.tid, t.label.lower()) for t in net.transitions)
+    relabelled = dataclasses.replace(net, transitions=lower)
+    assert compliance(relabelled, ("a", "b", "c")) == 1.0
+    assert relabelled.compiled is not net.compiled and relabelled.compiled.label_tids.keys() == {"a", "b", "c"}
+    assert compliance(net, ("A", "B", "C")) == 1.0
+
+
+def test_a_net_is_frozen():
+    net = chain_net(["A", "B"])
+    compiled = net.compiled
+    for name in ("name", "transitions", "initial_marking", "compiled"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(net, name, getattr(net, name))
+    assert net.compiled is compiled  # built once, then kept
 
 
 def test_net_validation():

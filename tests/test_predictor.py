@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,37 @@ def test_save_load_round_trip(tiny_model, tmp_path):
         assert back.counts[ctx].tolist() == row.tolist()
     # bit-for-bit identical predictions
     assert back.predict_proba(("A", "B")).tolist() == tiny_model.predict_proba(("A", "B")).tolist()
+
+
+@pytest.mark.parametrize("order, alpha", [(np.int64(2), 0.5), (2, np.float32(0.5)), (np.int32(2), np.float64(0.5))])
+def test_a_model_of_numpy_numbers_saves_python_numbers(tmp_path, order, alpha):
+    log = log_from_variants([("A", "B", "A")] * 4 + [("A", "B", "B")] * 2)
+    model = train_ngram(build_prefix_log(log), build_vocabulary(log), order=order, alpha=alpha)
+    path = tmp_path / "model.json"
+    model.save(path)
+    payload = json.loads(path.read_text())
+    assert (type(payload["order"]), type(payload["alpha"])) == (int, float)
+    back = NGramModel.load(path)
+    assert (back.order, back.alpha) == (2, 0.5)
+    for prefix in [("A",), ("A", "B"), ("B", "B")]:
+        assert back.predict_proba(prefix).tolist() == model.predict_proba(prefix).tolist()
+
+
+@pytest.mark.parametrize(
+    "order, alpha, message",
+    [
+        (2.5, 0.5, "order must be an int, not 2.5"),
+        (2.0, 0.5, "order must be an int, not 2.0"),
+        (True, 0.5, "order must be an int, not True"),
+        ("2", 0.5, "order must be an int, not '2'"),
+        (2, True, "alpha must be a real number, not True"),
+        (2, "0.5", "alpha must be a real number, not '0.5'"),
+    ],
+)
+def test_a_model_takes_an_int_order_and_a_real_alpha(order, alpha, message):
+    vocab = Vocabulary(labels=("A", END))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        NGramModel(vocab=vocab, order=order, alpha=alpha, counts={})
 
 
 @pytest.mark.parametrize(

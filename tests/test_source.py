@@ -193,3 +193,104 @@ def test_trace_maker_check_finds_a_leftover():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "eventlog.py"])
 def test_only_eventlog_makes_a_trace(module):
     assert trace_makers((SRC / module).read_text()) == []
+
+
+HAND_WRITTEN = ("__setattr__", "__delattr__", "__eq__", "__hash__")
+
+
+def hand_written_dunders(source: str) -> list:
+    """``(line, "Class.name")`` of each ``__setattr__``, ``__delattr__``, ``__eq__`` or ``__hash__`` a class defines.
+
+    A method or an assignment in the class body counts. A frozen dataclass
+    writes these four, so a class that writes them itself imitates one.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [(item.lineno, f"{node.name}.{name}") for name in names if name in HAND_WRITTEN]
+    return found
+
+
+def test_hand_written_dunder_check_finds_a_leftover():
+    source = (
+        "class Log:\n"
+        "    def __eq__(self, other): return True\n"
+        "    def __hash__(self): return 0\n"
+        "    def __repr__(self): return 'Log'\n"
+        "class Net:\n"
+        "    __hash__ = None\n"
+        "    def __setattr__(self, name, value): raise TypeError\n"
+        "    def __delattr__(self, name): raise TypeError\n"
+        "def __eq__(a, b): return a is b\n"
+    )
+    assert hand_written_dunders(source) == [
+        (2, "Log.__eq__"), (3, "Log.__hash__"), (6, "Net.__hash__"), (7, "Net.__setattr__"), (8, "Net.__delattr__"),
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_class_writes_what_a_frozen_dataclass_writes(module):
+    assert hand_written_dunders((SRC / module).read_text()) == []
+
+
+def private_init_fields(source: str) -> list:
+    """``(line, "Class.name")`` of each dataclass field named with a leading ``_`` that ``__init__`` takes.
+
+    ``__init__`` skips a field declared ``field(init=False, ...)``, and a
+    ``ClassVar`` is no field. A private field that ``__init__`` takes lets a
+    caller hand in what the class means to keep to itself, such as a cache.
+    """
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def skipped_by_init(value):
+        return isinstance(value, ast.Call) and name(value.func) == "field" and any(
+            kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+            for kw in value.keywords
+        )
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if not any(name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list):
+            continue
+        for item in node.body:
+            if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+                continue
+            if item.target.id.startswith("_") and "ClassVar" not in ast.unparse(item.annotation):
+                if not skipped_by_init(item.value):
+                    found.append((item.lineno, f"{node.name}.{item.target.id}"))
+    return found
+
+
+def test_private_init_field_check_finds_a_leftover():
+    source = (
+        "@dataclass\n"
+        "class Net:\n"
+        "    name: str\n"
+        "    _compiled: object = field(default=None, repr=False, compare=False)\n"
+        "    _seen: dict = field(default_factory=dict, init=False)\n"
+        "    _cap: ClassVar[int] = 4\n"
+        "    _flag: InitVar[bool] = False\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Log:\n"
+        "    _traces: tuple\n"
+        "class Plain:\n"
+        "    _hidden: int = 0\n"
+    )
+    assert private_init_fields(source) == [(4, "Net._compiled"), (7, "Net._flag"), (10, "Log._traces")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_dataclass_field_is_an_init_parameter(module):
+    assert private_init_fields((SRC / module).read_text()) == []
