@@ -68,6 +68,10 @@ class AttentionConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Real):
                 raise ValueError(f"{name} must be a real number, not {v!r}")
+            try:  # stored as the float the forward computes with, as a model file holds it
+                object.__setattr__(self, name, float(v))
+            except OverflowError:
+                raise ValueError(f"{name} must be a real number a float can hold, not {v!r}") from None
         if not isinstance(self.positional_encoding, (bool, np.bool_)):
             raise ValueError(f"positional_encoding must be a bool, not {self.positional_encoding!r}")
         if self.l_max < 2:
@@ -436,7 +440,7 @@ def train_attention(
     ``val_fraction`` outside [0, 1), or a ``learning_rate`` that is not
     finite and above 0.
     """
-    if not prefix_log.entries:
+    if not prefix_log.counts:
         raise ValueError("prefix log is empty")
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")

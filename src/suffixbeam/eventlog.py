@@ -11,9 +11,13 @@ reads a trace and work that only counts follows the distinct variants.
 A log is a frozen dataclass with one constructor, ``EventLog(traces)``,
 which rejects the reserved label END in every log. A log parsed from a file
 holds its traces from the start; a log built from bare variants runs every
-check when it is built and makes its traces only when they are first read,
-which the sweep never does. This module is the only one that makes a
-``Trace``, so it alone decides when a log makes them.
+check when it is built and makes its traces, and the minute table their
+timestamps come from, only when they are first read, which the sweep never
+does. A prefix log built from a log lays out its per-trace entries only when
+they are first read too: the n-gram reads its counts alone, and only
+attention training reads the entries. One field descriptor keeps both plans.
+This module is the only one that makes a ``Trace``, so it alone decides when
+a log makes them.
 
 Why this exists: suffix prediction trains on the *prefix log* (every prefix
 of every trace paired with the next label), and the completion label ``END``
@@ -77,25 +81,28 @@ class Trace:
 
 
 class _Planned(NamedTuple):
-    """Traces not made yet: ``make()`` makes them; ``variants`` is their variant column, known now."""
+    """A column not made yet: ``make()`` makes it; ``variants`` is the variant column it follows, known now."""
 
     variants: tuple
     make: partial
 
 
-class _Traces:
-    """The ``traces`` field of a log: a stored :class:`_Planned` is made on the first read and the result kept."""
+class _Made:
+    """A dataclass field whose stored :class:`_Planned` is made on the first read and the result kept."""
 
-    def __get__(self, log, owner=None):
-        if log is None:
-            raise AttributeError("traces")  # so the field has no default
-        traces = log.__dict__["traces"]
-        if isinstance(traces, _Planned):
-            traces = log.__dict__["traces"] = traces.make()
-        return traces
+    def __set_name__(self, owner, name):
+        self.name = name
 
-    def __set__(self, log, traces):
-        log.__dict__["traces"] = traces
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # so the field has no default
+        value = obj.__dict__[self.name]
+        if isinstance(value, _Planned):
+            value = obj.__dict__[self.name] = value.make()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,7 @@ class EventLog:
     its traces on the first read of ``traces`` and keeps them.
     """
 
-    traces: tuple = _Traces()
+    traces: tuple = _Made()
     alphabet: frozenset = None
     trace_variants: tuple = field(init=False, repr=False, compare=False)
     variants: dict = field(init=False, repr=False, compare=False)
@@ -152,9 +159,12 @@ class PrefixLog:
     first occurrence, so ``counts == Counter(entries)`` item for item. It is
     counted from ``runs``, ``(pairs, n)`` items saying that each of
     ``pairs`` occurs ``n`` times; without them each entry is a run of one.
+    A prefix log built by :func:`build_prefix_log` makes its entries on the
+    first read of ``entries`` and keeps them; ``len`` and ``counts`` never
+    read them.
     """
 
-    entries: tuple  # of (Variant, str)
+    entries: tuple = _Made()  # of (Variant, str)
     runs: InitVar[object] = None
     counts: dict = field(init=False, repr=False, compare=False)
 
@@ -166,7 +176,7 @@ class PrefixLog:
         object.__setattr__(self, "counts", counts)
 
     def __len__(self):
-        return len(self.entries)
+        return sum(self.counts.values())
 
 
 def variant_of(trace: Trace) -> Variant:
@@ -193,8 +203,9 @@ def build_prefix_log(log: EventLog) -> PrefixLog:
 
     The completion label END is appended to each trace first, so a trace of
     length n contributes n entries, the last one targeting END. Each
-    distinct variant is sliced once; its repeats reuse the same entries, and
-    its pairs are counted once, with the variant's number of traces.
+    distinct variant is sliced once and its pairs counted once, with the
+    variant's number of traces; the entries, in which its repeats reuse the
+    same pairs, are laid out per trace on the first read of ``entries``.
     """
     if not log.trace_variants:
         raise ValueError("cannot build a prefix log from an empty event log")
@@ -202,10 +213,17 @@ def build_prefix_log(log: EventLog) -> PrefixLog:
     for variant in log.variants:
         labels = variant + (END,)
         pairs_of[variant] = [(labels[:k], labels[k]) for k in range(1, len(labels))]
+    column = log.trace_variants
+    return PrefixLog(_Planned(column, partial(_entries, pairs_of, column)),
+                     runs=((pairs_of[v], n) for v, n in log.variants.items()))
+
+
+def _entries(pairs_of: dict, column: tuple) -> tuple:
+    """The entries of :func:`build_prefix_log`: the pairs of each row's variant, in log order."""
     entries = []
-    for variant in log.trace_variants:
+    for variant in column:
         entries.extend(pairs_of[variant])
-    return PrefixLog(tuple(entries), runs=((pairs_of[v], n) for v, n in log.variants.items()))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -414,29 +432,31 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
     checks on the first trace of each variant and on each trace whose case
     id is bad, in log order, so an error names the same case as a
     trace-by-trace build would, then the reserved-label check; a minute
-    table that would leave the datetime range raises ValueError too. The
-    traces themselves are made on the first read of the log's ``traces``.
+    table whose last minute would leave the datetime range raises
+    ValueError too. The traces themselves, and the table, are made on the
+    first read of the log's ``traces``.
     """
     column = tuple(map(tuple, variants))
     if case_ids is not None:
         case_ids = tuple(case_ids)
         if len(case_ids) != len(column):
             raise ValueError(f"{len(case_ids)} case ids given for {len(column)} variants")
-    n_minutes = len(column) + max(map(len, column), default=0)
-    try:
+    try:  # the first row of each variant: the later rows overwrite the earlier ones
+        firsts = dict(zip(reversed(column), range(len(column) - 1, -1, -1)))
+        rows, longest = set(firsts.values()), max(map(len, firsts), default=0)
+    except TypeError:  # an unhashable label, which Trace's checks reject: check every row
+        rows, longest = set(range(len(column))), max(map(len, column), default=0)
+    n_minutes = len(column) + longest
+    try:  # the table's last minute is in range exactly when every minute is
         first = (start or datetime(2020, 1, 1, tzinfo=timezone.utc)).astimezone(timezone.utc)
-        table = tuple(accumulate(repeat(timedelta(minutes=1), n_minutes - 1), initial=first))
+        first + timedelta(minutes=max(n_minutes - 1, 0))
     except OverflowError as exc:  # a start near either end of the datetime range
         raise ValueError(f"{n_minutes} minutes from {start} leave the datetime range") from exc
-    try:  # the first row of each variant: the later rows overwrite the earlier ones
-        rows = set(dict(zip(reversed(column), range(len(column) - 1, -1, -1))).values())
-    except TypeError:  # an unhashable label, which Trace's checks reject: check every row
-        rows = set(range(len(column)))
     if case_ids is not None:
         rows.update(i for i, case in enumerate(case_ids) if not (isinstance(case, str) and case))
     for i in sorted(rows):
-        _check_trace(_case_id(case_ids, i), column[i], table[i:i + len(column[i])])
-    return EventLog(_Planned(column, partial(_minute_traces, column, case_ids, table)))
+        _check_trace(_case_id(case_ids, i), column[i], (first,) * len(column[i]))
+    return EventLog(_Planned(column, partial(_minute_traces, column, case_ids, first, n_minutes)))
 
 
 def _case_id(case_ids, i: int) -> str:
@@ -444,6 +464,7 @@ def _case_id(case_ids, i: int) -> str:
     return "case_%04d" % (i + 1) if case_ids is None else case_ids[i]
 
 
-def _minute_traces(column: tuple, case_ids, table: tuple) -> tuple:
-    """The traces of :func:`log_from_variants`: row i starts at ``table[i]``."""
+def _minute_traces(column: tuple, case_ids, first: datetime, n_minutes: int) -> tuple:
+    """The traces of :func:`log_from_variants`: row i starts i minutes after ``first``."""
+    table = tuple(accumulate(repeat(timedelta(minutes=1), n_minutes - 1), initial=first))
     return tuple(Trace(_case_id(case_ids, i), labels, table[i:i + len(labels)]) for i, labels in enumerate(column))

@@ -220,7 +220,7 @@ def train_ngram(prefix_log: PrefixLog, vocab: Vocabulary, order: int = 3, alpha:
     first occurrence.
     """
     model = NGramModel(vocab=vocab, order=order, alpha=alpha, counts={})
-    if not prefix_log.entries:
+    if not prefix_log.counts:
         raise ValueError("empty prefix log")
     for (prefix, nxt), multiplicity in prefix_log.counts.items():
         ctx = model.context_of(prefix)

@@ -16,14 +16,17 @@ net knows better.
 
 ``generate`` is fully deterministic for a given config.  The test log
 contains exactly the exceptional training traces (the model has seen them;
-the question is whether search finds them again).  The training log comes
-from :func:`~suffixbeam.eventlog.log_from_variants`, so its variants are
-counted once and its timestamps come from one table of minutes; the test
-log is its exceptional rows, picked by index.  Neither makes a trace until
-its ``traces`` are first read, and then the test log's are the training
-log's own objects; only writing a log as XES reads them.  The seed
-and the trace counts must be non-negative integers and the fractions numbers
-in [0, 1]; a bool is neither.
+the question is whether search finds them again).  Each training row is
+drawn as a small code for its variant, and one list of codes is shuffled; a
+list's shuffle permutes by its length alone, so the rows are those a shuffle
+of the variants themselves gives, and a row is exceptional by its code.  The
+training log comes from :func:`~suffixbeam.eventlog.log_from_variants`, so
+its variants are counted once and its timestamps come from one table of
+minutes; the test log is its exceptional rows, picked by index.  Neither
+makes a trace, nor the table, until its ``traces`` are first read, and then
+the test log's are the training log's own objects; only writing a log as XES
+reads them.  The seed and the trace counts must be non-negative integers and
+the fractions numbers in [0, 1]; a bool is neither.
 """
 
 from __future__ import annotations
@@ -50,6 +53,11 @@ EXC_B1_TAIL_CB = (START, B1A, UNEXPECTED, REPAIRING, B1C, B1B)
 EXC_B2 = (START, B2A, B2B, B2C, UNEXPECTED, REPAIRING)
 
 EXCEPTIONAL_VARIANTS = (EXC_B1_SHORT, EXC_B1_TAIL_BC, EXC_B1_TAIL_CB, EXC_B2)
+
+# a training row is drawn as its variant's code, an index into _VARIANTS:
+# 0 and 1 the branch-1 normals, 2 the branch-2 normal, then the exceptional ones
+_VARIANTS = (NORMAL_B1_BC, NORMAL_B1_CB, NORMAL_B2) + EXCEPTIONAL_VARIANTS
+_FIRST_EXCEPTIONAL = 3
 
 
 @dataclass(frozen=True)
@@ -147,17 +155,14 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthResult:
     n_short, n_tailed = _split(n_b1_exc, config.short_exceptional_fraction)
     n_tail_bc, n_tail_cb = _split(n_tailed, 0.5)
 
-    # one draw per branch-1 normal, in the order that n single draws would come
-    entries = [(NORMAL_B1_BC if r < 0.5 else NORMAL_B1_CB, False) for r in rng.random(n_b1_norm)]
-    entries.extend((NORMAL_B2, False) for _ in range(n_b2_norm))
-    entries.extend((EXC_B1_SHORT, True) for _ in range(n_short))
-    entries.extend((EXC_B1_TAIL_BC, True) for _ in range(n_tail_bc))
-    entries.extend((EXC_B1_TAIL_CB, True) for _ in range(n_tail_cb))
-    entries.extend((EXC_B2, True) for _ in range(n_b2_exc))
-    rng.shuffle(entries)
+    # one draw per branch-1 normal, in the order that n single draws would come: below 0.5 is B1b first
+    codes = (rng.random(n_b1_norm) >= 0.5).astype(int).tolist()
+    for code, n in enumerate((n_b2_norm, n_short, n_tail_bc, n_tail_cb, n_b2_exc), start=2):
+        codes += [code] * n
+    rng.shuffle(codes)  # a list's shuffle draws by its length alone
 
-    train_log = log_from_variants([variant for variant, _ in entries])
-    exceptional = [row for row, (_, is_exc) in enumerate(entries) if is_exc]
+    train_log = log_from_variants([_VARIANTS[code] for code in codes])
+    exceptional = [row for row, code in enumerate(codes) if code >= _FIRST_EXCEPTIONAL]
     if not exceptional:
         raise ValueError("config produced no exceptional traces; nothing to test on")
     return SynthResult(train_log=train_log, test_log=train_log.select(exceptional), net=exceptional_process_net())

@@ -1,11 +1,12 @@
-"""Event-log strategies shared by the property tests, and a count of the traces made."""
+"""Event-log strategies shared by the property tests, and records of the traces and planned columns made."""
 
 from contextlib import contextmanager
 from unittest import mock
 
 from hypothesis import strategies as st
 
-from suffixbeam.eventlog import Trace
+from suffixbeam import eventlog
+from suffixbeam.eventlog import PrefixLog, Trace
 
 
 @st.composite
@@ -28,3 +29,27 @@ def made_traces():
 
     with mock.patch.object(Trace, "__init__", init):
         yield made
+
+
+@contextmanager
+def made_columns():
+    """A list that gets each column, left planned when it could be, that the block makes.
+
+    ``"minute table"`` is added for each minute table ``log_from_variants``
+    builds, at once; ``"entries"`` for each prefix log built in the block
+    whose entries were made, when the block ends.
+    """
+    made, built = [], []
+    real_post_init, real_accumulate = PrefixLog.__post_init__, eventlog.accumulate
+
+    def post_init(self, runs):
+        built.append(self)
+        real_post_init(self, runs)
+
+    def accumulate(*args, **kwargs):  # the minute table is eventlog's one use of it
+        made.append("minute table")
+        return real_accumulate(*args, **kwargs)
+
+    with mock.patch.object(PrefixLog, "__post_init__", post_init), mock.patch.object(eventlog, "accumulate", accumulate):
+        yield made
+    made.extend("entries" for plog in built if not isinstance(plog.__dict__["entries"], eventlog._Planned))

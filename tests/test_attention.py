@@ -45,7 +45,8 @@ def test_config_validation():
         AttentionConfig(l_max=5, d_model=10, n_heads=4)
     with pytest.raises(ValueError, match="dropout"):
         AttentionConfig(l_max=5, dropout=1.0)
-    for field, value in (("n_heads", 0), ("d_ff", 0), ("n_layers", -1), ("ln_eps", 0.0)):
+    for field, value in (("n_heads", 0), ("d_ff", 0), ("n_layers", -1), ("ln_eps", 0.0),
+                         ("ln_eps", Fraction(1, 10**400))):  # 0.0 as a float
         with pytest.raises(ValueError, match=field):
             AttentionConfig(**{"l_max": 5, "d_model": 4, "n_heads": 2, field: value})
     with pytest.raises(ValueError, match="d_model must be an integer"):
@@ -58,6 +59,7 @@ def test_config_validation():
         ("dropout", "0.1", "dropout must be a real number, not '0.1'"),
         ("positional_encoding", "false", "positional_encoding must be a bool, not 'false'"),  # truthy
         ("positional_encoding", 1, "positional_encoding must be a bool, not 1"),
+        ("ln_eps", 10**400, f"ln_eps must be a real number a float can hold, not {10**400!r}"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AttentionConfig(**{"l_max": 5, "d_model": 4, "n_heads": 2, field: value})
@@ -185,6 +187,24 @@ def test_a_config_of_other_numbers_saves_python_numbers(tmp_path, config):
     for k in model.params:
         assert np.array_equal(back.params[k], model.params[k])
     assert np.array_equal(back.predict_proba(("A", "B")), model.predict_proba(("A", "B")))
+
+
+def test_a_fraction_config_computes_as_the_equal_floats(tmp_path):
+    exact = AttentionConfig(l_max=5, d_model=4, n_heads=2, n_layers=1, d_ff=8, dropout=Fraction(1, 4),
+                            ln_eps=Fraction(1, 2**16), seed=11)
+    plain = dataclasses.replace(exact, dropout=0.25, ln_eps=2.0**-16)
+    assert type(exact.dropout) is float and type(exact.ln_eps) is float and exact == plain
+    log = log_from_variants([("A", "B", "C"), ("A", "C"), ("B", "A", "C", "A")] * 3)
+    trained = [train_attention(build_prefix_log(log), VOCAB4, config, epochs=2, batch_size=4)[0]
+               for config in (exact, plain)]
+    prefixes = [("A",), ("A", "B"), ("B", "A", "C", "A")]
+    rows = trained[1].predict_proba_batch(prefixes)
+    assert np.array_equal(trained[0].predict_proba_batch(prefixes), rows)  # dropout and eps bit for bit
+    path = tmp_path / "model.npz"
+    trained[0].save(path)
+    back = AttentionModel.load(path)
+    assert back.config == exact and dataclasses.astuple(back.config) == dataclasses.astuple(exact)
+    assert np.array_equal(back.predict_proba_batch(prefixes), rows)
 
 
 # The training step runs the encoder once per distinct prefix of a batch and

@@ -4,12 +4,14 @@ import pickle
 import re
 from collections import Counter
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate, repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suffixbeam import eventlog
+from suffixbeam.encoding import build_vocabulary
 from suffixbeam.eventlog import (
     END,
     EventLog,
@@ -24,8 +26,9 @@ from suffixbeam.eventlog import (
     variant_of,
     write_xes,
 )
+from suffixbeam.predictor import train_ngram
 
-from logs import made_traces, repetitive_variants
+from logs import made_columns, made_traces, repetitive_variants
 
 UTC = timezone.utc
 
@@ -216,6 +219,41 @@ def test_prefix_log_counts_equal_a_count_of_its_entries(variants):
     by_hand = PrefixLog(entries=plog.entries)
     assert list(by_hand.counts.items()) == list(plog.counts.items())
     assert by_hand == plog
+
+
+def per_trace_entries(variants):
+    """Reference: a prefix log's entries as an eager build lays them out, trace by trace."""
+    entries = []
+    for variant in variants:
+        labels = tuple(variant) + (END,)
+        entries.extend((labels[:k], labels[k]) for k in range(1, len(labels)))
+    return entries
+
+
+def ngram_rows(model):
+    return [(ctx, row.tolist()) for ctx, row in model.counts.items()]
+
+
+@settings(max_examples=100)
+@given(repetitive_variants())
+def test_lazy_prefix_log_entries_equal_the_eager_per_trace_list(variants):
+    want = per_trace_entries(variants)
+    log = log_from_variants(variants)
+    vocab = build_vocabulary(log)
+    with made_columns() as made:
+        plog = build_prefix_log(log)
+        assert len(plog) == len(want)  # read from the counts
+        assert list(plog.counts.items()) == list(Counter(want).items())
+        before = train_ngram(plog, vocab, order=2, alpha=0.5)
+    assert made == []  # neither len, the counts nor the n-gram made the entries
+    entries = plog.entries
+    assert type(entries) is tuple and len(entries) == len(want)
+    assert all(got == pair for got, pair in zip(entries, want))  # item for item
+    assert plog.entries is entries  # kept: a second read makes none
+    assert len(plog) == len(want) and list(plog.counts.items()) == list(Counter(want).items())
+    assert ngram_rows(train_ngram(plog, vocab, order=2, alpha=0.5)) == ngram_rows(before)
+    eager = PrefixLog(entries=tuple(want))
+    assert eager == plog and len(eager) == len(plog) and list(eager.counts.items()) == list(plog.counts.items())
 
 
 def test_prefix_log_counts_runs_with_their_multiplicities():
@@ -563,6 +601,33 @@ def test_log_from_variants_equals_per_event_timestamps(variants, start):
         # equal instants in the same zone, to the microsecond; a naive start is local time
         assert [ts.isoformat() for ts in trace.timestamps] == [ts.isoformat() for ts in want]
         assert all(ts.tzinfo is UTC for ts in trace.timestamps)
+
+
+@settings(max_examples=100)
+@given(repetitive_variants(), st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2100, 1, 1),
+                                           timezones=st.sampled_from([UTC, timezone(timedelta(hours=-3))])))
+def test_the_minute_table_is_made_with_the_traces_as_an_eager_table_was(variants, start):
+    with made_columns() as made:
+        log = log_from_variants(variants, start=start)
+        assert made == []
+        traces = log.traces
+        assert made == ["minute table"]
+    # reference: the table log_from_variants built at the call before, every trace a slice of it
+    n_minutes = len(variants) + max(map(len, variants))
+    table = tuple(accumulate(repeat(timedelta(minutes=1), n_minutes - 1), initial=start.astimezone(UTC)))
+    assert [t.timestamps for t in traces] == [table[i:i + len(v)] for i, v in enumerate(variants)]
+    stamps = [ts for t in traces for ts in t.timestamps]
+    assert len(set(map(id, stamps))) == len(set(stamps))  # one object per instant
+
+
+def test_a_minute_table_may_end_on_the_last_instant_of_the_datetime_range():
+    last = datetime.max.replace(tzinfo=UTC)
+    variants = [("A", "B"), ("C",), ("A", "B")]  # 3 traces, at most 2 events: 5 minutes
+    log = log_from_variants(variants, start=last - timedelta(minutes=4))
+    assert log.traces[2].timestamps == (last - timedelta(minutes=2), last - timedelta(minutes=1))
+    with pytest.raises(ValueError, match="^5 minutes from .* leave the datetime range$"):
+        log_from_variants(variants, start=last - timedelta(minutes=4) + timedelta(microseconds=1))
+    assert len(log_from_variants([], start=last)) == 0  # an empty table still holds its start
 
 
 def per_trace_log(variants, case_ids=None):

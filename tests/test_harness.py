@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from logs import made_traces, repetitive_variants
+from logs import made_columns, made_traces, repetitive_variants
 from nets import random_net
 
 from suffixbeam import harness, petri
@@ -376,10 +376,13 @@ def test_default_synthetic_experiment_csvs_are_locked(tmp_path):
 
 
 def test_the_default_synthetic_experiment_makes_no_trace():
-    # set-up and sweep read the logs' variant columns: a Trace is made only to be read
-    with made_traces() as made, pytest.warns(UserWarning, match="skipped: it has no test case"):
+    # set-up and sweep read the logs' variant columns and the prefix log's
+    # counts: a Trace, its minute table and a prefix log's entries are made
+    # only to be read
+    with made_traces() as made, made_columns() as columns, \
+            pytest.warns(UserWarning, match="skipped: it has no test case"):
         run_synthetic_experiment()
-    assert made == []
+    assert made == [] and columns == []
 
 
 def test_evaluate_dataset_with_no_cases_at_all(synth, synth_ngram):

@@ -3,8 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logs import made_traces
+from logs import made_columns, made_traces
 from suffixbeam.encoding import build_vocabulary
 from suffixbeam.eventlog import build_prefix_log, variant_of
 from suffixbeam.predictor import train_ngram
@@ -19,6 +21,7 @@ from suffixbeam.synthgen import (
     NORMAL_B1_CB,
     NORMAL_B2,
     SynthConfig,
+    _split,
     exceptional_process_net,
     generate,
 )
@@ -109,15 +112,55 @@ def test_default_train_log_is_locked(synth):
 
 def test_generate_and_ngram_set_up_make_no_trace():
     with made_traces() as made:
-        generated = generate(SynthConfig())
-        log = generated.train_log
-        train_ngram(build_prefix_log(log), build_vocabulary(log), order=3, alpha=0.01)
+        with made_columns() as columns:
+            generated = generate(SynthConfig())
+            log = generated.train_log
+            train_ngram(build_prefix_log(log), build_vocabulary(log), order=3, alpha=0.01)
         assert len(generated.test_log) == 200 and made == []
+        assert columns == []  # nor a minute table, nor the prefix log's entries
         # the traces are made on the first read, as the lock has them
         assert train_log_digest(log) == "9ba8281a13dba25ef6c7f72767cddde6"
         assert len(made) == 1000
         assert all(t is log.traces[int(t.case_id[5:]) - 1] for t in generated.test_log.traces)
         assert len(made) == 1000  # the test log's traces are the training log's objects
+
+
+def pair_build_columns(config):
+    """Reference: the train and test variant columns of the build that shuffled (variant, flag) pairs."""
+    rng = np.random.default_rng(config.seed)
+    n_b1_norm, n_b2_norm = _split(config.n_train_normal, config.branch_probability)
+    n_b1_exc, n_b2_exc = _split(config.n_train_exceptional, config.exceptional_branch1_fraction)
+    n_short, n_tailed = _split(n_b1_exc, config.short_exceptional_fraction)
+    n_tail_bc, n_tail_cb = _split(n_tailed, 0.5)
+    entries = [(NORMAL_B1_BC if r < 0.5 else NORMAL_B1_CB, False) for r in rng.random(n_b1_norm)]
+    entries.extend((NORMAL_B2, False) for _ in range(n_b2_norm))
+    entries.extend((EXC_B1_SHORT, True) for _ in range(n_short))
+    entries.extend((EXC_B1_TAIL_BC, True) for _ in range(n_tail_bc))
+    entries.extend((EXC_B1_TAIL_CB, True) for _ in range(n_tail_cb))
+    entries.extend((EXC_B2, True) for _ in range(n_b2_exc))
+    rng.shuffle(entries)
+    return tuple(v for v, _ in entries), tuple(v for v, is_exc in entries if is_exc)
+
+
+fractions = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=60)
+@given(st.builds(SynthConfig, seed=st.integers(0, 2**32 - 1), n_train_normal=st.integers(0, 300),
+                 n_train_exceptional=st.integers(1, 120), branch_probability=fractions,
+                 exceptional_branch1_fraction=fractions, short_exceptional_fraction=fractions))
+def test_generate_draws_the_columns_of_the_pair_build(config):
+    train, test = pair_build_columns(config)
+    got = generate(config)
+    assert got.train_log.trace_variants == train and got.test_log.trace_variants == test
+
+
+@pytest.mark.parametrize("seed", [0, 17, 31, 2**32 - 1])
+def test_generate_draws_the_default_sized_columns_of_the_pair_build(seed):
+    config = SynthConfig(seed=seed)
+    train, test = pair_build_columns(config)
+    got = generate(config)
+    assert got.train_log.trace_variants == train and got.test_log.trace_variants == test
 
 
 def test_no_exceptional_traces_is_an_error():
