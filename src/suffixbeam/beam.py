@@ -12,12 +12,12 @@ Four entry points share one beam loop and its expansion step
 
   At w = 0 the compliance factor is skipped outright (0^0 := 1), the net is
   never consulted, and the run is bit-for-bit the baseline.
-* :func:`sweep_beams` — the modulated beam at several w in one call, for
-  configs that differ only in w. The w > 0 beams share one record per
-  expanded open node: each child's log p, log C, ids, labels and replay,
-  none of which depends on w. So a node that several w reach is ranked and
-  replayed once, and each result is bit-for-bit its own modulated beam.
-  One config has nothing to share and keeps no records.
+* :func:`sweep_beams` — the modulated beam of one config at each w of a
+  grid, in one call. The w > 0 beams share one record per expanded open
+  node: each child's log p, log C, ids, labels and replay, none of which
+  depends on w. So a node that several w reach is ranked and replayed once,
+  and each result is bit-for-bit its own modulated beam. One w has nothing
+  to share and keeps no records.
 * :func:`checked_beam` — plain probability scores plus a boolean compliance
   check on complete candidates only; first passing candidate in rank order
   wins, None when the search exhausts.
@@ -71,13 +71,20 @@ compliance is not floored (log 0 = -inf is a legitimate veto).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from numbers import Integral, Real
-from operator import attrgetter
 from typing import NamedTuple
 
 from .eventlog import END
 from .petri import CompiledNet, PetriNet, _replayed, compliance, fitness_counts
+
+
+def _check_w(w) -> None:
+    """Raise ValueError unless w is a real number (not a bool) in [0, 1]; a plain float skips the class check."""
+    if type(w) is not float and (isinstance(w, bool) or not isinstance(w, Real)):
+        raise ValueError(f"w must be a real number, not {w!r}")
+    if not 0.0 <= w <= 1.0:
+        raise ValueError("w must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -93,20 +100,13 @@ class BeamConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral):
                 raise ValueError(f"{name} must be an int, not {v!r}")
-        if isinstance(self.w, bool) or not isinstance(self.w, Real):
-            raise ValueError(f"w must be a real number, not {self.w!r}")
+        _check_w(self.w)
         if self.b_size < 1 or self.max_iter < 1:
             raise ValueError("b_size and max_iter must be >= 1")
-        if not 0.0 <= self.w <= 1.0:
-            raise ValueError("w must be in [0, 1]")
         if self.max_size is not None and self.max_size < 1:
             raise ValueError("max_size must be >= 1")
         if self.partial_mode not in ("strict", "lenient"):
             raise ValueError(f"unknown partial_mode {self.partial_mode!r}")
-
-
-# every BeamConfig field but w: the configs of one sweep_beams call share them
-_BUT_W = attrgetter(*(f.name for f in fields(BeamConfig) if f.name != "w"))
 
 
 class BeamResult(NamedTuple):
@@ -274,22 +274,23 @@ def modulated_beam(prefix, net: PetriNet | None, predictor, config: BeamConfig) 
     return _run_beam(prefix, predictor, config, w, compiled, root_replay, None)
 
 
-def sweep_beams(prefix, net: PetriNet | None, predictor, configs) -> tuple:
-    """``modulated_beam`` at each of ``configs``, which may differ only in w, in one call.
+def sweep_beams(prefix, net: PetriNet | None, predictor, config: BeamConfig, ws) -> tuple:
+    """``modulated_beam`` at ``config`` with each w of ``ws``, in one call: one result per w.
 
-    The prefix is replayed once, and the w > 0 beams share their node
-    records, so a node that several of them reach is ranked and replayed
-    once. Each result equals its own ``modulated_beam`` bit for bit.
+    Result i equals ``modulated_beam(prefix, net, predictor, replace(config,
+    w=ws[i]))`` bit for bit; ``config.w`` is not read, and each w is checked
+    as ``BeamConfig`` checks it. The prefix is replayed once, and the w > 0
+    beams share their node records, so a node that several of them reach is
+    ranked and replayed once.
     """
-    configs = tuple(configs)
-    if len(set(map(_BUT_W, configs))) > 1:
-        raise ValueError("the configs of one sweep may differ only in w")
-    ws = [cfg.w if net is not None else 0.0 for cfg in configs]
+    ws = tuple(ws)
+    for w in ws:
+        _check_w(w)
+    ws = ws if net is not None else (0.0,) * len(ws)
     prefix, compiled, root_replay = _prepared(prefix, net, max(ws, default=0.0))
-    records = {} if len(configs) > 1 else None  # one config has nothing to share
+    records = {} if len(ws) > 1 else None  # one w has nothing to share
     return tuple(
-        _run_beam(prefix, predictor, cfg, w, compiled, root_replay, records if w > 0.0 else None)
-        for cfg, w in zip(configs, ws)
+        _run_beam(prefix, predictor, config, w, compiled, root_replay, records if w > 0.0 else None) for w in ws
     )
 
 

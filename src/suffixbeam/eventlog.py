@@ -446,7 +446,9 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
         rows, longest = set(firsts.values()), max(map(len, firsts), default=0)
     except TypeError:  # an unhashable label, which Trace's checks reject: check every row
         rows, longest = set(range(len(column))), max(map(len, column), default=0)
-    n_minutes = len(column) + longest
+    # the minutes the traces use: a row before the last `longest` ends before the last row starts
+    tail = max(len(column) - longest, 0)
+    n_minutes = max((i + len(labels) for i, labels in enumerate(column[tail:], tail)), default=0)
     try:  # the table's last minute is in range exactly when every minute is
         first = (start or datetime(2020, 1, 1, tzinfo=timezone.utc)).astimezone(timezone.utc)
         first + timedelta(minutes=max(n_minutes - 1, 0))

@@ -14,14 +14,14 @@ Two experiment shapes are supported:
 Both shapes differ only in the variants each prefix length's (prefix, true
 suffix) cases come from; one per-k rule (:func:`_cases_by_k`) builds the
 cases and one sweep scores them: once per sweep it maps each case to the
-index of its distinct case and searches each distinct prefix at every w in
-one :func:`~suffixbeam.beam.sweep_beams` call, scores each distinct
-(predicted, true) suffix pair once, and for each w sums each k's cells by
-index, or reuses the previous w's sums when its outcomes per distinct case
-repeat.
-Every entry first checks its settings by one rule set
-(:func:`_beam_configs`), which builds the per-w beam configs, so a bad
-setting raises before any split, prefix log or training. Results land
+index of its distinct case and searches each distinct prefix with the one
+beam config at every w of the grid in one
+:func:`~suffixbeam.beam.sweep_beams` call, scores each distinct (predicted,
+true) suffix pair once, and for each w sums each k's cells by index, or
+reuses the previous w's sums when its outcomes per distinct case repeat.
+Every entry first checks its settings once, by one rule set
+(:func:`_check_settings`), so a bad setting raises before any split,
+prefix log or training. Results land
 in two CSVs: a long-format sweep table (``dataset,k,w,mean_similarity,
 n_cases,forced_terminations``; for each w the per-k rows, then a
 ``k=micro`` row for their weighted average) and a compact comparison table
@@ -32,17 +32,17 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
 
-from .beam import BeamConfig, sweep_beams
+from .beam import BeamConfig, _check_w, sweep_beams
 from .eventlog import EventLog, build_prefix_log, prefix, suffix, variant_of
 from .metrics import dl_similarity, micro_average
 from .petri import PetriNet
 from .predictor import train_ngram
 from .encoding import build_vocabulary
-from .synthgen import SynthConfig, exceptional_process_net, generate
+from .synthgen import SynthConfig, generate
 
 DEFAULT_W_GRID = tuple(round(0.05 * i, 2) for i in range(20))  # 0.00 .. 0.95
 DEFAULT_PREFIX_LENGTHS = (3, 4, 5, 6, 7)
@@ -142,22 +142,22 @@ def _cases_by_k(dataset: str, prefix_lengths, variants_of) -> dict:
     return cases_by_k
 
 
-def _beam_configs(beam_config: BeamConfig, w_grid, prefix_lengths, net: PetriNet | None,
-                  comparison: bool) -> tuple:
-    """One beam config per w of the grid, once the sweep's settings pass.
+def _check_settings(w_grid, prefix_lengths, has_net: bool, comparison: bool) -> None:
+    """Raise ValueError unless the sweep's settings pass.
 
     Neither the w grid nor the prefix lengths may be empty or repeat a
     value (a repeat would be swept, and written, twice), every k is an
     integer (not a bool) of at least 1, and a w above 0 needs a net
     (without one the beam runs the baseline).
     A ``comparison`` measures against w = 0, so its grid must hold 0.
-    :class:`BeamConfig` checks the type and range of each w (a bool is not
-    a w), so the configs are built before any repeat is looked for.
+    Each w is checked as :class:`BeamConfig` checks it (a bool is not a w)
+    before any repeat is looked for, as True would equal 1.0.
     """
     for k in prefix_lengths:
         if isinstance(k, bool) or not isinstance(k, Integral):
             raise ValueError(f"prefix length {k!r} is not an int")
-    configs = tuple(replace(beam_config, w=w) for w in w_grid)
+    for w in w_grid:
+        _check_w(w)
     for values, what in ((w_grid, "w value"), (prefix_lengths, "prefix length")):
         if not values:
             raise ValueError(f"no {what} given")
@@ -168,13 +168,12 @@ def _beam_configs(beam_config: BeamConfig, w_grid, prefix_lengths, net: PetriNet
         raise ValueError("k must be >= 1")
     if comparison and 0.0 not in w_grid:
         raise ValueError("w grid must hold 0, the baseline the comparison table is measured against")
-    if net is None and max(w_grid) > 0:
+    if not has_net and max(w_grid) > 0:
         raise ValueError(f"w {max(w_grid)} needs a net; without one the beam runs the w = 0 baseline")
-    return configs
 
 
-def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, configs) -> SweepResult:
-    """For each w's beam config, one cell per k and then the micro row.
+def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, config, w_grid) -> SweepResult:
+    """For each w of the grid, one cell per k and then the micro row.
 
     ``cases_by_k`` maps each prefix length to its (prefix, true suffix)
     cases. Once per sweep each k's cases become rows of indices into the
@@ -187,12 +186,12 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, conf
     index_of = {}
     rows_by_k = {k: [index_of.setdefault(c, len(index_of)) for c in cases] for k, cases in cases_by_k.items()}
     prefixes = list(dict.fromkeys(pref for pref, _ in index_of))
-    beams_of = {pref: sweep_beams(pref, net, predictor, configs) for pref in prefixes}
-    pairs_at = [[(beams_of[pref][i].suffix, truth) for pref, truth in index_of] for i in range(len(configs))]
+    beams_of = {pref: sweep_beams(pref, net, predictor, config, w_grid) for pref in prefixes}
+    pairs_at = [[(beams_of[pref][i].suffix, truth) for pref, truth in index_of] for i in range(len(w_grid))]
     similarity = {pair: dl_similarity(*pair) for pair in dict.fromkeys(chain.from_iterable(pairs_at))}
     cells = []
     outcomes = None
-    for i, cfg in enumerate(configs):
+    for i, w in enumerate(w_grid):
         sims = [similarity[pair] for pair in pairs_at[i]]
         forced = [beams_of[pref][i].forced_termination for pref, _ in index_of]
         if (sims, forced) != outcomes:
@@ -200,19 +199,13 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, conf
             sums = [(sum(map(sims.__getitem__, rows)), sum(map(forced.__getitem__, rows)))
                     for rows in rows_by_k.values()]
         k_cells = [
-            SweepCell(dataset, k, cfg.w, total / len(rows), len(rows), n_forced)
+            SweepCell(dataset, k, w, total / len(rows), len(rows), n_forced)
             for (k, rows), (total, n_forced) in zip(rows_by_k.items(), sums)
         ]
         cells.extend(k_cells)
-        cells.append(SweepCell(
-            dataset,
-            MICRO,
-            cfg.w,
-            micro_average((c.mean_similarity, c.n_cases) for c in k_cells),
-            sum(c.n_cases for c in k_cells),
-            sum(c.forced_terminations for c in k_cells),
-        ))
-    return SweepResult(dataset, tuple(cells), tuple(cases_by_k), tuple(cfg.w for cfg in configs))
+        cells.append(SweepCell(dataset, MICRO, w, micro_average((c.mean_similarity, c.n_cases) for c in k_cells),
+                               sum(c.n_cases for c in k_cells), sum(c.forced_terminations for c in k_cells)))
+    return SweepResult(dataset, tuple(cells), tuple(cases_by_k), tuple(w_grid))
 
 
 def evaluate_dataset(
@@ -226,11 +219,12 @@ def evaluate_dataset(
 ) -> SweepResult:
     """Sweep the modulation weight over the test log's cases at each prefix length.
 
-    The grid need not hold w = 0: no comparison is made here.
+    The grid need not hold w = 0: no comparison is made here, and
+    ``beam_config.w`` is not read.
     """
-    configs = _beam_configs(beam_config, w_grid, prefix_lengths, net, comparison=False)
+    _check_settings(w_grid, prefix_lengths, net is not None, comparison=False)
     cases_by_k = _cases_by_k(dataset, prefix_lengths, lambda k: test_log.trace_variants)
-    return _sweep(dataset, cases_by_k, predictor, net, configs)
+    return _sweep(dataset, cases_by_k, predictor, net, beam_config, w_grid)
 
 
 def format_w(w: float) -> str:
@@ -300,15 +294,15 @@ def run_synthetic_experiment(
 ) -> SweepResult:
     """Check the settings, generate the synthetic log, check the exceptional
     traces' cases, train, and sweep on those cases."""
-    # the settings raise before generate; the beam's depth comes from the generated log
-    _beam_configs(BeamConfig(b_size=b_size), w_grid, prefix_lengths, exceptional_process_net(),
-                  comparison=True)
+    # b_size and the sweep's settings raise before generate, which brings the
+    # net; the beam's depth comes from the generated log
+    BeamConfig(b_size=b_size)
+    _check_settings(w_grid, prefix_lengths, has_net=True, comparison=True)
     generated = generate(config)
-    configs = _beam_configs(_beam_config(generated.train_log, b_size), w_grid, prefix_lengths,
-                            generated.net, comparison=True)
+    beam_config = _beam_config(generated.train_log, b_size)
     cases_by_k = _cases_by_k("synthetic", prefix_lengths, lambda k: generated.test_log.trace_variants)
     predictor, _ = train_predictor(generated.train_log, predictor_kind, ngram_order, ngram_alpha, epochs)
-    return _sweep("synthetic", cases_by_k, predictor, generated.net, configs)
+    return _sweep("synthetic", cases_by_k, predictor, generated.net, beam_config, w_grid)
 
 
 def run_reallife_experiment(
@@ -325,7 +319,8 @@ def run_reallife_experiment(
 ) -> SweepResult:
     """Check the settings, take the per-k second-variant holdout of a real log
     and check it before training, then run the same sweep."""
-    configs = _beam_configs(_beam_config(log, b_size), w_grid, prefix_lengths, net, comparison=True)
+    beam_config = _beam_config(log, b_size)
+    _check_settings(w_grid, prefix_lengths, net is not None, comparison=True)
 
     def held_out_variants(k):
         try:
@@ -335,4 +330,4 @@ def run_reallife_experiment(
 
     cases_by_k = _cases_by_k(dataset, prefix_lengths, held_out_variants)
     predictor, _ = train_predictor(log, predictor_kind, ngram_order, ngram_alpha, epochs)
-    return _sweep(dataset, cases_by_k, predictor, net, configs)
+    return _sweep(dataset, cases_by_k, predictor, net, beam_config, w_grid)

@@ -112,7 +112,7 @@ def test_a_prefix_that_holds_end_is_rejected_by_every_beam(prefix):
     searches = (
         lambda: baseline_beam(prefix, pred, BeamConfig()),
         lambda: modulated_beam(prefix, net, pred, BeamConfig(w=0.85)),
-        lambda: sweep_beams(prefix, net, pred, [BeamConfig(w=0.0), BeamConfig(w=0.85)]),
+        lambda: sweep_beams(prefix, net, pred, BeamConfig(), (0.0, 0.85)),
         lambda: checked_beam(prefix, lambda v: True, pred, BeamConfig()),
     )
     for search in searches:
@@ -375,9 +375,9 @@ def test_sweep_beams_equals_one_modulated_beam_per_config(
     labels = sorted({t.label for t in net.transitions if t.label is not None} | {"D"})
     pred = HashedRowPredictor(Vocabulary(labels=tuple(labels) + (END,)), seed)
     net = net if with_net else None
-    configs = [BeamConfig(b_size=b_size, max_iter=max_iter, w=w, partial_mode=partial_mode) for w in w_grid]
-    got = sweep_beams(tuple(prefix), net, pred, configs)
-    want = tuple(modulated_beam(tuple(prefix), net, pred, config) for config in configs)
+    config = BeamConfig(b_size=b_size, max_iter=max_iter, w=0.5, partial_mode=partial_mode)  # w is not read
+    got = sweep_beams(tuple(prefix), net, pred, config, w_grid)
+    want = tuple(modulated_beam(tuple(prefix), net, pred, replace(config, w=w)) for w in w_grid)
     event(f"forced terminations: {sum(r.forced_termination for r in want)}")
     assert got == want  # suffix, scores, iterations and frontier peak, bit for bit
 
@@ -396,27 +396,32 @@ def test_sweep_beams_ranks_each_node_once_per_call():
         del pred.ranked_batch
         return asked
 
-    configs = [BeamConfig(b_size=3, max_iter=8, w=w) for w in (0.0, 0.3, 0.85, 1.0)]
+    config, ws = BeamConfig(b_size=3, max_iter=8), (0.0, 0.3, 0.85, 1.0)
     prefix = ("Start", "B2a")
-    alone = [asks(lambda: modulated_beam(prefix, net, pred, config)) for config in configs]
-    asked = asks(lambda: sweep_beams(prefix, net, pred, configs))
+    alone = [asks(lambda: modulated_beam(prefix, net, pred, replace(config, w=w))) for w in ws]
+    asked = asks(lambda: sweep_beams(prefix, net, pred, config, ws))
     assert asked[: len(alone[0])] == alone[0]  # the w = 0 beam shares nothing
     shared = asked[len(alone[0]):]
     assert len(shared) == len(set(shared)) < sum(map(len, alone[1:]))  # each node ranked once
     assert set(shared) == set().union(*alone[1:])
-    assert asks(lambda: sweep_beams(prefix, net, pred, configs[2:3])) == alone[2]
+    assert asks(lambda: sweep_beams(prefix, net, pred, config, ws[2:3])) == alone[2]
 
 
-def test_sweep_beams_configs_may_differ_only_in_w():
+def test_sweep_beams_checks_each_w_as_beam_config_does():
     pred = TablePredictor(AB_VOCAB, [0.5, 0.3, 0.2])
     net = exceptional_process_net()
-    for other in (dict(b_size=2), dict(max_iter=3), dict(max_size=2), dict(partial_mode="lenient")):
-        configs = [BeamConfig(w=0.3), BeamConfig(w=0.85, **other)]
-        with pytest.raises(ValueError, match="differ only in w"):
-            sweep_beams(("A",), net, pred, configs)
+    for w, message in ((True, "^w must be a real number, not True$"),
+                       ("0.5", "^w must be a real number, not '0.5'$"),
+                       (1.5, r"^w must be in \[0, 1\]$"),
+                       (math.nan, r"^w must be in \[0, 1\]$")):
+        with pytest.raises(ValueError, match=message):
+            BeamConfig(w=w)
+        for with_net in (net, None):  # without a net every w runs at 0, but is still checked
+            with pytest.raises(ValueError, match=message):
+                sweep_beams(("A",), with_net, pred, BeamConfig(), (0.3, w))
     with pytest.raises(ValueError, match="non-empty prefix"):
-        sweep_beams((), net, pred, [BeamConfig(w=0.3)])
-    assert sweep_beams(("A",), net, pred, []) == ()
+        sweep_beams((), net, pred, BeamConfig(), (0.3,))
+    assert sweep_beams(("A",), net, pred, BeamConfig(), ()) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +447,15 @@ def test_a_beam_replays_its_prefix_through_replay_state_once(synth, synth_ngram,
         return tuple(stepped)
 
     config = BeamConfig(b_size=3, max_iter=8)
-    ws = [replace(config, w=w) for w in (0.0, 0.3, 0.85)]
-    assert steps_of(lambda: modulated_beam(prefix, synth.net, synth_ngram, ws[2])) == prefix
-    assert steps_of(lambda: sweep_beams(prefix, synth.net, synth_ngram, ws)) == prefix
-    assert steps_of(lambda: sweep_beams(prefix, synth.net, synth_ngram, ws[1:2])) == prefix
-    assert steps_of(lambda: baseline_beam(prefix, synth_ngram, ws[2])) == ()
-    assert steps_of(lambda: modulated_beam(prefix, synth.net, synth_ngram, ws[0])) == ()
-    assert steps_of(lambda: modulated_beam(prefix, None, synth_ngram, ws[2])) == ()
-    assert steps_of(lambda: sweep_beams(prefix, synth.net, synth_ngram, ws[:1] * 2)) == ()
+    ws = (0.0, 0.3, 0.85)
+    at_85 = replace(config, w=0.85)
+    assert steps_of(lambda: modulated_beam(prefix, synth.net, synth_ngram, at_85)) == prefix
+    assert steps_of(lambda: sweep_beams(prefix, synth.net, synth_ngram, config, ws)) == prefix
+    assert steps_of(lambda: sweep_beams(prefix, synth.net, synth_ngram, config, ws[1:2])) == prefix
+    assert steps_of(lambda: baseline_beam(prefix, synth_ngram, at_85)) == ()
+    assert steps_of(lambda: modulated_beam(prefix, synth.net, synth_ngram, config)) == ()
+    assert steps_of(lambda: modulated_beam(prefix, None, synth_ngram, at_85)) == ()
+    assert steps_of(lambda: sweep_beams(prefix, synth.net, synth_ngram, at_85, ws[:1] * 2)) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -70,6 +71,25 @@ def test_package_runs_as_a_module():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("suffixbeam ")
+
+
+def test_the_readme_python_api_block_runs_as_its_comments_say(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Python API\n\n```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    assert main(["synthgen", "--out", "demo"]) == 0
+    assert main(["train", "--log", "demo/train.xes", "--model-out", "demo/ngram.json"]) == 0
+    namespace, shown = {}, {}
+    for node in ast.parse(block).body:  # in order; each bare expression's value is kept under its source
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+            shown[ast.get_source_segment(block, node)] = value
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    assert shown.pop("result.suffix") == ("Unexpected", "Repairing")
+    assert shown.pop("compliance(net, prefix + result.suffix + (END,))") == 1.0
+    assert shown.pop("sweep_beams(prefix, net, model, config, (0.0, 0.5, 0.85))[2] == result") is True
+    assert list(shown) == ["result.score"]  # the one line that states no value
 
 
 @pytest.mark.parametrize(

@@ -622,11 +622,16 @@ def test_the_minute_table_is_made_with_the_traces_as_an_eager_table_was(variants
 
 def test_a_minute_table_may_end_on_the_last_instant_of_the_datetime_range():
     last = datetime.max.replace(tzinfo=UTC)
-    variants = [("A", "B"), ("C",), ("A", "B")]  # 3 traces, at most 2 events: 5 minutes
-    log = log_from_variants(variants, start=last - timedelta(minutes=4))
-    assert log.traces[2].timestamps == (last - timedelta(minutes=2), last - timedelta(minutes=1))
-    with pytest.raises(ValueError, match="^5 minutes from .* leave the datetime range$"):
-        log_from_variants(variants, start=last - timedelta(minutes=4) + timedelta(microseconds=1))
+    variants = [("A", "B"), ("C",), ("A", "B")]  # the last row's last event is the fourth minute
+    log = log_from_variants(variants, start=last - timedelta(minutes=3))
+    assert log.traces[2].timestamps == (last - timedelta(minutes=1), last)
+    with pytest.raises(ValueError, match="^4 minutes from .* leave the datetime range$"):
+        log_from_variants(variants, start=last - timedelta(minutes=3) + timedelta(microseconds=1))
+    # a longer row that ends before the last one does not lengthen the table
+    log = log_from_variants([("A", "B", "C"), ("D",), ("E", "F")], start=last - timedelta(minutes=3))
+    assert log.traces[0].timestamps[-1] == last - timedelta(minutes=1)
+    assert log.traces[2].timestamps[-1] == last
+    assert log_from_variants([("A", "B")], start=last - timedelta(minutes=1)).traces[0].timestamps[-1] == last
     assert len(log_from_variants([], start=last)) == 0  # an empty table still holds its start
 
 

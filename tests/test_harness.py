@@ -246,18 +246,17 @@ def test_sweep_predicts_each_distinct_case_once_with_identical_results(
     assert len({pref for pref, _ in cases}) < len(cases)  # one prefix, several truths
 
     beams, scored, sliced = Counter(), Counter(), Counter()
-    monkeypatch.setattr(harness, "sweep_beams", counting(sweep_beams, beams, lambda p, _, __, cs: (p, tuple(cs))))
+    monkeypatch.setattr(harness, "sweep_beams", counting(sweep_beams, beams, lambda p, _, __, c, ws: (p, c, tuple(ws))))
     monkeypatch.setattr(harness, "dl_similarity", counting(dl_similarity, scored, lambda s, t: (s, t)))
     monkeypatch.setattr(harness, "suffix", counting(harness.suffix, sliced, lambda v, k: (v, k)))
     got = evaluate_dataset(*args, synth.net, config, **kwargs)
     monkeypatch.undo()
     # each distinct variant is sliced once per k, not once per test trace
     assert sliced == Counter({(v, k): 1 for v in test_log.variants for k in (3, 4, 5) if len(v) > k})
-    grid = tuple(replace(config, w=w) for w in w_grid)  # the whole grid, in grid order
-    assert beams == Counter({(pref, grid): 1 for pref, _ in cases})
+    assert beams == Counter({(pref, config, w_grid): 1 for pref, _ in cases})  # the whole grid, in grid order
     # one score per distinct (predicted, true) suffix pair over the whole sweep
     pairs = {(res.suffix, truth) for pref, truth in cases
-             for res in sweep_beams(pref, exceptional_process_net(), synth_ngram, grid)}
+             for res in sweep_beams(pref, exceptional_process_net(), synth_ngram, config, w_grid)}
     assert scored == Counter(dict.fromkeys(pairs, 1))
     assert len(pairs) < len(cases) * len(w_grid)  # some pairs recur across w
     want = reference_sweep(*args, exceptional_process_net(), config, **kwargs)
@@ -288,11 +287,10 @@ def test_sweep_sums_each_k_over_its_cases_with_one_beam_per_prefix_and_w(
     kwargs = dict(w_grid=w_grid, prefix_lengths=prefix_lengths)
     beams = Counter()
     with mock.patch.object(harness, "sweep_beams",
-                           counting(sweep_beams, beams, lambda p, _, __, cs: (p, tuple(cs)))):
+                           counting(sweep_beams, beams, lambda p, _, __, c, ws: (p, c, tuple(ws)))):
         got = evaluate_dataset("d", log, predictor, net, config, **kwargs)
     prefixes = {v[:k] for v in variants for k in prefix_lengths if len(v) > k}
-    grid = tuple(replace(config, w=w) for w in w_grid)
-    assert beams == Counter({(pref, grid): 1 for pref in prefixes})
+    assert beams == Counter({(pref, config, tuple(w_grid)): 1 for pref in prefixes})
     assert got == reference_sweep("d", log, predictor, net, config, **kwargs)  # floats compared exactly
 
 
@@ -333,7 +331,7 @@ def test_sweep_reuses_a_ws_sums_only_where_its_outcomes_repeat(variants, unique,
     log, net, config = log_from_variants(variants), random_net(np.random.default_rng(0)), BeamConfig()
     kwargs = dict(w_grid=w_grid, prefix_lengths=prefix_lengths)
     with mock.patch.object(harness, "sweep_beams",
-                           lambda pref, _, __, configs: tuple(beam(pref, cfg) for cfg in configs)):
+                           lambda pref, _, __, cfg, ws: tuple(beam(pref, replace(cfg, w=w)) for w in ws)):
         got = evaluate_dataset("d", log, None, net, config, **kwargs)
     want = reference_sweep("d", log, None, net, config, beam=beam, **kwargs)
     assert repr(got) == repr(want)  # every field; floats by repr
@@ -383,6 +381,18 @@ def test_the_default_synthetic_experiment_makes_no_trace():
             pytest.warns(UserWarning, match="skipped: it has no test case"):
         run_synthetic_experiment()
     assert made == [] and columns == []
+
+
+def test_a_synthetic_experiment_builds_one_net_and_at_most_two_beam_configs(monkeypatch):
+    # the settings are checked without a throwaway net or per-w configs:
+    # one config before generate checks b_size, one after it holds the depth
+    built = Counter()
+    for cls in (petri.PetriNet, BeamConfig):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__, built, lambda self: type(self)))
+    with pytest.warns(UserWarning, match="skipped: it has no test case"):
+        run_synthetic_experiment()
+    assert built[petri.PetriNet] == 1
+    assert built[BeamConfig] <= 2
 
 
 def test_evaluate_dataset_with_no_cases_at_all(synth, synth_ngram):
