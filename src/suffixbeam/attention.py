@@ -353,14 +353,14 @@ class AttentionModel(ContextModel):
             mask[row, : len(ids)] = True
         return x, mask
 
-    def _rows(self, windows) -> np.ndarray:
+    def _rows(self, windows) -> list:
         x, mask = self._encode(windows)
         _, cache = self.forward(x, mask, for_backward=False)
         pooled, w_out, b_out = cache["pooled"], self.params["w_out"], self.params["b_out"]
         # The head is a stack of one-row products, (B, 1, d) @ (d, |V|): a
         # (B, d) @ (d, |V|) product rounds differently from the one-row
         # product, and beam scores would move.
-        return _softmax_rows(pooled[:, None, :] @ w_out + b_out)[:, 0]
+        return _softmax_rows(pooled[:, None, :] @ w_out + b_out)[:, 0].tolist()
 
     # --------------------------------------------------------- persistence
 

@@ -230,7 +230,7 @@ def _cmd_train(args) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
     model.save(path)
     if history is None:
-        n_prefixes = sum(int(row.sum()) for row in model.counts.values())
+        n_prefixes = sum(map(sum, model.counts.values()))
         print(f"trained order-{args.order} n-gram on {n_prefixes} prefixes -> {path}")
         return 0
     if math.isnan(history[0].val_loss):  # under 10 prefixes: no validation split

@@ -47,6 +47,7 @@ from .synthgen import SynthConfig, generate
 DEFAULT_W_GRID = tuple(round(0.05 * i, 2) for i in range(20))  # 0.00 .. 0.95
 DEFAULT_PREFIX_LENGTHS = (3, 4, 5, 6, 7)
 MICRO = "micro"
+_NO_BASELINE = "w grid must hold 0, the baseline the comparison table is measured against"
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,8 @@ class SweepResult:
 
     @property
     def baseline_micro(self) -> float:
+        if 0.0 not in self.w_grid:
+            raise ValueError(_NO_BASELINE)
         return self.micro_by_w()[0.0]
 
     @property
@@ -97,12 +100,13 @@ def split_by_prefix(log: EventLog, k: int):
     count, ties broken toward the lexicographically smaller variant; all
     traces of the rank-1 (second) variant go to the held-out set, sorted by
     case id, then by cluster in prefix order, then in log order. Training
-    data is the entire log. Raises ValueError when no cluster has two
-    variants, i.e. the split would be empty.
+    data is the entire log. Raises ValueError for a k that is not an int
+    >= 1 (nor a bool), or when no cluster has two variants (an empty split).
 
     Clusters and ranks are taken from the log's variant counts; only the
     walk that collects the held-out traces visits each trace.
     """
+    _check_prefix_length(k)
     if k < 1:
         raise ValueError("k must be >= 1")
     clusters: dict = {}
@@ -154,8 +158,7 @@ def _check_settings(w_grid, prefix_lengths, has_net: bool, comparison: bool) -> 
     before any repeat is looked for, as True would equal 1.0.
     """
     for k in prefix_lengths:
-        if isinstance(k, bool) or not isinstance(k, Integral):
-            raise ValueError(f"prefix length {k!r} is not an int")
+        _check_prefix_length(k)
     for w in w_grid:
         _check_w(w)
     for values, what in ((w_grid, "w value"), (prefix_lengths, "prefix length")):
@@ -167,9 +170,14 @@ def _check_settings(w_grid, prefix_lengths, has_net: bool, comparison: bool) -> 
     if min(prefix_lengths) < 1:
         raise ValueError("k must be >= 1")
     if comparison and 0.0 not in w_grid:
-        raise ValueError("w grid must hold 0, the baseline the comparison table is measured against")
+        raise ValueError(_NO_BASELINE)
     if not has_net and max(w_grid) > 0:
         raise ValueError(f"w {max(w_grid)} needs a net; without one the beam runs the w = 0 baseline")
+
+
+def _check_prefix_length(k) -> None:
+    if isinstance(k, bool) or not isinstance(k, Integral):
+        raise ValueError(f"prefix length {k!r} is not an int")
 
 
 def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, config, w_grid) -> SweepResult:
@@ -248,9 +256,10 @@ def write_sweep_csv(path, results) -> None:
 
 
 def write_comparison_csv(path, results) -> None:
-    """Per-k baseline vs best-w modulated table (micro row last per dataset)."""
-    if isinstance(results, SweepResult):
-        results = [results]
+    """Per-k baseline vs best-w modulated table (micro row last per dataset); each grid must hold w = 0."""
+    results = [results] if isinstance(results, SweepResult) else list(results)
+    if any(0.0 not in result.w_grid for result in results):
+        raise ValueError(_NO_BASELINE)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "k", "baseline", "modulated", "diff"])

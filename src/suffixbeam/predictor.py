@@ -13,18 +13,19 @@ and reads a prefix only through its :meth:`~ContextModel.window`, the last
 ``context_len`` labels (``order``, or ``l_max - 1``). A label before the
 window is never read; an empty prefix, or an unknown label inside it, is a
 ValueError. ``_rows`` encodes windows with the one label encoder,
-:meth:`Vocabulary.encode_labels`. ``ranked_batch`` answers through the
-model's memo, ``ranked``, keyed by label windows: :func:`memoized_ranks`
-keeps the records of one ``k`` at a time, computes a call's distinct misses
-together and empties itself when it would exceed :data:`PREDICT_MEMO_CAP`
-entries. A row depends on nothing but its window and the parameters, so a
-memoized record is the one a cold model's row gives, bit for bit, and a
-warm call encodes nothing. ``predict_proba(prefix)`` and
-``predict_proba_batch(prefixes)``, an ``(n, |V|)`` array, compute rows
-afresh; the beam does not use them.
+:meth:`Vocabulary.encode_labels`, and returns a list of floats per window.
+``ranked_batch`` answers through the model's memo, ``ranked``, keyed by
+label windows: :func:`memoized_ranks` keeps the records of one ``k`` at a
+time, ranks a call's distinct misses together, in plain Python, and
+empties itself when it would exceed :data:`PREDICT_MEMO_CAP` entries. A
+row depends on nothing but its window and the parameters, so a memoized
+record is the one a cold model's row gives, bit for bit, and a warm call
+encodes nothing. Only ``predict_proba(prefix)`` and
+``predict_proba_batch(prefixes)``, an ``(n, |V|)`` array, build an array;
+they compute rows afresh, and the beam does not use them.
 
-The n-gram keys its counts by the label indices of the window and applies
-Laplace smoothing:
+The n-gram keys its counts, a list of ints per context, by the label
+indices of the window and applies Laplace smoothing in plain Python:
 
     P(a | ctx) = (count(ctx, a) + alpha) / (total(ctx) + alpha * |V|)
 
@@ -58,19 +59,18 @@ PREDICT_MEMO_CAP = 4096
 PROB_FLOOR = 1e-12
 
 
-def ranked_rows(rows: np.ndarray, k: int) -> list:
+def ranked_rows(rows, k: int) -> list:
     """Each row's ``k`` most probable label indices with their floored logs.
 
-    A row's record is a tuple of ``(index, log p)`` pairs, most probable
-    first; ties go to the lower index (one stable argsort of ``-rows``), and
-    ``p`` is floored at :data:`PROB_FLOOR` before ``math.log``.
+    ``rows`` is any sequence of rows. A record is a tuple of ``(index, log
+    p)`` pairs, most probable first, from one stable sort per row (ties go
+    to the lower index); ``p`` is floored at :data:`PROB_FLOOR` first.
     """
-    tops = np.argsort(-rows, axis=1, kind="stable")[:, :k].tolist()
-    return [tuple((idx, _log_floor(row[idx])) for idx in top) for top, row in zip(tops, rows.tolist())]
-
-
-def _log_floor(p: float) -> float:
-    return math.log(p if p > PROB_FLOOR else PROB_FLOOR)
+    records = []
+    for row in rows:
+        top = sorted(range(len(row)), key=row.__getitem__, reverse=True)[:k]
+        records.append(tuple((i, math.log(row[i] if row[i] > PROB_FLOOR else PROB_FLOOR)) for i in top))
+    return records
 
 
 def memoized_ranks(memo: dict, keys, k: int, compute) -> list:
@@ -90,7 +90,7 @@ def memoized_ranks(memo: dict, keys, k: int, compute) -> list:
     if None not in records:  # every key hits
         return records
     missing = list(dict.fromkeys(key for key, record in zip(keys, records) if record is None))
-    computed = dict(zip(missing, ranked_rows(np.array(compute(missing)), k)))
+    computed = dict(zip(missing, ranked_rows(compute(missing), k)))
     for key, record in computed.items():
         if len(table) >= PREDICT_MEMO_CAP:
             table.clear()
@@ -126,7 +126,7 @@ class NGramModel(ContextModel):
     vocab: Vocabulary
     order: int
     alpha: float
-    counts: dict  # context tuple (label indices) -> np.int64 array over vocab
+    counts: dict  # context tuple (label indices) -> list of int counts over vocab
     ranked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -134,6 +134,10 @@ class NGramModel(ContextModel):
             raise ValueError(f"order must be an int, not {self.order!r}")
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
             raise ValueError(f"alpha must be a real number, not {self.alpha!r}")
+        try:  # stored as the float a row computes with, as a model file holds it
+            object.__setattr__(self, "alpha", float(self.alpha))
+        except OverflowError:
+            raise ValueError(f"alpha must be a real number a float can hold, not {self.alpha!r}") from None
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if not 0 <= self.alpha < math.inf:
@@ -144,8 +148,8 @@ class NGramModel(ContextModel):
                 raise ValueError(f"count context {list(ctx)} is longer than order {self.order}")
             if any(type(i) is not int or not 0 <= i < n for i in ctx):  # nor would this
                 raise ValueError(f"count context {list(ctx)} needs label indices in [0, {n})")
-            if np.shape(row) != (n,) or np.any(np.less(row, 0)):
-                raise ValueError(f"count row of context {list(ctx)} needs {n} counts >= 0, one per label")
+            if len(row) != n or any(type(c) is not int or not 0 <= c < 2**63 for c in row):  # not a bool
+                raise ValueError(f"count row of context {list(ctx)} needs {n} counts >= 0, one int < 2**63 per label")
 
     @property
     def context_len(self) -> int:
@@ -158,15 +162,13 @@ class NGramModel(ContextModel):
     def _rows(self, windows) -> list:
         return [self._laplace_row(self.context_of(window)) for window in windows]
 
-    def _laplace_row(self, ctx) -> np.ndarray:
+    def _laplace_row(self, ctx) -> list:
         n = len(self.vocab)
-        row = self.counts.get(ctx)
-        if row is None:
-            row = np.zeros(n, dtype=np.int64)
-        denom = row.sum() + self.alpha * n
+        row = self.counts.get(ctx) or [0] * n
+        denom = sum(row) + self.alpha * n
         if denom == 0:  # alpha = 0 and unseen context
-            return np.full(n, 1.0 / n)
-        return (row + self.alpha) / denom
+            return [1.0 / n] * n
+        return [(count + self.alpha) / denom for count in row]
 
     def save(self, path) -> None:
         payload = {
@@ -174,7 +176,7 @@ class NGramModel(ContextModel):
             "order": self.order,
             "alpha": self.alpha,
             "vocab": list(self.vocab.labels),
-            "counts": [[list(ctx), row.tolist()] for ctx, row in sorted(self.counts.items())],
+            "counts": [[list(ctx), row] for ctx, row in sorted(self.counts.items())],
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, default=_json_number)
@@ -191,25 +193,16 @@ class NGramModel(ContextModel):
         order, alpha = payload["order"], payload["alpha"]
         if type(order) is not int or type(alpha) not in (int, float):  # a bool or a string is tampered
             raise ValueError(f"{path} has a malformed n-gram model entry: order {order!r} or alpha {alpha!r}")
-        try:
-            vocab = Vocabulary(labels=tuple(payload["vocab"]))
-            counts = {tuple(ctx): _count_row(row) for ctx, row in payload["counts"]}
-            alpha = float(alpha)
-        except (OverflowError, TypeError, ValueError) as exc:
+        try:  # the constructor's rules, counts included, hold for a file too
+            counts = {tuple(ctx): row for ctx, row in payload["counts"]}
+            return NGramModel(Vocabulary(labels=tuple(payload["vocab"])), order, alpha, counts)
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path} has a malformed n-gram model entry: {exc!r}") from None
-        return NGramModel(vocab=vocab, order=order, alpha=alpha, counts=counts)
 
 
 def _json_number(value):
     """A number JSON cannot write, a numpy scalar or a fraction, as the Python number it equals."""
     return value.item() if isinstance(value, np.generic) else float(value)
-
-
-def _count_row(row) -> np.ndarray:
-    """A count row read from a model file: ints only, as an int64 array."""
-    if any(type(count) is not int for count in row):  # a bool, a fraction or a string is tampered
-        raise TypeError(f"count row {row!r} holds a value that is not an int")
-    return np.array(row, dtype=np.int64)
 
 
 def train_ngram(prefix_log: PrefixLog, vocab: Vocabulary, order: int = 3, alpha: float = 0.01) -> NGramModel:
@@ -223,10 +216,5 @@ def train_ngram(prefix_log: PrefixLog, vocab: Vocabulary, order: int = 3, alpha:
     if not prefix_log.counts:
         raise ValueError("empty prefix log")
     for (prefix, nxt), multiplicity in prefix_log.counts.items():
-        ctx = model.context_of(prefix)
-        row = model.counts.get(ctx)
-        if row is None:
-            row = np.zeros(len(vocab), dtype=np.int64)
-            model.counts[ctx] = row
-        row[vocab.index_of(nxt)] += multiplicity
+        model.counts.setdefault(model.context_of(prefix), [0] * len(vocab))[vocab.index_of(nxt)] += multiplicity
     return model

@@ -616,6 +616,12 @@ def test_default_synthgen_output_is_locked(workspace):
     }
 
 
+def test_default_ngram_model_file_is_locked(workspace):
+    # `suffixbeam train` on the default synthgen log
+    digest = hashlib.sha256(Path(workspace["model"]).read_bytes()).hexdigest()
+    assert digest == "a468f99f2b599863781ed4517abbb8ef137074127c036493893a790d17c42bee"
+
+
 @pytest.mark.parametrize(
     "flag,value,fragment",
     [

@@ -231,7 +231,7 @@ def per_trace_entries(variants):
 
 
 def ngram_rows(model):
-    return [(ctx, row.tolist()) for ctx, row in model.counts.items()]
+    return list(model.counts.items())
 
 
 @settings(max_examples=100)

@@ -96,6 +96,16 @@ def test_split_errors():
         split_by_prefix(log, 9)
 
 
+def test_split_checks_k_as_the_sweep_does():
+    log = log_from_variants([("A", "B", "C")] * 3 + [("A", "B", "D")])
+    # True would hold out as k = 1, and 2.0 cannot slice
+    for k in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^prefix length {re.escape(repr(k))} is not an int$"):
+            split_by_prefix(log, k)
+    assert split_by_prefix(log, np.int64(2)) == split_by_prefix(log, 2)
+    assert holdout_variants(log, np.int64(2)) == [("A", "B", "D")]
+
+
 def per_trace_split(log, k):
     """Reference: split_by_prefix as it walked every trace to build its clusters."""
     clusters = {}
@@ -670,6 +680,24 @@ def test_comparison_csv_layout(small_sweep, tmp_path):
         assert float(row[2]) == base
         assert float(row[3]) == mod
         assert float(row[4]) == mod - base
+
+
+def test_a_grid_without_w0_has_no_baseline_and_writes_no_comparison(synth, synth_ngram, small_sweep, tmp_path):
+    _, with_w0 = small_sweep
+    config = BeamConfig(b_size=3, max_iter=8)
+    result = evaluate_dataset("no-w0", synth.test_log, synth_ngram, synth.net, config, w_grid=(0.5,),
+                              prefix_lengths=(3,))
+    message = "^w grid must hold 0, the baseline the comparison table is measured against$"
+    with pytest.raises(ValueError, match=message):
+        result.baseline_micro
+    assert result.best_micro == result.cell(MICRO, 0.5).mean_similarity
+    path = tmp_path / "comparison.csv"
+    for results in (result, [with_w0, result], iter([with_w0, result])):  # checked before the file is opened
+        with pytest.raises(ValueError, match=message):
+            write_comparison_csv(path, results)
+        assert not path.exists()
+    write_comparison_csv(path, iter([with_w0]))  # a one-pass iterable is read once
+    assert len(path.read_text().splitlines()) == 1 + len(with_w0.prefix_lengths) + 1
 
 
 def test_csv_writers_accept_lists(small_sweep, tmp_path):

@@ -40,7 +40,7 @@ def abc_ngram(order=2, alpha=0.01):
 def laplace_row(model, prefix):
     ids = model.vocab.encode_labels(prefix)
     n = len(model.vocab)
-    counts = model.counts.get(ids[-model.order:], np.zeros(n, dtype=np.int64))
+    counts = np.asarray(model.counts.get(ids[-model.order:], np.zeros(n, dtype=np.int64)))
     if counts.sum() + model.alpha * n == 0:  # alpha = 0 and an unseen context
         return np.full(n, 1.0 / n)
     return (counts + model.alpha) / (counts.sum() + model.alpha * n)
@@ -65,6 +65,8 @@ def models():
     return {
         "ngram": (abc_ngram(), laplace_row),
         "ngram-alpha0": (abc_ngram(alpha=0.0), laplace_row),  # exact zeros hit the floor
+        "ngram-alpha1": (abc_ngram(alpha=1), laplace_row),  # an int alpha
+        "ngram-alpha1e-14": (abc_ngram(alpha=1e-14), laplace_row),  # p > 0 below the floor
         "attention-tiny": (AttentionModel(VOCAB4, TINY), cold_forward_row),
         "attention-default": (AttentionModel(VOCAB4, DEFAULT), cold_forward_row),
     }
@@ -72,6 +74,16 @@ def models():
 
 MODEL_NAMES = sorted(models())
 PREFIXES = st.lists(st.sampled_from(["A", "B", "C", END]), min_size=1, max_size=9).map(tuple)
+# every batch holds an unseen context (alpha 0 falls back to uniform) and a
+# seen one whose zero counts tie
+UNSEEN, TIED = ("C", "C"), ("A", "A")
+
+
+def test_the_edge_contexts_give_ties_and_probabilities_below_the_floor():
+    assert laplace_row(abc_ngram(alpha=0.0), UNSEEN).tolist() == [0.25] * 4
+    assert laplace_row(abc_ngram(alpha=1), TIED).tolist() == [1 / 6, 1 / 6, 3 / 6, 1 / 6]
+    row = laplace_row(abc_ngram(alpha=1e-14), TIED)
+    assert row[0] == row[1] == row[3] and 0 < row[0] < PROB_FLOOR
 
 
 def _fresh(model):
@@ -90,7 +102,7 @@ def _fresh(model):
 def test_batched_memoized_rows_equal_cold_single_rows(name, batch, data):
     model, reference = models()[name]
     # duplicates within one batch, and prefixes longer than the window
-    batch = batch + data.draw(st.lists(st.sampled_from(batch), max_size=4))
+    batch = [UNSEEN, TIED] + batch + data.draw(st.lists(st.sampled_from(batch), max_size=4))
     cuts = sorted(data.draw(st.sets(st.integers(1, len(batch) - 1), max_size=3)) if len(batch) > 1 else [])
     want = [reference(model, p) for p in batch]
     got = []
@@ -147,7 +159,7 @@ def test_empty_prefix_in_a_batch_is_rejected(name):
 def test_ranked_records_equal_the_ranking_of_cold_rows(name, batch, data):
     model, reference = models()[name]
     # duplicates within one batch, and prefixes longer than the window
-    batch = batch + data.draw(st.lists(st.sampled_from(batch), max_size=4))
+    batch = [UNSEEN, TIED] + batch + data.draw(st.lists(st.sampled_from(batch), max_size=4))
     ks = data.draw(st.lists(st.integers(1, len(model.vocab) + 1), min_size=1, max_size=3), label="ks")
     cap = data.draw(st.sampled_from([3, predictor_module.PREDICT_MEMO_CAP]), label="cap")
     replaced = data.draw(st.booleans(), label="replaced")

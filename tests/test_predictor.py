@@ -89,23 +89,29 @@ def test_save_load_round_trip(tiny_model, tmp_path):
     assert back.alpha == tiny_model.alpha
     assert set(back.counts) == set(tiny_model.counts)
     for ctx, row in tiny_model.counts.items():
-        assert back.counts[ctx].tolist() == row.tolist()
+        assert back.counts[ctx] == row
     # bit-for-bit identical predictions
     assert back.predict_proba(("A", "B")).tolist() == tiny_model.predict_proba(("A", "B")).tolist()
 
 
-@pytest.mark.parametrize("order, alpha", [(np.int64(2), 0.5), (2, np.float32(0.5)), (np.int32(2), np.float64(0.5))])
+@pytest.mark.parametrize(
+    "order, alpha",
+    [(np.int64(2), 0.5), (2, np.float32(0.5)), (np.int32(2), np.float64(0.5)), (2, np.float32(0.1))],
+)
 def test_a_model_of_numpy_numbers_saves_python_numbers(tmp_path, order, alpha):
     log = log_from_variants([("A", "B", "A")] * 4 + [("A", "B", "B")] * 2)
     model = train_ngram(build_prefix_log(log), build_vocabulary(log), order=order, alpha=alpha)
+    assert type(model.alpha) is float  # the float a model file holds, so a loaded copy predicts alike
     path = tmp_path / "model.json"
     model.save(path)
     payload = json.loads(path.read_text())
     assert (type(payload["order"]), type(payload["alpha"])) == (int, float)
     back = NGramModel.load(path)
-    assert (back.order, back.alpha) == (2, 0.5)
-    for prefix in [("A",), ("A", "B"), ("B", "B")]:
+    assert (back.order, back.alpha) == (2, float(alpha))
+    prefixes = [("A",), ("A", "B"), ("B", "B"), ("B",)]  # ("B",) is an unseen context
+    for prefix in prefixes:
         assert back.predict_proba(prefix).tolist() == model.predict_proba(prefix).tolist()
+    assert back.ranked_batch(prefixes, 3) == model.ranked_batch(prefixes, 3)
 
 
 @pytest.mark.parametrize(
@@ -126,6 +132,18 @@ def test_a_model_takes_an_int_order_and_a_real_alpha(order, alpha, message):
 
 
 @pytest.mark.parametrize(
+    "row", [np.array([4, 2, 0]), [4, True, 0], [4, 2.0, 0], [4, np.int64(2), 0], [4, 2], [4, -2, 0], [2**63, 0, 0]],
+    ids=["an-array", "a-bool", "a-float", "a-numpy-int", "too-short", "negative", "past-int64"],
+)
+def test_a_constructor_takes_the_count_rows_load_takes(row):
+    vocab = Vocabulary(labels=("A", "B", END))
+    assert NGramModel(vocab=vocab, order=2, alpha=0.5, counts={(0, 1): [4, 2, 0]}).counts == {(0, 1): [4, 2, 0]}
+    message = r"^count row of context \[0, 1\] needs 3 counts >= 0, one int < 2\*\*63 per label$"
+    with pytest.raises(ValueError, match=message):
+        NGramModel(vocab=vocab, order=2, alpha=0.5, counts={(0, 1): row})
+
+
+@pytest.mark.parametrize(
     "key, value, message",
     [
         ("order", 0, "order must be >= 1"),
@@ -137,6 +155,8 @@ def test_a_model_takes_an_int_order_and_a_real_alpha(order, alpha, message):
         ("counts", 5, "malformed n-gram model entry"),
         ("counts", [[[0, 1]]], "malformed n-gram model entry"),
         ("counts", [[[0, 1], [1e30, 0, 0]]], "malformed n-gram model entry"),
+        ("counts", [[[0, 1], [2**63, 0, 0]]], "malformed n-gram model entry"),
+        ("counts", [[[0, 1], [10**400, 0, 0]]], "malformed n-gram model entry"),
         ("vocab", 3, "malformed n-gram model entry"),
         ("vocab", ["A", "B"], "malformed n-gram model entry"),
         ("order", "two", "malformed n-gram model entry"),
@@ -160,6 +180,7 @@ def test_a_model_takes_an_int_order_and_a_real_alpha(order, alpha, message):
     ],
     ids=["order-0", "order-below-its-contexts", "alpha-negative", "alpha-nan", "row-too-short",
          "row-negative", "counts-not-a-list", "count-pair-without-row", "count-past-int64",
+         "count-int-past-int64", "count-int-past-float",
          "vocab-not-a-list", "vocab-without-end", "order-not-a-number", "order-infinite", "alpha-a-list",
          "order-a-fraction", "order-a-float", "order-a-string", "order-a-bool", "alpha-a-bool",
          "alpha-a-string", "alpha-infinite", "alpha-past-float", "vocab-not-strings", "count-a-fraction",
@@ -230,4 +251,4 @@ def test_counts_equal_per_entry_counting(variants, order):
     counts = train_ngram(plog, vocab, order=order).counts
     assert list(counts) == list(want)  # the same contexts, first seen first
     for ctx, row in want.items():
-        assert counts[ctx].dtype == row.dtype and counts[ctx].tolist() == row.tolist()
+        assert all(type(count) is int for count in counts[ctx]) and counts[ctx] == row.tolist()
