@@ -23,7 +23,8 @@ the test oracles mirror them):
 * silent transitions fire only when actually enabled — they are used to
   enable a target transition (or to cover the final marking) via a
   breadth-first search over silent firings, children generated in
-  transition-id order, bounded depth, first hit wins;
+  transition-id order, bounded depth; one search serves every candidate
+  of a label, and the lowest candidate it can enable wins;
 * every firing, silent or not, adds its arc weights to the produced and
   consumed counters.
 """
@@ -76,28 +77,29 @@ def _overflow(net, code):
     return ValueError(f"replay overflows the int32 token count of place {place!r}")
 
 
-def silent_path_to(net, marking, req):
-    """Shortest sequence of enabled silent firings after which req is covered.
+def silent_path_to(net, marking, reqs):
+    """The lowest of the packed markings reqs that silent firings can cover, and how.
 
-    BFS over reachable packed markings; children are generated in silent-row
-    order, so the first goal hit is the shortest, earliest sequence. The
-    search gives up once it holds NODE_CAP distinct markings and an enabled
-    silent firing would add another (the cap is checked before the duplicate
-    test), and logs that at WARNING, since the replay then charges missing
-    tokens a path might have avoided. A child with a count past the int32
-    range raises ValueError. Returns the transition rows of the path, or
-    None when there is none or the search gave up.
+    One BFS over reachable packed markings, children generated in
+    silent-row order. Each marking, the start included, is tested as it is
+    generated against the reqs below the lowest one covered so far, so
+    req i's first hit is the shortest, earliest sequence that a search for
+    it alone finds: that search visits a prefix of this one's node order.
+    The search ends once reqs[0] is covered, or gives up once it holds
+    NODE_CAP distinct markings and an enabled silent firing would add
+    another (the cap is checked before the duplicate test), and logs that
+    at WARNING, since the replay then charges missing tokens a path might
+    have avoided. A child with a count past the int32 range raises
+    ValueError. Returns (i, transition rows of the path) for the lowest i
+    covered, or None.
     """
     high = net.high
-    if ((marking | high) - req) & high == high:
-        return []
-    silent_rows = net.silent_rows
-    if not silent_rows:
-        return None
-    pre, post = net.pre, net.post
-    level = [(marking, [])]  # the markings first reached at one depth, with their paths
-    seen = {marking}
-    for _ in range(SILENT_BFS_DEPTH):
+    lifted = marking | high
+    limit = next((i for i, req in enumerate(reqs) if (lifted - req) & high == high), len(reqs))
+    found = (limit, []) if limit < len(reqs) else None
+    silent_rows, pre, post = net.silent_rows, net.pre, net.post
+    level, seen = [(marking, [])], {marking}  # the markings first reached at one depth, and all seen
+    for _ in range(SILENT_BFS_DEPTH if limit and silent_rows else 0):
         next_level = []
         for node, path in level:
             lifted = node | high
@@ -107,7 +109,7 @@ def silent_path_to(net, marking, req):
                 if len(seen) >= NODE_CAP:
                     logger.warning("silent search gave up after %d markings; the replay step"
                                    " charges the tokens it could not enable as missing", NODE_CAP)
-                    return None
+                    return found
                 child = node - pre[t] + post[t]
                 if child & high:
                     raise _overflow(net, child)
@@ -115,11 +117,16 @@ def silent_path_to(net, marking, req):
                     continue
                 seen.add(child)
                 child_path = path + [t]
-                if ((child | high) - req) & high == high:
-                    return child_path
+                covering = child | high
+                for i in range(limit):
+                    if (covering - reqs[i]) & high == high:
+                        found, limit = (i, child_path), i
+                        break
+                if not limit:
+                    return found
                 next_level.append((child, child_path))
         level = next_level
-    return None
+    return found
 
 
 def _consume(net, marking, t):
@@ -156,24 +163,15 @@ def replay_one_label(net, marking, tids):
     """Replay one visible label: pick a transition, enable it, fire it.
 
     Among the candidate transitions (all sharing the label, ids ascending)
-    the one needing the fewest missing tokens wins — a transition that a
-    silent sequence can fully enable counts as zero missing; ties go to the
-    lowest transition id. Returns (next packed marking, missing, consumed,
-    produced), the counters including any silent firings.
+    the first that a silent sequence can fully enable wins, found by one
+    search over their inputs; failing that, the one needing the fewest
+    missing tokens, ties going to the lowest id. Returns (next packed
+    marking, missing, consumed, produced), the counters including any
+    silent firings.
     """
-    high = net.high
-    best, best_miss, path = None, float("inf"), []
-    lifted = marking | high
-    for t in tids:
-        pre = net.pre[t]
-        found = [] if (lifted - pre) & high == high else silent_path_to(net, marking, pre)
-        if found is not None:
-            best, path = t, found
-            break
-        miss = _consume(net, marking, t)[1]
-        if miss < best_miss:
-            best, best_miss = t, miss
-    return _fire(net, marking, path + [best])
+    found = silent_path_to(net, marking, [net.pre[t] for t in tids])
+    i, path = found or (min(range(len(tids)), key=lambda i: _consume(net, marking, tids[i])[1]), [])
+    return _fire(net, marking, path + [tids[i]])
 
 
 def finish_complete(net, marking):
@@ -184,7 +182,7 @@ def finish_complete(net, marking):
     the final consumption, and whether the final marking was met exactly.
     """
     final = net.final_code
-    path = silent_path_to(net, marking, final) or []
+    _, path = silent_path_to(net, marking, (final,)) or (0, [])
     marking, _, consumed, produced = _fire(net, marking, path)
     missing, remaining = excess(net, final, marking), excess(net, marking, final)
     return missing, consumed + net.final_tokens, produced, remaining, missing == 0 and remaining == 0

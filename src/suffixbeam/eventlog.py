@@ -81,10 +81,12 @@ class Trace:
 
 
 class _Planned(NamedTuple):
-    """A column not made yet: ``make()`` makes it; ``variants`` is the variant column it follows, known now."""
+    """A column not made yet: ``make()`` makes it; ``variants`` is the variant column it follows, known now,
+    and ``counts`` its ``Counter``, if counted."""
 
     variants: tuple
     make: partial
+    counts: Counter = None
 
 
 class _Made:
@@ -125,8 +127,8 @@ class EventLog:
 
     def __post_init__(self):
         traces = self.__dict__["traces"]
-        column = traces.variants if isinstance(traces, _Planned) else tuple(map(variant_of, traces))
-        variants = Counter(column)
+        planned = traces if isinstance(traces, _Planned) else _Planned(tuple(map(variant_of, traces)), None)
+        column, variants = planned.variants, planned.counts or Counter(planned.variants)
         labels = frozenset().union(*variants)
         if END in labels.union(self.alphabet or ()):
             raise ValueError(f"input data uses the reserved completion label {END!r}")
@@ -428,24 +430,25 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
     trace's a slice of it, so traces share one object wherever the instant
     is the same.
 
-    Every check runs here, so bad input raises at the call: ``Trace``'s
-    checks on the first trace of each variant and on each trace whose case
-    id is bad, in log order, so an error names the same case as a
-    trace-by-trace build would, then the reserved-label check; a minute
-    table whose last minute would leave the datetime range raises
-    ValueError too. The traces themselves, and the table, are made on the
-    first read of the log's ``traces``.
+    Every check runs here, so bad input raises at the call. The rows are
+    counted once, into the log's variant counts. ``Trace``'s checks run on
+    each distinct variant, in order of first occurrence, and on each case
+    id; if one fails, they run on each row in log order, so an error names
+    the same case as a trace-by-trace build would. A minute table whose last
+    minute would leave the datetime range raises ValueError before them,
+    and the reserved-label check comes after. The traces themselves, and
+    the table, are made on the first read of the log's ``traces``.
     """
     column = tuple(map(tuple, variants))
     if case_ids is not None:
         case_ids = tuple(case_ids)
         if len(case_ids) != len(column):
             raise ValueError(f"{len(case_ids)} case ids given for {len(column)} variants")
-    try:  # the first row of each variant: the later rows overwrite the earlier ones
-        firsts = dict(zip(reversed(column), range(len(column) - 1, -1, -1)))
-        rows, longest = set(firsts.values()), max(map(len, firsts), default=0)
-    except TypeError:  # an unhashable label, which Trace's checks reject: check every row
-        rows, longest = set(range(len(column))), max(map(len, column), default=0)
+    try:  # each distinct variant with its number of rows
+        counts = Counter(column)
+    except TypeError:  # an unhashable label, which Trace's checks reject
+        counts = None
+    longest = max(map(len, column if counts is None else counts), default=0)
     # the minutes the traces use: a row before the last `longest` ends before the last row starts
     tail = max(len(column) - longest, 0)
     n_minutes = max((i + len(labels) for i, labels in enumerate(column[tail:], tail)), default=0)
@@ -454,11 +457,16 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
         first + timedelta(minutes=max(n_minutes - 1, 0))
     except OverflowError as exc:  # a start near either end of the datetime range
         raise ValueError(f"{n_minutes} minutes from {start} leave the datetime range") from exc
-    if case_ids is not None:
-        rows.update(i for i, case in enumerate(case_ids) if not (isinstance(case, str) and case))
-    for i in sorted(rows):
-        _check_trace(_case_id(case_ids, i), column[i], (first,) * len(column[i]))
-    return EventLog(_Planned(column, partial(_minute_traces, column, case_ids, first, n_minutes)))
+    rows_pass = counts is not None and all(isinstance(case, str) and case for case in case_ids or ())
+    try:
+        for labels in counts if rows_pass else ():
+            _check_trace("case", labels, (first,) * len(labels))
+    except ValueError:
+        rows_pass = False
+    if not rows_pass:  # the first row that fails raises
+        for i, labels in enumerate(column):
+            _check_trace(_case_id(case_ids, i), labels, (first,) * len(labels))
+    return EventLog(_Planned(column, partial(_minute_traces, column, case_ids, first, n_minutes), counts))
 
 
 def _case_id(case_ids, i: int) -> str:

@@ -84,6 +84,30 @@ def random_net(rng) -> PetriNet:
     return PetriNet("rand", places, tuple(transitions), tuple(arcs), initial, final)
 
 
+def trie_net(variants, name: str = "trie") -> PetriNet:
+    """A state machine that accepts exactly the given variants.
+
+    One place per distinct prefix, one transition per (prefix, next label),
+    so a label sits on one transition for each prefix it follows, and one
+    silent transition from each variant's place to the sink. A net
+    discovered from a log has this shape: many duplicate labels and many
+    silent transitions.
+    """
+    place_of = {(): "q0"}
+    transitions, arcs = [], []
+    for i, variant in enumerate(dict.fromkeys(map(tuple, variants))):
+        for k in range(1, len(variant) + 1):
+            if variant[:k] not in place_of:
+                place_of[variant[:k]] = f"q{len(place_of)}"
+                tid = f"t{len(transitions)}"
+                transitions.append(Transition(tid, variant[k - 1]))
+                arcs += [Arc(place_of[variant[:k - 1]], tid), Arc(tid, place_of[variant[:k]])]
+        transitions.append(Transition(f"end{i}", None))
+        arcs += [Arc(place_of[variant], f"end{i}"), Arc(f"end{i}", "sink")]
+    places = tuple(place_of.values()) + ("sink",)
+    return PetriNet(name, places, tuple(transitions), tuple(arcs), {"q0": 1}, {"sink": 1})
+
+
 def rebuilt(net) -> PetriNet:
     """The same net with its own, cold reachability graph."""
     return PetriNet(

@@ -768,6 +768,37 @@ def test_a_case_id_count_mismatch_raises_before_any_trace_is_made():
     assert made == []
 
 
+def test_a_log_from_variants_counts_its_rows_once(monkeypatch):
+    counted = []
+
+    def counter(*args):
+        counted.append(args)
+        return Counter(*args)
+
+    monkeypatch.setattr(eventlog, "Counter", counter)
+    variants = [("A", "B"), ("C",), ("A", "B"), ("C",), ("D",)]
+    log = log_from_variants(variants, case_ids=["c1", "c2", "c3", "c4", "c5"])
+    assert len(counted) == 1
+    assert log.variants == Counter(variants) and list(log.variants) == [("A", "B"), ("C",), ("D",)]
+    assert log == EventLog(log.traces)
+
+
+def test_a_log_from_variants_hashes_each_row_once():
+    hashed = []
+
+    class Label(str):
+        def __hash__(self):
+            hashed.append(self)
+            return str.__hash__(self)
+
+    def hashes(n_rows):
+        hashed.clear()
+        log_from_variants([(Label("A"), "B")] * n_rows)
+        return len(hashed)
+
+    assert hashes(30) - hashes(20) == 10
+
+
 def test_a_repeated_variant_still_checks_its_case_id():
     with pytest.raises(ValueError, match="trace with empty case id"):
         log_from_variants([("A", "B"), ("C",), ("A", "B")], case_ids=["c1", "c2", ""])

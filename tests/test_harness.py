@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from logs import made_columns, made_traces, repetitive_variants
-from nets import random_net
+from nets import random_net, trie_net
 
 from suffixbeam import harness, petri
 from suffixbeam.beam import BeamConfig, BeamResult, baseline_beam, modulated_beam, sweep_beams
@@ -629,6 +629,31 @@ def test_reallife_sweep_equals_the_per_k_composition(variants, net_seed, prefix_
     assert {(c.k, c.w): c for c in got.cells} == want  # floats compared exactly
     # for each w, the k rows in the given order and then the micro row
     assert [(c.k, c.w) for c in got.cells] == [(k, w) for w in w_grid for k in populated + (MICRO,)]
+
+
+def playout_variants(seed, n_traces):
+    """Start, a noisily ordered pick of P0..P4, then Close or Reject: many variants over seven labels."""
+    rng = np.random.default_rng(seed)
+    variants = []
+    for _ in range(n_traces):
+        body = sorted((j for j in range(5) if rng.random() < 0.8), key=lambda j: j + rng.normal(0, 1.5))
+        variants.append(("Start", *(f"P{j}" for j in body), "Close" if rng.random() < 0.7 else "Reject"))
+    return variants
+
+
+# SHA-256 of the repr of the cells below; any change to a replay step or a
+# beam on this net moves it
+TRIE_LOCK_DIGEST = "cb876e8e1602c9161ab265005b1faa2b5c57223f042bd2f29a415f399f0a7f42"
+
+
+def test_a_reallife_sweep_over_a_trie_net_is_locked():
+    # the net accepts each of the log's variants: labels sit on many
+    # transitions, and every variant's end has its own silent transition
+    log = log_from_variants(playout_variants(1, 400))
+    net = trie_net(log.variants)
+    assert (len(log.variants), len(net.places), len(net.transitions)) == (192, 373, 563)
+    result = run_reallife_experiment("trie", log, net, w_grid=(0.0, 0.3, 0.6, 0.9), prefix_lengths=(3, 4, 5))
+    assert hashlib.sha256(repr(result.cells).encode()).hexdigest() == TRIE_LOCK_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import random
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from suffixbeam.petri import (
 )
 from suffixbeam.synthgen import exceptional_process_net
 
-from nets import chain_net, flower_net, marking_to_dict, random_net, rebuilt
+from nets import chain_net, flower_net, marking_to_dict, random_net, rebuilt, trie_net
 from replay_reference import RefReplay, reference_replay
 
 SYNTH_NET = exceptional_process_net()
@@ -335,12 +336,15 @@ def test_silent_search_depth_limit():
     assert_matches_reference(too_deep, ("V",))
 
 
-def toggles(n, needed):
-    """n independent silent toggles a_i -> b_i; V needs the b tokens of ``needed``."""
+def toggles(n, *needs):
+    """n independent silent toggles a_i -> b_i; one transition labelled V
+    per set in ``needs``, which needs the b tokens of that set."""
     places = tuple(f"a{i}" for i in range(n)) + tuple(f"b{i}" for i in range(n)) + ("z",)
-    transitions = tuple(Transition(f"s{i}", None) for i in range(n)) + (Transition("v", "V"),)
+    transitions = tuple(Transition(f"s{i}", None) for i in range(n))
+    transitions += tuple(Transition(f"v{j}", "V") for j in range(len(needs)))
     arcs = [a for i in range(n) for a in (Arc(f"a{i}", f"s{i}"), Arc(f"s{i}", f"b{i}"))]
-    arcs += [Arc(f"b{i}", "v") for i in needed] + [Arc("v", "z")]
+    for j, needed in enumerate(needs):
+        arcs += [Arc(f"b{i}", f"v{j}") for i in needed] + [Arc(f"v{j}", "z")]
     initial = {f"a{i}": 1 for i in range(n)}
     return PetriNet("toggles", places, transitions, tuple(arcs), initial, {"z": 1})
 
@@ -360,17 +364,49 @@ def test_silent_search_node_cap(caplog):
     assert "silent search gave up after 4096 markings" in caplog.records[0].getMessage()
 
 
-def assert_silent_paths_match_reference(net, ref):
-    """From ref's marking, the kernel's silent path to the inputs of each
-    transition, and to the final marking, is the one the reference finds."""
+def test_a_label_whose_candidates_all_reach_the_cap_logs_one_warning(caplog):
+    caplog.set_level(logging.WARNING, logger="suffixbeam._kernels")
+    # two transitions carry V, and neither can be enabled within the cap;
+    # their one shared search gives up once
+    net = toggles(13, range(3, 13), range(2, 12))
+    assert token_replay(net, ("V",), partial=True).missing == 10
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "silent search gave up after 4096 markings" in caplog.records[0].getMessage()
+    assert_matches_reference(rebuilt(net), ("V",))
+
+
+def silent_needs(net, ref):
+    """ref's marking packed, each transition's tid, and the packed
+    requirements of the kernel beside the reference's dict ones: each
+    transition's inputs, then the final marking."""
     compiled = net.compiled
     marking = sum(n << 32 * compiled.place_index[p] for p, n in ref.marking.items())
     tid_of_row = [t.tid for t in net.transitions]
     needs = [(compiled.pre[row], ref.inputs[tid]) for row, tid in enumerate(tid_of_row)]
     needs.append((compiled.final_code, net.final_marking))
+    return marking, tid_of_row, needs
+
+
+def assert_silent_paths_match_reference(net, ref):
+    """From ref's marking, the kernel's silent path to the inputs of each
+    transition, and to the final marking, is the one the reference finds."""
+    marking, tid_of_row, needs = silent_needs(net, ref)
     for req, need in needs:
-        rows = _kernels.silent_path_to(compiled, marking, req)
-        assert (None if rows is None else [tid_of_row[row] for row in rows]) == ref._silent_path(need)
+        found = _kernels.silent_path_to(net.compiled, marking, (req,))
+        assert found is None or found[0] == 0
+        assert (None if found is None else [tid_of_row[row] for row in found[1]]) == ref._silent_path(need)
+
+
+def assert_shared_search_matches_reference(net, ref, order):
+    """From ref's marking, one search over the requirements in ``order``
+    finds the first that the reference's search for each alone covers, with
+    the reference's path."""
+    marking, tid_of_row, needs = silent_needs(net, ref)
+    needs = [needs[j] for j in order]
+    paths = (ref._silent_path(need) for _, need in needs)
+    want = next(((i, path) for i, path in enumerate(paths) if path is not None), None)
+    found = _kernels.silent_path_to(net.compiled, marking, [req for req, _ in needs])
+    assert (None if found is None else (found[0], [tid_of_row[row] for row in found[1]])) == want
 
 
 @settings(max_examples=150)
@@ -396,6 +432,33 @@ def test_silent_path_kernel_matches_reference_on_toggle_nets(n, needed):
     # on 13 toggles both reach the cap
     net = toggles(n, needed)
     assert_silent_paths_match_reference(net, RefReplay(net))
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from("ABCD"), max_size=6), st.randoms(use_true_random=False))
+def test_one_search_over_shuffled_requirements_matches_the_reference_on_random_nets(seed, variant, shuffler):
+    net = random_net(np.random.default_rng(seed))
+    twin = PetriNet(net.name, net.places, tuple(Transition(t.tid, None) for t in net.transitions),
+                    net.arcs, net.initial_marking, net.final_marking)
+    ref, twin_ref = RefReplay(net), RefReplay(twin)
+    order = list(range(len(net.transitions) + 1))
+    for label in (None, *variant):
+        if label is not None:
+            ref.step(label)
+        twin_ref.marking = dict(ref.marking)
+        shuffler.shuffle(order)
+        assert_shared_search_matches_reference(net, ref, order)
+        assert_shared_search_matches_reference(twin, twin_ref, order)
+
+
+@pytest.mark.parametrize("n, needed", [(10, range(10)), (13, range(3, 13))], ids=["found", "capped"])
+def test_one_search_over_shuffled_requirements_matches_the_reference_on_toggle_nets(n, needed):
+    # rows n + 1 and n are the final marking and V, whose searches are long;
+    # each toggle's input is covered at the start
+    net = toggles(n, needed)
+    rows = list(range(n + 2))
+    for order in (rows, rows[::-1], random.Random(n).sample(rows, n + 2)):
+        assert_shared_search_matches_reference(net, RefReplay(net), order)
 
 
 token_counts = st.one_of(st.integers(0, 3), st.integers(0, INT32_MAX))
@@ -430,7 +493,7 @@ def test_residual_and_finish_match_the_numpy_formulas_on_random_nets(seed, varia
             state.step(label)
         sid = compiled.state(state.code)
         assert compiled.residual[sid] == int(np.maximum(state.marking - final_counts, 0).sum())
-        path = _kernels.silent_path_to(compiled, state.code, compiled.final_code) or []
+        _, path = _kernels.silent_path_to(compiled, state.code, (compiled.final_code,)) or (0, [])
         code, _, consumed, produced = _kernels._fire(compiled, state.code, path)
         after = _kernels.unpack(code, len(net.places)).astype(np.int64)
         missing = int(np.maximum(final_counts - after, 0).sum())
@@ -561,6 +624,53 @@ def assert_memo_matches_fresh_and_reference(net, variants):
 )
 def test_memoized_replay_matches_fresh_and_reference(seed, variants):
     assert_memo_matches_fresh_and_reference(random_net(np.random.default_rng(seed)), variants)
+
+
+def assert_compliance_matches_reference(net, variant):
+    want = [fitness(ReplayResult(*counts, None)) for counts in (
+        reference_replay(net, variant, partial=True),
+        reference_replay(net, variant, partial=True, strict=True),
+        reference_replay(net, variant)[:4],
+    )]
+    got = [compliance(net, variant, partial=True), compliance(net, variant, partial=True, partial_mode="strict"),
+           compliance(net, variant)]
+    assert got == want
+
+
+# trie nets: every label sits on one transition per prefix it follows, and
+# every variant's end has a silent transition to the sink; "D" is unknown
+@settings(max_examples=100)
+@given(
+    st.lists(st.lists(st.sampled_from("ABC"), max_size=5).map(tuple), min_size=1, max_size=8),
+    st.lists(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=6).map(tuple), max_size=4),
+)
+def test_replay_on_trie_nets_matches_the_reference(accepted, others):
+    net = trie_net(accepted)
+    for variant in [v for v in accepted if v] + others:  # one net, so later replays read its graph
+        assert_matches_reference(net, variant)
+        assert_compliance_matches_reference(net, variant)
+
+
+def test_a_cold_step_runs_one_silent_search_for_all_its_candidates(monkeypatch):
+    searches = []  # the requirements of each search
+    search = _kernels.silent_path_to
+
+    def counted(net, marking, reqs):
+        searches.append(reqs)
+        return search(net, marking, reqs)
+
+    monkeypatch.setattr(_kernels, "silent_path_to", counted)
+    # B sits on three transitions: none is enabled from the start, and the
+    # third is after D
+    net = trie_net([("A", "B"), ("C", "B"), ("D", "B")])
+    for variant in [("B",), ("D", "B")]:
+        searches.clear()
+        state = ReplayState(rebuilt(net).compiled)
+        for label in variant:
+            state.step(label)
+        assert len(searches) == len(variant)  # one per cold step
+        assert len(searches[-1]) == 3
+        assert_matches_reference(rebuilt(net), variant)
 
 
 def test_replayed_markings_stay_int32_and_read_only():
