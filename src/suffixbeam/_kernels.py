@@ -97,9 +97,10 @@ def silent_path_to(net, marking, reqs):
     lifted = marking | high
     limit = next((i for i, req in enumerate(reqs) if (lifted - req) & high == high), len(reqs))
     found = (limit, []) if limit < len(reqs) else None
+    below = reqs[:limit]  # the reqs a later marking must cover to beat the lowest hit
     silent_rows, pre, post = net.silent_rows, net.pre, net.post
     level, seen = [(marking, [])], {marking}  # the markings first reached at one depth, and all seen
-    for _ in range(SILENT_BFS_DEPTH if limit and silent_rows else 0):
+    for _ in range(SILENT_BFS_DEPTH if below and silent_rows else 0):
         next_level = []
         for node, path in level:
             lifted = node | high
@@ -118,12 +119,13 @@ def silent_path_to(net, marking, reqs):
                 seen.add(child)
                 child_path = path + [t]
                 covering = child | high
-                for i in range(limit):
-                    if (covering - reqs[i]) & high == high:
-                        found, limit = (i, child_path), i
+                for req in below:
+                    if (covering - req) & high == high:
+                        i = below.index(req)  # its place: an equal req before it is covered too
+                        if not i:
+                            return i, child_path
+                        found, below = (i, child_path), below[:i]
                         break
-                if not limit:
-                    return found
                 next_level.append((child, child_path))
         level = next_level
     return found

@@ -127,8 +127,8 @@ class EventLog:
 
     def __post_init__(self):
         traces = self.__dict__["traces"]
-        planned = traces if isinstance(traces, _Planned) else _Planned(tuple(map(variant_of, traces)), None)
-        column, variants = planned.variants, planned.counts or Counter(planned.variants)
+        column = traces.variants if isinstance(traces, _Planned) else tuple(map(variant_of, traces))
+        variants = (traces.counts if isinstance(traces, _Planned) else None) or Counter(column)
         labels = frozenset().union(*variants)
         if END in labels.union(self.alphabet or ()):
             raise ValueError(f"input data uses the reserved completion label {END!r}")
@@ -430,14 +430,13 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
     trace's a slice of it, so traces share one object wherever the instant
     is the same.
 
-    Every check runs here, so bad input raises at the call. The rows are
-    counted once, into the log's variant counts. ``Trace``'s checks run on
-    each distinct variant, in order of first occurrence, and on each case
-    id; if one fails, they run on each row in log order, so an error names
-    the same case as a trace-by-trace build would. A minute table whose last
-    minute would leave the datetime range raises ValueError before them,
-    and the reserved-label check comes after. The traces themselves, and
-    the table, are made on the first read of the log's ``traces``.
+    Every check runs here, so bad input raises at the call: ``Trace``'s
+    checks on each distinct variant and each case id and, if one fails, on
+    every row in log order, so an error names the same case as a
+    trace-by-trace build would; then the reserved-label check. A minute
+    table whose last minute would leave the datetime range raises
+    ValueError first. The rows are counted once, for the log's variants;
+    the traces and the table are made on the first read of ``traces``.
     """
     column = tuple(map(tuple, variants))
     if case_ids is not None:
@@ -446,9 +445,9 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
             raise ValueError(f"{len(case_ids)} case ids given for {len(column)} variants")
     try:  # each distinct variant with its number of rows
         counts = Counter(column)
-    except TypeError:  # an unhashable label, which Trace's checks reject
+    except TypeError:  # an unhashable label, which Trace's checks reject: check every row
         counts = None
-    longest = max(map(len, column if counts is None else counts), default=0)
+    longest = max(map(len, counts or column), default=0)
     # the minutes the traces use: a row before the last `longest` ends before the last row starts
     tail = max(len(column) - longest, 0)
     n_minutes = max((i + len(labels) for i, labels in enumerate(column[tail:], tail)), default=0)
@@ -457,13 +456,12 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
         first + timedelta(minutes=max(n_minutes - 1, 0))
     except OverflowError as exc:  # a start near either end of the datetime range
         raise ValueError(f"{n_minutes} minutes from {start} leave the datetime range") from exc
-    rows_pass = counts is not None and all(isinstance(case, str) and case for case in case_ids or ())
-    try:
-        for labels in counts if rows_pass else ():
+    try:  # Trace's checks on each distinct variant (each row if uncounted), then each case id
+        for labels in counts or column:
             _check_trace("case", labels, (first,) * len(labels))
-    except ValueError:
-        rows_pass = False
-    if not rows_pass:  # the first row that fails raises
+        for case in case_ids or ():
+            _check_trace(case, ("case",), (first,))
+    except ValueError:  # the first row that fails raises
         for i, labels in enumerate(column):
             _check_trace(_case_id(case_ids, i), labels, (first,) * len(labels))
     return EventLog(_Planned(column, partial(_minute_traces, column, case_ids, first, n_minutes), counts))
