@@ -93,12 +93,12 @@ def silent_path_to(net, marking, reqs):
     ValueError. Returns (i, transition rows of the path) for the lowest i
     covered, or None.
     """
-    high = net.high
-    lifted = marking | high
-    limit = next((i for i, req in enumerate(reqs) if (lifted - req) & high == high), len(reqs))
-    found = (limit, []) if limit < len(reqs) else None
-    below = reqs[:limit]  # the reqs a later marking must cover to beat the lowest hit
-    silent_rows, pre, post = net.silent_rows, net.pre, net.post
+    high, silent_rows, pre, post = net.high, net.silent_rows, net.pre, net.post
+    lifted, found, below = marking | high, None, reqs  # below: the reqs a marking must cover to beat found
+    for i, req in enumerate(reqs):
+        if (lifted - req) & high == high:
+            found, below = (i, []), reqs[:i]
+            break
     level, seen = [(marking, [])], {marking}  # the markings first reached at one depth, and all seen
     for _ in range(SILENT_BFS_DEPTH if below and silent_rows else 0):
         next_level = []
