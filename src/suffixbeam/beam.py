@@ -15,9 +15,9 @@ Four entry points share one beam loop and its expansion step
 * :func:`sweep_beams` — the modulated beam of one config at each w of a
   grid, in one call. The w > 0 beams share one record per expanded open
   node: each child's log p, log C, ids, labels and replay, none of which
-  depends on w. So a node that several w reach is ranked and replayed once,
-  and each result is bit-for-bit its own modulated beam. One w has nothing
-  to share and keeps no records.
+  depends on w. A node that several w reach is ranked and replayed once, and
+  a step over recorded nodes is a loop over their records and one sort. Each
+  result is bit-for-bit its own modulated beam. One w keeps no records.
 * :func:`checked_beam` — plain probability scores plus a boolean compliance
   check on complete candidates only; first passing candidate in rank order
   wins, None when the search exhausts.
@@ -124,21 +124,43 @@ def _expand(
     pool, prefix, predictor, b_size: int, w: float = 0.0,
     compiled: CompiledNet | None = None, strict: bool = True, records: dict | None = None,
 ) -> list:
-    """One beam step: every child of the pool, ranked.
-
-    Each open candidate spawns its b_size most probable next labels, one
-    ``ranked_batch`` call giving them for all open candidates with their
-    floored log probabilities. A child's negated score is its parent's less
-    (1-w)·log p and, when w > 0, less w·log of its replay compliance
-    (complete for END, partial otherwise) read from ``compiled``'s
-    reachability graph: one step-table lookup per child. Terminated
-    candidates are carried over unchanged.
+    """One beam step: every child of the pool (see :func:`_children`), ranked.
 
     ``records`` (given to the w > 0 beams of a sweep) maps an expanded open
     candidate's labels to its children's ``(log p, log C, ids, labels,
-    terminated, replay)``, none of which depends on w. A candidate with a
-    record is scored from it; only the others are ranked, and each gets its
-    record as it is scored.
+    terminated, replay)``, none of which depends on w. A step's first miss
+    records every open candidate that lacks a record, in one :func:`_children`
+    call; each open candidate is then scored from its record in one loop.
+    """
+    if records is None:
+        expansions = _children(pool, prefix, predictor, b_size, w, compiled, strict)
+    else:
+        keep = 1.0 - w
+        expansions = []
+        append = expansions.append
+        for cand in pool:
+            if cand[3]:
+                append(cand)
+                continue
+            record = records.get(cand[2])
+            if record is None:
+                unrecorded = [c for c in pool if not c[3] and c[2] not in records]
+                _children(unrecorded, prefix, predictor, b_size, w, compiled, strict, records)
+                record = records[cand[2]]
+            neg = cand[0]
+            for log_p, lc, ids, labels, done, replay in record:
+                append((neg - keep * log_p - w * lc, ids, labels, done, replay))
+    expansions.sort()  # by (-log score, ids); ids are unique within a pool
+    return expansions
+
+
+def _children(pool, prefix, predictor, b_size: int, w: float, compiled, strict: bool, records=None) -> list:
+    """The pool's terminated candidates and its open ones' scored children, unranked.
+
+    One ``ranked_batch`` call gives each open candidate its b_size most probable
+    next labels and their floored log p. A child's negated score is its parent's
+    less (1-w)·log p and, when w > 0, less w·log of its compliance (complete for
+    END), by one step-table lookup. With ``records``, children go to ``records[labels]``.
     """
     label_of = predictor.vocab.labels
     end_idx = len(label_of) - 1  # END is the vocabulary's last label
@@ -146,7 +168,7 @@ def _expand(
     modulated = w > 0.0
     if modulated:
         steps, finish = compiled.steps, compiled.finish
-    fresh = [prefix + cand[2] for cand in pool if not cand[3] and (records is None or cand[2] not in records)]
+    fresh = [prefix + cand[2] for cand in pool if not cand[3]]
     ranked = iter(predictor.ranked_batch(fresh, b_size) if fresh else ())
     expansions = []
     append = expansions.append
@@ -157,11 +179,6 @@ def _expand(
             append(cand)
             continue
         if records is not None:
-            record = records.get(labels)
-            if record is not None:
-                for log_p, lc, child_ids, child_labels, done, child_replay in record:
-                    append((neg - keep * log_p - w * lc, child_ids, child_labels, done, child_replay))
-                continue
             record = records[labels] = []
         if modulated:
             sid, produced, consumed, missing = replay
@@ -193,10 +210,10 @@ def _expand(
                 if not done:
                     child_replay = (nxt, p, c, m)
             child_ids = ids + (idx,)
-            append((child_neg, child_ids, child_labels, done, child_replay))
-            if record is not None:
+            if record is None:
+                append((child_neg, child_ids, child_labels, done, child_replay))
+            else:
                 record.append((log_p, lc, child_ids, child_labels, done, child_replay))
-    expansions.sort()  # by (-log score, ids); ids are unique within a pool
     return expansions
 
 

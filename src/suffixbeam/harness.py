@@ -33,11 +33,10 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 from numbers import Integral
 
 from .beam import BeamConfig, _check_w, sweep_beams
-from .eventlog import EventLog, build_prefix_log, prefix, suffix, variant_of
+from .eventlog import EventLog, build_prefix_log, prefix, suffix
 from .metrics import dl_similarity, micro_average
 from .petri import PetriNet
 from .predictor import train_ngram
@@ -103,8 +102,8 @@ def split_by_prefix(log: EventLog, k: int):
     data is the entire log. Raises ValueError for a k that is not an int
     >= 1 (nor a bool), or when no cluster has two variants (an empty split).
 
-    Clusters and ranks are taken from the log's variant counts; only the
-    walk that collects the held-out traces visits each trace.
+    Clusters and ranks come from the log's variant counts, each trace's
+    variant from ``trace_variants``; only case ids are read from traces.
     """
     _check_prefix_length(k)
     if k < 1:
@@ -119,9 +118,9 @@ def split_by_prefix(log: EventLog, k: int):
             place_of[sorted(clusters[pref])[1][1]] = place
     if not place_of:
         raise ValueError(f"no length-{k} prefix is shared by two variants; nothing to hold out")
-    held_out = [trace for trace in log.traces if variant_of(trace) in place_of]
-    held_out.sort(key=lambda t: (t.case_id, place_of[variant_of(t)]))  # stable: log order within a key
-    return log, EventLog(tuple(held_out))
+    keys = [(trace.case_id, place_of[v], row)
+            for row, (trace, v) in enumerate(zip(log.traces, log.trace_variants)) if v in place_of]
+    return log, log.select(row for _, _, row in sorted(keys))
 
 
 def _cases_by_k(dataset: str, prefix_lengths, variants_of) -> dict:
@@ -195,13 +194,17 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, conf
     rows_by_k = {k: [index_of.setdefault(c, len(index_of)) for c in cases] for k, cases in cases_by_k.items()}
     prefixes = list(dict.fromkeys(pref for pref, _ in index_of))
     beams_of = {pref: sweep_beams(pref, net, predictor, config, w_grid) for pref in prefixes}
-    pairs_at = [[(beams_of[pref][i].suffix, truth) for pref, truth in index_of] for i in range(len(w_grid))]
-    similarity = {pair: dl_similarity(*pair) for pair in dict.fromkeys(chain.from_iterable(pairs_at))}
+    similarity = {}  # true suffix -> {predicted suffix: similarity}
+    columns = []
+    for pref, truth in index_of:
+        sim_of = similarity.setdefault(truth, {})
+        suffixes = [res.suffix for res in beams_of[pref]]
+        sim_of.update((s, dl_similarity(s, truth)) for s in dict.fromkeys(suffixes) if s not in sim_of)
+        columns.append(list(map(sim_of.__getitem__, suffixes)))
+    forced_at = zip(*([res.forced_termination for res in beams_of[pref]] for pref, _ in index_of))
     cells = []
     outcomes = None
-    for i, w in enumerate(w_grid):
-        sims = [similarity[pair] for pair in pairs_at[i]]
-        forced = [beams_of[pref][i].forced_termination for pref, _ in index_of]
+    for w, sims, forced in zip(w_grid, zip(*columns), forced_at):  # per w, one value per distinct case
         if (sims, forced) != outcomes:
             outcomes = sims, forced
             sums = [(sum(map(sims.__getitem__, rows)), sum(map(forced.__getitem__, rows)))

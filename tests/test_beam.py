@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from suffixbeam import petri
+from suffixbeam import beam, petri
 from suffixbeam.beam import (
     BeamConfig,
     BeamResult,
@@ -26,7 +26,7 @@ from suffixbeam.predictor import ranked_rows, train_ngram
 from suffixbeam.synthgen import EXCEPTIONAL_VARIANTS, exceptional_process_net
 
 from beam_oracle import enumerate_best
-from nets import chain_net, random_net, rebuilt, wide_net
+from nets import chain_net, flower_net, random_net, rebuilt, wide_net
 
 AB_VOCAB = Vocabulary(labels=("A", "B", END))
 
@@ -422,6 +422,80 @@ def test_sweep_beams_checks_each_w_as_beam_config_does():
     with pytest.raises(ValueError, match="non-empty prefix"):
         sweep_beams((), net, pred, BeamConfig(), (0.3,))
     assert sweep_beams(("A",), net, pred, BeamConfig(), ()) == ()
+
+
+def one_beam_per_w(prefix, net, pred, config, ws) -> tuple:
+    return tuple(modulated_beam(prefix, net, pred, replace(config, w=w)) for w in ws)
+
+
+def test_a_step_ranks_only_its_open_candidates_without_a_record(monkeypatch):
+    # at w = 1 the beam keeps ("B2a", "B2b"), which the w = 0.3 beam never
+    # expanded, beside ("B1a", "Unexpected"), which it did: that step asks
+    # ranked_batch for the new node alone and scores the other from its record
+    net = exceptional_process_net()
+    labels = sorted({t.label for t in net.transitions if t.label is not None})
+    pred = SeededTablePredictor(Vocabulary(labels=tuple(labels) + (END,)))
+    prefix, config, ws = ("Start",), BeamConfig(b_size=2, max_iter=6), (0.3, 1.0)
+    expand, rank = beam._expand, pred.ranked_batch
+    steps = []  # per step: its open candidates' prefixes, those without a record, and those ranked
+
+    def spy(pool, prefix, predictor, b_size, w, compiled, strict, records):
+        opened = [prefix + cand[2] for cand in pool if not cand[3]]
+        unrecorded = [prefix + cand[2] for cand in pool if not cand[3] and cand[2] not in records]
+        asked = []
+        pred.ranked_batch = lambda prefixes, k: asked.extend(prefixes) or rank(prefixes, k)
+        out = expand(pool, prefix, predictor, b_size, w, compiled, strict, records)
+        steps.append((opened, unrecorded, asked))
+        return out
+
+    monkeypatch.setattr(beam, "_expand", spy)
+    got = sweep_beams(prefix, net, pred, config, ws)
+    monkeypatch.undo()
+    del pred.ranked_batch
+    assert got == one_beam_per_w(prefix, net, pred, config, ws)
+    assert all(asked == unrecorded for _, unrecorded, asked in steps)
+    mixed = [(opened, unrecorded) for opened, unrecorded, _ in steps if 0 < len(unrecorded) < len(opened)]
+    leaders = ("Start", "B1a", "Unexpected"), ("Start", "B2a", "B2b")
+    assert (list(leaders), [leaders[1]]) in mixed
+
+
+def test_exact_ties_through_recorded_steps_go_to_the_lower_ids(monkeypatch):
+    # uniform rows over a net that every trace fits: at every w the children
+    # of one depth tie exactly, so each pool keeps the lowest ids, the A-chains;
+    # END (the highest id) never makes the cut, and the leader is closed by fiat
+    pred = TablePredictor(AB_VOCAB, [1 / 3] * 3)
+    net, prefix, config, ws = flower_net(("A", "B")), ("A",), BeamConfig(b_size=2, max_iter=4), (0.0, 0.3, 0.85, 1.0)
+    expand = beam._expand
+    recorded_steps = []  # per step of a beam that read only records: the scores of its children
+
+    def spy(pool, prefix, predictor, b_size, w, compiled, strict, records):
+        all_recorded = records is not None and all(cand[3] or cand[2] in records for cand in pool)
+        out = expand(pool, prefix, predictor, b_size, w, compiled, strict, records)
+        if all_recorded:
+            recorded_steps.append({cand[0] for cand in out})
+        return out
+
+    monkeypatch.setattr(beam, "_expand", spy)
+    got = sweep_beams(prefix, net, pred, config, ws)
+    monkeypatch.undo()
+    assert got == one_beam_per_w(prefix, net, pred, config, ws)
+    assert [(res.suffix, res.forced_termination) for res in got] == [(("A",) * 4, True)] * len(ws)
+    assert len(recorded_steps) == 2 * (config.max_iter + 1)  # every step of the w = 0.85 and 1 beams
+    assert all(len(scores) == 1 for scores in recorded_steps)  # one exact tie per step
+
+
+def test_lenient_closures_through_shared_records_match_one_beam_per_w():
+    # b_size 2 over A, B and END, with END least likely: no completion is ever
+    # generated, so every beam closes its leader by fiat, folding in complete
+    # compliance; the lenient scores differ from the strict ones at every w > 0
+    pred = TablePredictor(AB_VOCAB, [0.6, 0.39, 0.01])
+    net, prefix, ws = chain_net(("A", "B", "A")), ("A",), (0.0, 0.3, 0.85, 1.0)
+    lenient, strict = (BeamConfig(b_size=2, max_iter=4, partial_mode=mode) for mode in ("lenient", "strict"))
+    got = sweep_beams(prefix, net, pred, lenient, ws)
+    assert got == one_beam_per_w(prefix, net, pred, lenient, ws)
+    assert all(res.forced_termination and res.iterations == lenient.max_iter + 1 for res in got)
+    by_strict = sweep_beams(prefix, net, pred, strict, ws)
+    assert [a.log_score == b.log_score for a, b in zip(got, by_strict)] == [True, False, False, False]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -294,3 +295,55 @@ def test_private_init_field_check_finds_a_leftover():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_private_dataclass_field_is_an_init_parameter(module):
     assert private_init_fields((SRC / module).read_text()) == []
+
+
+INLINE_FITNESS = re.compile(r"0\.5 \* \(1\.0 - \w+ / \w+\) \+ 0\.5 \* \(1\.0 - \w+ / \w+\)")
+
+
+def compliance_computations(source: str, entry: str) -> list:
+    """``(line, what)`` of each compliance computation that ``entry`` reaches.
+
+    It looks in ``entry`` and in the module's functions it calls, directly or
+    not. A computation is the inline fitness ``0.5 * (1.0 - m / c) + 0.5 *
+    (1.0 - r / p)`` or a ``fitness_counts(...)`` call.
+    """
+    functions = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), [entry]
+    while todo:
+        name = todo.pop()
+        if name in functions and name not in reached:
+            reached.add(name)
+            calls = [n for n in ast.walk(functions[name]) if isinstance(n, ast.Call)]
+            todo += [call.func.id for call in calls if isinstance(call.func, ast.Name)]
+    found = []
+    for name in reached:
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.BinOp) and INLINE_FITNESS.fullmatch(ast.unparse(node)):
+                found.append((node.lineno, "inline"))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "fitness_counts":
+                found.append((node.lineno, "fitness_counts(...)"))
+    return sorted(found)
+
+
+def test_compliance_computation_check_finds_a_second_copy():
+    source = (
+        "def _expand(pool, records):\n"
+        "    if records:\n"
+        "        return _recorded(pool)\n"
+        "    fit = 0.5 * (1.0 - m / c) + 0.5 * (1.0 - r / p) if c > 0 and p > 0 else fitness_counts(p, c, m, r)\n"
+        "def _recorded(pool):\n"
+        "    return 0.5 * (1.0 - missing / consumed) + 0.5 * (1.0 - rest / produced)\n"
+        "def _run_beam(pool):\n"
+        "    return _expand(pool, None) + fitness_counts(p, c, m, r)\n"
+    )
+    assert compliance_computations(source, "_expand") == [
+        (4, "fitness_counts(...)"), (4, "inline"), (6, "inline"),
+    ]
+
+
+def test_a_beam_step_computes_compliance_in_one_place():
+    # the recorded and the plain step share one scoring of a child: a second
+    # copy of the arithmetic could drift from the first and break the sweep's
+    # bit-for-bit equality with one beam per w
+    found = compliance_computations((SRC / "beam.py").read_text(), "_expand")
+    assert [what for _, what in found] == ["inline", "fitness_counts(...)"]
