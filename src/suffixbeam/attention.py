@@ -20,8 +20,7 @@ n-gram (:class:`~suffixbeam.predictor.ContextModel`): its most recent
 l_max - 1 labels, which is what beam search needs when its hypotheses
 outgrow the training window. ``_encode`` turns windows into one-hot rows
 (training uses it too), a ``ranked_batch`` call runs one forward over its
-distinct missing windows, and a ``predict_proba_batch`` call one forward
-over all its prefixes.
+distinct missing windows, and a ``predict_proba`` call one over its prefix.
 """
 
 from __future__ import annotations
@@ -436,12 +435,25 @@ def train_attention(
     are those of a plain shuffle. The weights of the epoch with the lowest
     validation loss (training loss without a split) are returned.
 
-    ValueError for an empty log, ``epochs`` or ``batch_size`` below 1,
-    ``val_fraction`` outside [0, 1), or a ``learning_rate`` that is not
-    finite and above 0.
+    ValueError for an empty log; for ``epochs`` or ``batch_size`` not an
+    int, or below 1; for ``val_fraction`` not a real number, or outside
+    [0, 1); or for a ``learning_rate`` not a real number, finite and above
+    0. A bool is neither an int nor a real number here.
     """
     if not prefix_log.counts:
         raise ValueError("prefix log is empty")
+    for name, v in (("epochs", epochs), ("batch_size", batch_size)):
+        if isinstance(v, bool) or not isinstance(v, Integral):
+            raise ValueError(f"{name} must be an int, not {v!r}")
+    reals = []  # as the floats training computes with
+    for name, v in (("learning_rate", learning_rate), ("val_fraction", val_fraction)):
+        if isinstance(v, bool) or not isinstance(v, Real):
+            raise ValueError(f"{name} must be a real number, not {v!r}")
+        try:
+            reals.append(float(v))
+        except OverflowError:
+            raise ValueError(f"{name} must be a real number a float can hold, not {v!r}") from None
+    learning_rate, val_fraction = reals
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
     if not 0.0 <= val_fraction < 1.0:

@@ -32,9 +32,9 @@ candidates ranked lower stay in the pool with frozen scores — still
 competing, never extended — so a completion can only be beaten by something
 provably better, not merely displaced. If the iteration budget runs out,
 the best terminated candidate ever observed is returned (forced_termination
-flag set); only when none was ever generated does the best open candidate
-get END appended, folding in its complete compliance but no probability
-factor.
+flag set); only when none was ever generated is the best open candidate
+closed as its END child of log p 0: its complete compliance folds in, and
+no probability factor.
 
 A candidate is a plain tuple ``(neg, ids, labels, terminated, replay)``:
 ``neg`` is the negated log score, so a plain ``sort()`` ranks a pool by
@@ -49,16 +49,17 @@ through :class:`~suffixbeam.petri.ReplayState`, which starts every replay
 and alone clears a full graph, so ids (and the records that hold them) stay
 valid for the whole call. A child then costs one lookup,
 ``steps[sid][label]``, which also carries the successor's residual; a
-completion reads ``finish[sid]``. Compliance is
+completion reads ``finish[sid]``. :func:`_expand` ranks: one
+``ranked_batch(prefixes, b_size)`` call per step gives the open candidates
+their next labels with floored log probabilities (see
+:mod:`~suffixbeam.predictor`). :func:`_children` scores every child, the
+forced closure too, with compliance
 :func:`~suffixbeam.petri.fitness_counts` computed inline; only the
-zero-count case calls it, for its warning. The
-labels an open candidate expands by, with their floored log probabilities,
-come from the predictor's ``ranked_batch(prefixes, b_size)``, one call per
-step for all open candidates (see :mod:`~suffixbeam.predictor` for the
-protocol). So a warm step, every window memoized and every child step in
-the graph, costs one memo lookup per open candidate, one sort, and per
-child two tuple concatenations, one step-table lookup, a few float
-operations and one ``math.log``. A prefix that holds END is a ValueError.
+zero-count case calls it, for its warning. So a warm step, every window
+memoized and every child step in the graph, costs one memo lookup per open
+candidate, one sort, and per child two tuple concatenations, one step-table
+lookup, a few float operations and one ``math.log``. A prefix that holds
+END is a ValueError.
 
 Scores accumulate in log space, negated, and are exponentiated for
 reporting; a result's log score is ``0.0 - neg``, never ``-neg``, so a path
@@ -124,16 +125,18 @@ def _expand(
     pool, prefix, predictor, b_size: int, w: float = 0.0,
     compiled: CompiledNet | None = None, strict: bool = True, records: dict | None = None,
 ) -> list:
-    """One beam step: every child of the pool (see :func:`_children`), ranked.
+    """One beam step: every child of the pool, ranked.
 
-    ``records`` (given to the w > 0 beams of a sweep) maps an expanded open
-    candidate's labels to its children's ``(log p, log C, ids, labels,
-    terminated, replay)``, none of which depends on w. A step's first miss
-    records every open candidate that lacks a record, in one :func:`_children`
-    call; each open candidate is then scored from its record in one loop.
+    The step's one ``ranked_batch`` call ranks the open candidates' next
+    labels, and :func:`_children` scores the children. ``records`` (given to
+    the w > 0 beams of a sweep) maps an expanded open candidate's labels to
+    its children's ``(log p, log C, ids, labels, terminated, replay)``, none
+    of which depends on w: a step's first miss ranks and records every open
+    candidate that lacks a record, and each is scored from its record.
     """
     if records is None:
-        expansions = _children(pool, prefix, predictor, b_size, w, compiled, strict)
+        ranked = predictor.ranked_batch([prefix + cand[2] for cand in pool if not cand[3]], b_size)
+        expansions = _children(pool, ranked, predictor.vocab.labels, w, compiled, strict)
     else:
         keep = 1.0 - w
         expansions = []
@@ -145,7 +148,8 @@ def _expand(
             record = records.get(cand[2])
             if record is None:
                 unrecorded = [c for c in pool if not c[3] and c[2] not in records]
-                _children(unrecorded, prefix, predictor, b_size, w, compiled, strict, records)
+                ranked = predictor.ranked_batch([prefix + c[2] for c in unrecorded], b_size)
+                _children(unrecorded, ranked, predictor.vocab.labels, w, compiled, strict, records)
                 record = records[cand[2]]
             neg = cand[0]
             for log_p, lc, ids, labels, done, replay in record:
@@ -154,22 +158,21 @@ def _expand(
     return expansions
 
 
-def _children(pool, prefix, predictor, b_size: int, w: float, compiled, strict: bool, records=None) -> list:
+def _children(pool, ranked, label_of, w: float, compiled, strict: bool, records=None) -> list:
     """The pool's terminated candidates and its open ones' scored children, unranked.
 
-    One ``ranked_batch`` call gives each open candidate its b_size most probable
-    next labels and their floored log p. A child's negated score is its parent's
-    less (1-w)·log p and, when w > 0, less w·log of its compliance (complete for
-    END), by one step-table lookup. With ``records``, children go to ``records[labels]``.
+    ``ranked`` holds one ``((index, log p), ...)`` record per open candidate,
+    in pool order, and ``label_of`` the vocabulary's labels, END last. A
+    child's negated score is its parent's less (1-w)·log p and, when w > 0,
+    less w·log of its compliance (complete for END), by one step-table
+    lookup. With ``records``, children go to ``records[labels]``.
     """
-    label_of = predictor.vocab.labels
-    end_idx = len(label_of) - 1  # END is the vocabulary's last label
+    end_idx = len(label_of) - 1
     keep = 1.0 - w
     modulated = w > 0.0
     if modulated:
         steps, finish = compiled.steps, compiled.finish
-    fresh = [prefix + cand[2] for cand in pool if not cand[3]]
-    ranked = iter(predictor.ranked_batch(fresh, b_size) if fresh else ())
+    ranked = iter(ranked)
     expansions = []
     append = expansions.append
     record = None
@@ -263,14 +266,9 @@ def _run_beam(prefix, predictor, config: BeamConfig, w: float, compiled, root_re
     if best_terminated is not None:
         return _finish(best_terminated, forced=True, iterations=iterations, peak=frontier_peak)
     # No completion was ever generated (possible when b_size < |vocab| and END
-    # never makes the cut): close the best-ranked open hypothesis by fiat.
-    neg, ids, labels, _, replay = closure
-    if w > 0.0:
-        sid, produced, consumed, missing = replay
-        m, c, p, r, _ = compiled.complete(sid)
-        fit = fitness_counts(produced + p, consumed + c, missing + m, r)
-        neg -= w * (math.log(fit) if fit > 0.0 else -math.inf)
-    closed = (neg, ids + (len(predictor.vocab) - 1,), labels, True, None)
+    # never makes the cut): close the leader by fiat, as its END child of log p 0.
+    label_of = predictor.vocab.labels
+    closed = _children([closure], [((len(label_of) - 1, 0.0),)], label_of, w, compiled, strict)[0]
     return _finish(closed, forced=True, iterations=iterations, peak=frontier_peak)
 
 
@@ -340,10 +338,10 @@ def checked_beam(prefix, checker, predictor, config: BeamConfig) -> BeamResult |
     return None
 
 
-def perfect_fitness_checker(net: PetriNet, tol: float = 1e-9):
-    """Boolean gate for checked_beam: complete-replay fitness of 1."""
+def perfect_fitness_checker(net: PetriNet):
+    """Boolean gate for checked_beam: complete-replay fitness of exactly 1, no token missing or remaining."""
 
     def check(variant) -> bool:
-        return compliance(net, variant, partial=False) >= 1.0 - tol
+        return compliance(net, variant, partial=False) == 1.0
 
     return check

@@ -20,9 +20,8 @@ time, ranks a call's distinct misses together, in plain Python, and
 empties itself when it would exceed :data:`PREDICT_MEMO_CAP` entries. A
 row depends on nothing but its window and the parameters, so a memoized
 record is the one a cold model's row gives, bit for bit, and a warm call
-encodes nothing. Only ``predict_proba(prefix)`` and
-``predict_proba_batch(prefixes)``, an ``(n, |V|)`` array, build an array;
-they compute rows afresh, and the beam does not use them.
+encodes nothing. Only ``predict_proba(prefix)``, a ``(|V|,)`` array,
+builds an array; it computes its row afresh, and the beam does not use it.
 
 The n-gram keys its counts, a list of ints per context, by the label
 indices of the window and applies Laplace smoothing in plain Python:
@@ -112,10 +111,7 @@ class ContextModel:
         return tuple(prefix)[-self.context_len:]
 
     def predict_proba(self, prefix) -> np.ndarray:
-        return self.predict_proba_batch([prefix])[0]
-
-    def predict_proba_batch(self, prefixes) -> np.ndarray:
-        return np.array(self._rows([self.window(prefix) for prefix in prefixes]))
+        return np.array(self._rows([self.window(prefix)])[0])
 
     def ranked_batch(self, prefixes, k: int) -> list:
         return memoized_ranks(self.ranked, list(map(self.window, prefixes)), k, self._rows)

@@ -198,13 +198,13 @@ def test_a_fraction_config_computes_as_the_equal_floats(tmp_path):
     trained = [train_attention(build_prefix_log(log), VOCAB4, config, epochs=2, batch_size=4)[0]
                for config in (exact, plain)]
     prefixes = [("A",), ("A", "B"), ("B", "A", "C", "A")]
-    rows = trained[1].predict_proba_batch(prefixes)
-    assert np.array_equal(trained[0].predict_proba_batch(prefixes), rows)  # dropout and eps bit for bit
+    rows = [np.array(model._rows([model.window(p) for p in prefixes])) for model in trained]
+    assert np.array_equal(rows[0], rows[1])  # dropout and eps bit for bit
     path = tmp_path / "model.npz"
     trained[0].save(path)
     back = AttentionModel.load(path)
     assert back.config == exact and dataclasses.astuple(back.config) == dataclasses.astuple(exact)
-    assert np.array_equal(back.predict_proba_batch(prefixes), rows)
+    assert np.array_equal(back._rows([back.window(p) for p in prefixes]), rows[1])
 
 
 # The training step runs the encoder once per distinct prefix of a batch and
@@ -361,6 +361,41 @@ def test_training_validation_errors():
     for bad in (float("nan"), float("inf"), 0.0, -1e-3):
         with pytest.raises(ValueError, match="learning_rate"):
             train_attention(plog, vocab, config, learning_rate=bad)
+
+    # 10 entries split 10 for validation and none to train on
+    ten = log_from_variants([tuple("AB")] * 5)
+    assert len(build_prefix_log(ten).entries) == 10
+    with pytest.raises(ValueError, match="^validation split leaves no training data$"):
+        train_attention(build_prefix_log(ten), build_vocabulary(ten), config, val_fraction=0.95)
+
+
+@pytest.mark.parametrize("name", ["epochs", "batch_size"])
+@pytest.mark.parametrize("bad", [True, 2.5, "x"])
+def test_training_counts_must_be_ints(name, bad):
+    # a bool is no count: epochs=True trained one epoch, batch_size=True batches of 1
+    log = log_from_variants([("A", "B")])
+    with pytest.raises(ValueError, match=f"^{name} must be an int, not {re.escape(repr(bad))}$"):
+        train_attention(build_prefix_log(log), build_vocabulary(log), TINY, **{name: bad})
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "val_fraction"])
+@pytest.mark.parametrize("bad", [True, "x", None])
+def test_training_rates_must_be_real_numbers(name, bad):
+    log = log_from_variants([("A", "B")])
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, not {re.escape(repr(bad))}$"):
+        train_attention(build_prefix_log(log), build_vocabulary(log), TINY, **{name: bad})
+
+
+def test_training_computes_a_fraction_rate_as_the_equal_float():
+    log = log_from_variants([("A", "B", "C"), ("A", "C")] * 6)
+    plog, vocab = build_prefix_log(log), build_vocabulary(log)
+    exact = train_attention(plog, vocab, TINY, epochs=np.int64(2), batch_size=np.int64(4),
+                            learning_rate=Fraction(1, 1000), val_fraction=Fraction(1, 5))
+    plain = train_attention(plog, vocab, TINY, epochs=2, batch_size=4, learning_rate=1e-3, val_fraction=0.2)
+    assert exact[1] == plain[1]
+    assert all(np.array_equal(exact[0].params[k], plain[0].params[k]) for k in plain[0].params)
+    with pytest.raises(ValueError, match=f"^learning_rate must be a real number a float can hold, not {10**400}$"):
+        train_attention(plog, vocab, TINY, learning_rate=10**400)
 
 
 # A model file is input: whatever it holds, load gives a valid model or a

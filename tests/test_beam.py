@@ -597,6 +597,23 @@ def test_checked_beam_skips_non_compliant_completions():
     assert res.suffix == ("B",)
 
 
+def test_perfect_fitness_checker_refuses_a_trace_with_one_missing_token_of_a_billion():
+    # A puts 10**9 tokens on p and B takes 10**9 + 1: one token is missing
+    # out of 1,000,000,003 consumed, so the fitness is 0.9999999995, not 1
+    net = PetriNet(
+        "heavy", ("i", "p", "o"), (Transition("a", "A"), Transition("b", "B")),
+        (Arc("i", "a"), Arc("a", "p", weight=10**9), Arc("p", "b", weight=10**9 + 1), Arc("b", "o")),
+        {"i": 1}, {"o": 1},
+    )
+    replay = petri.token_replay(net, ("A", "B"))
+    assert (replay.missing, replay.consumed, replay.remaining) == (1, 10**9 + 3, 0)
+    assert compliance(net, ("A", "B")) == 0.9999999995
+    check = perfect_fitness_checker(net)
+    assert check(("A", "B")) is False and check(("A", "B", END)) is False
+    fitting = replace(net, arcs=net.arcs[:2] + (Arc("p", "b", weight=10**9),) + net.arcs[3:])
+    assert perfect_fitness_checker(fitting)(("A", "B")) is True
+
+
 def test_result_is_immutable():
     res = BeamResult(("B",), 0.5, math.log(0.5), False, 2, 3)
     for name in BeamResult._fields:

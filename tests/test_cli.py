@@ -205,6 +205,21 @@ def test_train_attention_without_validation_split_reports_train_loss(tmp_path, c
     assert "nan" not in out
 
 
+def test_train_attention_with_a_validation_split_reports_val_loss(tmp_path, capsys):
+    # six traces give twelve prefixes, enough for a validation split
+    log = tmp_path / "six.csv"
+    log.write_text("case_id,activity,timestamp\n" + "".join(
+        f"c{i},A,2024-01-0{i}T00:00:00\nc{i},{'BC'[i % 2]},2024-01-0{i}T00:01:00\n" for i in range(1, 7)
+    ))
+    code, out, _ = run(
+        capsys,
+        ["train", "--log", str(log), "--predictor", "attention", "--epochs", "2",
+         "--model-out", str(tmp_path / "m.npz")],
+    )
+    assert code == 0
+    assert re.search(r"trained attention model for 2 epochs \(best val loss \d+\.\d{4}\) -> ", out)
+
+
 def test_train_default_filename(workspace, tmp_path, capsys):
     code, out, _ = run(capsys, ["train", "--log", workspace["train"], "--out", str(tmp_path)])
     assert code == 0
@@ -286,6 +301,20 @@ def test_predict_checked(workspace, capsys):
     assert code == 0
     assert "suffix: Unexpected,Repairing" in out
     assert "score: 0.384081" in out
+
+
+def test_predict_checked_without_a_compliant_completion_says_so(workspace, capsys):
+    # the fitting tail Unexpected,Repairing,END takes three steps, and
+    # --max-iter 1 allows two
+    code, out, _ = run(
+        capsys,
+        [
+            "predict", "--model", workspace["model"], "--net", workspace["net"],
+            "--prefix", "Start,B2a,B2b,B2c", "--algorithm", "checked", "--max-iter", "1",
+        ],
+    )
+    assert code == 0
+    assert out == "no compliant completion found\n"
 
 
 def test_predict_requires_net_for_modulation(workspace, capsys):
@@ -707,6 +736,15 @@ def test_config_file_must_be_an_object(workspace, tmp_path, capsys):
     code, _, err = run(capsys, ["train", "--log", workspace["train"], "--config", str(conf)])
     assert code == 1
     assert "must hold a JSON object" in err
+
+
+def test_config_file_run_rejects_an_unrecognized_flag(workspace, tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"order": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--log", workspace["train"], "--config", str(conf), "--bogus-flag"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --bogus-flag" in capsys.readouterr().err
 
 
 def test_config_file_can_supply_a_required_flag(workspace, tmp_path, capsys):

@@ -732,3 +732,9 @@ def test_csv_writers_accept_lists(small_sweep, tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 2 * len(result.cells)
+
+
+def test_train_predictor_rejects_an_unknown_kind():
+    log = log_from_variants([("A", "B")])
+    with pytest.raises(ValueError, match="^unknown predictor kind 'lstm'$"):
+        harness.train_predictor(log, "lstm", 3, 0.01, 1)

@@ -821,6 +821,34 @@ def test_parse_pnml_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        ("<place/>", "place without id"),
+        ("<transition><name><text>A</text></name></transition>", "transition without id"),
+        ('<arc id="a3" source="p"/>', "arc without source/target"),
+        ('<arc id="a3" target="p"/>', "arc without source/target"),
+    ],
+)
+def test_parse_pnml_rejects_a_node_without_an_id_and_an_arc_without_an_end(element, message):
+    doc = f"""<pnml><net id="n"><place id="p"/><transition id="t"/>
+      <arc id="a1" source="p" target="t"/>{element}</net></pnml>""".encode()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_pnml(doc)
+
+
+def test_parse_pnml_reads_a_number_written_without_a_text_element():
+    doc = b"""<pnml><net id="n">
+      <place id="a"><initialMarking> 3 </initialMarking></place><place id="b"/>
+      <transition id="t"><name><text>A</text></name></transition>
+      <arc id="a1" source="a" target="t"><inscription>2</inscription></arc>
+      <arc id="a2" source="t" target="b"/>
+    </net></pnml>"""
+    net = parse_pnml(doc)
+    assert net.initial_marking == {"a": 3}
+    assert [arc.weight for arc in net.arcs] == [2, 1]
+
+
 def test_parse_pnml_unknown_encoding_is_bad_input(tmp_path):
     path = tmp_path / "net.pnml"
     write_pnml(SYNTH_NET, path)

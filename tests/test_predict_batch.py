@@ -1,6 +1,6 @@
 """The batched, memoized predictor protocol against uncached references.
 
-Both models compute ``predict_proba_batch`` rows afresh and answer
+Both models compute ``_rows`` and ``predict_proba`` rows afresh and answer
 ``ranked_batch`` through one memo of ranked records per model object,
 ``ranked``. Every row they return must equal, bit for bit, the row a cold
 model computes on its own: the Laplace formula for the n-gram, a single-row
@@ -107,7 +107,7 @@ def test_batched_memoized_rows_equal_cold_single_rows(name, batch, data):
     want = [reference(model, p) for p in batch]
     got = []
     for lo, hi in zip([0] + cuts, cuts + [len(batch)]):
-        rows = model.predict_proba_batch(batch[lo:hi])
+        rows = np.array(model._rows([model.window(p) for p in batch[lo:hi]]))
         assert rows.shape == (hi - lo, len(model.vocab))
         got.extend(rows)
     for p, row, ref in zip(batch, got, want):
@@ -122,7 +122,7 @@ def test_unknown_label_raises_and_leaves_the_memo_unchanged(name):
     model.ranked_batch([("A",), ("C", "C")], 2)
     ranked_before = dict(model.ranked[2])
     with pytest.raises(ValueError, match="^label 'Z' is not in the vocabulary$"):
-        model.predict_proba_batch([("C", "A"), ("A", "Z"), ("B",)])
+        model._rows([model.window(p) for p in [("C", "A"), ("A", "Z"), ("B",)]])
     with pytest.raises(ValueError, match="^label 'Z' is not in the vocabulary$"):
         model.predict_proba(("Z",))
     for k in (2, 3):  # the same k, and one that would empty the ranked memo
@@ -137,7 +137,7 @@ def test_unknown_label_raises_and_leaves_the_memo_unchanged(name):
 def test_empty_prefix_in_a_batch_is_rejected(name):
     model, _ = models()[name]
     with pytest.raises(ValueError, match="non-empty"):
-        model.predict_proba_batch([("A",), ()])
+        model._rows([model.window(p) for p in [("A",), ()]])
     keys = [("A",), ("C", "B"), ("A",)]
     for warm in (False, True):
         if warm:  # every other key hits, so only the empty prefix is left to reject
@@ -366,7 +366,8 @@ def test_a_label_before_the_window_is_not_read(name):
         # a short window is read whole, so a label before it is read too
         full = [before + w if len(w) == n else w for w in windows]
         assert [model.window(p) for p in full] == windows
-        assert np.array_equal(model.predict_proba_batch(full), model.predict_proba_batch(windows))
+        rows = [model._rows([model.window(p) for p in batch]) for batch in (full, windows)]
+        assert np.array_equal(rows[0], rows[1])
         assert model.ranked_batch(full, 2) == _fresh(model).ranked_batch(windows, 2)
 
 

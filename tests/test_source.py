@@ -339,11 +339,43 @@ def test_compliance_computation_check_finds_a_second_copy():
     assert compliance_computations(source, "_expand") == [
         (4, "fitness_counts(...)"), (4, "inline"), (6, "inline"),
     ]
+    assert compliance_computations(source, "_run_beam") == [
+        (4, "fitness_counts(...)"), (4, "inline"), (6, "inline"), (8, "fitness_counts(...)"),
+    ]
 
 
 def test_a_beam_step_computes_compliance_in_one_place():
-    # the recorded and the plain step share one scoring of a child: a second
-    # copy of the arithmetic could drift from the first and break the sweep's
-    # bit-for-bit equality with one beam per w
-    found = compliance_computations((SRC / "beam.py").read_text(), "_expand")
-    assert [what for _, what in found] == ["inline", "fitness_counts(...)"]
+    # every beam scores every child, the forced closure's END child included,
+    # by one copy of the arithmetic: a second copy could drift from the first
+    # and break the sweep's bit-for-bit equality with one beam per w
+    source = (SRC / "beam.py").read_text()
+    for entry in ("_run_beam", "checked_beam"):
+        found = compliance_computations(source, entry)
+        assert [what for _, what in found] == ["inline", "fitness_counts(...)"], entry
+
+
+def method_callers(source: str, method: str) -> list:
+    """``(function, line)`` of each call ``<anything>.method(...)`` in a module-level function."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            found += [(node.name, call.lineno) for call in ast.walk(node) if isinstance(call, ast.Call)
+                      and isinstance(call.func, ast.Attribute) and call.func.attr == method]
+    return sorted(found)
+
+
+def test_method_caller_check_finds_a_second_caller():
+    source = (
+        "def _expand(pool, predictor):\n"
+        "    return predictor.ranked_batch(pool, 3)\n"
+        "def _children(pool, predictor):\n"
+        "    ranked = iter(predictor.ranked_batch(pool, 3) or model.ranked_batch(pool, 2))\n"
+        "ranked_batch(pool, 3)\n"
+    )
+    assert method_callers(source, "ranked_batch") == [("_children", 4), ("_children", 4), ("_expand", 2)]
+
+
+def test_only_the_beam_step_asks_the_predictor_to_rank():
+    # _expand ranks, once per step; _children only scores the records it is handed
+    callers = method_callers((SRC / "beam.py").read_text(), "ranked_batch")
+    assert {name for name, _ in callers} == {"_expand"}
