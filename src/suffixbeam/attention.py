@@ -30,12 +30,12 @@ import math
 import zipfile
 import zlib
 from dataclasses import dataclass, asdict
-from numbers import Integral, Real
 
 import numpy as np
 
+from ._numbers import as_int, as_real
 from .encoding import Vocabulary
-from .predictor import ContextModel, _json_number
+from .predictor import ContextModel
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -59,24 +59,14 @@ class AttentionConfig:
     ln_eps: float = 1e-5
 
     def __post_init__(self):
-        for name in ("l_max", "d_model", "n_heads", "n_layers", "d_ff", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Integral):
-                raise ValueError(f"{name} must be an integer, not {v!r}")
+        # stored as the plain numbers the forward computes with, as a model file holds them
+        for name, low in (("l_max", 2), ("d_model", 1), ("n_heads", 1), ("n_layers", 0), ("d_ff", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), low))
         for name in ("dropout", "ln_eps"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Real):
-                raise ValueError(f"{name} must be a real number, not {v!r}")
-            try:  # stored as the float the forward computes with, as a model file holds it
-                object.__setattr__(self, name, float(v))
-            except OverflowError:
-                raise ValueError(f"{name} must be a real number a float can hold, not {v!r}") from None
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         if not isinstance(self.positional_encoding, (bool, np.bool_)):
             raise ValueError(f"positional_encoding must be a bool, not {self.positional_encoding!r}")
-        if self.l_max < 2:
-            raise ValueError("l_max must be >= 2")
-        if min(self.d_model, self.n_heads, self.d_ff) < 1 or self.n_layers < 0:
-            raise ValueError("d_model, n_heads and d_ff must be >= 1, n_layers >= 0")
+        object.__setattr__(self, "positional_encoding", bool(self.positional_encoding))
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if not 0.0 <= self.dropout < 1.0:
@@ -364,7 +354,7 @@ class AttentionModel(ContextModel):
     # --------------------------------------------------------- persistence
 
     def save(self, path) -> None:
-        meta = json.dumps({"config": asdict(self.config), "labels": list(self.vocab.labels)}, default=_json_number)
+        meta = json.dumps({"config": asdict(self.config), "labels": list(self.vocab.labels)})
         np.savez_compressed(path, __meta__=np.array(meta), **self.params)
 
     @classmethod
@@ -442,20 +432,8 @@ def train_attention(
     """
     if not prefix_log.counts:
         raise ValueError("prefix log is empty")
-    for name, v in (("epochs", epochs), ("batch_size", batch_size)):
-        if isinstance(v, bool) or not isinstance(v, Integral):
-            raise ValueError(f"{name} must be an int, not {v!r}")
-    reals = []  # as the floats training computes with
-    for name, v in (("learning_rate", learning_rate), ("val_fraction", val_fraction)):
-        if isinstance(v, bool) or not isinstance(v, Real):
-            raise ValueError(f"{name} must be a real number, not {v!r}")
-        try:
-            reals.append(float(v))
-        except OverflowError:
-            raise ValueError(f"{name} must be a real number a float can hold, not {v!r}") from None
-    learning_rate, val_fraction = reals
-    if epochs < 1 or batch_size < 1:
-        raise ValueError("epochs and batch_size must be >= 1")
+    epochs, batch_size = as_int("epochs", epochs, 1), as_int("batch_size", batch_size, 1)
+    learning_rate, val_fraction = as_real("learning_rate", learning_rate), as_real("val_fraction", val_fraction)
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError("val_fraction must be in [0, 1)")
     if not 0.0 < learning_rate < math.inf:

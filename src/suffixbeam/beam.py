@@ -73,19 +73,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import NamedTuple
 
+from ._numbers import as_int, as_real
 from .eventlog import END
 from .petri import CompiledNet, PetriNet, _replayed, compliance, fitness_counts
 
 
-def _check_w(w) -> None:
-    """Raise ValueError unless w is a real number (not a bool) in [0, 1]; a plain float skips the class check."""
-    if type(w) is not float and (isinstance(w, bool) or not isinstance(w, Real)):
-        raise ValueError(f"w must be a real number, not {w!r}")
+def _check_w(w) -> float:
+    """w as the float a beam computes with, or ValueError unless it is a real number (not a bool) in [0, 1]."""
+    w = as_real("w", w)
     if not 0.0 <= w <= 1.0:
         raise ValueError("w must be in [0, 1]")
+    return w
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,8 @@ class BeamConfig:
 
     def __post_init__(self):
         for name in ("b_size", "max_iter") + (() if self.max_size is None else ("max_size",)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Integral):
-                raise ValueError(f"{name} must be an int, not {v!r}")
-        _check_w(self.w)
-        if self.b_size < 1 or self.max_iter < 1:
-            raise ValueError("b_size and max_iter must be >= 1")
-        if self.max_size is not None and self.max_size < 1:
-            raise ValueError("max_size must be >= 1")
+            object.__setattr__(self, name, as_int(name, getattr(self, name), 1))
+        object.__setattr__(self, "w", _check_w(self.w))
         if self.partial_mode not in ("strict", "lenient"):
             raise ValueError(f"unknown partial_mode {self.partial_mode!r}")
 
@@ -298,9 +292,7 @@ def sweep_beams(prefix, net: PetriNet | None, predictor, config: BeamConfig, ws)
     beams share their node records, so a node that several of them reach is
     ranked and replayed once.
     """
-    ws = tuple(ws)
-    for w in ws:
-        _check_w(w)
+    ws = tuple(map(_check_w, ws))
     ws = ws if net is not None else (0.0,) * len(ws)
     prefix, compiled, root_replay = _prepared(prefix, net, max(ws, default=0.0))
     records = {} if len(ws) > 1 else None  # one w has nothing to share

@@ -110,7 +110,7 @@ def _parse_args(parser: _Parser, argv: list) -> argparse.Namespace:
 
 
 def _parse_w_grid(spec: str):
-    return tuple(round(float(tok), 6) for tok in spec.split(",") if tok.strip())
+    return tuple(float(tok) for tok in spec.split(",") if tok.strip())
 
 
 def _parse_ks(spec: str):

@@ -33,8 +33,8 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
+from ._numbers import as_int
 from .beam import BeamConfig, _check_w, sweep_beams
 from .eventlog import EventLog, build_prefix_log, prefix, suffix
 from .metrics import dl_similarity, micro_average
@@ -105,9 +105,7 @@ def split_by_prefix(log: EventLog, k: int):
     Clusters and ranks come from the log's variant counts, each trace's
     variant from ``trace_variants``; only case ids are read from traces.
     """
-    _check_prefix_length(k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = as_int("k", k, 1)
     clusters: dict = {}
     for v, n in log.variants.items():
         if len(v) > k:
@@ -145,8 +143,8 @@ def _cases_by_k(dataset: str, prefix_lengths, variants_of) -> dict:
     return cases_by_k
 
 
-def _check_settings(w_grid, prefix_lengths, has_net: bool, comparison: bool) -> None:
-    """Raise ValueError unless the sweep's settings pass.
+def _check_settings(w_grid, prefix_lengths, has_net: bool, comparison: bool) -> tuple:
+    """The w grid as floats and the prefix lengths as ints, or ValueError unless they pass.
 
     Neither the w grid nor the prefix lengths may be empty or repeat a
     value (a repeat would be swept, and written, twice), every k is an
@@ -156,27 +154,19 @@ def _check_settings(w_grid, prefix_lengths, has_net: bool, comparison: bool) -> 
     Each w is checked as :class:`BeamConfig` checks it (a bool is not a w)
     before any repeat is looked for, as True would equal 1.0.
     """
-    for k in prefix_lengths:
-        _check_prefix_length(k)
-    for w in w_grid:
-        _check_w(w)
+    prefix_lengths = tuple(as_int("k", k, 1) for k in prefix_lengths)
+    w_grid = tuple(map(_check_w, w_grid))
     for values, what in ((w_grid, "w value"), (prefix_lengths, "prefix length")):
         if not values:
             raise ValueError(f"no {what} given")
         for i, v in enumerate(values):
             if v in values[:i]:
                 raise ValueError(f"{what} {v} is given more than once")
-    if min(prefix_lengths) < 1:
-        raise ValueError("k must be >= 1")
     if comparison and 0.0 not in w_grid:
         raise ValueError(_NO_BASELINE)
     if not has_net and max(w_grid) > 0:
         raise ValueError(f"w {max(w_grid)} needs a net; without one the beam runs the w = 0 baseline")
-
-
-def _check_prefix_length(k) -> None:
-    if isinstance(k, bool) or not isinstance(k, Integral):
-        raise ValueError(f"prefix length {k!r} is not an int")
+    return w_grid, prefix_lengths
 
 
 def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, config, w_grid) -> SweepResult:
@@ -233,7 +223,7 @@ def evaluate_dataset(
     The grid need not hold w = 0: no comparison is made here, and
     ``beam_config.w`` is not read.
     """
-    _check_settings(w_grid, prefix_lengths, net is not None, comparison=False)
+    w_grid, prefix_lengths = _check_settings(w_grid, prefix_lengths, net is not None, comparison=False)
     cases_by_k = _cases_by_k(dataset, prefix_lengths, lambda k: test_log.trace_variants)
     return _sweep(dataset, cases_by_k, predictor, net, beam_config, w_grid)
 
@@ -309,7 +299,7 @@ def run_synthetic_experiment(
     # b_size and the sweep's settings raise before generate, which brings the
     # net; the beam's depth comes from the generated log
     BeamConfig(b_size=b_size)
-    _check_settings(w_grid, prefix_lengths, has_net=True, comparison=True)
+    w_grid, prefix_lengths = _check_settings(w_grid, prefix_lengths, has_net=True, comparison=True)
     generated = generate(config)
     beam_config = _beam_config(generated.train_log, b_size)
     cases_by_k = _cases_by_k("synthetic", prefix_lengths, lambda k: generated.test_log.trace_variants)
@@ -332,7 +322,7 @@ def run_reallife_experiment(
     """Check the settings, take the per-k second-variant holdout of a real log
     and check it before training, then run the same sweep."""
     beam_config = _beam_config(log, b_size)
-    _check_settings(w_grid, prefix_lengths, net is not None, comparison=True)
+    w_grid, prefix_lengths = _check_settings(w_grid, prefix_lengths, net is not None, comparison=True)
 
     def held_out_variants(k):
         try:

@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
+from ._numbers import as_int
 from .eventlog import END, _escape, _local, _xml_elements
 
 logger = logging.getLogger(__name__)
@@ -57,6 +58,9 @@ class Arc:
     source: str
     target: str
     weight: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", as_int("arc weight", self.weight, 1))
 
 
 @dataclass(frozen=True)
@@ -86,17 +90,18 @@ class PetriNet:
                 raise ValueError(
                     f"arc {arc.source!r} -> {arc.target!r} must connect a place and a transition"
                 )
-            if arc.weight < 1:
-                raise ValueError("arc weights must be positive")
-        for marking, which in ((self.initial_marking, "initial"), (self.final_marking, "final")):
-            for pid, count in marking.items():
+        for which in ("initial", "final"):  # each count stored as the int a packed marking shifts
+            marking = {}
+            for pid, count in getattr(self, f"{which}_marking").items():
                 if pid not in place_set:
                     raise ValueError(f"{which} marking references unknown place {pid!r}")
-                if not 0 <= count <= TOKEN_MAX:
+                marking[pid] = count = as_int(f"{which} marking count of place {pid!r}", count, 0)
+                if count > TOKEN_MAX:
                     raise ValueError(
                         f"{which} marking has {count} tokens in place {pid!r}"
                         f" (counts must lie in 0..{TOKEN_MAX})"
                     )
+            object.__setattr__(self, f"{which}_marking", marking)
         # parallel arcs add up in the compiled net; an output arc must leave
         # room for one firing on top of the initial tokens of its place
         weights = {}

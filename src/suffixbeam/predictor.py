@@ -41,10 +41,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
+from ._numbers import as_int, as_real
 from .encoding import Vocabulary
 from .eventlog import PrefixLog
 
@@ -126,16 +126,8 @@ class NGramModel(ContextModel):
     ranked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.order, bool) or not isinstance(self.order, Integral):
-            raise ValueError(f"order must be an int, not {self.order!r}")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
-            raise ValueError(f"alpha must be a real number, not {self.alpha!r}")
-        try:  # stored as the float a row computes with, as a model file holds it
-            object.__setattr__(self, "alpha", float(self.alpha))
-        except OverflowError:
-            raise ValueError(f"alpha must be a real number a float can hold, not {self.alpha!r}") from None
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        object.__setattr__(self, "order", as_int("order", self.order, 1))
+        object.__setattr__(self, "alpha", as_real("alpha", self.alpha))  # the float a row computes with
         if not 0 <= self.alpha < math.inf:
             raise ValueError("alpha must be >= 0 and finite")
         n = len(self.vocab)
@@ -175,7 +167,7 @@ class NGramModel(ContextModel):
             "counts": [[list(ctx), row] for ctx, row in sorted(self.counts.items())],
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, default=_json_number)
+            json.dump(payload, fh)
 
     @staticmethod
     def load(path) -> "NGramModel":
@@ -186,19 +178,11 @@ class NGramModel(ContextModel):
         missing = [key for key in ("vocab", "order", "alpha", "counts") if key not in payload]
         if missing:
             raise ValueError(f"{path} lacks the n-gram model entries {missing}")
-        order, alpha = payload["order"], payload["alpha"]
-        if type(order) is not int or type(alpha) not in (int, float):  # a bool or a string is tampered
-            raise ValueError(f"{path} has a malformed n-gram model entry: order {order!r} or alpha {alpha!r}")
         try:  # the constructor's rules, counts included, hold for a file too
             counts = {tuple(ctx): row for ctx, row in payload["counts"]}
-            return NGramModel(Vocabulary(labels=tuple(payload["vocab"])), order, alpha, counts)
+            return NGramModel(Vocabulary(labels=tuple(payload["vocab"])), payload["order"], payload["alpha"], counts)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path} has a malformed n-gram model entry: {exc!r}") from None
-
-
-def _json_number(value):
-    """A number JSON cannot write, a numpy scalar or a fraction, as the Python number it equals."""
-    return value.item() if isinstance(value, np.generic) else float(value)
 
 
 def train_ngram(prefix_log: PrefixLog, vocab: Vocabulary, order: int = 3, alpha: float = 0.01) -> NGramModel:

@@ -25,8 +25,9 @@ its variants are counted once and its timestamps come from one table of
 minutes; the test log is its exceptional rows, picked by index.  Neither
 makes a trace, nor the table, until its ``traces`` are first read, and then
 the test log's are the training log's own objects; only writing a log as XES
-reads them.  The seed and the trace counts must be non-negative integers and
-the fractions numbers in [0, 1]; a bool is neither.
+reads them.  The seed and the trace counts must be integers of at least 0 and
+the fractions real numbers in [0, 1], a bool neither, and each is stored as
+the plain int or float it equals.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numbers import as_int, as_real
 from .eventlog import EventLog, log_from_variants
 from .petri import Arc, PetriNet, Transition
 
@@ -71,13 +73,12 @@ class SynthConfig:
 
     def __post_init__(self):
         for name in ("seed", "n_train_normal", "n_train_exceptional"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, not {v!r}")
+            object.__setattr__(self, name, as_int(name, getattr(self, name), 0))
         for name in ("branch_probability", "exceptional_branch1_fraction", "short_exceptional_fraction"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or not 0.0 <= v <= 1.0:
+            v = as_real(name, getattr(self, name))
+            if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], not {v!r}")
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,9 @@ def test_config_validation():
                          ("ln_eps", Fraction(1, 10**400))):  # 0.0 as a float
         with pytest.raises(ValueError, match=field):
             AttentionConfig(**{"l_max": 5, "d_model": 4, "n_heads": 2, field: value})
-    with pytest.raises(ValueError, match="d_model must be an integer"):
+    with pytest.raises(ValueError, match="d_model must be an int"):
         AttentionConfig(l_max=5, d_model=4.0, n_heads=2)
-    with pytest.raises(ValueError, match="^n_layers must be an integer, not True$"):  # a bool is no integer
+    with pytest.raises(ValueError, match="^n_layers must be an int, not True$"):  # a bool is no integer
         AttentionConfig(l_max=5, d_model=4, n_heads=2, n_layers=True)
     for field, value, message in (
         ("ln_eps", True, "ln_eps must be a real number, not True"),  # a bool is no real number either
@@ -350,9 +350,9 @@ def test_training_validation_errors():
 
     with pytest.raises(ValueError, match="prefix log is empty"):
         train_attention(PrefixLog(entries=()), vocab, config)
-    with pytest.raises(ValueError, match="epochs and batch_size"):
+    with pytest.raises(ValueError, match="^epochs must be >= 1, not 0$"):
         train_attention(plog, vocab, config, epochs=0)
-    with pytest.raises(ValueError, match="epochs and batch_size"):
+    with pytest.raises(ValueError, match="^batch_size must be >= 1, not 0$"):
         train_attention(plog, vocab, config, batch_size=0)
     with pytest.raises(ValueError, match="val_fraction"):
         train_attention(plog, vocab, config, val_fraction=-0.5)
@@ -419,8 +419,8 @@ TAMPERINGS = {
     "meta-unknown-field": ("__meta__", lambda a, meta: _set_config(a, meta, width=3)),
     "meta-bad-labels": ("__meta__", lambda a, meta: _set_meta(a, {**meta, "labels": ["A"]})),
     # JSON true is a bool, which Python would take as the integer 1
-    "meta-bool-d_model": ("d_model must be an integer", lambda a, meta: _set_config(a, meta, d_model=True)),
-    "meta-bool-seed": ("seed must be an integer", lambda a, meta: _set_config(a, meta, seed=True)),
+    "meta-bool-d_model": ("d_model must be an int", lambda a, meta: _set_config(a, meta, d_model=True)),
+    "meta-bool-seed": ("seed must be an int", lambda a, meta: _set_config(a, meta, seed=True)),
     "meta-bool-ln_eps": ("ln_eps must be a real number", lambda a, meta: _set_config(a, meta, ln_eps=True)),
     "meta-string-positional_encoding": (
         "positional_encoding must be a bool", lambda a, meta: _set_config(a, meta, positional_encoding="false")),

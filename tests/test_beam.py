@@ -63,9 +63,9 @@ def ab_ngram(seed=3, n=40):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="b_size and max_iter"):
+    with pytest.raises(ValueError, match="^b_size must be >= 1, not 0$"):
         BeamConfig(b_size=0)
-    with pytest.raises(ValueError, match="b_size and max_iter"):
+    with pytest.raises(ValueError, match="^max_iter must be >= 1, not 0$"):
         BeamConfig(max_iter=0)
     with pytest.raises(ValueError, match="w must be in"):
         BeamConfig(w=1.5)
@@ -95,6 +95,21 @@ def test_config_w_must_be_a_real_number(value):
 def test_config_takes_numpy_numbers_and_no_max_size():
     config = BeamConfig(b_size=np.int64(2), max_iter=np.int32(4), w=np.float64(0.5), max_size=None)
     assert (config.b_size, config.max_iter, config.w, config.max_size) == (2, 4, 0.5, None)
+
+
+def test_a_float32_w_runs_as_the_float_it_equals(synth, synth_ngram):
+    # a float32 w ran the whole beam in float32: log_score -0.41489837 for -0.4148984152502334
+    net, pred = synth.net, synth_ngram
+    config = BeamConfig(b_size=np.int64(2), max_iter=np.int32(6), w=np.float32(0.85))
+    assert [type(v) for v in (config.b_size, config.max_iter, config.w)] == [int, int, float]
+    plain = replace(config, w=float(np.float32(0.85)))
+    for prefix in (("Start",), ("Start", "B1a"), ("Start", "B2a", "B2b")):
+        got = modulated_beam(prefix, net, pred, config)
+        assert got == modulated_beam(prefix, net, pred, plain)
+        assert type(got.score) is float and type(got.log_score) is float
+        swept = sweep_beams(prefix, net, pred, plain, (np.float32(0.85), np.float64(0.5)))
+        assert swept == sweep_beams(prefix, net, pred, plain, (float(np.float32(0.85)), 0.5))
+        assert swept[0] == got and type(swept[0].log_score) is float
 
 
 def test_empty_prefix_rejected():

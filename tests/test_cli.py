@@ -154,7 +154,7 @@ def test_out_falls_back_to_env_dir(tmp_path, monkeypatch, capsys):
 def test_a_negative_seed_is_bad_input_naming_the_seed(argv, tmp_path, capsys):
     code, _, err = run(capsys, argv + ["--out", str(tmp_path / "out")])
     assert code == 1
-    assert "seed must be a non-negative integer, not -1" in err
+    assert "seed must be >= 0, not -1" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -336,7 +336,7 @@ def test_predict_rejects_negative_token_counts(workspace, tmp_path, capsys):
         capsys, ["predict", "--model", workspace["model"], "--prefix", "Start", "--net", str(net)]
     )
     assert code == 1
-    assert "initial marking has -2 tokens in place" in err
+    assert "initial marking count of place 'p0' must be >= 0, not -2" in err
 
 
 def test_predict_rejects_token_counts_past_int32(workspace, tmp_path, capsys):
@@ -436,8 +436,8 @@ def _set_npz_config(arrays, **fields):
         ("model.npz", _edit_npz(lambda a: a.pop("__meta__")), "__meta__"),
         ("model.npz", _edit_npz(lambda a: a["l0_wq"].fill(np.nan)), "'l0_wq' holds a non-finite weight"),
         ("model.npz", _edit_npz(lambda a: a.update(w_out=a["w_out"][:, :-1])), "'w_out' must be a float"),
-        ("model.npz", _edit_npz(lambda a: _set_npz_config(a, d_model=True)), "d_model must be an integer"),
-        ("model.npz", _edit_npz(lambda a: _set_npz_config(a, seed=True)), "seed must be an integer"),
+        ("model.npz", _edit_npz(lambda a: _set_npz_config(a, d_model=True)), "d_model must be an int"),
+        ("model.npz", _edit_npz(lambda a: _set_npz_config(a, seed=True)), "seed must be an int"),
         ("model.npz", _edit_npz(lambda a: _set_npz_config(a, ln_eps=True)), "ln_eps must be a real number"),
         ("model.npz", _edit_npz(lambda a: _set_npz_config(a, positional_encoding="false")),
          "positional_encoding must be a bool"),
@@ -581,6 +581,24 @@ def test_sweep_writes_w_values_that_two_decimals_would_round_in_full(tmp_path, c
     assert [row[2] for row in rows] == [w for w in ("0.00", "0.12", "0.121", "0.875") for _ in range(2)]
 
 
+def test_sweep_runs_each_w_as_typed(tmp_path, capsys):
+    # the grid was rounded to 6 decimals: 0.1234567 ran and was written as
+    # 0.123457, and 0.1234561 and 0.1234564 both became a repeated 0.123456
+    code, _, _ = run(
+        capsys, ["sweep", "--mode", "synthetic", "--ks", "3", "--w-grid", "0,0.1234567", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    rows = list(csv.reader((tmp_path / "sweep.csv").read_text().splitlines()))[1:]
+    assert [row[2] for row in rows] == ["0.00", "0.00", "0.1234567", "0.1234567"]
+    code, _, err = run(
+        capsys,
+        ["sweep", "--mode", "synthetic", "--ks", "3", "--w-grid", "0,0.1234561,0.1234564", "--out", str(tmp_path)],
+    )
+    assert (code, err) == (0, "")
+    rows = list(csv.reader((tmp_path / "sweep.csv").read_text().splitlines()))[1:]
+    assert [row[2] for row in rows[::2]] == ["0.00", "0.1234561", "0.1234564"]
+
+
 def test_sweep_keeps_the_given_order_of_ks_in_every_output(tmp_path, capsys):
     code, out, _ = run(
         capsys,
@@ -657,7 +675,7 @@ def test_default_ngram_model_file_is_locked(workspace):
         ("--w-grid", "0.5,1.5", "w must be in [0, 1]"),
         ("--w-grid", " , ", "no w value given"),
         ("--ks", "3,0", "k must be >= 1"),
-        ("--b-size", "0", "b_size and max_iter must be >= 1"),
+        ("--b-size", "0", "b_size must be >= 1, not 0"),
     ],
 )
 def test_sweep_grid_validation(flag, value, fragment, tmp_path, capsys):

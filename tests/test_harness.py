@@ -4,6 +4,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -100,7 +101,7 @@ def test_split_checks_k_as_the_sweep_does():
     log = log_from_variants([("A", "B", "C")] * 3 + [("A", "B", "D")])
     # True would hold out as k = 1, and 2.0 cannot slice
     for k in (True, 2.0):
-        with pytest.raises(ValueError, match=f"^prefix length {re.escape(repr(k))} is not an int$"):
+        with pytest.raises(ValueError, match=f"^k must be an int, not {re.escape(repr(k))}$"):
             split_by_prefix(log, k)
     assert split_by_prefix(log, np.int64(2)) == split_by_prefix(log, 2)
     assert holdout_variants(log, np.int64(2)) == [("A", "B", "D")]
@@ -440,15 +441,15 @@ BAD_SETTINGS = {
     "repeated k": (dict(prefix_lengths=(3, 4, 3)), "prefix length 3 is given more than once", ENTRIES),
     "k=0": (dict(prefix_lengths=(3, 0)), "k must be >= 1", ENTRIES),
     # True would sweep k = 1 and write True in the k column; 3.0 cannot slice
-    "k=True": (dict(prefix_lengths=(True,)), "prefix length True is not an int", ENTRIES),
-    "k=3.0": (dict(prefix_lengths=(3, 3.0)), "prefix length 3.0 is not an int", ENTRIES),
+    "k=True": (dict(prefix_lengths=(True,)), "k must be an int, not True", ENTRIES),
+    "k=3.0": (dict(prefix_lengths=(3, 3.0)), "k must be an int, not 3.0", ENTRIES),
     "w=1.5": (dict(w_grid=(0.0, 1.5)), r"w must be in \[0, 1\]", ENTRIES),
     # True would sweep w = 1 and write True in the w cells, and beside 1.0 look like a repeat
     "w=True": (dict(w_grid=(0.0, True)), "w must be a real number, not True", ENTRIES),
     "w=True and 1.0": (dict(w_grid=(0.0, True, 1.0)), "w must be a real number, not True", ENTRIES),
     "w='0.5'": (dict(w_grid=(0.0, "0.5")), "w must be a real number, not '0.5'", ENTRIES),
     # evaluate_dataset takes a built BeamConfig, which cannot hold b_size 0
-    "b_size=0": (dict(b_size=0), "b_size and max_iter must be >= 1", ("synthetic", "reallife")),
+    "b_size=0": (dict(b_size=0), "b_size must be >= 1, not 0", ("synthetic", "reallife")),
     "b_size=2.5": (dict(b_size=2.5), "b_size must be an int, not 2.5", ("synthetic", "reallife")),
     # only the experiments compare against w = 0
     "no w=0": (dict(w_grid=(0.5, 0.85)), "w grid must hold 0", ("synthetic", "reallife")),
@@ -492,6 +493,19 @@ def test_every_entry_takes_numpy_prefix_lengths_as_the_ints_they_equal(synth, sy
     write_sweep_csv(tmp_path / "got.csv", got)
     write_sweep_csv(tmp_path / "want.csv", want)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_every_entry_sweeps_a_fraction_grid_as_the_floats_it_equals(synth, synth_ngram, tmp_path, entry):
+    # a fraction passed the w rule, then format_w could not write it and best_w came back a fraction
+    got = run_entry(entry, synth, synth_ngram, dict(w_grid=(Fraction(0), Fraction(17, 20))))
+    want = run_entry(entry, synth, synth_ngram, dict(w_grid=(0.0, 0.85)))
+    assert got == want
+    assert [type(w) for w in got.w_grid] == [float, float] and type(got.best_w) is float
+    for writer in (write_sweep_csv, write_comparison_csv):
+        writer(tmp_path / "got.csv", got)
+        writer(tmp_path / "want.csv", want)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_evaluate_dataset_without_a_net_runs_the_baseline(synth, synth_ngram):

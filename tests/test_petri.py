@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import random
+import re
 
 import numpy as np
 import pytest
@@ -84,15 +85,15 @@ def test_net_validation():
         PetriNet("n", ("p", "q"), t, (Arc("p", "q"),), {}, {})
     with pytest.raises(ValueError, match="must connect a place and a transition"):
         PetriNet("n", ("p",), t, (Arc("t0", "t0"),), {}, {})
-    with pytest.raises(ValueError, match="weights must be positive"):
+    with pytest.raises(ValueError, match="^arc weight must be >= 1, not 0$"):
         PetriNet("n", ("p",), t, (Arc("p", "t0", weight=0),), {}, {})
     with pytest.raises(ValueError, match="initial marking references unknown place"):
         PetriNet("n", ("p",), t, (), {"nope": 1}, {})
     with pytest.raises(ValueError, match="final marking references unknown place"):
         PetriNet("n", ("p",), t, (), {}, {"nope": 1})
-    with pytest.raises(ValueError, match="initial marking has -2 tokens in place 'p'"):
+    with pytest.raises(ValueError, match="initial marking count of place 'p' must be >= 0, not -2"):
         PetriNet("n", ("p",), t, (), {"p": -2}, {})
-    with pytest.raises(ValueError, match="final marking has -1 tokens in place 'p'"):
+    with pytest.raises(ValueError, match="final marking count of place 'p' must be >= 0, not -1"):
         PetriNet("n", ("p",), t, (), {}, {"p": -1})
     with pytest.raises(ValueError, match="initial marking has 3000000000 tokens in place 'p'"):
         PetriNet("n", ("p",), t, (), {"p": 3_000_000_000}, {})
@@ -105,6 +106,36 @@ def test_net_validation():
         PetriNet("n", ("p",), t, (Arc("t0", "p", weight=2**30),) * 2, {}, {})
     full = PetriNet("n", ("p",), t, (Arc("p", "t0"),), {"p": INT32_MAX}, {"p": INT32_MAX})
     assert ReplayState(full.compiled).marking[0] == INT32_MAX
+
+
+def test_numpy_int_counts_and_weights_replay_as_the_ints_they_equal():
+    # a numpy count shifted into place index 2 wrapped to a packed 0, and lost its token
+    plain = chain_net(["A", "B", "C"])
+    late = dataclasses.replace(plain, initial_marking={"p2": 1})
+    late_np = dataclasses.replace(plain, initial_marking={"p2": np.int64(1)}, final_marking={"p3": np.int32(1)})
+    assert late_np.initial_marking == {"p2": 1} and type(late_np.initial_marking["p2"]) is int
+    assert type(late_np.final_marking["p3"]) is int
+    assert late_np.compiled.initial_code == late.compiled.initial_code == 1 << 64
+    heavy = dataclasses.replace(plain, arcs=tuple(Arc(a.source, a.target, 2) for a in plain.arcs),
+                                initial_marking={"p0": 2}, final_marking={"p3": 2})
+    heavy_np = dataclasses.replace(heavy, arcs=tuple(Arc(a.source, a.target, np.int64(2)) for a in plain.arcs))
+    assert all(type(a.weight) is int for a in heavy_np.arcs)
+    for variant in (("C",), ("A", "B", "C"), ("B", "C"), ("C", "A"), ("X",)):
+        for numpy_net, int_net in ((late_np, late), (heavy_np, heavy)):
+            assert token_replay(numpy_net, variant) == token_replay(int_net, variant)
+            assert token_replay(numpy_net, variant, partial=True) == token_replay(int_net, variant, partial=True)
+
+
+def test_a_count_or_weight_that_is_not_an_int_is_refused_when_the_net_is_built():
+    # a float weight or count was taken and raised TypeError at replay, and a string weight a TypeError here
+    t = (Transition("t0", "A"),)
+    for weight in (1.0, 2.5, "1", True):
+        with pytest.raises(ValueError, match=f"^arc weight must be an int, not {re.escape(repr(weight))}$"):
+            PetriNet("n", ("p",), t, (Arc("p", "t0", weight=weight),), {"p": 1}, {})
+    for count in (1.0, "1", True):
+        for which, marking in (("initial", ({"p": count}, {})), ("final", ({}, {"p": count}))):
+            with pytest.raises(ValueError, match=f"^{which} marking count of place 'p' must be an int, not {count!r}$"):
+                PetriNet("n", ("p",), t, (Arc("p", "t0"),), *marking)
 
 
 def test_token_counts_cannot_wrap_int32():
@@ -794,9 +825,9 @@ def test_parse_pnml_rejects_negative_token_counts():
         </marking></finalmarkings></net></pnml>""".encode()
 
     assert parse_pnml(doc(1, 1)).initial_marking == {"src": 1}
-    with pytest.raises(ValueError, match="initial marking has -2 tokens in place 'src'"):
+    with pytest.raises(ValueError, match="initial marking count of place 'src' must be >= 0, not -2"):
         parse_pnml(doc(-2, 1))
-    with pytest.raises(ValueError, match="final marking has -3 tokens in place 'snk'"):
+    with pytest.raises(ValueError, match="final marking count of place 'snk' must be >= 0, not -3"):
         parse_pnml(doc(1, -3))
     with pytest.raises(ValueError, match="initial marking has 3000000000 tokens in place 'src'"):
         parse_pnml(doc(3_000_000_000, 1))

@@ -379,3 +379,37 @@ def test_only_the_beam_step_asks_the_predictor_to_rank():
     # _expand ranks, once per step; _children only scores the records it is handed
     callers = method_callers((SRC / "beam.py").read_text(), "ranked_batch")
     assert {name for name, _ in callers} == {"_expand"}
+
+
+def numbers_imports(source: str) -> list:
+    """Lines where a module imports the ``numbers`` ABCs, to write a numeric type rule of its own.
+
+    Only :mod:`suffixbeam._numbers` may: every numeric setting is checked by
+    its ``as_int`` or ``as_real``, so the rule is written once.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for alias in node.names if alias.name.split(".")[0] == "numbers"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "numbers":
+            found.append(node.lineno)
+    return found
+
+
+def test_numbers_import_check_finds_a_leftover():
+    source = (
+        "from numbers import Integral, Real\n"
+        "import numbers\n"
+        "import numbers as nb, math\n"
+        "from ._numbers import as_int\n"
+        "from . import _numbers\n"
+        "def f(v):\n"
+        "    from numbers import Real\n"
+        "    return isinstance(v, Real)\n"
+    )
+    assert numbers_imports(source) == [1, 2, 3, 7]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "_numbers.py"])
+def test_only_the_number_rule_imports_numbers(module):
+    assert numbers_imports((SRC / module).read_text()) == []

@@ -1,5 +1,7 @@
 import hashlib
 from collections import Counter
+from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from suffixbeam.synthgen import (
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="n_train_normal must be >= 0, not -1"):
         SynthConfig(n_train_normal=-1)
     with pytest.raises(ValueError, match=r"branch_probability must be in \[0, 1\]"):
         SynthConfig(branch_probability=1.2)
@@ -36,24 +38,38 @@ def test_config_validation():
         SynthConfig(short_exceptional_fraction=-0.5)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "17"),
-    ("n_train_normal", 2.5), ("n_train_normal", -1), ("n_train_exceptional", True), ("n_train_exceptional", None),
-])
-def test_config_needs_non_negative_integer_seed_and_counts(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be a non-negative integer, not {value!r}"):
+@pytest.mark.parametrize("field, value, rule", [
+    ("seed", -1, ">= 0"), ("seed", 1.5, "an int"), ("seed", True, "an int"), ("seed", "17", "an int"),
+    ("n_train_normal", 2.5, "an int"), ("n_train_normal", -1, ">= 0"), ("n_train_exceptional", True, "an int"),
+    ("n_train_exceptional", None, "an int"),
+], ids=["seed--1", "seed-1.5", "seed-True", "seed-17", "n_train_normal-2.5", "n_train_normal--1",
+        "n_train_exceptional-True", "n_train_exceptional-None"])
+def test_config_needs_non_negative_integer_seed_and_counts(field, value, rule):
+    with pytest.raises(ValueError, match=f"{field} must be {rule}, not {value!r}"):
         SynthConfig(**{field: value})
 
 
-@pytest.mark.parametrize("value", [True, "0.5", None, float("nan"), 1.2])
-def test_config_needs_fractions_in_the_unit_interval(value):
-    with pytest.raises(ValueError, match=rf"branch_probability must be in \[0, 1\], not {value!r}"):
+@pytest.mark.parametrize("value, rule", [
+    (True, "a real number"), ("0.5", "a real number"), (None, "a real number"),
+    (float("nan"), r"in \[0, 1\]"), (1.2, r"in \[0, 1\]"),
+], ids=["True", "0.5", "None", "nan", "1.2"])
+def test_config_needs_fractions_in_the_unit_interval(value, rule):
+    with pytest.raises(ValueError, match=rf"branch_probability must be {rule}, not {value!r}"):
         SynthConfig(branch_probability=value)
 
 
 def test_config_takes_numpy_integers():
     config = SynthConfig(seed=np.int64(3), n_train_normal=np.int32(8), n_train_exceptional=np.uint8(4))
     assert len(generate(config).train_log) == 12
+
+
+def test_config_stores_its_numbers_as_plain_ints_and_floats():
+    # a fraction was refused as out of [0, 1]; numpy numbers are kept as the plain ones they equal
+    exact = SynthConfig(seed=np.int64(3), n_train_normal=np.int32(8), branch_probability=Fraction(1, 2),
+                        exceptional_branch1_fraction=np.float32(0.25), short_exceptional_fraction=Fraction(1, 25))
+    plain = SynthConfig(seed=3, n_train_normal=8, branch_probability=0.5, short_exceptional_fraction=0.04)
+    assert exact == plain
+    assert [type(v) for v in astuple(exact)] == [type(v) for v in astuple(plain)] == [int] * 3 + [float] * 3
 
 
 def test_default_variant_counts(synth):
