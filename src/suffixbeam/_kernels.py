@@ -172,8 +172,25 @@ def replay_one_label(net, marking, tids):
     silent firings.
     """
     found = silent_path_to(net, marking, [net.pre[t] for t in tids])
-    i, path = found or (min(range(len(tids)), key=lambda i: _consume(net, marking, tids[i])[1]), [])
+    i, path = found or (_fewest_missing(net, marking, tids), [])
     return _fire(net, marking, path + [tids[i]])
+
+
+def _fewest_missing(net, marking, tids):
+    """The index of the first of the transition rows tids whose firing misses
+    the fewest tokens, where none is enabled at the packed marking.
+
+    Each then misses one token at least, so the first that misses exactly
+    one ends the scan.
+    """
+    best = fewest = None
+    for i, t in enumerate(tids):
+        missing = _consume(net, marking, t)[1]
+        if fewest is None or missing < fewest:
+            best, fewest = i, missing
+            if missing == 1:
+                break
+    return best
 
 
 def finish_complete(net, marking):

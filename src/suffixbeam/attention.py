@@ -119,10 +119,40 @@ def _check_params(params: dict, shapes: dict) -> None:
             raise ValueError(f"attention param {name!r} holds a non-finite weight")
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    m = np.max(z, axis=-1, keepdims=True)
+def _softmax_rows(z: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis; ``m``, the rows' maxima kept as an axis, when known."""
+    if m is None:
+        m = np.max(z, axis=-1, keepdims=True)
     e = np.exp(z - m)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _key_max(scores: np.ndarray) -> np.ndarray:
+    """The row maxima of (B, H, T, T) attention scores, kept as an axis.
+
+    A max is the same in any order (a zero's sign aside, which the softmax
+    cannot see), so it is taken over a copy with the key axis leading, as
+    T - 1 elementwise maxima: np.max over a short inner axis takes five
+    times as long. A sum has no such freedom; numpy's inner-axis sums round
+    their own way, and they stay where they are.
+    """
+    return np.maximum.reduce(np.moveaxis(scores, -1, 0).copy())[..., None]
+
+
+def _max_pool(h: np.ndarray, mask: np.ndarray, with_argmax: bool):
+    """(B, D) maxima of (B, T, D) h over each row's real steps, and their
+    (B, D) argmax steps when ``with_argmax`` (else None)."""
+    src = np.where(mask[:, :, None], h, -np.inf)
+    # a max over the middle axis runs elementwise along D; only a backward reads the argmax
+    return np.maximum.reduce(src, axis=1), (np.argmax(src, axis=1) if with_argmax else None)
+
+
+def _unpool(dpooled: np.ndarray, idx: np.ndarray, n_steps: int) -> np.ndarray:
+    """The (B, T, D) gradient of :func:`_max_pool`'s h: dpooled at the argmax steps, 0 elsewhere."""
+    b, d = dpooled.shape
+    dh = np.zeros((b, n_steps, d))
+    dh[np.arange(b)[:, None], idx, np.arange(d)] = dpooled
+    return dh
 
 
 def _layer_norm_forward(x, gain, bias, eps):
@@ -235,7 +265,8 @@ class AttentionModel(ContextModel):
             q = self._split_heads(h @ p[key + "wq"] + p[key + "bq"])
             k = self._split_heads(h @ p[key + "wk"] + p[key + "bk"])
             v = self._split_heads(h @ p[key + "wv"] + p[key + "bv"])
-            attn = _softmax_rows((q @ k.transpose(0, 1, 3, 2)) * scale + key_bias)
+            scores = (q @ k.transpose(0, 1, 3, 2)) * scale + key_bias
+            attn = _softmax_rows(scores, _key_max(scores))
             heads = attn @ v
             merged = self._merge_heads(heads)
             att_out = merged @ p[key + "wo"] + p[key + "bo"]
@@ -248,9 +279,7 @@ class AttentionModel(ContextModel):
                 layers.append(dict(h_in=h, q=q, k=k, v=v, attn=attn, merged=merged, ln1_out=ln1_out,
                                    ln1_cache=ln1_cache, pre1=pre1, act=act, ln2_cache=ln2_cache))
             h = h2
-        pooled_src = np.where(mask[:, :, None], h, -np.inf)
-        pool_idx = np.argmax(pooled_src, axis=1)  # (B, D)
-        pooled = np.take_along_axis(h, pool_idx[:, None, :], axis=1)[:, 0, :]
+        pooled, pool_idx = _max_pool(h, mask, for_backward)
         cache = {}
         if for_backward:
             cache.update(x=x, mask=mask, layers=layers, rows=rows, h_final=h, pool_idx=pool_idx)
@@ -285,8 +314,7 @@ class AttentionModel(ContextModel):
             per_prefix = np.zeros((cache["h_final"].shape[0], dpooled.shape[1]))
             np.add.at(per_prefix, cache["rows"], dpooled)
             dpooled = per_prefix
-        dh = np.zeros_like(cache["h_final"])
-        np.put_along_axis(dh, cache["pool_idx"][:, None, :], dpooled[:, None, :], axis=1)
+        dh = _unpool(dpooled, cache["pool_idx"], cache["h_final"].shape[1])
         scale = 1.0 / np.sqrt(cfg.d_model / cfg.n_heads)
         for layer in range(cfg.n_layers - 1, -1, -1):
             key = f"l{layer}_"
@@ -404,6 +432,26 @@ class EpochStats:
     val_loss: float
 
 
+def _adam_step(flat, m, v, g, step: int, learning_rate: float, scratch) -> None:
+    """Adam step ``step`` on ``flat`` for gradient ``g``, all in place.
+
+    ``scratch`` is two arrays of the same size. The IEEE operations and
+    their order are those of the out-of-place ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g`` and ``flat -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``,
+    so the weights are the same bit for bit, without a new vector per operation.
+    """
+    a, b = scratch
+    bc1 = 1.0 - ADAM_BETA1 ** step
+    bc2 = 1.0 - ADAM_BETA2 ** step
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.add(m, np.multiply(g, 1.0 - ADAM_BETA1, out=a), out=m)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.add(v, np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=a), g, out=a), out=v)
+    np.multiply(np.divide(m, bc1, out=a), learning_rate, out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
+    np.subtract(flat, np.divide(a, b, out=a), out=flat)
+
+
 def train_attention(
     prefix_log,
     vocab: Vocabulary,
@@ -471,8 +519,8 @@ def train_attention(
         views[k] = flat[offset : offset + v.size].reshape(v.shape)
         offset += v.size
     model.params = views
-    adam_m = np.zeros_like(flat)
-    adam_v = np.zeros_like(flat)
+    adam_m, adam_v, g = np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)
+    scratch = (np.empty_like(flat), np.empty_like(flat))
     step = 0
     history: list[EpochStats] = []
     best_val = np.inf
@@ -493,13 +541,9 @@ def train_attention(
             probs, cache = run(batch, dropout_rng=rng)
             epoch_loss += model.loss(probs, y_all[batch]) * len(batch)
             grads = model.backward(cache, y_all[batch])
-            g = np.concatenate([grads[k].ravel() for k in views])
+            np.concatenate([grads[k].ravel() for k in views], out=g)
             step += 1
-            bc1 = 1.0 - ADAM_BETA1 ** step
-            bc2 = 1.0 - ADAM_BETA2 ** step
-            adam_m = ADAM_BETA1 * adam_m + (1.0 - ADAM_BETA1) * g
-            adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * g * g
-            flat -= learning_rate * (adam_m / bc1) / (np.sqrt(adam_v / bc2) + ADAM_EPS)
+            _adam_step(flat, adam_m, adam_v, g, step, learning_rate, scratch)
         train_loss = epoch_loss / len(train_idx)
         val_loss = evaluate(val_idx)
         tracked = val_loss if n_val > 0 else train_loss

@@ -378,7 +378,7 @@ def parse_pnml(source) -> PetriNet:
                     continue  # a final-marking reference, handled below
                 raise ValueError("place without id")
             places.append(pid)
-            count = int(_text_of(elem.find(".//initialMarking")) or "0")
+            count = _count(elem.find(".//initialMarking"), f"initial marking count of place {pid!r}", 0)
             if count:
                 initial[pid] = count
         elif elem.tag == "transition":
@@ -395,13 +395,13 @@ def parse_pnml(source) -> PetriNet:
             src, tgt = elem.get("source"), elem.get("target")
             if src is None or tgt is None:
                 raise ValueError("arc without source/target")
-            weight = int(_text_of(elem.find(".//inscription")) or "1")
+            weight = _count(elem.find(".//inscription"), f"weight of arc {src!r} -> {tgt!r}", 1)
             arcs.append(Arc(source=src, target=tgt, weight=weight))
         elif elem.tag == "finalmarkings" and not final:
             marking_elem = elem.find(".//marking")
             if marking_elem is not None:
                 for pl in marking_elem.iter("place"):
-                    count = int(_text_of(pl) or "0")
+                    count = _count(pl, f"final marking count of place {pl.get('idref')!r}", 0)
                     if count:
                         final[pl.get("idref")] = count
 
@@ -424,6 +424,19 @@ def parse_pnml(source) -> PetriNet:
         initial_marking=initial,
         final_marking=final,
     )
+
+
+def _count(elem, name: str, low: int) -> int:
+    """The integer an element's text writes, ``low`` when it is blank;
+    ValueError naming ``name`` when it writes none, or one below ``low``."""
+    text = _text_of(elem)
+    if text is None:
+        return low
+    try:
+        count = int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an int, not {text!r}") from None
+    return as_int(name, count, low)
 
 
 def _text_of(elem, strip=True):

@@ -297,6 +297,103 @@ def test_a_forward_that_no_backward_follows_frees_each_layer_as_it_goes():
     assert peaks[1] < 0.5 * peaks[0]
 
 
+# The forward takes its maxima along a leading axis, pools without a gather,
+# scatters the pool's gradient by indexing and steps Adam in place. These
+# compare it with the plain forms on the same machine, bit for bit.
+
+
+@contextmanager
+def plain_forms():
+    """The module with np.max over the keys, argmax + take_along_axis,
+    put_along_axis and an out-of-place Adam; yields the names called."""
+    called = set()
+
+    def key_max(scores):
+        called.add("key_max")
+        return np.max(scores, axis=-1, keepdims=True)
+
+    def max_pool(h, mask, with_argmax):
+        called.add("max_pool")
+        idx = np.argmax(np.where(mask[:, :, None], h, -np.inf), axis=1)
+        return np.take_along_axis(h, idx[:, None, :], axis=1)[:, 0, :], idx
+
+    def unpool(dpooled, idx, n_steps):
+        called.add("unpool")
+        dh = np.zeros((dpooled.shape[0], n_steps, dpooled.shape[1]))
+        np.put_along_axis(dh, idx[:, None, :], dpooled[:, None, :], axis=1)
+        return dh
+
+    def adam_step(flat, m, v, g, step, learning_rate, scratch):
+        called.add("adam_step")
+        bc1 = 1.0 - attention.ADAM_BETA1 ** step
+        bc2 = 1.0 - attention.ADAM_BETA2 ** step
+        m[:] = attention.ADAM_BETA1 * m + (1.0 - attention.ADAM_BETA1) * g
+        v[:] = attention.ADAM_BETA2 * v + (1.0 - attention.ADAM_BETA2) * g * g
+        flat -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + attention.ADAM_EPS)
+
+    with mock.patch.multiple(attention, _key_max=key_max, _max_pool=max_pool, _unpool=unpool,
+                             _adam_step=adam_step):
+        yield called
+
+
+def _bits(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def test_training_equals_the_plain_forms_bit_for_bit():
+    log = log_from_variants([("A", "B", "C"), ("A", "C"), ("B", "A", "C", "A", "B", "C")] * 4)
+    plog = build_prefix_log(log)
+
+    def trained():
+        return train_attention(plog, VOCAB4, DROPPY, epochs=2, batch_size=4, val_fraction=0.2)
+
+    model, history = trained()
+    with plain_forms() as called:
+        plain, plain_history = trained()
+    assert called == {"key_max", "max_pool", "unpool", "adam_step"}
+    assert all(stats.val_loss == stats.val_loss for stats in history)  # a split was validated
+    assert history == plain_history
+    assert list(model.params) == list(plain.params)
+    assert _bits(model.params.values()) == _bits(plain.params.values())
+
+
+def test_cold_rows_equal_the_plain_forms_bit_for_bit():
+    model = AttentionModel(VOCAB4, DROPPY)
+    # a length-1 window, windows with padded keys and a full one, in one batch
+    windows = [("A",), ("C", "B"), ("B", "B", "A", "C"), ("C",), ("A", "A", "B")]
+    rows = model._rows(windows)
+    with plain_forms() as called:
+        plain = model._rows(windows)
+    assert called == {"key_max", "max_pool"}
+    assert _bits([rows]) == _bits([plain])
+
+
+finite_or_zero = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-30.0, 30.0))
+
+
+@st.composite
+def attention_scores(draw):
+    """(B, H, T, T) scores holding ±0 and -inf keys, each row with a finite key."""
+    b, h, t = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 5))
+    n = b * h * t * t
+    values = draw(st.lists(st.one_of(finite_or_zero, st.just(-np.inf)), min_size=n, max_size=n))
+    scores = np.array(values).reshape(b, h, t, t)
+    keep = draw(st.lists(st.integers(0, t - 1), min_size=b * h * t, max_size=b * h * t))
+    rows = scores.reshape(-1, t)
+    rows[np.arange(len(rows)), keep] = draw(st.lists(finite_or_zero, min_size=len(rows), max_size=len(rows)))
+    return scores
+
+
+@settings(max_examples=200)
+@given(attention_scores())
+def test_the_leading_axis_max_equals_np_max_and_moves_no_softmax_bit(scores):
+    top = attention._key_max(scores)
+    assert top.shape == scores.shape[:-1] + (1,)
+    assert np.array_equal(top, np.max(scores, axis=-1, keepdims=True))
+    # the sign of a zero max may differ, but z - m, and so the softmax, cannot
+    assert _bits([attention._softmax_rows(scores, top)]) == _bits([attention._softmax_rows(scores)])
+
+
 def test_trained_params_own_separate_memory_and_the_memo_is_empty():
     log = log_from_variants([("A", "B", "C")] * 6 + [("A", "C")] * 4)
     model, _ = train_attention(build_prefix_log(log), build_vocabulary(log), TINY, epochs=2, batch_size=4)

@@ -353,6 +353,20 @@ def test_predict_rejects_token_counts_past_int32(workspace, tmp_path, capsys):
     assert "initial marking has 3000000000 tokens in place" in err
 
 
+def test_predict_names_the_place_of_a_count_that_is_no_int(workspace, tmp_path, capsys):
+    net = tmp_path / "fraction.pnml"
+    net.write_text(
+        Path(workspace["net"]).read_text().replace(
+            "<initialMarking><text>1</text>", "<initialMarking><text>1.5</text>", 1
+        )
+    )
+    code, _, err = run(
+        capsys, ["predict", "--model", workspace["model"], "--prefix", "Start", "--net", str(net)]
+    )
+    assert code == 1
+    assert "initial marking count of place 'p0' must be an int, not '1.5'" in err
+
+
 def test_predict_rejects_empty_prefix(workspace, capsys):
     code, _, err = run(
         capsys,

@@ -682,6 +682,19 @@ def test_replay_on_trie_nets_matches_the_reference(accepted, others):
         assert_compliance_matches_reference(net, variant)
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+def test_the_fallback_returns_the_index_of_a_full_scan_on_random_nets(seed):
+    rng = np.random.default_rng(seed)
+    compiled = random_net(rng).compiled
+    for _ in range(8):
+        marking = sum(int(n) << 32 * p for p, n in enumerate(rng.integers(0, 3, len(compiled.place_index))))
+        for tids in compiled.label_tids.values():
+            misses = [_kernels._consume(compiled, marking, t)[1] for t in tids]
+            if min(misses):  # the fallback runs only when no candidate is enabled
+                assert _kernels._fewest_missing(compiled, marking, tids) == misses.index(min(misses))
+
+
 def test_a_cold_step_runs_one_silent_search_for_all_its_candidates(monkeypatch):
     searches = []  # the requirements of each search
     search = _kernels.silent_path_to
@@ -831,6 +844,26 @@ def test_parse_pnml_rejects_negative_token_counts():
         parse_pnml(doc(1, -3))
     with pytest.raises(ValueError, match="initial marking has 3000000000 tokens in place 'src'"):
         parse_pnml(doc(3_000_000_000, 1))
+
+
+@pytest.mark.parametrize("initial, weight, final, message", [
+    ("1.5", "1", "1", "initial marking count of place 'src' must be an int, not '1.5'"),
+    ("1", "two", "1", "weight of arc 'src' -> 't1' must be an int, not 'two'"),
+    ("1", "1", "1e3", "final marking count of place 'snk' must be an int, not '1e3'"),
+    ("1", "0", "1", "weight of arc 'src' -> 't1' must be >= 1, not 0"),
+])
+def test_parse_pnml_names_the_element_of_a_bad_count(initial, weight, final, message):
+    doc = f"""<pnml><net id="n"><page id="pg">
+      <place id="src"><initialMarking><text>{initial}</text></initialMarking></place>
+      <place id="snk"/>
+      <transition id="t1"><name><text>A</text></name></transition>
+      <arc id="a1" source="src" target="t1"><inscription><text>{weight}</text></inscription></arc>
+      <arc id="a2" source="t1" target="snk"/>
+    </page><finalmarkings><marking>
+      <place idref="snk"><text>{final}</text></place>
+    </marking></finalmarkings></net></pnml>""".encode()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_pnml(doc)
 
 
 def test_parse_pnml_errors():
