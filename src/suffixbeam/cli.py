@@ -109,12 +109,15 @@ def _parse_args(parser: _Parser, argv: list) -> argparse.Namespace:
     return args
 
 
-def _parse_w_grid(spec: str):
-    return tuple(float(tok) for tok in spec.split(",") if tok.strip())
-
-
-def _parse_ks(spec: str):
-    return tuple(int(tok) for tok in spec.split(",") if tok.strip())
+def _parse_grid(flag: str, spec: str, kind) -> tuple:
+    """The comma-separated values of ``flag``, blanks skipped; a token ``kind`` cannot read names the flag."""
+    values = []
+    for tok in filter(str.strip, spec.split(",")):
+        try:
+            values.append(kind(tok))
+        except ValueError:
+            raise ValueError(f"{flag} takes {kind.__name__} values, not {tok.strip()!r}") from None
+    return tuple(values)
 
 
 def build_parser() -> _Parser:
@@ -273,13 +276,16 @@ def _cmd_sweep(args) -> int:
     settings = dict(
         predictor_kind=args.predictor,
         b_size=args.b_size,
-        w_grid=_parse_w_grid(args.w_grid),
-        prefix_lengths=_parse_ks(args.ks),
+        w_grid=_parse_grid("--w-grid", args.w_grid, float),
+        prefix_lengths=_parse_grid("--ks", args.ks, int),
         ngram_order=args.order,
         ngram_alpha=args.alpha,
         epochs=args.epochs,
     )
     if args.mode == "synthetic":
+        for flag, value in (("--log", args.log), ("--net", args.net), ("--csv-columns", args.csv_columns)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to --mode reallife")
         sweep = run_synthetic_experiment(SynthConfig(seed=args.seed), **settings)
     else:
         if not args.log or not args.net:

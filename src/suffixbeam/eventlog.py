@@ -44,6 +44,7 @@ from typing import NamedTuple
 END = "__END__"
 
 Variant = tuple  # a variant is a tuple of activity labels
+_FIRST_MINUTE = datetime(2020, 1, 1, tzinfo=timezone.utc)  # where a log built from variants starts
 
 
 def _check_trace(case_id, activities, timestamps) -> None:
@@ -114,14 +115,14 @@ class EventLog:
     ``trace_variants`` holds each trace's variant in log order, and
     ``variants`` maps each distinct variant to its number of traces, in
     order of first occurrence; both are made once, when the log is built,
-    so work on labels alone never reads ``traces``. ``alphabet`` defaults to
-    the labels of the variants. No log may hold the reserved label END.
+    so work on labels alone never reads ``traces``. ``alphabet`` is the
+    labels of the variants. No log may hold the reserved label END.
     A log built by :func:`log_from_variants`, or selected from one, makes
     its traces on the first read of ``traces`` and keeps them.
     """
 
     traces: tuple = _Made()
-    alphabet: frozenset = None
+    alphabet: frozenset = field(init=False, compare=False)
     trace_variants: tuple = field(init=False, repr=False, compare=False)
     variants: dict = field(init=False, repr=False, compare=False)
 
@@ -129,10 +130,9 @@ class EventLog:
         traces = self.__dict__["traces"]
         column = traces.variants if isinstance(traces, _Planned) else tuple(map(variant_of, traces))
         variants = (traces.counts if isinstance(traces, _Planned) else None) or Counter(column)
-        labels = frozenset().union(*variants)
-        if END in labels.union(self.alphabet or ()):
+        alphabet = frozenset().union(*variants)
+        if END in alphabet:
             raise ValueError(f"input data uses the reserved completion label {END!r}")
-        alphabet = labels if self.alphabet is None else self.alphabet
         self.__dict__.update(trace_variants=column, variants=variants, alphabet=alphabet)
 
     def __len__(self):
@@ -385,13 +385,14 @@ def write_xes(log: EventLog, path) -> None:
 def parse_csv(source, case_col: str, activity_col: str, time_col: str) -> EventLog:
     """Parse a CSV export: one row per event, grouped by case, sorted by time.
 
-    ``source`` may be a path, a text file object, or bytes. Timestamps are
-    RFC 3339 or epoch-milliseconds. Unparsable rows report their row index.
+    ``source`` may be a path or bytes, read as UTF-8 with any byte-order mark
+    dropped, or a text file object. Timestamps are RFC 3339 or
+    epoch-milliseconds. Unparsable rows report their row index.
     """
     if isinstance(source, (bytes, bytearray)):
-        source = io.StringIO(source.decode("utf-8"), newline="")  # as a path: csv splits lines
+        source = io.StringIO(source.decode("utf-8-sig"), newline="")  # as a path: csv splits lines
     elif isinstance(source, str) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return parse_csv(fh, case_col, activity_col, time_col)
     reader = csv.DictReader(source)
     by_case = {}  # case id -> (labels, timestamps), in order of first appearance
@@ -420,23 +421,21 @@ def parse_csv(source, case_col: str, activity_col: str, time_col: str) -> EventL
     return EventLog(tuple(traces))
 
 
-def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
+def log_from_variants(variants, case_ids=None) -> EventLog:
     """Build a log out of bare label sequences (synthetic data, tests).
 
-    Trace i starts at ``start`` + i minutes (a naive ``start`` is local
-    time); events are one minute apart. ``case_ids``, when given, names each
-    variant's trace; else trace i is ``"case_%04d" % i``, from 1 up. The
-    timestamps come from one table of UTC datetimes a minute apart, each
-    trace's a slice of it, so traces share one object wherever the instant
-    is the same.
+    Trace i starts i minutes after 2020-01-01 00:00 UTC; events are one
+    minute apart. ``case_ids``, when given, names each variant's trace; else
+    trace i is ``"case_%04d" % i``, from 1 up. The timestamps come from one
+    table of UTC datetimes a minute apart, each trace's a slice of it, so
+    traces share one object wherever the instant is the same.
 
     Every check runs here, so bad input raises at the call: ``Trace``'s
     checks on each distinct variant and each case id and, if one fails, on
     every row in log order, so an error names the same case as a
-    trace-by-trace build would; then the reserved-label check. A minute
-    table whose last minute would leave the datetime range raises
-    ValueError first. The rows are counted once, for the log's variants;
-    the traces and the table are made on the first read of ``traces``.
+    trace-by-trace build would; then the reserved-label check. The rows are
+    counted once, for the log's variants; the traces and the table are made
+    on the first read of ``traces``.
     """
     column = tuple(map(tuple, variants))
     if case_ids is not None:
@@ -447,24 +446,16 @@ def log_from_variants(variants, case_ids=None, start=None) -> EventLog:
         counts = Counter(column)
     except TypeError:  # an unhashable label, which Trace's checks reject: check every row
         counts = None
-    longest = max(map(len, counts or column), default=0)
-    # the minutes the traces use: a row before the last `longest` ends before the last row starts
-    tail = max(len(column) - longest, 0)
-    n_minutes = max((i + len(labels) for i, labels in enumerate(column[tail:], tail)), default=0)
-    try:  # the table's last minute is in range exactly when every minute is
-        first = (start or datetime(2020, 1, 1, tzinfo=timezone.utc)).astimezone(timezone.utc)
-        first + timedelta(minutes=max(n_minutes - 1, 0))
-    except OverflowError as exc:  # a start near either end of the datetime range
-        raise ValueError(f"{n_minutes} minutes from {start} leave the datetime range") from exc
     try:  # Trace's checks on each distinct variant (each row if uncounted), then each case id
         for labels in counts or column:
-            _check_trace("case", labels, (first,) * len(labels))
+            _check_trace("case", labels, (_FIRST_MINUTE,) * len(labels))
         for case in case_ids or ():
-            _check_trace(case, ("case",), (first,))
+            _check_trace(case, ("case",), (_FIRST_MINUTE,))
     except ValueError:  # the first row that fails raises
         for i, labels in enumerate(column):
-            _check_trace(_case_id(case_ids, i), labels, (first,) * len(labels))
-    return EventLog(_Planned(column, partial(_minute_traces, column, case_ids, first, n_minutes), counts))
+            _check_trace(_case_id(case_ids, i), labels, (_FIRST_MINUTE,) * len(labels))
+    n_minutes = len(column) + max(map(len, counts), default=0)  # more than the last row reaches
+    return EventLog(_Planned(column, partial(_minute_traces, column, case_ids, n_minutes), counts))
 
 
 def _case_id(case_ids, i: int) -> str:
@@ -472,7 +463,7 @@ def _case_id(case_ids, i: int) -> str:
     return "case_%04d" % (i + 1) if case_ids is None else case_ids[i]
 
 
-def _minute_traces(column: tuple, case_ids, first: datetime, n_minutes: int) -> tuple:
-    """The traces of :func:`log_from_variants`: row i starts i minutes after ``first``."""
-    table = tuple(accumulate(repeat(timedelta(minutes=1), n_minutes - 1), initial=first))
+def _minute_traces(column: tuple, case_ids, n_minutes: int) -> tuple:
+    """The traces of :func:`log_from_variants`: row i starts i minutes after ``_FIRST_MINUTE``."""
+    table = tuple(accumulate(repeat(timedelta(minutes=1), n_minutes - 1), initial=_FIRST_MINUTE))
     return tuple(Trace(_case_id(case_ids, i), labels, table[i:i + len(labels)]) for i, labels in enumerate(column))

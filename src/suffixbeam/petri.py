@@ -60,7 +60,7 @@ class Arc:
     weight: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", as_int("arc weight", self.weight, 1))
+        object.__setattr__(self, "weight", as_int(f"weight of arc {self.source!r} -> {self.target!r}", self.weight, 1))
 
 
 @dataclass(frozen=True)
@@ -426,17 +426,17 @@ def parse_pnml(source) -> PetriNet:
     )
 
 
-def _count(elem, name: str, low: int) -> int:
-    """The integer an element's text writes, ``low`` when it is blank;
-    ValueError naming ``name`` when it writes none, or one below ``low``."""
+def _count(elem, name: str, default: int) -> int:
+    """The integer an element's text writes, ``default`` when it is blank;
+    ValueError naming ``name`` when it writes none. ``Arc`` and ``PetriNet``
+    check its range, with the same name."""
     text = _text_of(elem)
     if text is None:
-        return low
+        return default
     try:
-        count = int(text)
+        return int(text)
     except ValueError:
         raise ValueError(f"{name} must be an int, not {text!r}") from None
-    return as_int(name, count, low)
 
 
 def _text_of(elem, strip=True):

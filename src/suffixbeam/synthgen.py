@@ -26,8 +26,8 @@ minutes; the test log is its exceptional rows, picked by index.  Neither
 makes a trace, nor the table, until its ``traces`` are first read, and then
 the test log's are the training log's own objects; only writing a log as XES
 reads them.  The seed and the trace counts must be integers of at least 0 and
-the fractions real numbers in [0, 1], a bool neither, and each is stored as
-the plain int or float it equals.
+the branch probability a real number in [0, 1], a bool neither, and each is
+stored as the plain int or float it equals.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ EXCEPTIONAL_VARIANTS = (EXC_B1_SHORT, EXC_B1_TAIL_BC, EXC_B1_TAIL_CB, EXC_B2)
 # 0 and 1 the branch-1 normals, 2 the branch-2 normal, then the exceptional ones
 _VARIANTS = (NORMAL_B1_BC, NORMAL_B1_CB, NORMAL_B2) + EXCEPTIONAL_VARIANTS
 _FIRST_EXCEPTIONAL = 3
+# the share of exceptional rows in branch 1, and of those the share of the short variant
+_EXCEPTIONAL_BRANCH1_FRACTION = 0.25
+_SHORT_EXCEPTIONAL_FRACTION = 0.04
 
 
 @dataclass(frozen=True)
@@ -68,17 +71,14 @@ class SynthConfig:
     n_train_normal: int = 800
     n_train_exceptional: int = 200
     branch_probability: float = 0.7  # share of branch-1 cases among normals
-    exceptional_branch1_fraction: float = 0.25
-    short_exceptional_fraction: float = 0.04
 
     def __post_init__(self):
         for name in ("seed", "n_train_normal", "n_train_exceptional"):
             object.__setattr__(self, name, as_int(name, getattr(self, name), 0))
-        for name in ("branch_probability", "exceptional_branch1_fraction", "short_exceptional_fraction"):
-            v = as_real(name, getattr(self, name))
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], not {v!r}")
-            object.__setattr__(self, name, v)
+        p = as_real("branch_probability", self.branch_probability)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"branch_probability must be in [0, 1], not {p!r}")
+        object.__setattr__(self, "branch_probability", p)
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class SynthResult:
     net: PetriNet
 
 
-def exceptional_process_net(name: str = "exceptional_repair") -> PetriNet:
+def exceptional_process_net() -> PetriNet:
     """Petri net accepting exactly the four exceptional variants.
 
     The branch-1 repair ends in place ``x`` from which a silent transition
@@ -133,7 +133,7 @@ def exceptional_process_net(name: str = "exceptional_repair") -> PetriNet:
         Arc("r4", "t13"), Arc("t13", "p_end"),
     ]
     return PetriNet(
-        name=name,
+        name="exceptional_repair",
         places=tuple(places),
         transitions=tuple(transitions),
         arcs=tuple(arcs),
@@ -152,8 +152,8 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthResult:
     rng = np.random.default_rng(config.seed)
 
     n_b1_norm, n_b2_norm = _split(config.n_train_normal, config.branch_probability)
-    n_b1_exc, n_b2_exc = _split(config.n_train_exceptional, config.exceptional_branch1_fraction)
-    n_short, n_tailed = _split(n_b1_exc, config.short_exceptional_fraction)
+    n_b1_exc, n_b2_exc = _split(config.n_train_exceptional, _EXCEPTIONAL_BRANCH1_FRACTION)
+    n_short, n_tailed = _split(n_b1_exc, _SHORT_EXCEPTIONAL_FRACTION)
     n_tail_bc, n_tail_cb = _split(n_tailed, 0.5)
 
     # one draw per branch-1 normal, in the order that n single draws would come: below 0.5 is B1b first

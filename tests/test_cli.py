@@ -690,6 +690,8 @@ def test_default_ngram_model_file_is_locked(workspace):
         ("--w-grid", " , ", "no w value given"),
         ("--ks", "3,0", "k must be >= 1"),
         ("--b-size", "0", "b_size must be >= 1, not 0"),
+        ("--w-grid", "0,abc", "--w-grid takes float values, not 'abc'"),
+        ("--ks", "3,4.5", "--ks takes int values, not '4.5'"),
     ],
 )
 def test_sweep_grid_validation(flag, value, fragment, tmp_path, capsys):
@@ -825,6 +827,25 @@ def test_csv_columns_are_refused_for_a_log_that_is_not_csv(workspace, tmp_path, 
     assert code == 1
     assert "--csv-columns applies only to a .csv log, not test.xes" in err
     assert not (tmp_path / "heldout.xes").exists()
+
+
+def test_split_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys):
+    log = tmp_path / "bom.csv"
+    log.write_bytes("\ufeff".encode() + CONTROL_CHARACTER_CSV.replace("\x01", "").encode())
+    code, out, _ = run(capsys, ["split", "--log", str(log), "--k", "2", "--out", str(tmp_path)])
+    assert code == 0
+    assert "held out 1 traces" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--log", "/nonexistent.xes"], ["--net", "/nonexistent.pnml"], ["--csv-columns", "a,b,c"],
+    ["--log", "/nonexistent.xes", "--net", "/nonexistent.pnml"],
+], ids=["log", "net", "csv-columns", "log-and-net"])
+def test_a_synthetic_sweep_refuses_the_reallife_inputs(flags, tmp_path, capsys):
+    code, _, err = run(capsys, ["sweep", "--mode", "synthetic", *flags, "--out", str(tmp_path)])
+    assert code == 1
+    assert f"{flags[0]} applies only to --mode reallife" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_values_lose_to_any_explicit_flag(workspace, tmp_path, capsys):

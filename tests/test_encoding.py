@@ -48,4 +48,4 @@ def test_build_vocabulary_empty():
     from suffixbeam.eventlog import EventLog
 
     with pytest.raises(ValueError, match="empty alphabet"):
-        build_vocabulary(EventLog(traces=(), alphabet=frozenset()))
+        build_vocabulary(EventLog(traces=()))

@@ -73,6 +73,14 @@ def test_a_net_is_frozen():
     assert net.compiled is compiled  # built once, then kept
 
 
+def test_an_arc_names_itself_in_a_bad_weight():
+    # a net built in code reports the arc as parse_pnml does
+    with pytest.raises(ValueError, match="^weight of arc 'a' -> 't' must be >= 1, not 0$"):
+        Arc("a", "t", 0)
+    with pytest.raises(ValueError, match="^weight of arc 'a' -> 't' must be an int, not 1.5$"):
+        Arc("a", "t", 1.5)
+
+
 def test_net_validation():
     t = (Transition("t0", "A"),)
     with pytest.raises(ValueError, match="duplicate place ids"):
@@ -85,7 +93,7 @@ def test_net_validation():
         PetriNet("n", ("p", "q"), t, (Arc("p", "q"),), {}, {})
     with pytest.raises(ValueError, match="must connect a place and a transition"):
         PetriNet("n", ("p",), t, (Arc("t0", "t0"),), {}, {})
-    with pytest.raises(ValueError, match="^arc weight must be >= 1, not 0$"):
+    with pytest.raises(ValueError, match="^weight of arc 'p' -> 't0' must be >= 1, not 0$"):
         PetriNet("n", ("p",), t, (Arc("p", "t0", weight=0),), {}, {})
     with pytest.raises(ValueError, match="initial marking references unknown place"):
         PetriNet("n", ("p",), t, (), {"nope": 1}, {})
@@ -130,7 +138,7 @@ def test_a_count_or_weight_that_is_not_an_int_is_refused_when_the_net_is_built()
     # a float weight or count was taken and raised TypeError at replay, and a string weight a TypeError here
     t = (Transition("t0", "A"),)
     for weight in (1.0, 2.5, "1", True):
-        with pytest.raises(ValueError, match=f"^arc weight must be an int, not {re.escape(repr(weight))}$"):
+        with pytest.raises(ValueError, match=f"^weight of arc 'p' -> 't0' must be an int, not {re.escape(repr(weight))}$"):
             PetriNet("n", ("p",), t, (Arc("p", "t0", weight=weight),), {"p": 1}, {})
     for count in (1.0, "1", True):
         for which, marking in (("initial", ({"p": count}, {})), ("final", ({}, {"p": count}))):

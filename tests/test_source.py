@@ -1,6 +1,8 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
@@ -413,3 +415,31 @@ def test_numbers_import_check_finds_a_leftover():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "_numbers.py"])
 def test_only_the_number_rule_imports_numbers(module):
     assert numbers_imports((SRC / module).read_text()) == []
+
+
+# The parameters each public settings class and log builder takes. A setting
+# that no caller in the package, the benchmark or the CLI sets is code to
+# delete, so adding one back is a change to this record, made on purpose.
+INIT_PARAMETERS = {
+    "eventlog.EventLog": ("traces",),
+    "eventlog.Trace": ("case_id", "activities", "timestamps"),
+    "eventlog.PrefixLog": ("entries", "runs"),
+    "eventlog.log_from_variants": ("variants", "case_ids"),
+    "synthgen.SynthConfig": ("seed", "n_train_normal", "n_train_exceptional", "branch_probability"),
+    "synthgen.exceptional_process_net": (),
+    "beam.BeamConfig": ("b_size", "max_iter", "w", "max_size", "partial_mode"),
+    "attention.AttentionConfig": (
+        "l_max", "d_model", "n_heads", "n_layers", "d_ff", "dropout", "positional_encoding", "seed", "ln_eps",
+    ),
+    "petri.PetriNet": ("name", "places", "transitions", "arcs", "initial_marking", "final_marking"),
+    "petri.Arc": ("source", "target", "weight"),
+    "petri.Transition": ("tid", "label"),
+    "encoding.Vocabulary": ("labels",),
+}
+
+
+@pytest.mark.parametrize("name", INIT_PARAMETERS)
+def test_a_settings_class_takes_the_recorded_parameters(name):
+    module, attr = name.split(".")
+    built = getattr(importlib.import_module(f"suffixbeam.{module}"), attr)
+    assert tuple(inspect.signature(built).parameters) == INIT_PARAMETERS[name]

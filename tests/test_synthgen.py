@@ -23,6 +23,8 @@ from suffixbeam.synthgen import (
     NORMAL_B1_CB,
     NORMAL_B2,
     SynthConfig,
+    _EXCEPTIONAL_BRANCH1_FRACTION,
+    _SHORT_EXCEPTIONAL_FRACTION,
     _split,
     exceptional_process_net,
     generate,
@@ -34,8 +36,10 @@ def test_config_validation():
         SynthConfig(n_train_normal=-1)
     with pytest.raises(ValueError, match=r"branch_probability must be in \[0, 1\]"):
         SynthConfig(branch_probability=1.2)
-    with pytest.raises(ValueError, match="short_exceptional_fraction"):
-        SynthConfig(short_exceptional_fraction=-0.5)
+    # the exceptional shares are constants of the module
+    for name in ("exceptional_branch1_fraction", "short_exceptional_fraction"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            SynthConfig(**{name: 0.5})
 
 
 @pytest.mark.parametrize("field, value, rule", [
@@ -65,11 +69,12 @@ def test_config_takes_numpy_integers():
 
 def test_config_stores_its_numbers_as_plain_ints_and_floats():
     # a fraction was refused as out of [0, 1]; numpy numbers are kept as the plain ones they equal
-    exact = SynthConfig(seed=np.int64(3), n_train_normal=np.int32(8), branch_probability=Fraction(1, 2),
-                        exceptional_branch1_fraction=np.float32(0.25), short_exceptional_fraction=Fraction(1, 25))
-    plain = SynthConfig(seed=3, n_train_normal=8, branch_probability=0.5, short_exceptional_fraction=0.04)
+    exact = SynthConfig(seed=np.int64(3), n_train_normal=np.int32(8), n_train_exceptional=np.uint8(4),
+                        branch_probability=Fraction(1, 2))
+    plain = SynthConfig(seed=3, n_train_normal=8, n_train_exceptional=4, branch_probability=0.5)
     assert exact == plain
-    assert [type(v) for v in astuple(exact)] == [type(v) for v in astuple(plain)] == [int] * 3 + [float] * 3
+    assert [type(v) for v in astuple(exact)] == [type(v) for v in astuple(plain)] == [int] * 3 + [float]
+    assert SynthConfig(branch_probability=np.float32(0.25)).branch_probability == 0.25
 
 
 def test_default_variant_counts(synth):
@@ -145,8 +150,8 @@ def pair_build_columns(config):
     """Reference: the train and test variant columns of the build that shuffled (variant, flag) pairs."""
     rng = np.random.default_rng(config.seed)
     n_b1_norm, n_b2_norm = _split(config.n_train_normal, config.branch_probability)
-    n_b1_exc, n_b2_exc = _split(config.n_train_exceptional, config.exceptional_branch1_fraction)
-    n_short, n_tailed = _split(n_b1_exc, config.short_exceptional_fraction)
+    n_b1_exc, n_b2_exc = _split(config.n_train_exceptional, _EXCEPTIONAL_BRANCH1_FRACTION)
+    n_short, n_tailed = _split(n_b1_exc, _SHORT_EXCEPTIONAL_FRACTION)
     n_tail_bc, n_tail_cb = _split(n_tailed, 0.5)
     entries = [(NORMAL_B1_BC if r < 0.5 else NORMAL_B1_CB, False) for r in rng.random(n_b1_norm)]
     entries.extend((NORMAL_B2, False) for _ in range(n_b2_norm))
@@ -158,13 +163,9 @@ def pair_build_columns(config):
     return tuple(v for v, _ in entries), tuple(v for v, is_exc in entries if is_exc)
 
 
-fractions = st.floats(min_value=0.0, max_value=1.0)
-
-
 @settings(max_examples=60)
 @given(st.builds(SynthConfig, seed=st.integers(0, 2**32 - 1), n_train_normal=st.integers(0, 300),
-                 n_train_exceptional=st.integers(1, 120), branch_probability=fractions,
-                 exceptional_branch1_fraction=fractions, short_exceptional_fraction=fractions))
+                 n_train_exceptional=st.integers(1, 120), branch_probability=st.floats(min_value=0.0, max_value=1.0)))
 def test_generate_draws_the_columns_of_the_pair_build(config):
     train, test = pair_build_columns(config)
     got = generate(config)
@@ -198,6 +199,9 @@ def test_net_accepts_exactly_the_exceptional_variants(synth):
 
 def test_net_blueprint_is_stable():
     net = exceptional_process_net()
+    assert net.name == "exceptional_repair"
+    with pytest.raises(TypeError):
+        exceptional_process_net(name="other")
     assert len(net.places) == 14
     assert len(net.transitions) == 14
     assert sum(1 for t in net.transitions if t.label is None) == 3
@@ -209,16 +213,15 @@ def test_custom_counts_follow_the_fractions():
     result = generate(
         SynthConfig(
             n_train_normal=100,
-            n_train_exceptional=40,
+            n_train_exceptional=80,
             branch_probability=0.5,
-            exceptional_branch1_fraction=0.5,
-            short_exceptional_fraction=0.5,
         )
     )
     counts = Counter(variant_of(t) for t in result.train_log.traces)
+    # 80 exceptionals split 25/75; the 20 of branch 1 split 4% short (0.8 rounds to 1), tails evenly
     assert counts[NORMAL_B2] == 50
-    assert counts[EXC_B1_SHORT] == 10
-    assert counts[EXC_B1_TAIL_BC] == 5
-    assert counts[EXC_B1_TAIL_CB] == 5
-    assert counts[EXC_B2] == 20
-    assert len(result.test_log) == 40
+    assert counts[EXC_B1_SHORT] == 1
+    assert counts[EXC_B1_TAIL_BC] == 10
+    assert counts[EXC_B1_TAIL_CB] == 9
+    assert counts[EXC_B2] == 60
+    assert len(result.test_log) == 80
