@@ -166,7 +166,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output directory for sweep.csv / comparison.csv")
     p.add_argument("--log", help="event log (reallife mode)")
     p.add_argument("--net", help="background-knowledge PNML (reallife mode)")
-    p.add_argument("--name", default="reallife", help="dataset label in the CSVs")
+    p.add_argument("--name", help="dataset label in the CSVs (reallife mode; default reallife)")
     p.add_argument("--predictor", choices=("ngram", "attention"), default="ngram")
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--alpha", type=float, default=0.01)
@@ -174,7 +174,7 @@ def build_parser() -> _Parser:
     p.add_argument("--b-size", type=int, default=3)
     p.add_argument("--w-grid", default=",".join(f"{w:.2f}" for w in DEFAULT_W_GRID))
     p.add_argument("--ks", default=",".join(str(k) for k in DEFAULT_PREFIX_LENGTHS))
-    p.add_argument("--seed", type=int, default=17, help="synthetic-mode generator seed")
+    p.add_argument("--seed", type=int, help="generator seed (synthetic mode; default 17)")
     p.add_argument("--csv-columns")
 
     p = sub.add_parser("evaluate", help="score one (k, w) configuration on a log")
@@ -271,6 +271,10 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+# the sweep flags that one mode alone reads; each defaults to None, so a given one shows
+_MODE_ONLY = {"reallife": ("log", "net", "csv_columns", "name"), "synthetic": ("seed",)}
+
+
 def _cmd_sweep(args) -> int:
     out = _out_dir(args.out)
     settings = dict(
@@ -282,16 +286,19 @@ def _cmd_sweep(args) -> int:
         ngram_alpha=args.alpha,
         epochs=args.epochs,
     )
+    for mode, dests in _MODE_ONLY.items():  # a --config entry is given as its flag is
+        for dest in dests:
+            if mode != args.mode and getattr(args, dest) is not None:
+                raise ValueError(f"--{dest.replace('_', '-')} applies only to --mode {mode}")
     if args.mode == "synthetic":
-        for flag, value in (("--log", args.log), ("--net", args.net), ("--csv-columns", args.csv_columns)):
-            if value is not None:
-                raise ValueError(f"{flag} applies only to --mode reallife")
-        sweep = run_synthetic_experiment(SynthConfig(seed=args.seed), **settings)
+        config = SynthConfig() if args.seed is None else SynthConfig(seed=args.seed)
+        sweep = run_synthetic_experiment(config, **settings)
     else:
         if not args.log or not args.net:
             raise ValueError("--log and --net are required in reallife mode")
+        name = "reallife" if args.name is None else args.name
         sweep = run_reallife_experiment(
-            args.name, _load_log(args.log, args.csv_columns), parse_pnml(args.net), **settings
+            name, _load_log(args.log, args.csv_columns), parse_pnml(args.net), **settings
         )
     sweep_path, table_path = out / "sweep.csv", out / "comparison.csv"
     out.mkdir(parents=True, exist_ok=True)

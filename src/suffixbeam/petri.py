@@ -145,7 +145,11 @@ class CompiledNet:
     :class:`ReplayState`, the only caller of :meth:`clear`, which it calls
     once the graph has passed :data:`REPLAY_MEMO_CAP` states; so no id
     outlives the replay that holds it, one thread at a time per net. With no
-    reference back to the net, dropping a net frees its graph at once.
+    reference back to the net, dropping a net frees its graph at once. The
+    net every :func:`suffixbeam.synthgen.generate` result holds is never
+    dropped: its graph lives as long as the process, under the same cap, and
+    the one-thread rule spans every synthetic run of the process.
+    ``dataclasses.replace(net)`` gives a net with an independent graph.
     """
 
     def __init__(self, net: PetriNet):

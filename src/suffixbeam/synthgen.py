@@ -28,11 +28,21 @@ the test log's are the training log's own objects; only writing a log as XES
 reads them.  The seed and the trace counts must be integers of at least 0 and
 the branch probability a real number in [0, 1], a bool neither, and each is
 stored as the plain int or float it equals.
+
+The net is a constant, so every ``generate`` result of a process holds the
+one net built on the first call, and the synthetic runs of a process share
+its reachability graph (:class:`~suffixbeam.petri.CompiledNet`): the graph
+lives as long as the process, still cleared past
+:data:`~suffixbeam.petri.REPLAY_MEMO_CAP` states, and "one thread at a time
+per net" spans every synthetic run.  ``dataclasses.replace(result.net)``
+gives an equal net with a graph of its own, and
+:func:`exceptional_process_net` builds a new net on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -95,6 +105,7 @@ def exceptional_process_net() -> PetriNet:
     either goes straight to the sink (short variant) or opens the parallel
     ``B1b``/``B1c`` tail.  ``Unexpected`` and ``Repairing`` label two
     transitions each (one per branch), so replay has to pick by marking.
+    Each call builds a new net, with an empty replay graph.
     """
     places = [
         "p0", "p1", "p2", "p3", "x", "q1", "q2", "q1e", "q2e",
@@ -142,13 +153,24 @@ def exceptional_process_net() -> PetriNet:
     )
 
 
+@cache
+def _shared_net() -> PetriNet:
+    """The net every :func:`generate` result of this process holds, built on first use."""
+    return exceptional_process_net()
+
+
 def _split(n: int, fraction: float) -> tuple[int, int]:
     first = round(n * fraction)
     return first, n - first
 
 
 def generate(config: SynthConfig = SynthConfig()) -> SynthResult:
-    """Build the training log, the exceptional test log, and the net."""
+    """Build the training log, the exceptional test log, and hand out the shared net.
+
+    Every result holds the one net of the process, whose replay graph its
+    synthetic runs keep warm, one thread at a time;
+    ``dataclasses.replace(result.net)`` gives a net with an independent graph.
+    """
     rng = np.random.default_rng(config.seed)
 
     n_b1_norm, n_b2_norm = _split(config.n_train_normal, config.branch_probability)
@@ -166,4 +188,4 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthResult:
     exceptional = [row for row, code in enumerate(codes) if code >= _FIRST_EXCEPTIONAL]
     if not exceptional:
         raise ValueError("config produced no exceptional traces; nothing to test on")
-    return SynthResult(train_log=train_log, test_log=train_log.select(exceptional), net=exceptional_process_net())
+    return SynthResult(train_log=train_log, test_log=train_log.select(exceptional), net=_shared_net())

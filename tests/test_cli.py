@@ -848,6 +848,38 @@ def test_a_synthetic_sweep_refuses_the_reallife_inputs(flags, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode, flag, value, other", [
+    ("synthetic", "name", "foo", "reallife"), ("reallife", "seed", "5", "synthetic"),
+])
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_a_sweep_refuses_the_flag_its_mode_never_reads(workspace, tmp_path, capsys, mode, flag, value, other, given):
+    out = tmp_path / "out"
+    argv = ["sweep", "--mode", mode, "--ks", "4", "--w-grid", "0,0.85", "--out", str(out)]
+    if mode == "reallife":
+        argv += ["--log", workspace["train"], "--net", workspace["net"]]
+    if given == "flag":
+        argv += [f"--{flag}", value]
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({flag: value}))
+        argv += ["--config", str(conf)]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert f"--{flag} applies only to --mode {other}" in err
+    assert not out.exists()
+
+
+def test_a_reallife_sweep_without_a_name_names_its_dataset_reallife(workspace, tmp_path, capsys):
+    code, _, _ = run(
+        capsys,
+        ["sweep", "--mode", "reallife", "--log", workspace["train"], "--net", workspace["net"],
+         "--ks", "4", "--w-grid", "0,0.85", "--out", str(tmp_path)],
+    )
+    assert code == 0
+    rows = list(csv.reader((tmp_path / "sweep.csv").read_text().splitlines()))[1:]
+    assert rows and {row[0] for row in rows} == {"reallife"}
+
+
 def test_config_file_values_lose_to_any_explicit_flag(workspace, tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"order": 2}))

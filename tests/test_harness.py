@@ -28,12 +28,13 @@ from suffixbeam.harness import (
     run_reallife_experiment,
     run_synthetic_experiment,
     split_by_prefix,
+    train_predictor,
     write_comparison_csv,
     write_sweep_csv,
 )
 from suffixbeam.metrics import dl_similarity, micro_average
 from suffixbeam.predictor import train_ngram
-from suffixbeam.synthgen import exceptional_process_net
+from suffixbeam.synthgen import SynthConfig, exceptional_process_net, generate
 
 
 def test_default_grid_shape():
@@ -371,6 +372,28 @@ def test_a_graph_clear_inside_a_sweep_changes_no_cell(synth, synth_ngram, monkey
     assert got == want  # floats compared exactly
 
 
+@pytest.mark.parametrize("n_exceptional", [200, 20])
+@pytest.mark.parametrize("seed", [17, 3])
+def test_a_sweep_on_the_warm_shared_net_equals_one_on_a_cold_copy(seed, n_exceptional, tmp_path):
+    # every generate result holds one net, whose graph earlier sweeps have
+    # filled; a replaced net replays from an empty graph of its own
+    generated = generate(SynthConfig(seed=seed, n_train_exceptional=n_exceptional))
+    model, _ = train_predictor(generated.train_log, "ngram", 3, 0.01, 10)
+    config = harness._beam_config(generated.train_log, 3)
+    kwargs = dict(w_grid=DEFAULT_W_GRID, prefix_lengths=(3, 4, 5))
+    evaluate_dataset("synthetic", generated.test_log, model, generated.net, config, **kwargs)
+    cold = replace(generated.net)
+    assert generated.net.compiled.codes and "compiled" not in vars(cold)
+    results = {}
+    for name, net in (("warm", generated.net), ("cold", cold)):
+        results[name] = evaluate_dataset("synthetic", generated.test_log, model, net, config, **kwargs)
+        write_sweep_csv(tmp_path / f"{name}_sweep.csv", results[name])
+        write_comparison_csv(tmp_path / f"{name}_comparison.csv", results[name])
+    assert results["warm"].cells == results["cold"].cells  # floats compared exactly
+    for table in ("sweep", "comparison"):
+        assert (tmp_path / f"warm_{table}.csv").read_bytes() == (tmp_path / f"cold_{table}.csv").read_bytes()
+
+
 def test_default_synthetic_experiment_csvs_are_locked(tmp_path):
     with pytest.warns(UserWarning, match="skipped: it has no test case"):
         result = run_synthetic_experiment()
@@ -394,15 +417,17 @@ def test_the_default_synthetic_experiment_makes_no_trace():
     assert made == [] and columns == []
 
 
-def test_a_synthetic_experiment_builds_one_net_and_at_most_two_beam_configs(monkeypatch):
+def test_a_synthetic_experiment_after_the_first_builds_no_net_and_at_most_two_beam_configs(monkeypatch):
     # the settings are checked without a throwaway net or per-w configs:
-    # one config before generate checks b_size, one after it holds the depth
+    # one config before generate checks b_size, one after it holds the depth;
+    # and every run in a process shares the one synthetic net
+    run_synthetic_experiment(SynthConfig(seed=3), w_grid=(0.0,), prefix_lengths=(3,))
     built = Counter()
     for cls in (petri.PetriNet, BeamConfig):
         monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__, built, lambda self: type(self)))
     with pytest.warns(UserWarning, match="skipped: it has no test case"):
         run_synthetic_experiment()
-    assert built[petri.PetriNet] == 1
+    assert built[petri.PetriNet] == 0
     assert built[BeamConfig] <= 2
 
 

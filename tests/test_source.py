@@ -417,7 +417,7 @@ def test_only_the_number_rule_imports_numbers(module):
     assert numbers_imports((SRC / module).read_text()) == []
 
 
-# The parameters each public settings class and log builder takes. A setting
+# The parameters each public settings class and log or net builder takes. A setting
 # that no caller in the package, the benchmark or the CLI sets is code to
 # delete, so adding one back is a change to this record, made on purpose.
 INIT_PARAMETERS = {
@@ -427,6 +427,7 @@ INIT_PARAMETERS = {
     "eventlog.log_from_variants": ("variants", "case_ids"),
     "synthgen.SynthConfig": ("seed", "n_train_normal", "n_train_exceptional", "branch_probability"),
     "synthgen.exceptional_process_net": (),
+    "synthgen.generate": ("config",),
     "beam.BeamConfig": ("b_size", "max_iter", "w", "max_size", "partial_mode"),
     "attention.AttentionConfig": (
         "l_max", "d_model", "n_heads", "n_layers", "d_ff", "dropout", "positional_encoding", "seed", "ln_eps",

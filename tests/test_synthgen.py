@@ -209,6 +209,14 @@ def test_net_blueprint_is_stable():
     assert net.final_marking == {"p_end": 1}
 
 
+def test_every_result_shares_one_net_and_the_blueprint_builds_a_new_one():
+    first, second = generate(SynthConfig()), generate(SynthConfig(seed=3, n_train_exceptional=20))
+    assert first.net is second.net
+    assert exceptional_process_net() is not exceptional_process_net()
+    assert exceptional_process_net() is not first.net
+    assert exceptional_process_net() == first.net
+
+
 def test_custom_counts_follow_the_fractions():
     result = generate(
         SynthConfig(
