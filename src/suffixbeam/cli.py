@@ -32,6 +32,7 @@ from .eventlog import parse_csv, parse_xes, write_xes, xes_document
 from .harness import (
     DEFAULT_PREFIX_LENGTHS,
     DEFAULT_W_GRID,
+    SYNTHETIC_PREFIX_LENGTHS,
     evaluate_dataset,
     format_w,
     run_reallife_experiment,
@@ -173,7 +174,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--b-size", type=int, default=3)
     p.add_argument("--w-grid", default=",".join(f"{w:.2f}" for w in DEFAULT_W_GRID))
-    p.add_argument("--ks", default=",".join(str(k) for k in DEFAULT_PREFIX_LENGTHS))
+    p.add_argument("--ks", help="prefix lengths (default %s synthetic, %s reallife)"
+                   % tuple(",".join(map(str, ks)) for ks in (SYNTHETIC_PREFIX_LENGTHS, DEFAULT_PREFIX_LENGTHS)))
     p.add_argument("--seed", type=int, help="generator seed (synthetic mode; default 17)")
     p.add_argument("--csv-columns")
 
@@ -281,11 +283,12 @@ def _cmd_sweep(args) -> int:
         predictor_kind=args.predictor,
         b_size=args.b_size,
         w_grid=_parse_grid("--w-grid", args.w_grid, float),
-        prefix_lengths=_parse_grid("--ks", args.ks, int),
         ngram_order=args.order,
         ngram_alpha=args.alpha,
         epochs=args.epochs,
     )
+    if args.ks is not None:  # else each mode's experiment takes its own default
+        settings["prefix_lengths"] = _parse_grid("--ks", args.ks, int)
     for mode, dests in _MODE_ONLY.items():  # a --config entry is given as its flag is
         for dest in dests:
             if mode != args.mode and getattr(args, dest) is not None:

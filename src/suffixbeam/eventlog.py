@@ -16,8 +16,8 @@ timestamps come from, only when they are first read, which the sweep never
 does. A prefix log built from a log lays out its per-trace entries only when
 they are first read too: the n-gram reads its counts alone, and only
 attention training reads the entries. One field descriptor keeps both plans.
-This module is the only one that makes a ``Trace``, so it alone decides when
-a log makes them.
+This module is the only one that makes a ``Trace`` or plans a column, so it
+alone decides when a log makes them.
 
 Why this exists: suffix prediction trains on the *prefix log* (every prefix
 of every trace paired with the next label), and the completion label ``END``
@@ -144,8 +144,13 @@ class EventLog:
         Its traces are the same objects, read from this log on the first
         read of its own ``traces``; its alphabet is the labels they hold.
         """
-        rows = tuple(rows)
-        return EventLog(_Planned(tuple(map(self.trace_variants.__getitem__, rows)), partial(_traces_at, self, rows)))
+        return _selected(self, tuple(rows), None)
+
+
+def _selected(log: EventLog, rows: tuple, counts) -> EventLog:
+    """``log.select(rows)``; ``counts`` is the ``Counter`` of the rows' variants, or None to count them."""
+    column = log.trace_variants
+    return EventLog(_Planned(tuple([column[i] for i in rows]), partial(_traces_at, log, rows), counts))
 
 
 def _traces_at(log: EventLog, rows: tuple) -> tuple:
@@ -438,14 +443,24 @@ def log_from_variants(variants, case_ids=None) -> EventLog:
     on the first read of ``traces``.
     """
     column = tuple(map(tuple, variants))
-    if case_ids is not None:
-        case_ids = tuple(case_ids)
-        if len(case_ids) != len(column):
-            raise ValueError(f"{len(case_ids)} case ids given for {len(column)} variants")
     try:  # each distinct variant with its number of rows
         counts = Counter(column)
     except TypeError:  # an unhashable label, which Trace's checks reject: check every row
         counts = None
+    return _planned_log(column, counts, case_ids)
+
+
+def _planned_log(column: tuple, counts, case_ids) -> EventLog:
+    """The log of :func:`log_from_variants` whose rows are the tuples ``column``.
+
+    ``counts`` is their ``Counter``, or None when they cannot be counted;
+    a caller that knows the counts passes them and hashes no row. Every
+    check of :func:`log_from_variants` runs here.
+    """
+    if case_ids is not None:
+        case_ids = tuple(case_ids)
+        if len(case_ids) != len(column):
+            raise ValueError(f"{len(case_ids)} case ids given for {len(column)} variants")
     try:  # Trace's checks on each distinct variant (each row if uncounted), then each case id
         for labels in counts or column:
             _check_trace("case", labels, (_FIRST_MINUTE,) * len(labels))

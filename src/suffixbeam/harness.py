@@ -45,6 +45,7 @@ from .synthgen import SynthConfig, generate
 
 DEFAULT_W_GRID = tuple(round(0.05 * i, 2) for i in range(20))  # 0.00 .. 0.95
 DEFAULT_PREFIX_LENGTHS = (3, 4, 5, 6, 7)
+SYNTHETIC_PREFIX_LENGTHS = (3, 4, 5)  # the ks the synthetic test log populates: its traces have 4 or 6 labels
 MICRO = "micro"
 _NO_BASELINE = "w grid must hold 0, the baseline the comparison table is measured against"
 
@@ -289,7 +290,7 @@ def run_synthetic_experiment(
     predictor_kind: str = "ngram",
     b_size: int = 3,
     w_grid=DEFAULT_W_GRID,
-    prefix_lengths=DEFAULT_PREFIX_LENGTHS,
+    prefix_lengths=SYNTHETIC_PREFIX_LENGTHS,
     ngram_order: int = 3,
     ngram_alpha: float = 0.01,
     epochs: int = 10,

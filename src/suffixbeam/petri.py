@@ -17,8 +17,9 @@ can be scored two ways (the partial_mode of :func:`compliance`):
   mode: under the lenient rule every prefix of a fitting trace scores 1 and
   the modulation weight can never vote *against* continuing.
 
-A net is a frozen dataclass; a net made by ``dataclasses.replace`` compiles
-its own packed form (:class:`CompiledNet`) on first use.
+A net is a frozen dataclass whose markings are read-only :class:`Marking`
+mappings; a net made by ``dataclasses.replace`` compiles its own packed form
+(:class:`CompiledNet`) on first use.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import copy
 import logging
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,6 +65,32 @@ class Arc:
         object.__setattr__(self, "weight", as_int(f"weight of arc {self.source!r} -> {self.target!r}", self.weight, 1))
 
 
+class Marking(Mapping):
+    """A marking that cannot be changed: place id -> token count, read as a dict is.
+
+    A net stores each marking it is given, a dict or any mapping, as one of
+    these, so a net that runs share keeps the marking its replay graph was
+    built from. It equals a dict of the same counts, and it pickles.
+    """
+
+    __slots__ = ("_counts",)
+
+    def __init__(self, counts):
+        self._counts = dict(counts)
+
+    def __getitem__(self, place):
+        return self._counts[place]
+
+    def __iter__(self):
+        return iter(self._counts)
+
+    def __len__(self):
+        return len(self._counts)
+
+    def __repr__(self):
+        return f"Marking({self._counts!r})"
+
+
 @dataclass(frozen=True)
 class PetriNet:
     """A place/transition net; its compiled form is built on first use and kept beside the fields."""
@@ -71,8 +99,8 @@ class PetriNet:
     places: tuple
     transitions: tuple  # of Transition
     arcs: tuple  # of Arc
-    initial_marking: dict
-    final_marking: dict
+    initial_marking: Mapping  # of place id -> token count; stored as a Marking
+    final_marking: Mapping
 
     def __post_init__(self):
         place_set = set(self.places)
@@ -101,7 +129,7 @@ class PetriNet:
                         f"{which} marking has {count} tokens in place {pid!r}"
                         f" (counts must lie in 0..{TOKEN_MAX})"
                     )
-            object.__setattr__(self, f"{which}_marking", marking)
+            object.__setattr__(self, f"{which}_marking", Marking(marking))
         # parallel arcs add up in the compiled net; an output arc must leave
         # room for one firing on top of the initial tokens of its place
         weights = {}

@@ -17,12 +17,16 @@ net knows better.
 ``generate`` is fully deterministic for a given config.  The test log
 contains exactly the exceptional training traces (the model has seen them;
 the question is whether search finds them again).  Each training row is
-drawn as a small code for its variant, and one list of codes is shuffled; a
-list's shuffle permutes by its length alone, so the rows are those a shuffle
-of the variants themselves gives, and a row is exceptional by its code.  The
-training log comes from :func:`~suffixbeam.eventlog.log_from_variants`, so
-its variants are counted once and its timestamps come from one table of
-minutes; the test log is its exceptional rows, picked by index.  Neither
+drawn as a small code for its variant, and one int64 array of codes is
+shuffled; an array's shuffle makes the draws a list's makes, by its length
+alone, so the rows are those a shuffle of the variants themselves gives, and
+a row is exceptional by its code.  The rows are counted by code, not by
+hashing them: each variant's count is known from the split sizes and the
+branch-1 draws, and the variants are ordered by the first row of their code.
+The training log is the log :func:`~suffixbeam.eventlog.log_from_variants`
+makes of its rows, given those counts, so ``Trace``'s checks run on each
+distinct variant and its timestamps come from one table of minutes; the test
+log is its exceptional rows, picked by index, with their counts.  Neither
 makes a trace, nor the table, until its ``traces`` are first read, and then
 the test log's are the training log's own objects; only writing a log as XES
 reads them.  The seed and the trace counts must be integers of at least 0 and
@@ -41,13 +45,14 @@ gives an equal net with a graph of its own, and
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from ._numbers import as_int, as_real
-from .eventlog import EventLog, log_from_variants
+from .eventlog import EventLog, _planned_log, _selected
 from .petri import Arc, PetriNet, Transition
 
 START = "Start"
@@ -178,14 +183,21 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthResult:
     n_short, n_tailed = _split(n_b1_exc, _SHORT_EXCEPTIONAL_FRACTION)
     n_tail_bc, n_tail_cb = _split(n_tailed, 0.5)
 
-    # one draw per branch-1 normal, in the order that n single draws would come: below 0.5 is B1b first
-    codes = (rng.random(n_b1_norm) >= 0.5).astype(int).tolist()
-    for code, n in enumerate((n_b2_norm, n_short, n_tail_bc, n_tail_cb, n_b2_exc), start=2):
-        codes += [code] * n
-    rng.shuffle(codes)  # a list's shuffle draws by its length alone
-
-    train_log = log_from_variants([_VARIANTS[code] for code in codes])
-    exceptional = [row for row, code in enumerate(codes) if code >= _FIRST_EXCEPTIONAL]
+    # one code per row, the branch-1 normals first: one draw each, in the order that n single draws
+    # would come, below 0.5 coding B1b first; then each other variant's rows
+    draws = rng.random(n_b1_norm) >= 0.5
+    n_cb = int(np.count_nonzero(draws))
+    sizes = (n_b1_norm - n_cb, n_cb, n_b2_norm, n_short, n_tail_bc, n_tail_cb, n_b2_exc)
+    codes = np.repeat(np.arange(len(_VARIANTS), dtype=np.int64), sizes)
+    codes[:n_b1_norm] = draws
+    rng.shuffle(codes)  # an array's shuffle draws as a list's does: by its length alone
+    rows = codes.tolist()
+    first_seen = sorted((code for code, n in enumerate(sizes) if n), key=rows.index)  # the codes, by first row
+    train_log = _planned_log(tuple([_VARIANTS[code] for code in rows]),
+                             Counter({_VARIANTS[code]: sizes[code] for code in first_seen}), None)
+    exceptional = tuple(np.flatnonzero(codes >= _FIRST_EXCEPTIONAL).tolist())
     if not exceptional:
         raise ValueError("config produced no exceptional traces; nothing to test on")
-    return SynthResult(train_log=train_log, test_log=train_log.select(exceptional), net=_shared_net())
+    test_log = _selected(train_log, exceptional, Counter(
+        {_VARIANTS[code]: sizes[code] for code in first_seen if code >= _FIRST_EXCEPTIONAL}))
+    return SynthResult(train_log=train_log, test_log=test_log, net=_shared_net())

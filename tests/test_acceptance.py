@@ -7,7 +7,6 @@ here rather than imported from the modules under test.
 
 import itertools
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -229,9 +228,7 @@ def test_token_replay_matches_independent_reference():
 
 def test_synthetic_benchmark_modulation_gain():
     start = time.monotonic()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # prefix lengths 6-7 exceed the longest trace
-        result = run_synthetic_experiment()
+    result = run_synthetic_experiment()
     elapsed = time.monotonic() - start
     gain = result.best_micro - result.baseline_micro
     assert gain >= 0.15

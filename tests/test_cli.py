@@ -645,9 +645,10 @@ def test_sweep_w_grid_without_the_baseline_fails_before_any_work(workspace, tmp_
 
 
 def test_default_synthetic_sweep_output_is_locked(tmp_path, capsys):
-    with pytest.warns(UserWarning, match="skipped: it has no test case"):
-        code, _, _ = run(capsys, ["sweep", "--mode", "synthetic", "--out", str(tmp_path)])
+    # warnings are errors here, so the default ks, 3-5, are all populated
+    code, out, _ = run(capsys, ["sweep", "--mode", "synthetic", "--out", str(tmp_path)])
     assert code == 0
+    assert "prefix lengths evaluated: 3, 4, 5\n" in out
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("sweep.csv", "comparison.csv")}
     assert digests == {
@@ -658,10 +659,7 @@ def test_default_synthetic_sweep_output_is_locked(tmp_path, capsys):
 
 def test_synthetic_attention_sweep_keeps_the_paper_numbers(tmp_path, capsys):
     # values, not digests: the attention sweep's CSVs follow its training order
-    with pytest.warns(UserWarning, match="skipped: it has no test case"):
-        code, out, _ = run(
-            capsys, ["sweep", "--mode", "synthetic", "--predictor", "attention", "--out", str(tmp_path)]
-        )
+    code, out, _ = run(capsys, ["sweep", "--mode", "synthetic", "--predictor", "attention", "--out", str(tmp_path)])
     assert code == 0
     assert "micro similarity at w=0.00: 0.54474\n" in out
     assert re.search(r"best w: \d\.\d\d \(micro 0\.96421\)\n", out)

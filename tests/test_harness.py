@@ -22,6 +22,7 @@ from suffixbeam.harness import (
     DEFAULT_PREFIX_LENGTHS,
     DEFAULT_W_GRID,
     MICRO,
+    SYNTHETIC_PREFIX_LENGTHS,
     SweepCell,
     SweepResult,
     evaluate_dataset,
@@ -42,6 +43,7 @@ def test_default_grid_shape():
     assert DEFAULT_W_GRID[-1] == 0.95
     assert len(DEFAULT_W_GRID) == 20
     assert DEFAULT_PREFIX_LENGTHS == (3, 4, 5, 6, 7)
+    assert SYNTHETIC_PREFIX_LENGTHS == (3, 4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +397,7 @@ def test_a_sweep_on_the_warm_shared_net_equals_one_on_a_cold_copy(seed, n_except
 
 
 def test_default_synthetic_experiment_csvs_are_locked(tmp_path):
-    with pytest.warns(UserWarning, match="skipped: it has no test case"):
-        result = run_synthetic_experiment()
+    result = run_synthetic_experiment()
     write_sweep_csv(tmp_path / "sweep.csv", result)
     write_comparison_csv(tmp_path / "comparison.csv", result)
     digests = {name: hashlib.md5((tmp_path / name).read_bytes()).hexdigest()
@@ -407,12 +408,20 @@ def test_default_synthetic_experiment_csvs_are_locked(tmp_path):
     }
 
 
+def test_the_default_synthetic_experiment_warns_nothing():
+    # its default ks are the ones its test log populates, so none is skipped
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_synthetic_experiment()
+    assert [str(w.message) for w in caught] == []
+    assert result.prefix_lengths == SYNTHETIC_PREFIX_LENGTHS
+
+
 def test_the_default_synthetic_experiment_makes_no_trace():
     # set-up and sweep read the logs' variant columns and the prefix log's
     # counts: a Trace, its minute table and a prefix log's entries are made
     # only to be read
-    with made_traces() as made, made_columns() as columns, \
-            pytest.warns(UserWarning, match="skipped: it has no test case"):
+    with made_traces() as made, made_columns() as columns:
         run_synthetic_experiment()
     assert made == [] and columns == []
 
@@ -425,8 +434,7 @@ def test_a_synthetic_experiment_after_the_first_builds_no_net_and_at_most_two_be
     built = Counter()
     for cls in (petri.PetriNet, BeamConfig):
         monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__, built, lambda self: type(self)))
-    with pytest.warns(UserWarning, match="skipped: it has no test case"):
-        run_synthetic_experiment()
+    run_synthetic_experiment()
     assert built[petri.PetriNet] == 0
     assert built[BeamConfig] <= 2
 

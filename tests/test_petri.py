@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import pickle
 import random
 import re
 
@@ -22,7 +23,7 @@ from suffixbeam.petri import (
     token_replay,
     write_pnml,
 )
-from suffixbeam.synthgen import exceptional_process_net
+from suffixbeam.synthgen import EXC_B2, SynthConfig, exceptional_process_net, generate
 
 from nets import chain_net, flower_net, marking_to_dict, random_net, rebuilt, trie_net
 from replay_reference import RefReplay, reference_replay
@@ -71,6 +72,56 @@ def test_a_net_is_frozen():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(net, name, getattr(net, name))
     assert net.compiled is compiled  # built once, then kept
+
+
+def nets_of_each_source(tmp_path):
+    """A net from each of the constructor, ``generate`` and ``parse_pnml``."""
+    built = PetriNet("n", ("a", "b"), (Transition("t", "A"),), (Arc("a", "t"), Arc("t", "b")), {"a": 1}, {"b": 1})
+    write_pnml(built, tmp_path / "n.pnml")
+    return {"constructor": built, "generate": generate().net, "parse_pnml": parse_pnml(tmp_path / "n.pnml")}
+
+
+def test_no_caller_can_write_a_marking(tmp_path):
+    for source, net in nets_of_each_source(tmp_path).items():
+        for marking in (net.initial_marking, net.final_marking):
+            place = next(iter(marking))
+            with pytest.raises(TypeError):
+                marking[place] = 2
+            with pytest.raises(TypeError):
+                del marking[place]
+            with pytest.raises(AttributeError):
+                marking.update({place: 2})
+            assert isinstance(marking, petri.Marking) and dict(marking) == {place: 1}, source
+
+
+def test_a_net_keeps_the_marking_it_was_given_not_the_callers_dict():
+    initial = {"p0": 1}
+    net = dataclasses.replace(chain_net(["A"]), initial_marking=initial)
+    initial["p0"] = 2
+    assert net.initial_marking == {"p0": 1} and net.compiled.initial_tokens == 1
+
+
+def test_a_shared_net_replays_from_its_one_marking():
+    # a caller that tried to add a token to the shared net must not move a later run's score
+    with pytest.raises(TypeError):
+        generate().net.initial_marking["p0"] = 2
+    net = generate(SynthConfig(seed=3)).net
+    assert net.initial_marking == {"p0": 1} and compliance(net, EXC_B2) == 1.0
+
+
+def test_a_net_pickles_with_its_markings(tmp_path):
+    for source, net in nets_of_each_source(tmp_path).items():
+        back = pickle.loads(pickle.dumps(net))
+        assert back == net, source
+        assert type(back.initial_marking) is petri.Marking and back.initial_marking == net.initial_marking
+        assert back.final_marking == net.final_marking
+
+
+def test_a_marking_reads_as_a_dict():
+    marking = petri.Marking({"b": 2, "a": 1})
+    assert marking == {"a": 1, "b": 2} and {"a": 1, "b": 2} == marking and marking != {"a": 1}
+    assert list(marking.items()) == [("b", 2), ("a", 1)] and marking.get("c", 0) == 0 and len(marking) == 2
+    assert repr(marking) == "Marking({'b': 2, 'a': 1})"
 
 
 def test_an_arc_names_itself_in_a_bad_weight():
@@ -768,6 +819,7 @@ def test_pnml_round_trip(tmp_path):
     assert back.arcs == net.arcs
     assert back.initial_marking == net.initial_marking
     assert back.final_marking == net.final_marking
+    assert back == net and type(back.initial_marking) is petri.Marking
 
 
 def test_pnml_round_trip_weighted(tmp_path):

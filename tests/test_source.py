@@ -198,6 +198,37 @@ def test_only_eventlog_makes_a_trace(module):
     assert trace_makers((SRC / module).read_text()) == []
 
 
+def planned_column_names(source: str) -> list:
+    """Lines where a module names ``_Planned``: a call, an attribute, an import or any other read.
+
+    A ``_Planned`` is a column a log or a prefix log makes on its first read;
+    only :mod:`suffixbeam.eventlog` may name it, so it alone decides when a
+    log is planned and what its plan makes.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "_Planned" or \
+                isinstance(node, ast.Attribute) and node.attr == "_Planned" or \
+                isinstance(node, ast.ImportFrom) and any(alias.name == "_Planned" for alias in node.names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_planned_column_check_finds_a_leftover():
+    source = (
+        "from .eventlog import EventLog, _Planned\n"
+        "a = EventLog(_Planned(column, make))\n"
+        "b = eventlog._Planned._make((column, make, None))\n"
+        "c = _planned_log(column, counts, None) and Planned(column)\n"
+    )
+    assert planned_column_names(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "eventlog.py"])
+def test_only_eventlog_plans_a_column(module):
+    assert planned_column_names((SRC / module).read_text()) == []
+
+
 HAND_WRITTEN = ("__setattr__", "__delattr__", "__eq__", "__hash__")
 
 

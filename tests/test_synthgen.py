@@ -163,21 +163,56 @@ def pair_build_columns(config):
     return tuple(v for v, _ in entries), tuple(v for v, is_exc in entries if is_exc)
 
 
+def assert_log_of_column(log, column):
+    """``log`` holds the rows ``column``: its variants counted in order of first occurrence, as a Counter has them."""
+    counted = Counter(column)
+    assert log.trace_variants == column and len(log) == len(column)
+    assert list(log.variants.items()) == list(counted.items()) and log.variants == counted
+    assert type(log.variants) is Counter
+    assert log.alphabet == frozenset().union(*column)
+
+
+def assert_generate_is_the_pair_build(config):
+    train, test = pair_build_columns(config)
+    got = generate(config)
+    assert_log_of_column(got.train_log, train)
+    assert_log_of_column(got.test_log, test)
+
+
 @settings(max_examples=60)
 @given(st.builds(SynthConfig, seed=st.integers(0, 2**32 - 1), n_train_normal=st.integers(0, 300),
                  n_train_exceptional=st.integers(1, 120), branch_probability=st.floats(min_value=0.0, max_value=1.0)))
 def test_generate_draws_the_columns_of_the_pair_build(config):
-    train, test = pair_build_columns(config)
-    got = generate(config)
-    assert got.train_log.trace_variants == train and got.test_log.trace_variants == test
+    assert_generate_is_the_pair_build(config)
 
 
 @pytest.mark.parametrize("seed", [0, 17, 31, 2**32 - 1])
 def test_generate_draws_the_default_sized_columns_of_the_pair_build(seed):
-    config = SynthConfig(seed=seed)
-    train, test = pair_build_columns(config)
-    got = generate(config)
-    assert got.train_log.trace_variants == train and got.test_log.trace_variants == test
+    assert_generate_is_the_pair_build(SynthConfig(seed=seed))
+
+
+@pytest.mark.parametrize("n_train_normal, n_train_exceptional, branch_probability", [
+    (0, 200, 0.7), (0, 1, 0.7), (800, 200, 0.0), (800, 200, 1.0), (800, 1, 0.7), (3, 1, 1.0), (5, 1, 0.0),
+])
+@pytest.mark.parametrize("seed", [17, 3])
+def test_generate_draws_the_pair_build_at_the_edges(seed, n_train_normal, n_train_exceptional, branch_probability):
+    # no normals, one branch alone, a single exceptional row
+    assert_generate_is_the_pair_build(SynthConfig(seed=seed, n_train_normal=n_train_normal,
+                                                  n_train_exceptional=n_train_exceptional,
+                                                  branch_probability=branch_probability))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 560, 1000, 1001])
+def test_an_int64_array_shuffles_as_a_list_does(n):
+    # generate shuffles its codes as an array; the pair build shuffled a list
+    by_list, by_array = np.random.default_rng(n), np.random.default_rng(n)
+    rows = list(range(n))
+    codes = np.arange(n, dtype=np.int64)
+    by_list.shuffle(rows)
+    by_array.shuffle(codes)
+    assert codes.tolist() == rows
+    assert by_array.bit_generator.state == by_list.bit_generator.state
+    assert by_array.random() == by_list.random()  # the stream stays in step
 
 
 def test_no_exceptional_traces_is_an_error():
