@@ -1,7 +1,8 @@
 """Beam-search suffix prediction, with optional replay-fitness modulation.
 
-Four entry points share one beam loop and its expansion step
-(:func:`_expand`):
+Four entry points share one expansion step (:func:`_expand`), run by one
+beam loop (:func:`_run_beam`) or, in a shared sweep, by a recorded-step loop
+(:func:`_run_recorded`):
 
 * :func:`baseline_beam` — scores are cumulative predictor probabilities;
   a configured w is ignored.
@@ -13,11 +14,15 @@ Four entry points share one beam loop and its expansion step
   At w = 0 the compliance factor is skipped outright (0^0 := 1), the net is
   never consulted, and the run is bit-for-bit the baseline.
 * :func:`sweep_beams` — the modulated beam of one config at each w of a
-  grid, in one call. The w > 0 beams share one record per expanded open
-  node: each child's log p, log C, ids, labels and replay, none of which
-  depends on w. A node that several w reach is ranked and replayed once, and
-  a step over recorded nodes is a loop over their records and one sort. Each
-  result is bit-for-bit its own modulated beam. One w keeps no records.
+  grid, in one call. A grid that holds a w > 0 and more than one w shares
+  one record per expanded open node over all its beams, w = 0 included:
+  each child's log p, log C, ids, labels and replay, none of which depends
+  on w. A node that several w reach is ranked and replayed once, and a step
+  over recorded nodes is a loop over their records and one sort. Each
+  result is bit-for-bit its own modulated beam. One w, an all-zero grid or
+  no net keeps no records, and the last two never compile the net. The
+  harness reads the same beams as raw runs (:func:`_sweep_runs`): ``(winner,
+  forced, iterations, peak)`` per w, with no :class:`BeamResult` built.
 * :func:`checked_beam` — plain probability scores plus a boolean compliance
   check on complete candidates only; first passing candidate in rank order
   wins, None when the search exhausts.
@@ -42,8 +47,9 @@ A candidate is a plain tuple ``(neg, ids, labels, terminated, replay)``:
 pool a comparison never reaches ``replay``. ``labels`` are the predicted
 content labels (END excluded), ``ids`` their vocabulary indices (END
 included once terminated), and ``replay`` is ``(sid, produced, consumed,
-missing)`` after prefix + labels, or None when the beam is not modulated;
-``sid`` is a state id of the net's reachability graph
+missing)`` after prefix + labels, or None when the beam is neither
+modulated nor reading shared records; ``sid`` is a state id of the net's
+reachability graph
 (:class:`~suffixbeam.petri.CompiledNet`). A call replays its prefix once
 through :class:`~suffixbeam.petri.ReplayState`, which starts every replay
 and alone clears a full graph, so ids (and the records that hold them) stay
@@ -58,8 +64,10 @@ forced closure too, with compliance
 zero-count case calls it, for its warning. So a warm step, every window
 memoized and every child step in the graph, costs one memo lookup per open
 candidate, one sort, and per child two tuple concatenations, one step-table
-lookup, a few float operations and one ``math.log``. A prefix that holds
-END is a ValueError.
+lookup, a few float operations and one ``math.log``. A recorded step
+costs one record lookup per open candidate, one sort, and per child a tuple
+and one or two float products; its open candidates without a record go to
+:func:`_expand` in one call. A prefix that holds END is a ValueError.
 
 Scores accumulate in log space, negated, and are exponentiated for
 reporting; a result's log score is ``0.0 - neg``, never ``-neg``, so a path
@@ -122,32 +130,13 @@ def _expand(
     """One beam step: every child of the pool, ranked.
 
     The step's one ``ranked_batch`` call ranks the open candidates' next
-    labels, and :func:`_children` scores the children. ``records`` (given to
-    the w > 0 beams of a sweep) maps an expanded open candidate's labels to
-    its children's ``(log p, log C, ids, labels, terminated, replay)``, none
-    of which depends on w: a step's first miss ranks and records every open
-    candidate that lacks a record, and each is scored from its record.
+    labels, and :func:`_children` scores the children. A sweep's recorded
+    loop (:func:`_run_recorded`) hands it the open candidates of a step
+    that lack a record, with ``records``: their children are recorded, not
+    scored, and the list holds the pool's terminated candidates alone.
     """
-    if records is None:
-        ranked = predictor.ranked_batch([prefix + cand[2] for cand in pool if not cand[3]], b_size)
-        expansions = _children(pool, ranked, predictor.vocab.labels, w, compiled, strict)
-    else:
-        keep = 1.0 - w
-        expansions = []
-        append = expansions.append
-        for cand in pool:
-            if cand[3]:
-                append(cand)
-                continue
-            record = records.get(cand[2])
-            if record is None:
-                unrecorded = [c for c in pool if not c[3] and c[2] not in records]
-                ranked = predictor.ranked_batch([prefix + c[2] for c in unrecorded], b_size)
-                _children(unrecorded, ranked, predictor.vocab.labels, w, compiled, strict, records)
-                record = records[cand[2]]
-            neg = cand[0]
-            for log_p, lc, ids, labels, done, replay in record:
-                append((neg - keep * log_p - w * lc, ids, labels, done, replay))
+    ranked = predictor.ranked_batch([prefix + cand[2] for cand in pool if not cand[3]], b_size)
+    expansions = _children(pool, ranked, predictor.vocab.labels, w, compiled, strict, records)
     expansions.sort()  # by (-log score, ids); ids are unique within a pool
     return expansions
 
@@ -159,12 +148,15 @@ def _children(pool, ranked, label_of, w: float, compiled, strict: bool, records=
     in pool order, and ``label_of`` the vocabulary's labels, END last. A
     child's negated score is its parent's less (1-w)·log p and, when w > 0,
     less w·log of its compliance (complete for END), by one step-table
-    lookup. With ``records``, children go to ``records[labels]``.
+    lookup. With ``records``, each open candidate's children go to
+    ``records[labels]`` as ``(log p, log C, ids, labels, terminated,
+    replay)``, none of which depends on w, and compliance is computed at
+    any w.
     """
     end_idx = len(label_of) - 1
     keep = 1.0 - w
-    modulated = w > 0.0
-    if modulated:
+    replayed = w > 0.0 or records is not None
+    if replayed:
         steps, finish = compiled.steps, compiled.finish
     ranked = iter(ranked)
     expansions = []
@@ -177,38 +169,38 @@ def _children(pool, ranked, label_of, w: float, compiled, strict: bool, records=
             continue
         if records is not None:
             record = records[labels] = []
-        if modulated:
+        if replayed:
             sid, produced, consumed, missing = replay
             step = steps[sid]
         for idx, log_p in next(ranked):
-            child_neg = neg - keep * log_p
             child_replay = None
             if idx == end_idx:
                 child_labels, done = labels, True
-                if modulated:
+                if replayed:
                     m, c, p, r, _ = finish[sid] or compiled.complete(sid)
             else:
                 label = label_of[idx]
                 child_labels, done = labels + (label,), False
-                if modulated:
+                if replayed:
                     nxt, m, c, p, r = step.get(label) or compiled.step(sid, label)
                     if not strict:
                         r = 0
-            if modulated:
-                m += missing
-                c += consumed
-                p += produced
-                if c > 0 and p > 0:  # fitness_counts, inline; it warns on the zero-count fallback
-                    fit = 0.5 * (1.0 - m / c) + 0.5 * (1.0 - r / p)
-                else:
-                    fit = fitness_counts(p, c, m, r)
-                lc = math.log(fit) if fit > 0.0 else -math.inf
-                child_neg -= w * lc
-                if not done:
-                    child_replay = (nxt, p, c, m)
             child_ids = ids + (idx,)
+            if not replayed:
+                append((neg - keep * log_p, child_ids, child_labels, done, None))
+                continue
+            m += missing
+            c += consumed
+            p += produced
+            if c > 0 and p > 0:  # fitness_counts, inline; it warns on the zero-count fallback
+                fit = 0.5 * (1.0 - m / c) + 0.5 * (1.0 - r / p)
+            else:
+                fit = fitness_counts(p, c, m, r)
+            lc = math.log(fit) if fit > 0.0 else -math.inf
+            if not done:
+                child_replay = (nxt, p, c, m)
             if record is None:
-                append((child_neg, child_ids, child_labels, done, child_replay))
+                append((neg - keep * log_p - w * lc, child_ids, child_labels, done, child_replay))
             else:
                 record.append((log_p, lc, child_ids, child_labels, done, child_replay))
     return expansions
@@ -235,35 +227,94 @@ def _prepared(prefix, net: PetriNet | None, w: float):
     return prefix, compiled, (compiled.state(state.code), state.produced, state.consumed, state.missing)
 
 
-def _run_beam(prefix, predictor, config: BeamConfig, w: float, compiled, root_replay, records) -> BeamResult:
+def _run_beam(prefix, predictor, config: BeamConfig, w: float, compiled, root_replay) -> tuple:
+    """One beam at weight ``w``, each step by :func:`_expand`: ``(candidate, forced, iterations, peak)``."""
     strict = config.partial_mode == "strict"
     b_size = config.b_size
-    pool = [(0.0, (), (), False, root_replay if w > 0.0 else None)]
+    pool = [(0.0, (), (), False, root_replay)]
 
     best_terminated = None
     frontier_peak = 1
     for h in range(config.max_iter + 1):
         closure = pool[0]  # deepest rank-0 open seen; stays within the length budget
-        expansions = _expand(pool, prefix, predictor, b_size, w, compiled, strict, records)
+        expansions = _expand(pool, prefix, predictor, b_size, w, compiled, strict)
         if len(expansions) > frontier_peak:
             frontier_peak = len(expansions)
         if expansions[0][3]:
-            return _finish(expansions[0], forced=False, iterations=h + 1, peak=frontier_peak)
+            return expansions[0], False, h + 1, frontier_peak
         for cand in expansions:  # the step's best completion; carried-over ones were already seen
             if cand[3]:
                 if best_terminated is None or cand < best_terminated:
                     best_terminated = cand
                 break
         pool = expansions[:b_size]
+    return _exhausted(best_terminated, closure, predictor, config, w, compiled, frontier_peak)
 
+
+def _run_recorded(prefix, predictor, config: BeamConfig, w: float, compiled, root_replay, records: dict) -> tuple:
+    """One beam of a grid that shares ``records``, as :func:`_run_beam` returns it.
+
+    ``records`` maps an expanded open candidate's labels to its children's
+    ``(log p, log C, ids, labels, terminated, replay)`` (see
+    :func:`_children`). A step scores each open candidate's children from its
+    record, as ``neg - (1-w)·log p``, less ``w·log C`` only when w > 0 (0·-inf
+    is NaN); its first open candidate without a record sends every open
+    candidate that lacks one to :func:`_expand`, which ranks and records
+    them.
+    """
+    strict = config.partial_mode == "strict"
+    b_size = config.b_size
+    keep = 1.0 - w
+    modulated = w > 0.0
+    pool = [(0.0, (), (), False, root_replay)]
+
+    best_terminated = None
+    frontier_peak = 1
+    for h in range(config.max_iter + 1):
+        closure = pool[0]
+        expansions = []
+        append = expansions.append
+        for cand in pool:
+            if cand[3]:
+                append(cand)
+                continue
+            record = records.get(cand[2])
+            if record is None:
+                unrecorded = [c for c in pool if not c[3] and c[2] not in records]
+                _expand(unrecorded, prefix, predictor, b_size, w, compiled, strict, records)
+                record = records[cand[2]]
+            neg = cand[0]
+            if modulated:
+                for log_p, lc, ids, labels, done, replay in record:
+                    append((neg - keep * log_p - w * lc, ids, labels, done, replay))
+            else:
+                for log_p, _, ids, labels, done, replay in record:
+                    append((neg - keep * log_p, ids, labels, done, replay))
+        expansions.sort()
+        if len(expansions) > frontier_peak:
+            frontier_peak = len(expansions)
+        if expansions[0][3]:
+            return expansions[0], False, h + 1, frontier_peak
+        for cand in expansions:
+            if cand[3]:
+                if best_terminated is None or cand < best_terminated:
+                    best_terminated = cand
+                break
+        pool = expansions[:b_size]
+    return _exhausted(best_terminated, closure, predictor, config, w, compiled, frontier_peak)
+
+
+def _exhausted(best_terminated, closure, predictor, config: BeamConfig, w: float, compiled, peak: int) -> tuple:
+    """The forced run of a beam whose iteration budget ran out."""
     iterations = config.max_iter + 1
     if best_terminated is not None:
-        return _finish(best_terminated, forced=True, iterations=iterations, peak=frontier_peak)
+        return best_terminated, True, iterations, peak
     # No completion was ever generated (possible when b_size < |vocab| and END
     # never makes the cut): close the leader by fiat, as its END child of log p 0.
     label_of = predictor.vocab.labels
+    strict = config.partial_mode == "strict"
     closed = _children([closure], [((len(label_of) - 1, 0.0),)], label_of, w, compiled, strict)[0]
-    return _finish(closed, forced=True, iterations=iterations, peak=frontier_peak)
+    return closed, True, iterations, peak
 
 
 def _finish(cand, forced: bool, iterations: int, peak: int) -> BeamResult:
@@ -280,7 +331,7 @@ def modulated_beam(prefix, net: PetriNet | None, predictor, config: BeamConfig) 
     """Suffix prediction with replay-fitness-modulated scores; the baseline when w = 0 or net is None."""
     w = config.w if net is not None else 0.0
     prefix, compiled, root_replay = _prepared(prefix, net, w)
-    return _run_beam(prefix, predictor, config, w, compiled, root_replay, None)
+    return _finish(*_run_beam(prefix, predictor, config, w, compiled, root_replay))
 
 
 def sweep_beams(prefix, net: PetriNet | None, predictor, config: BeamConfig, ws) -> tuple:
@@ -288,17 +339,27 @@ def sweep_beams(prefix, net: PetriNet | None, predictor, config: BeamConfig, ws)
 
     Result i equals ``modulated_beam(prefix, net, predictor, replace(config,
     w=ws[i]))`` bit for bit; ``config.w`` is not read, and each w is checked
-    as ``BeamConfig`` checks it. The prefix is replayed once, and the w > 0
-    beams share their node records, so a node that several of them reach is
+    as ``BeamConfig`` checks it. The prefix is replayed once, and a grid
+    that holds a w > 0 and more than one w shares one record table over all
+    its beams, w = 0 included, so a node that several of them reach is
     ranked and replayed once.
     """
     ws = tuple(map(_check_w, ws))
+    return tuple(_finish(*run) for run in _sweep_runs(prefix, net, predictor, config, ws))
+
+
+def _sweep_runs(prefix, net: PetriNet | None, predictor, config: BeamConfig, ws) -> list:
+    """:func:`sweep_beams` on a grid of checked ws, as ``(candidate, forced, iterations, peak)`` runs.
+
+    An all-zero grid, a grid of one w, or ``net=None`` keeps no records, and
+    without a w > 0 the net is never compiled.
+    """
     ws = ws if net is not None else (0.0,) * len(ws)
     prefix, compiled, root_replay = _prepared(prefix, net, max(ws, default=0.0))
-    records = {} if len(ws) > 1 else None  # one w has nothing to share
-    return tuple(
-        _run_beam(prefix, predictor, config, w, compiled, root_replay, records if w > 0.0 else None) for w in ws
-    )
+    if compiled is None or len(ws) == 1:  # no w > 0, or one w: nothing to share
+        return [_run_beam(prefix, predictor, config, w, compiled, root_replay) for w in ws]
+    records = {}
+    return [_run_recorded(prefix, predictor, config, w, compiled, root_replay, records) for w in ws]
 
 
 def checked_beam(prefix, checker, predictor, config: BeamConfig) -> BeamResult | None:

@@ -15,10 +15,11 @@ Both shapes differ only in the variants each prefix length's (prefix, true
 suffix) cases come from; one per-k rule (:func:`_cases_by_k`) builds the
 cases and one sweep scores them: once per sweep it maps each case to the
 index of its distinct case and searches each distinct prefix with the one
-beam config at every w of the grid in one
-:func:`~suffixbeam.beam.sweep_beams` call, scores each distinct (predicted,
-true) suffix pair once, and for each w sums each k's cells by index, or
-reuses the previous w's sums when its outcomes per distinct case repeat.
+beam config at every w of the grid in one call (the runs of
+:func:`~suffixbeam.beam.sweep_beams`, of which it reads each w's predicted
+suffix and forced flag), scores each distinct (predicted, true) suffix pair
+once, and for each w sums each k's cells by index, or reuses the previous
+w's sums when its outcomes per distinct case repeat.
 Every entry first checks its settings once, by one rule set
 (:func:`_check_settings`), so a bad setting raises before any split,
 prefix log or training. Results land
@@ -35,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 
 from ._numbers import as_int
-from .beam import BeamConfig, _check_w, sweep_beams
+from .beam import BeamConfig, _check_w, _sweep_runs
 from .eventlog import EventLog, build_prefix_log, prefix, suffix
 from .metrics import dl_similarity, micro_average
 from .petri import PetriNet
@@ -175,8 +176,10 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, conf
 
     ``cases_by_k`` maps each prefix length to its (prefix, true suffix)
     cases. Once per sweep each k's cases become rows of indices into the
-    distinct cases, and each distinct prefix is predicted at every w by one
-    :func:`sweep_beams` call. Each distinct (predicted, true) suffix pair is
+    distinct cases, and each distinct prefix is predicted at every w of the
+    checked grid by one :func:`~suffixbeam.beam._sweep_runs` call, of whose
+    runs only the winners' labels and the forced flags are read. Each
+    distinct (predicted, true) suffix pair is
     scored once per sweep; a k cell then sums its rows in case order, so
     means are bit-identical to a per-case loop. A w whose similarities and
     forced flags, per distinct case, equal the previous w's reuses its sums.
@@ -184,15 +187,15 @@ def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, conf
     index_of = {}
     rows_by_k = {k: [index_of.setdefault(c, len(index_of)) for c in cases] for k, cases in cases_by_k.items()}
     prefixes = list(dict.fromkeys(pref for pref, _ in index_of))
-    beams_of = {pref: sweep_beams(pref, net, predictor, config, w_grid) for pref in prefixes}
+    runs_of = {pref: _sweep_runs(pref, net, predictor, config, w_grid) for pref in prefixes}
     similarity = {}  # true suffix -> {predicted suffix: similarity}
     columns = []
     for pref, truth in index_of:
         sim_of = similarity.setdefault(truth, {})
-        suffixes = [res.suffix for res in beams_of[pref]]
+        suffixes = [run[0][2] for run in runs_of[pref]]  # the winning candidate's labels
         sim_of.update((s, dl_similarity(s, truth)) for s in dict.fromkeys(suffixes) if s not in sim_of)
         columns.append(list(map(sim_of.__getitem__, suffixes)))
-    forced_at = zip(*([res.forced_termination for res in beams_of[pref]] for pref, _ in index_of))
+    forced_at = zip(*([run[1] for run in runs_of[pref]] for pref, _ in index_of))
     cells = []
     outcomes = None
     for w, sims, forced in zip(w_grid, zip(*columns), forced_at):  # per w, one value per distinct case

@@ -28,7 +28,7 @@ import copy
 import logging
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -99,8 +99,10 @@ class PetriNet:
     places: tuple
     transitions: tuple  # of Transition
     arcs: tuple  # of Arc
-    initial_marking: Mapping  # of place id -> token count; stored as a Marking
-    final_marking: Mapping
+    # of place id -> token count; stored as a Marking, which equality compares
+    # but the hash leaves out, so a net can key a dict
+    initial_marking: Mapping = field(hash=False)
+    final_marking: Mapping = field(hash=False)
 
     def __post_init__(self):
         place_set = set(self.places)

@@ -411,15 +411,15 @@ def test_sweep_beams_ranks_each_node_once_per_call():
         del pred.ranked_batch
         return asked
 
-    config, ws = BeamConfig(b_size=3, max_iter=8), (0.0, 0.3, 0.85, 1.0)
-    prefix = ("Start", "B2a")
-    alone = [asks(lambda: modulated_beam(prefix, net, pred, replace(config, w=w))) for w in ws]
-    asked = asks(lambda: sweep_beams(prefix, net, pred, config, ws))
-    assert asked[: len(alone[0])] == alone[0]  # the w = 0 beam shares nothing
-    shared = asked[len(alone[0]):]
-    assert len(shared) == len(set(shared)) < sum(map(len, alone[1:]))  # each node ranked once
-    assert set(shared) == set().union(*alone[1:])
-    assert asks(lambda: sweep_beams(prefix, net, pred, config, ws[2:3])) == alone[2]
+    config, prefix = BeamConfig(b_size=3, max_iter=8), ("Start", "B2a")
+    for ws in ((0.0, 0.3, 0.85, 1.0), (1.0, 0.85, 0.3, 0.0)):
+        alone = [asks(lambda: modulated_beam(prefix, net, pred, replace(config, w=w))) for w in ws]
+        asked = asks(lambda: sweep_beams(prefix, net, pred, config, ws))
+        assert asked[: len(alone[0])] == alone[0]  # the grid's first beam ranks as it would alone
+        # across the whole grid, w = 0 included, each node is ranked once
+        assert len(asked) == len(set(asked)) < sum(map(len, alone))
+        assert set(asked) == set().union(*alone)
+        assert asks(lambda: sweep_beams(prefix, net, pred, config, ws[2:3])) == alone[2]
 
 
 def test_sweep_beams_checks_each_w_as_beam_config_does():
@@ -452,24 +452,42 @@ def test_a_step_ranks_only_its_open_candidates_without_a_record(monkeypatch):
     pred = SeededTablePredictor(Vocabulary(labels=tuple(labels) + (END,)))
     prefix, config, ws = ("Start",), BeamConfig(b_size=2, max_iter=6), (0.3, 1.0)
     expand, rank = beam._expand, pred.ranked_batch
-    steps = []  # per step: its open candidates' prefixes, those without a record, and those ranked
+    calls = []  # per _expand call: its w, whether it records, its open candidates, those without a record, those ranked
 
-    def spy(pool, prefix, predictor, b_size, w, compiled, strict, records):
+    def spy(pool, prefix, predictor, b_size, w=0.0, compiled=None, strict=True, records=None):
         opened = [prefix + cand[2] for cand in pool if not cand[3]]
-        unrecorded = [prefix + cand[2] for cand in pool if not cand[3] and cand[2] not in records]
+        unrecorded = [prefix + cand[2] for cand in pool if not cand[3] and (records is None or cand[2] not in records)]
         asked = []
         pred.ranked_batch = lambda prefixes, k: asked.extend(prefixes) or rank(prefixes, k)
         out = expand(pool, prefix, predictor, b_size, w, compiled, strict, records)
-        steps.append((opened, unrecorded, asked))
+        calls.append((w, records is not None, opened, unrecorded, asked))
         return out
 
+    def steps_alone(w):
+        """Each step's open candidates in one beam at w."""
+        calls.clear()
+        modulated_beam(prefix, net, pred, replace(config, w=w))
+        return [opened for _, _, opened, _, _ in calls]
+
     monkeypatch.setattr(beam, "_expand", spy)
+    alone = {w: steps_alone(w) for w in ws}
+    calls.clear()
     got = sweep_beams(prefix, net, pred, config, ws)
     monkeypatch.undo()
     del pred.ranked_batch
     assert got == one_beam_per_w(prefix, net, pred, config, ws)
-    assert all(asked == unrecorded for _, unrecorded, asked in steps)
-    mixed = [(opened, unrecorded) for opened, unrecorded, _ in steps if 0 < len(unrecorded) < len(opened)]
+    # a step whose open candidates all have a record makes no call; the first
+    # miss of any other ranks exactly the step's open candidates that lack one
+    recorded, want, mixed = set(), [], []
+    for w in ws:
+        for opened in alone[w]:
+            missing = [node for node in opened if node not in recorded]
+            if missing:
+                want.append((w, True, missing, missing, missing))
+                recorded.update(missing)
+            if 0 < len(missing) < len(opened):
+                mixed.append((opened, missing))
+    assert calls == want
     leaders = ("Start", "B1a", "Unexpected"), ("Start", "B2a", "B2b")
     assert (list(leaders), [leaders[1]]) in mixed
 
@@ -481,22 +499,70 @@ def test_exact_ties_through_recorded_steps_go_to_the_lower_ids(monkeypatch):
     pred = TablePredictor(AB_VOCAB, [1 / 3] * 3)
     net, prefix, config, ws = flower_net(("A", "B")), ("A",), BeamConfig(b_size=2, max_iter=4), (0.0, 0.3, 0.85, 1.0)
     expand = beam._expand
-    recorded_steps = []  # per step of a beam that read only records: the scores of its children
+    plain_steps, misses = [], []  # per single-beam step, the scores of its children; per miss, its w and records
 
-    def spy(pool, prefix, predictor, b_size, w, compiled, strict, records):
-        all_recorded = records is not None and all(cand[3] or cand[2] in records for cand in pool)
+    def spy(pool, prefix, predictor, b_size, w=0.0, compiled=None, strict=True, records=None):
         out = expand(pool, prefix, predictor, b_size, w, compiled, strict, records)
-        if all_recorded:
-            recorded_steps.append({cand[0] for cand in out})
+        if records is None:
+            plain_steps.append({cand[0] for cand in out})
+        else:
+            misses.append((w, records))
         return out
 
     monkeypatch.setattr(beam, "_expand", spy)
     got = sweep_beams(prefix, net, pred, config, ws)
+    want = one_beam_per_w(prefix, net, pred, config, ws)
     monkeypatch.undo()
-    assert got == one_beam_per_w(prefix, net, pred, config, ws)
+    assert got == want
     assert [(res.suffix, res.forced_termination) for res in got] == [(("A",) * 4, True)] * len(ws)
-    assert len(recorded_steps) == 2 * (config.max_iter + 1)  # every step of the w = 0.85 and 1 beams
-    assert all(len(scores) == 1 for scores in recorded_steps)  # one exact tie per step
+    # the w = 0 beam records one step at a time; every step of the w = 0.3, 0.85 and 1 beams reads only records
+    assert [w for w, _ in misses] == [0.0] * (config.max_iter + 1)
+    (records,) = {id(records): records for _, records in misses}.values()
+    assert len(records) == 1 + 2 * config.max_iter  # the root, then two open nodes a step
+    # each record's children share one log p and one log C, so each recorded step
+    # ties exactly at every w, as each step of one beam per w does
+    assert all(len({(log_p, lc) for log_p, lc, *_ in record}) == 1 for record in records.values())
+    assert len(plain_steps) == len(ws) * (config.max_iter + 1)
+    assert all(len(scores) == 1 for scores in plain_steps)  # one exact tie per step
+
+
+def record_tables(monkeypatch) -> list:
+    """The record table (None on the single-beam step) of each ``_expand`` call from now on."""
+    expand, tables = beam._expand, []
+
+    def spy(pool, prefix, predictor, b_size, w=0.0, compiled=None, strict=True, records=None):
+        tables.append(records)
+        return expand(pool, prefix, predictor, b_size, w, compiled, strict, records)
+
+    monkeypatch.setattr(beam, "_expand", spy)
+    return tables
+
+
+def test_a_baseline_reading_records_of_zero_fitness_keeps_a_finite_score(monkeypatch):
+    # strict scores on labels the net does not know: every child's fitness is
+    # 0 (log C = -inf), which the w = 0 beam reads from the shared records and
+    # must not multiply by its w of 0 (0 * -inf is NaN)
+    pred = TablePredictor(Vocabulary(labels=("X", "Y", END)), [0.5, 0.3, 0.2])
+    net, prefix, config, ws = chain_net(("A", "B")), ("X",), BeamConfig(b_size=2, max_iter=3), (0.5, 0.0, 1.0)
+    tables = record_tables(monkeypatch)
+    got = sweep_beams(prefix, net, pred, config, ws)
+    monkeypatch.undo()
+    (records,) = {id(records): records for records in tables}.values()
+    assert records and all(lc == -math.inf for record in records.values() for _, lc, *_ in record)
+    assert got[1] == baseline_beam(prefix, pred, config) and math.isfinite(got[1].log_score)
+    assert got == one_beam_per_w(prefix, net, pred, config, ws)
+
+
+def test_a_grid_without_a_w_above_zero_keeps_no_records_and_compiles_no_net(monkeypatch):
+    pred = TablePredictor(AB_VOCAB, [0.5, 0.3, 0.2])
+    net, prefix, config = chain_net(("A", "B")), ("A",), BeamConfig(b_size=2, max_iter=3)
+    tables = record_tables(monkeypatch)
+    zeros = sweep_beams(prefix, net, pred, config, (0.0, 0.0, 0.0))
+    netless = sweep_beams(prefix, None, pred, config, (0.0, 0.5, 1.0))
+    monkeypatch.undo()
+    assert tables and all(records is None for records in tables)
+    assert "compiled" not in vars(net)
+    assert zeros == netless == (baseline_beam(prefix, pred, config),) * 3
 
 
 def test_lenient_closures_through_shared_records_match_one_beam_per_w():

@@ -15,7 +15,9 @@ from logs import made_columns, made_traces, repetitive_variants
 from nets import random_net, trie_net
 
 from suffixbeam import harness, petri
-from suffixbeam.beam import BeamConfig, BeamResult, baseline_beam, modulated_beam, sweep_beams
+from suffixbeam.beam import (
+    BeamConfig, BeamResult, _finish, _sweep_runs, baseline_beam, modulated_beam, sweep_beams,
+)
 from suffixbeam.encoding import build_vocabulary
 from suffixbeam.eventlog import EventLog, build_prefix_log, log_from_variants, variant_of
 from suffixbeam.harness import (
@@ -34,7 +36,7 @@ from suffixbeam.harness import (
     write_sweep_csv,
 )
 from suffixbeam.metrics import dl_similarity, micro_average
-from suffixbeam.predictor import train_ngram
+from suffixbeam.predictor import NGramModel, train_ngram
 from suffixbeam.synthgen import SynthConfig, exceptional_process_net, generate
 
 
@@ -260,7 +262,7 @@ def test_sweep_predicts_each_distinct_case_once_with_identical_results(
     assert len({pref for pref, _ in cases}) < len(cases)  # one prefix, several truths
 
     beams, scored, sliced = Counter(), Counter(), Counter()
-    monkeypatch.setattr(harness, "sweep_beams", counting(sweep_beams, beams, lambda p, _, __, c, ws: (p, c, tuple(ws))))
+    monkeypatch.setattr(harness, "_sweep_runs", counting(_sweep_runs, beams, lambda p, _, __, c, ws: (p, c, ws)))
     monkeypatch.setattr(harness, "dl_similarity", counting(dl_similarity, scored, lambda s, t: (s, t)))
     monkeypatch.setattr(harness, "suffix", counting(harness.suffix, sliced, lambda v, k: (v, k)))
     got = evaluate_dataset(*args, synth.net, config, **kwargs)
@@ -300,8 +302,8 @@ def test_sweep_sums_each_k_over_its_cases_with_one_beam_per_prefix_and_w(
     config = BeamConfig(b_size=2, max_iter=6)
     kwargs = dict(w_grid=w_grid, prefix_lengths=prefix_lengths)
     beams = Counter()
-    with mock.patch.object(harness, "sweep_beams",
-                           counting(sweep_beams, beams, lambda p, _, __, c, ws: (p, c, tuple(ws)))):
+    with mock.patch.object(harness, "_sweep_runs",
+                           counting(_sweep_runs, beams, lambda p, _, __, c, ws: (p, c, ws))):
         got = evaluate_dataset("d", log, predictor, net, config, **kwargs)
     prefixes = {v[:k] for v in variants for k in prefix_lengths if len(v) > k}
     assert beams == Counter({(pref, config, tuple(w_grid)): 1 for pref in prefixes})
@@ -344,8 +346,12 @@ def test_sweep_reuses_a_ws_sums_only_where_its_outcomes_repeat(variants, unique,
 
     log, net, config = log_from_variants(variants), random_net(np.random.default_rng(0)), BeamConfig()
     kwargs = dict(w_grid=w_grid, prefix_lengths=prefix_lengths)
-    with mock.patch.object(harness, "sweep_beams",
-                           lambda pref, _, __, cfg, ws: tuple(beam(pref, replace(cfg, w=w)) for w in ws)):
+    def runs(pref, _, __, cfg, ws):  # each result as the run a beam loop returns: (winner, forced, iterations, peak)
+        results = [beam(pref, replace(cfg, w=w)) for w in ws]
+        return [((-res.log_score, (), res.suffix, True, None), res.forced_termination, res.iterations,
+                 res.frontier_peak) for res in results]
+
+    with mock.patch.object(harness, "_sweep_runs", runs):
         got = evaluate_dataset("d", log, None, net, config, **kwargs)
     want = reference_sweep("d", log, None, net, config, beam=beam, **kwargs)
     assert repr(got) == repr(want)  # every field; floats by repr
@@ -353,7 +359,7 @@ def test_sweep_reuses_a_ws_sums_only_where_its_outcomes_repeat(variants, unique,
 
 def test_a_graph_clear_inside_a_sweep_changes_no_cell(synth, synth_ngram, monkeypatch):
     # with a cap of 3 states, the graph is cleared at the start of almost
-    # every sweep_beams call, between the prefixes of one sweep
+    # every grid run, between the prefixes of one sweep
     test_log = EventLog(synth.test_log.traces[:30])
     config = BeamConfig(b_size=3, max_iter=8)
     kwargs = dict(w_grid=(0.0, 0.3, 0.85, 1.0), prefix_lengths=(3, 4, 5))
@@ -368,7 +374,7 @@ def test_a_graph_clear_inside_a_sweep_changes_no_cell(synth, synth_ngram, monkey
     monkeypatch.setattr(petri, "REPLAY_MEMO_CAP", 3)
     monkeypatch.setattr(graph, "clear", clear)
     sweeps = Counter()
-    monkeypatch.setattr(harness, "sweep_beams", counting(sweep_beams, sweeps, lambda *a: "call"))
+    monkeypatch.setattr(harness, "_sweep_runs", counting(_sweep_runs, sweeps, lambda *a: "call"))
     got = evaluate_dataset("clears", test_log, synth_ngram, net, config, **kwargs)
     assert 1 < len(clears) < sweeps["call"]  # the first call starts on an empty graph
     assert got == want  # floats compared exactly
@@ -437,6 +443,35 @@ def test_a_synthetic_experiment_after_the_first_builds_no_net_and_at_most_two_be
     run_synthetic_experiment()
     assert built[petri.PetriNet] == 0
     assert built[BeamConfig] <= 2
+
+
+def test_the_default_synthetic_sweep_builds_no_result_and_ranks_each_node_once_per_prefix(monkeypatch):
+    # a work count: the sweep reads the grid runner's raw runs, and the 20
+    # beams of a distinct prefix, w = 0 included, rank each node they expand once
+    finished, grids, asked = Counter(), [], []
+    rank = NGramModel.ranked_batch
+    monkeypatch.setattr(NGramModel, "ranked_batch", lambda self, batch, k: asked.extend(batch) or rank(self, batch, k))
+    monkeypatch.setattr("suffixbeam.beam._finish", counting(_finish, finished, lambda *a: "call"))
+
+    def grid_runs(prefix, net, predictor, config, ws):
+        asked.clear()
+        runs = _sweep_runs(prefix, net, predictor, config, ws)
+        grids.append((prefix, net, predictor, config, ws, tuple(asked)))
+        return runs
+
+    monkeypatch.setattr(harness, "_sweep_runs", grid_runs)
+    run_synthetic_experiment()
+    assert finished == Counter()  # no BeamResult
+    test_variants = generate().test_log.variants
+    assert sorted(prefix for prefix, *_ in grids) == sorted(
+        {v[:k] for v in test_variants for k in SYNTHETIC_PREFIX_LENGTHS if len(v) > k})
+    for prefix, net, predictor, config, ws, ranked in grids:
+        assert ws == DEFAULT_W_GRID and len(ranked) == len(set(ranked))
+        asked.clear()
+        for w in ws:
+            modulated_beam(prefix, net, predictor, replace(config, w=w))
+        assert set(ranked) == set(asked)  # the nodes one beam per w expands
+    assert (len(grids), sum(len(ranked) for *_, ranked in grids)) == (7, 38)
 
 
 def test_evaluate_dataset_with_no_cases_at_all(synth, synth_ngram):

@@ -117,6 +117,27 @@ def test_a_net_pickles_with_its_markings(tmp_path):
         assert back.final_marking == net.final_marking
 
 
+def test_a_net_of_each_source_hashes(tmp_path):
+    for source, net in nets_of_each_source(tmp_path).items():
+        assert hash(net) == hash(rebuilt(net)) and rebuilt(net) == net, source
+        assert {net: source}[rebuilt(net)] == source
+
+
+def test_a_pnml_round_trip_gives_an_equal_net_with_an_equal_hash(tmp_path):
+    for source, net in nets_of_each_source(tmp_path).items():
+        write_pnml(net, tmp_path / f"{source}.pnml")
+        back = parse_pnml(tmp_path / f"{source}.pnml")
+        assert back == net and hash(back) == hash(net), source
+        assert {net: source}[back] == source
+
+
+def test_a_nets_markings_are_compared_but_not_hashed():
+    net = chain_net(["A", "B"])
+    moved = dataclasses.replace(net, initial_marking={"p1": 1})
+    assert moved != net and hash(moved) == hash(net)  # equal hashes are allowed, equality is not
+    assert len({net: 1, moved: 2}) == 2
+
+
 def test_a_marking_reads_as_a_dict():
     marking = petri.Marking({"b": 2, "a": 1})
     assert marking == {"a": 1, "b": 2} and {"a": 1, "b": 2} == marking and marking != {"a": 1}
