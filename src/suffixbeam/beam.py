@@ -89,11 +89,14 @@ from .petri import CompiledNet, PetriNet, _replayed, compliance, fitness_counts
 
 
 def _check_w(w) -> float:
-    """w as the float a beam computes with, or ValueError unless it is a real number (not a bool) in [0, 1]."""
+    """w as the float a beam computes with, or ValueError unless it is a real number (not a bool) in [0, 1].
+
+    A negative zero is returned as 0.0, so no report prints ``-0.00``.
+    """
     w = as_real("w", w)
     if not 0.0 <= w <= 1.0:
         raise ValueError("w must be in [0, 1]")
-    return w
+    return w or 0.0
 
 
 @dataclass(frozen=True)

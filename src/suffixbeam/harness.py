@@ -11,15 +11,16 @@ Two experiment shapes are supported:
   log; the held-out traces are the ones whose continuations the predictor is
   biased against, which is exactly where modulation can help.
 
-Both shapes differ only in the variants each prefix length's (prefix, true
+Both shapes differ only in the log each prefix length's (prefix, true
 suffix) cases come from; one per-k rule (:func:`_cases_by_k`) builds the
-cases and one sweep scores them: once per sweep it maps each case to the
-index of its distinct case and searches each distinct prefix with the one
-beam config at every w of the grid in one call (the runs of
-:func:`~suffixbeam.beam.sweep_beams`, of which it reads each w's predicted
-suffix and forced flag), scores each distinct (predicted, true) suffix pair
-once, and for each w sums each k's cells by index, or reuses the previous
-w's sums when its outcomes per distinct case repeat.
+cases from the log's counted variants, one per distinct variant, with each
+trace's index among them, and one sweep scores them: it searches each
+distinct prefix with the one beam config at every w of the grid in one call
+(the runs of :func:`~suffixbeam.beam.sweep_beams`, of which it reads each
+w's predicted suffix and forced flag), scores each distinct (predicted,
+true) suffix pair once, and for each w sums each k's similarities by index
+and counts its forced terminations by multiplicity, or reuses the previous
+w's means and counts when its outcomes per distinct case repeat.
 Every entry first checks its settings once, by one rule set
 (:func:`_check_settings`), so a bad setting raises before any split,
 prefix log or training. Results land
@@ -32,8 +33,12 @@ n_cases,forced_terminations``; for each w the per-k rows, then a
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
+from typing import NamedTuple
 
 from ._numbers import as_int
 from .beam import BeamConfig, _check_w, _sweep_runs
@@ -51,8 +56,9 @@ MICRO = "micro"
 _NO_BASELINE = "w grid must hold 0, the baseline the comparison table is measured against"
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
+    """One row of the sweep table; a plain tuple, cheap to build (a sweep builds one per k and w)."""
+
     dataset: str
     k: object  # prefix length, or the string "micro"
     w: float
@@ -123,23 +129,31 @@ def split_by_prefix(log: EventLog, k: int):
     return log, log.select(row for _, _, row in sorted(keys))
 
 
-def _cases_by_k(dataset: str, prefix_lengths, variants_of) -> dict:
-    """``{k: cases}`` over the prefix lengths, in the given order, that have cases.
+def _cases_by_k(dataset: str, prefix_lengths, log_of) -> dict:
+    """``{k: (cases, counts, rows)}`` over the prefix lengths, in the given order, that have cases.
 
-    A case is the (prefix, true suffix) of one of ``variants_of(k)`` longer
-    than k, in their order; each distinct variant is sliced once per k and
-    its repeats share its case. A k without cases is skipped with a warning,
-    and no cases at all raise.
+    A case is the (prefix, true suffix) of a trace of ``log_of(k)`` longer
+    than k. A k's cases follow the log's counted ``variants``: ``cases``
+    holds the case of each distinct variant longer than k, sliced once, and
+    ``counts`` its number of traces; ``rows`` holds each such trace's case,
+    in log order, as its index among the distinct cases of all the ks so far
+    (one lookup per trace). Two ks share no case, as their prefixes differ
+    in length. A k without cases is skipped with a warning, and no cases at
+    all raise.
     """
     cases_by_k = {}
+    n_distinct = 0
     for k in prefix_lengths:
-        variants = [v for v in variants_of(k) if len(v) > k]
-        case_of = {v: (prefix(v, k), suffix(v, k)) for v in dict.fromkeys(variants)}
-        cases = list(map(case_of.__getitem__, variants))
-        if cases:
-            cases_by_k[k] = cases
-        else:
+        log = log_of(k)
+        long = [v for v in log.variants if len(v) > k]
+        if not long:
             warnings.warn(f"{dataset}: k={k} skipped: it has no test case")
+            continue
+        index_of = dict(zip(long, range(n_distinct, n_distinct + len(long))))
+        rows = [i for i in map(index_of.get, log.trace_variants) if i is not None]
+        cases = [(prefix(v, k), suffix(v, k)) for v in long]
+        cases_by_k[k] = cases, list(map(log.variants.__getitem__, long)), rows
+        n_distinct += len(long)
     if not cases_by_k:
         raise ValueError(f"{dataset}: no prefix length has any test case")
     return cases_by_k
@@ -174,42 +188,46 @@ def _check_settings(w_grid, prefix_lengths, has_net: bool, comparison: bool) -> 
 def _sweep(dataset: str, cases_by_k: dict, predictor, net: PetriNet | None, config, w_grid) -> SweepResult:
     """For each w of the grid, one cell per k and then the micro row.
 
-    ``cases_by_k`` maps each prefix length to its (prefix, true suffix)
-    cases. Once per sweep each k's cases become rows of indices into the
-    distinct cases, and each distinct prefix is predicted at every w of the
-    checked grid by one :func:`~suffixbeam.beam._sweep_runs` call, of whose
-    runs only the winners' labels and the forced flags are read. Each
-    distinct (predicted, true) suffix pair is
-    scored once per sweep; a k cell then sums its rows in case order, so
-    means are bit-identical to a per-case loop. A w whose similarities and
-    forced flags, per distinct case, equal the previous w's reuses its sums.
+    ``cases_by_k`` is :func:`_cases_by_k`'s: each k's distinct cases, their
+    numbers of traces and each trace's row. Each distinct prefix is
+    predicted at every w of the checked grid by one
+    :func:`~suffixbeam.beam._sweep_runs` call, of whose runs only the
+    winners' labels and the forced flags are read, and each distinct
+    (predicted, true) suffix pair is scored once per sweep. At a w, a k cell
+    takes its rows' similarities in case order, in one ``itemgetter`` pass,
+    and sums them, so means are bit-identical to a per-case loop; its forced
+    terminations are the trace counts of its forced distinct cases. A w
+    whose similarities and forced flags, per distinct case, equal the
+    previous w's reuses its means and counts.
     """
-    index_of = {}
-    rows_by_k = {k: [index_of.setdefault(c, len(index_of)) for c in cases] for k, cases in cases_by_k.items()}
-    prefixes = list(dict.fromkeys(pref for pref, _ in index_of))
-    runs_of = {pref: _sweep_runs(pref, net, predictor, config, w_grid) for pref in prefixes}
+    cases = [case for k_cases, _, _ in cases_by_k.values() for case in k_cases]
+    runs_of = {pref: _sweep_runs(pref, net, predictor, config, w_grid) for pref in dict.fromkeys(p for p, _ in cases)}
     similarity = {}  # true suffix -> {predicted suffix: similarity}
     columns = []
-    for pref, truth in index_of:
+    for pref, truth in cases:
         sim_of = similarity.setdefault(truth, {})
         suffixes = [run[0][2] for run in runs_of[pref]]  # the winning candidate's labels
         sim_of.update((s, dl_similarity(s, truth)) for s in dict.fromkeys(suffixes) if s not in sim_of)
         columns.append(list(map(sim_of.__getitem__, suffixes)))
-    forced_at = zip(*([run[1] for run in runs_of[pref]] for pref, _ in index_of))
+    forced_at = zip(*([run[1] for run in runs_of[pref]] for pref, _ in cases))
+    books = []  # per k: k, n_cases, its rows' getter, its distinct cases' span and trace counts
+    start = 0
+    for k, (_, counts, rows) in cases_by_k.items():
+        take = itemgetter(*rows) if len(rows) > 1 else lambda sims, i=rows[0]: (sims[i],)  # one row: a tuple still
+        books.append((k, len(rows), take, slice(start, start + len(counts)), counts))
+        start += len(counts)
+    n_micro = sum(n for _, n, _, _, _ in books)
     cells = []
     outcomes = None
     for w, sims, forced in zip(w_grid, zip(*columns), forced_at):  # per w, one value per distinct case
         if (sims, forced) != outcomes:
             outcomes = sims, forced
-            sums = [(sum(map(sims.__getitem__, rows)), sum(map(forced.__getitem__, rows)))
-                    for rows in rows_by_k.values()]
-        k_cells = [
-            SweepCell(dataset, k, w, total / len(rows), len(rows), n_forced)
-            for (k, rows), (total, n_forced) in zip(rows_by_k.items(), sums)
-        ]
-        cells.extend(k_cells)
-        cells.append(SweepCell(dataset, MICRO, w, micro_average((c.mean_similarity, c.n_cases) for c in k_cells),
-                               sum(c.n_cases for c in k_cells), sum(c.forced_terminations for c in k_cells)))
+            k_rows = [(k, sum(take(sims)) / n, n, sum(compress(counts, forced[span])))
+                      for k, n, take, span, counts in books]
+            micro = (micro_average((mean, n) for _, mean, n, _ in k_rows), n_micro,
+                     sum(n_forced for _, _, _, n_forced in k_rows))
+        cells.extend([SweepCell(dataset, k, w, mean, n, n_forced) for k, mean, n, n_forced in k_rows])
+        cells.append(SweepCell(dataset, MICRO, w, *micro))
     return SweepResult(dataset, tuple(cells), tuple(cases_by_k), tuple(w_grid))
 
 
@@ -228,7 +246,7 @@ def evaluate_dataset(
     ``beam_config.w`` is not read.
     """
     w_grid, prefix_lengths = _check_settings(w_grid, prefix_lengths, net is not None, comparison=False)
-    cases_by_k = _cases_by_k(dataset, prefix_lengths, lambda k: test_log.trace_variants)
+    cases_by_k = _cases_by_k(dataset, prefix_lengths, lambda k: test_log)
     return _sweep(dataset, cases_by_k, predictor, net, beam_config, w_grid)
 
 
@@ -238,18 +256,40 @@ def format_w(w: float) -> str:
     return text if float(text) == w else repr(w)
 
 
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it among other fields: quoted only where it must be."""
+    line = io.StringIO()
+    csv.writer(line).writerow((value, ""))  # the default line end, as CR and LF count in quoting
+    return line.getvalue()[:-3]  # less the ",\r\n" of the empty last field
+
+
 def write_sweep_csv(path, results) -> None:
-    """Long-format sweep table; accepts one result or a list."""
+    """Long-format sweep table; accepts one result or a list.
+
+    Writes the bytes of ``csv.writer`` with one row per cell, as one
+    formatted line per cell in a single write. A result's cells share their
+    dataset, k and w objects, so each is quoted by the csv module, or its w
+    formatted, once: the dataset and w where they change from the cell
+    before, and each k on its first cell.
+    """
     if isinstance(results, SweepResult):
         results = [results]
+    lines = ["dataset,k,w,mean_similarity,n_cases,forced_terminations\r\n"]
+    for result in results:
+        k_fields = {}  # id(k) -> its field; the cells hold each k, so no id is reused
+        dataset = w = object()  # no cell's
+        for c in result.cells:
+            if c.dataset is not dataset:
+                dataset, dataset_field = c.dataset, _csv_field(c.dataset)
+            if c.w is not w:
+                w, w_field = c.w, format_w(c.w)  # a number's text: never quoted
+            k_field = k_fields.get(id(c.k))
+            if k_field is None:
+                k_field = k_fields[id(c.k)] = _csv_field(c.k)
+            lines.append(f"{dataset_field},{k_field},{w_field},{c.mean_similarity!r},{c.n_cases},"
+                         f"{c.forced_terminations}\r\n")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "k", "w", "mean_similarity", "n_cases", "forced_terminations"])
-        for result in results:
-            for c in result.cells:
-                writer.writerow(
-                    [c.dataset, c.k, format_w(c.w), repr(c.mean_similarity), c.n_cases, c.forced_terminations]
-                )
+        fh.write("".join(lines))
 
 
 def write_comparison_csv(path, results) -> None:
@@ -306,7 +346,7 @@ def run_synthetic_experiment(
     w_grid, prefix_lengths = _check_settings(w_grid, prefix_lengths, has_net=True, comparison=True)
     generated = generate(config)
     beam_config = _beam_config(generated.train_log, b_size)
-    cases_by_k = _cases_by_k("synthetic", prefix_lengths, lambda k: generated.test_log.trace_variants)
+    cases_by_k = _cases_by_k("synthetic", prefix_lengths, lambda k: generated.test_log)
     predictor, _ = train_predictor(generated.train_log, predictor_kind, ngram_order, ngram_alpha, epochs)
     return _sweep("synthetic", cases_by_k, predictor, generated.net, beam_config, w_grid)
 
@@ -328,12 +368,12 @@ def run_reallife_experiment(
     beam_config = _beam_config(log, b_size)
     w_grid, prefix_lengths = _check_settings(w_grid, prefix_lengths, net is not None, comparison=True)
 
-    def held_out_variants(k):
+    def held_out(k):
         try:
-            return split_by_prefix(log, k)[1].trace_variants
+            return split_by_prefix(log, k)[1]
         except ValueError:  # an empty holdout
-            return ()
+            return EventLog(())
 
-    cases_by_k = _cases_by_k(dataset, prefix_lengths, held_out_variants)
+    cases_by_k = _cases_by_k(dataset, prefix_lengths, held_out)
     predictor, _ = train_predictor(log, predictor_kind, ngram_order, ngram_alpha, epochs)
     return _sweep(dataset, cases_by_k, predictor, net, beam_config, w_grid)

@@ -32,6 +32,8 @@ def dl_distance(a, b) -> int:
 
 def dl_similarity(a, b) -> float:
     """Normalized similarity in [0, 1]; both-empty -> 1.0."""
+    if a == b:  # what the DP gives: 1 - 0 / longest
+        return 1.0
     longest = max(len(a), len(b))
     if longest == 0:
         return 1.0

@@ -439,6 +439,13 @@ def test_sweep_beams_checks_each_w_as_beam_config_does():
     assert sweep_beams(("A",), net, pred, BeamConfig(), ()) == ()
 
 
+def test_a_negative_zero_w_is_checked_as_zero():
+    # -0.0 == 0.0, but a report would print it as -0.00
+    assert math.copysign(1.0, BeamConfig(w=-0.0).w) == 1.0
+    assert math.copysign(1.0, BeamConfig(w=np.float64(-0.0)).w) == 1.0
+    assert BeamConfig(w=0.5).w == 0.5
+
+
 def one_beam_per_w(prefix, net, pred, config, ws) -> tuple:
     return tuple(modulated_beam(prefix, net, pred, replace(config, w=w)) for w in ws)
 

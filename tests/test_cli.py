@@ -595,6 +595,18 @@ def test_sweep_writes_w_values_that_two_decimals_would_round_in_full(tmp_path, c
     assert [row[2] for row in rows] == [w for w in ("0.00", "0.12", "0.121", "0.875") for _ in range(2)]
 
 
+def test_sweep_writes_a_negative_zero_w_as_zero(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, ["sweep", "--mode", "synthetic", "--ks", "3", "--w-grid=-0,0.05", "--out", str(tmp_path)]
+    )
+    assert code == 0
+    assert "best w: 0.00 (micro 0.45333)" in out
+    rows = list(csv.reader((tmp_path / "sweep.csv").read_text().splitlines()))[1:]
+    assert [row[2] for row in rows] == ["0.00", "0.00", "0.05", "0.05"]
+    rows = list(csv.reader((tmp_path / "comparison.csv").read_text().splitlines()))[1:]
+    assert [row[3] == row[2] for row in rows] == [True, True]
+
+
 def test_sweep_runs_each_w_as_typed(tmp_path, capsys):
     # the grid was rounded to 6 decimals: 0.1234567 ran and was written as
     # 0.123457, and 0.1234561 and 0.1234564 both became a repeated 0.123456

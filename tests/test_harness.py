@@ -28,6 +28,7 @@ from suffixbeam.harness import (
     SweepCell,
     SweepResult,
     evaluate_dataset,
+    format_w,
     run_reallife_experiment,
     run_synthetic_experiment,
     split_by_prefix,
@@ -357,6 +358,70 @@ def test_sweep_reuses_a_ws_sums_only_where_its_outcomes_repeat(variants, unique,
     assert repr(got) == repr(want)  # every field; floats by repr
 
 
+def seeded_variants(rng):
+    """Repeated variants in shuffled order: three that share the prefixes A
+    and A, B, a few more of 2-5 labels, each 1-5 times, and one of 7 labels
+    once, so that k = 6 has exactly one case. D is unknown to the net."""
+    def labels(n):
+        return tuple("ABCD"[i] for i in rng.integers(0, 4, n))
+
+    pool = [("A", "B", "C", *labels(rng.integers(0, 3))), ("A", "B", "D", *labels(rng.integers(0, 3))),
+            ("A", "C", *labels(rng.integers(0, 3)))]
+    pool += [labels(rng.integers(2, 6)) for _ in range(rng.integers(1, 4))]
+    variants = [v for v in pool for _ in range(rng.integers(1, 6))] + [labels(7)]
+    return [variants[i] for i in rng.permutation(len(variants))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_sweeps_books_equal_the_per_case_loop(seed):
+    # repeated variants, a k with one case (itemgetter's one-row edge) and,
+    # at max_iter 1, forced terminations, counted from the multiplicities
+    rng = np.random.default_rng(seed)
+    log = log_from_variants(seeded_variants(rng))
+    assert len(log.variants) < len(log)
+    predictor = train_ngram(build_prefix_log(log), build_vocabulary(log), order=3, alpha=0.01)
+    net = random_net(rng)
+    kwargs = dict(w_grid=(0.0, 0.3, 0.85, 1.0), prefix_lengths=(1, 3, 6))
+    for max_iter in (1, 7):
+        config = BeamConfig(b_size=2, max_iter=max_iter)
+        got = evaluate_dataset("d", log, predictor, net, config, **kwargs)
+        want = reference_sweep("d", log, predictor, net, config, **kwargs)
+        assert got == want and repr(got) == repr(want)  # floats compared exactly
+        assert got.cell(6, 0.0).n_cases == 1
+        if max_iter == 1:  # forced terminations beyond one per cell: the multiplicities count
+            assert max(c.forced_terminations for c in got.cells if c.k != MICRO) > 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_reallife_books_equal_the_per_case_loop_and_skip_an_empty_holdout(seed):
+    rng = np.random.default_rng(seed)
+    log = log_from_variants(seeded_variants(rng))
+    net = random_net(rng)
+    w_grid, ks = (0.0, 0.3, 0.85), (1, 2, 6)  # at k = 6 one variant is longer: no cluster has two
+    with pytest.warns(UserWarning, match="^d: k=6 skipped: it has no test case$"):
+        got = run_reallife_experiment("d", log, net, w_grid=w_grid, prefix_lengths=ks)
+    # run_reallife_experiment's predictor and beam, and per k one per-case loop over its holdout
+    predictor = train_ngram(build_prefix_log(log), build_vocabulary(log), order=3, alpha=0.01)
+    config = BeamConfig(b_size=3, max_iter=7)
+    k_cells, populated = {}, []
+    for k in ks:
+        try:
+            held_out = split_by_prefix(log, k)[1]
+        except ValueError:
+            continue
+        part = reference_sweep("d", held_out, predictor, net, config, w_grid, (k,))
+        k_cells.update(((c.k, c.w), c) for c in part.cells if c.k != MICRO)
+        populated.append(k)
+    assert populated == [1, 2]
+    cells = []
+    for w in w_grid:
+        row = [k_cells[k, w] for k in populated]
+        cells += row + [SweepCell("d", MICRO, w, micro_average((c.mean_similarity, c.n_cases) for c in row),
+                                  sum(c.n_cases for c in row), sum(c.forced_terminations for c in row))]
+    want = SweepResult("d", tuple(cells), tuple(populated), w_grid)
+    assert got == want and repr(got) == repr(want)  # floats compared exactly
+
+
 def test_a_graph_clear_inside_a_sweep_changes_no_cell(synth, synth_ngram, monkeypatch):
     # with a cap of 3 states, the graph is cleared at the start of almost
     # every grid run, between the prefixes of one sweep
@@ -506,6 +571,7 @@ BAD_SETTINGS = {
     "empty w grid": (dict(w_grid=()), "no w value given", ENTRIES),
     "empty ks": (dict(prefix_lengths=()), "no prefix length given", ENTRIES),
     "repeated w": (dict(w_grid=(0.0, 0.5, 0.5)), "w value 0.5 is given more than once", ENTRIES),
+    "0 and -0": (dict(w_grid=(0.0, -0.0)), "w value 0.0 is given more than once", ENTRIES),
     "repeated k": (dict(prefix_lengths=(3, 4, 3)), "prefix length 3 is given more than once", ENTRIES),
     "k=0": (dict(prefix_lengths=(3, 0)), "k must be >= 1", ENTRIES),
     # True would sweep k = 1 and write True in the k column; 3.0 cannot slice
@@ -814,6 +880,58 @@ def test_csv_writers_accept_lists(small_sweep, tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 2 * len(result.cells)
+
+
+def csv_writer_sweep(path, results) -> None:
+    """The sweep table as the csv.writer row loop writes it: the byte oracle of write_sweep_csv."""
+    if isinstance(results, SweepResult):
+        results = [results]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["dataset", "k", "w", "mean_similarity", "n_cases", "forced_terminations"])
+        for result in results:
+            for c in result.cells:
+                writer.writerow(
+                    [c.dataset, c.k, format_w(c.w), repr(c.mean_similarity), c.n_cases, c.forced_terminations]
+                )
+
+
+AWKWARD_DATASETS = ("a,b", 'say "hi"', "cr\rlf\n", "\r\n", " leading space", "naïve – ü 名前", "", "plain")
+
+
+def hand_built(dataset, ws, seed) -> SweepResult:
+    """A result shaped as a sweep's: for each w the cells of ks 3 and 4, then the micro cell."""
+    rng = np.random.default_rng(seed)
+    cells = tuple(SweepCell(dataset, k, w, float(rng.random()), int(rng.integers(1, 500)), int(rng.integers(0, 5)))
+                  for w in ws for k in (3, 4, MICRO))
+    return SweepResult(dataset, cells, (3, 4), tuple(ws))
+
+
+def assert_same_bytes_as_the_csv_writer(tmp_path, results):
+    write_sweep_csv(tmp_path / "got.csv", results)
+    csv_writer_sweep(tmp_path / "want.csv", results)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("dataset", AWKWARD_DATASETS)
+def test_sweep_csv_writes_the_bytes_of_the_csv_writer(dataset, tmp_path):
+    # 0.125 and 1/3 are off the two-decimal grid, so format_w writes them in full
+    assert_same_bytes_as_the_csv_writer(tmp_path, hand_built(dataset, (0.0, 0.05, 0.125, 1 / 3, 0.95, 1.0), 0))
+
+
+def test_sweep_csv_writes_the_bytes_of_the_csv_writer_for_mixed_results(small_sweep, tmp_path):
+    _, swept = small_sweep
+    results = [hand_built(name, (0.0, 0.5, 0.121), seed) for seed, name in enumerate(AWKWARD_DATASETS)]
+    results.append(swept)
+    # cells that share fewer objects: a dataset that changes from cell to cell, -0.0 beside 0.0, 0.5 twice
+    mixed = hand_built("x", (0.0, -0.0, 0.5, float("0.5")), 9)
+    mixed = replace(mixed, cells=tuple(c._replace(dataset=f"name{',y' * (i % 2)}") for i, c in enumerate(mixed.cells)))
+    results.append(mixed)
+    assert_same_bytes_as_the_csv_writer(tmp_path, swept)
+    assert_same_bytes_as_the_csv_writer(tmp_path, [])
+    assert_same_bytes_as_the_csv_writer(tmp_path, results)
+    write_sweep_csv(tmp_path / "once.csv", iter(results))  # a one-pass iterable is read once
+    assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_train_predictor_rejects_an_unknown_kind():

@@ -70,6 +70,18 @@ def test_distance_exhaustive_against_brute_force():
     for a in seqs:
         for b in seqs:
             assert dl_distance(a, b) == brute_osa(a, b), (a, b)
+            longest = max(len(a), len(b))
+            assert dl_similarity(a, b) == (1.0 - brute_osa(a, b) / longest if longest else 1.0), (a, b)
+
+
+def test_similarity_of_equal_suffixes_is_the_dps_one():
+    # equal suffixes return 1.0 before the DP, whose 1 - 0 / longest is the same float
+    for a in [("A",), ("A", "B", "A"), tuple("abcabcab")]:
+        b = tuple(list(a))  # equal, not the same object
+        assert dl_distance(a, b) == brute_osa(a, b) == 0
+        assert dl_similarity(a, b) == 1.0 - dl_distance(a, b) / len(a) == 1.0
+    # a list and a tuple are not equal, so they take the DP, to the same answer
+    assert dl_similarity((), ()) == dl_similarity(["A", "B"], ("A", "B")) == 1.0
 
 
 @settings(max_examples=300)
